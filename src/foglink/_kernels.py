@@ -1,137 +1,55 @@
-"""Hot moment-accumulation kernels for the Monte-Carlo verifier.
+"""Hot moment-accumulation kernel for the Monte-Carlo verifier.
 
-Two interchangeable implementations of the same kernel: a numba ``@njit``
-loop and a vectorized numpy fallback.  The numba path is used when numba
-imports cleanly and the ``FOGLINK_NO_NUMBA`` environment variable is not
-set; ``benchmarks/bench_mc_kernel.py`` compares the two.
+The soft limiter keeps the phase of its input, so every moment the
+verifier needs depends only on the input radius.  The kernel maps Philox
+uniforms u1 to |x|^2 = -sigma2 * log(1 - u1) (the radial half of the
+Box-Muller transform), clips the radius r = |x| at sqrt(p_max) to get
+rho = |y|, and accumulates the 11 moment sums listed below.  With
+c = y * conj(x), Re(c) = r * rho and Im(c) is exactly zero.
 
-The kernel maps two arrays of Philox uniforms to complex-Gaussian samples
-(Box-Muller: radius sqrt(-sigma2*log(1-u1)), phase 2*pi*u2), pushes them
-through the soft limiter clipping at sqrt(p_max), and accumulates the
-13 moment sums listed below.  Per-path results are bit-reproducible; the
-two paths agree to roundoff (summation order differs).
+Every step is an in-place numpy ufunc writing into a caller-owned
+workspace, so a call allocates nothing but its result.  Each sum is a
+plain ``ndarray.sum`` over a contiguous row, never BLAS, so the result
+bits do not depend on the thread count.
 
 Sum layout (x = input sample, y = clipped sample, c = y * conj(x)):
-  0: sum Re(c)        1: sum Im(c)        2: sum |y|^2      3: sum |x|^2
-  4: sum |y|          5: sum |x|          6: sum Re(c)^2    7: sum |y|^4
-  8: sum |x|^4        9: sum |y|^2 Re(c) 10: sum |y|^2|x|^2 11: sum |x|^2 Re(c)
- 12: sum Im(c)^2
+  0: sum Re(c)        1: sum |y|^2        2: sum |x|^2      3: sum |y|
+  4: sum |x|          5: sum Re(c)^2      6: sum |y|^4      7: sum |x|^4
+  8: sum |y|^2 Re(c)  9: sum |y|^2|x|^2  10: sum |x|^2 Re(c)
 """
 
 import math
-import os
 
 import numpy as np
 
-N_SUMS = 13
-_TWO_PI = 2.0 * math.pi
+N_SUMS = 11
+# Rows of the float64 workspace ``moment_sums`` needs, each at least as
+# long as its input.
+WORK_ROWS = 4
 
 
-def moment_sums_numpy(u1: np.ndarray, u2: np.ndarray, sigma2: float, p_max: float) -> np.ndarray:
-    """Vectorized numpy implementation of the moment kernel."""
-    r = np.sqrt(-sigma2 * np.log1p(-u1))
-    angle = _TWO_PI * u2
-    xr = r * np.cos(angle)
-    xi = r * np.sin(angle)
-    clip = math.sqrt(p_max)
-    scale = np.ones_like(r)
-    clipped = r >= clip
-    scale[clipped] = clip / r[clipped]
-    yr = xr * scale
-    yi = xi * scale
-    c_re = yr * xr + yi * xi
-    c_im = yi * xr - yr * xi
-    a = yr * yr + yi * yi
-    b = xr * xr + xi * xi
+def moment_sums(u1: np.ndarray, sigma2: float, p_max: float, work: np.ndarray) -> np.ndarray:
+    """Moment sums of the samples drawn from the uniforms ``u1``.
+
+    ``work`` is a float64 array of shape (WORK_ROWS, m) with m >= len(u1);
+    its contents are overwritten.
+    """
+    n = u1.shape[0]
+    b, c, a, tmp = work[:WORK_ROWS, :n]
     out = np.empty(N_SUMS)
-    out[0] = c_re.sum()
-    out[1] = c_im.sum()
-    out[2] = a.sum()
-    out[3] = b.sum()
-    out[4] = np.sqrt(a).sum()
-    out[5] = np.sqrt(b).sum()
-    out[6] = (c_re * c_re).sum()
-    out[7] = (a * a).sum()
-    out[8] = (b * b).sum()
-    out[9] = (a * c_re).sum()
-    out[10] = (a * b).sum()
-    out[11] = (b * c_re).sum()
-    out[12] = (c_im * c_im).sum()
+    np.negative(u1, out=b)
+    np.log1p(b, out=b)
+    np.multiply(b, -sigma2, out=b)  # |x|^2
+    np.sqrt(b, out=c)  # r = |x|
+    out[4] = c.sum()
+    np.minimum(c, math.sqrt(p_max), out=a)  # rho = |y|
+    out[3] = a.sum()
+    np.multiply(c, a, out=c)  # Re(c) = r * rho
+    np.multiply(a, a, out=a)  # |y|^2
+    out[0] = c.sum()
+    out[1] = a.sum()
+    out[2] = b.sum()
+    for index, (left, right) in enumerate(((c, c), (a, a), (b, b), (a, c), (a, b), (b, c)), 5):
+        np.multiply(left, right, out=tmp)
+        out[index] = tmp.sum()
     return out
-
-
-def _moment_sums_loop(u1, u2, sigma2, p_max):  # pragma: no cover - compiled
-    clip = math.sqrt(p_max)
-    s0 = s1 = s2 = s3 = s4 = s5 = 0.0
-    s6 = s7 = s8 = s9 = s10 = s11 = s12 = 0.0
-    for k in range(u1.shape[0]):
-        r = math.sqrt(-sigma2 * math.log1p(-u1[k]))
-        angle = _TWO_PI * u2[k]
-        xr = r * math.cos(angle)
-        xi = r * math.sin(angle)
-        if r >= clip:
-            scale = clip / r
-        else:
-            scale = 1.0
-        yr = xr * scale
-        yi = xi * scale
-        c_re = yr * xr + yi * xi
-        c_im = yi * xr - yr * xi
-        a = yr * yr + yi * yi
-        b = xr * xr + xi * xi
-        s0 += c_re
-        s1 += c_im
-        s2 += a
-        s3 += b
-        s4 += math.sqrt(a)
-        s5 += math.sqrt(b)
-        s6 += c_re * c_re
-        s7 += a * a
-        s8 += b * b
-        s9 += a * c_re
-        s10 += a * b
-        s11 += b * c_re
-        s12 += c_im * c_im
-    out = np.empty(N_SUMS)
-    out[0] = s0
-    out[1] = s1
-    out[2] = s2
-    out[3] = s3
-    out[4] = s4
-    out[5] = s5
-    out[6] = s6
-    out[7] = s7
-    out[8] = s8
-    out[9] = s9
-    out[10] = s10
-    out[11] = s11
-    out[12] = s12
-    return out
-
-
-def _numba_disabled_by_env() -> bool:
-    return os.environ.get("FOGLINK_NO_NUMBA", "").strip().lower() in {
-        "1", "true", "yes", "on",
-    }
-
-
-moment_sums_numba = None
-if not _numba_disabled_by_env():
-    try:
-        import numba
-    except ImportError:
-        numba = None
-    if numba is not None:
-        moment_sums_numba = numba.njit(cache=True)(_moment_sums_loop)
-
-if moment_sums_numba is not None:
-    moment_sums = moment_sums_numba
-    BACKEND = "numba"
-else:
-    moment_sums = moment_sums_numpy
-    BACKEND = "numpy"
-
-
-def active_backend() -> str:
-    """Name of the kernel implementation selected at import time."""
-    return BACKEND

@@ -10,10 +10,11 @@ Samples are generated in fixed-size chunks, each from its own jump-ahead
 Philox substream (``Philox(key=seed).jumped(chunk_index)``), and chunk
 partial sums are combined in chunk order.  The chunk layout never depends
 on how the work might be scheduled, so any parallel execution over chunks
-reproduces the sequential result bit for bit.  Uniform deviates become
-complex-Gaussian samples via the Box-Muller transform
-``sqrt(-sigma2 * log(1 - u1)) * exp(2j * pi * u2)``; this choice is fixed
-because reproducibility per seed is promised within a build.
+reproduces the sequential result bit for bit.  A sample is
+``x = sqrt(-sigma2 * log(1 - u1)) * exp(2j * pi * u2)`` (Box-Muller), but
+only u1, the first ``count`` uniforms of each substream, is drawn: the
+soft limiter keeps the phase, so no estimator depends on u2.  This choice
+is fixed because reproducibility per seed is promised within a build.
 """
 
 import math
@@ -31,11 +32,6 @@ __all__ = ["CHUNK_SAMPLES", "McConfig", "McEstimate", "soft_limit", "run_mc"]
 CHUNK_SAMPLES = 1 << 20
 
 _FOUR_OVER_PI = 4.0 / math.pi
-
-# Tolerance floor for the cross-moment imaginary part.  The limiter
-# preserves phase, so Im(y * conj(x)) is pure rounding residue; a biased
-# residue must still not be flagged as a statistical failure.
-_IMAG_FLOOR_FACTOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -72,10 +68,9 @@ class McConfig:
 class McEstimate:
     """Estimates with standard errors from one Monte-Carlo run.
 
-    ``alpha_imag_hat`` is the imaginary part of the cross-moment (a
-    self-check, approximately zero) and ``input_amp_hat`` the mean input
-    amplitude (Rayleigh diagnostic).  Standard errors are first-order
-    (sample standard deviation over sqrt(n)); they are NaN for n = 1.
+    ``input_amp_hat`` is the mean input amplitude (Rayleigh diagnostic).
+    Standard errors are first-order (sample standard deviation over
+    sqrt(n)); they are NaN for n = 1.
     """
 
     alpha_hat: float
@@ -85,8 +80,6 @@ class McEstimate:
     stderr_alpha: float
     stderr_distortion: float
     stderr_pa: float
-    alpha_imag_hat: float
-    stderr_alpha_imag: float
     input_amp_hat: float
     stderr_input_amp: float
     n_samples: int
@@ -126,12 +119,18 @@ def _chunk_layout(n_samples: int):
         yield full, rest
 
 
-def _chunk_sums(seed: int, chunk_index: int, count: int, sigma2: float, p_max: float) -> np.ndarray:
+def _workspace(n_samples: int) -> np.ndarray:
+    """Buffer reused by every chunk of a run: row 0 holds the uniforms."""
+    return np.empty((1 + _kernels.WORK_ROWS, min(n_samples, CHUNK_SAMPLES)))
+
+
+def _chunk_sums(
+    seed: int, chunk_index: int, count: int, sigma2: float, p_max: float, work: np.ndarray
+) -> np.ndarray:
     """Moment sums of one chunk, from its own jump-ahead Philox substream."""
-    rng = np.random.Generator(np.random.Philox(key=seed).jumped(chunk_index))
-    u1 = rng.random(count)
-    u2 = rng.random(count)
-    return _kernels.moment_sums(u1, u2, sigma2, p_max)
+    u1 = work[0, :count]
+    np.random.Generator(np.random.Philox(key=seed).jumped(chunk_index)).random(out=u1)
+    return _kernels.moment_sums(u1, sigma2, p_max, work[1:])
 
 
 def _mean_and_stderr(total: float, total_sq: float, n: int):
@@ -153,34 +152,22 @@ def run_mc(config: McConfig) -> McEstimate:
       pa_power_hat    = mean((4/pi) * sqrt(|y|^2 * p_max))
       sinr_hat        = alpha_hat^2 * sigma2 / (distortion + p_max/snr_max)
 
-    Raises NumericError if accumulations go non-finite or the cross-moment
-    imaginary part fails its self-check.
+    Raises NumericError if accumulations go non-finite.
     """
+    work = _workspace(config.n_samples)
     sums = np.zeros(_kernels.N_SUMS)
     for index, count in _chunk_layout(config.n_samples):
-        sums += _chunk_sums(config.seed, index, count, config.sigma2_w, config.p_max_w)
+        sums += _chunk_sums(config.seed, index, count, config.sigma2_w, config.p_max_w, work)
     if not np.all(np.isfinite(sums)):
         raise NumericError(f"non-finite accumulation for config {config!r}")
 
     n = config.n_samples
     sigma2 = config.sigma2_w
-    (s_cre, s_cim, s_a, s_b, s_ampy, s_ampx,
-     s_cre2, s_a2, s_b2, s_ac, s_ab, s_bc, s_cim2) = sums
+    s_cre, s_a, s_b, s_ampy, s_ampx, s_cre2, s_a2, s_b2, s_ac, s_ab, s_bc = sums
 
     mean_cre, stderr_cre = _mean_and_stderr(s_cre, s_cre2, n)
     alpha_hat = mean_cre / sigma2
     stderr_alpha = stderr_cre / sigma2
-
-    mean_cim, stderr_cim = _mean_and_stderr(s_cim, s_cim2, n)
-    alpha_imag_hat = mean_cim / sigma2
-    stderr_alpha_imag = stderr_cim / sigma2
-    if n >= 2:
-        imag_tol = 3.0 * stderr_cim + _IMAG_FLOOR_FACTOR * sigma2
-        if abs(mean_cim) > imag_tol:
-            raise NumericError(
-                f"cross-moment imaginary part {mean_cim!r} exceeds its "
-                f"self-check tolerance {imag_tol!r} (config {config!r})"
-            )
 
     a_hat = alpha_hat
     mean_a = s_a / n
@@ -221,8 +208,6 @@ def run_mc(config: McConfig) -> McEstimate:
         stderr_alpha=stderr_alpha,
         stderr_distortion=stderr_distortion,
         stderr_pa=stderr_pa,
-        alpha_imag_hat=alpha_imag_hat,
-        stderr_alpha_imag=stderr_alpha_imag,
         input_amp_hat=input_amp_hat,
         stderr_input_amp=stderr_input_amp,
         n_samples=n,
