@@ -18,7 +18,7 @@ from .chain import (
     offload_power,
     ofdm_power,
 )
-from .config import default_params, dump_defaults, load_config
+from .config import dump_defaults, load_params
 from .errors import (
     BracketError,
     ConfigError,
@@ -40,7 +40,7 @@ from .link import (
     required_sinr,
 )
 from .mc import CHUNK_SAMPLES, McConfig, McEstimate, run_mc, soft_limit
-from .numerics import RootSolveReport, erf, erfc, solve_bisection, solve_newton
+from .numerics import RootSolveReport, erfc, solve_bisection, solve_newton
 from .pa import (
     PaOperatingPoint,
     bussgang_alpha,
@@ -58,7 +58,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # numerics
-    "RootSolveReport", "erf", "erfc", "solve_newton", "solve_bisection",
+    "RootSolveReport", "erfc", "solve_newton", "solve_bisection",
     # pa
     "PaOperatingPoint", "bussgang_alpha", "sinr_of_ibo", "optimal_ibo",
     "optimal_ibo_residual", "sinr_approx_db", "snr_max_for_sinr_db",
@@ -74,7 +74,7 @@ __all__ = [
     # mc
     "McConfig", "McEstimate", "CHUNK_SAMPLES", "soft_limit", "run_mc",
     # config
-    "default_params", "load_config", "dump_defaults",
+    "load_params", "dump_defaults",
     # units
     "db_to_linear", "linear_to_db", "dbm_to_watts", "watts_to_dbm",
     # errors

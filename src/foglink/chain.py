@@ -9,9 +9,9 @@ the power of running the analytics workload on the device itself.
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, require_int, require_positive
 from .link import LinkGeometry, operating_point
-from .pa import pa_consumed_power
+from .pa import PaOperatingPoint, pa_consumed_power
 
 __all__ = [
     "RadioParams",
@@ -22,15 +22,21 @@ __all__ = [
     "ofdm_power",
     "dac_power",
     "duty_cycled_breakdown",
+    "link_geometry",
+    "breakdown_at",
     "offload_power",
+    "breakeven_at",
     "breakeven_theta",
 ]
 
 
-def _require_positive(**fields):
-    for name, value in fields.items():
-        if not value > 0.0:
-            raise DomainError(f"{name} must be positive, got {value!r}")
+# Converter resolutions whose 2^bits is still a finite float.
+MAX_DAC_BITS = 1023
+
+
+def _require_transform_size(n_ofdm) -> None:
+    if not (isinstance(n_ofdm, int) and n_ofdm >= 2 and n_ofdm & (n_ofdm - 1) == 0):
+        raise DomainError(f"n_ofdm must be a power of two >= 2, got {n_ofdm!r}")
 
 
 @dataclass(frozen=True)
@@ -57,7 +63,7 @@ class RadioParams:
     beta: float
 
     def __post_init__(self):
-        _require_positive(
+        require_positive(
             sample_rate_hz=self.sample_rate_hz,
             bandwidth_hz=self.bandwidth_hz,
             delta_f_hz=self.delta_f_hz,
@@ -70,18 +76,10 @@ class RadioParams:
         )
         if self.c_p_f < 0.0:
             raise DomainError(f"c_p_f must be non-negative, got {self.c_p_f!r}")
-        if not (isinstance(self.dac_bits, int) and self.dac_bits >= 1):
-            raise DomainError(f"dac_bits must be an integer >= 1, got {self.dac_bits!r}")
+        require_int("dac_bits", self.dac_bits, 1, MAX_DAC_BITS)
         if not 0.0 < self.beta <= 1.0:
             raise DomainError(f"beta must lie in (0, 1], got {self.beta!r}")
-        if not (
-            isinstance(self.n_ofdm, int)
-            and self.n_ofdm >= 2
-            and (self.n_ofdm & (self.n_ofdm - 1)) == 0
-        ):
-            raise DomainError(
-                f"n_ofdm must be a power of two >= 2, got {self.n_ofdm!r}"
-            )
+        _require_transform_size(self.n_ofdm)
         if self.n_ofdm != self.sample_rate_hz / self.delta_f_hz:
             raise DomainError(
                 f"n_ofdm = {self.n_ofdm!r} must equal sample_rate_hz / delta_f_hz "
@@ -107,9 +105,8 @@ class DeploymentParams:
     theta_flop_per_bit: float
 
     def __post_init__(self):
-        if not (isinstance(self.cameras, int) and self.cameras >= 1):
-            raise DomainError(f"cameras must be an integer >= 1, got {self.cameras!r}")
-        _require_positive(
+        require_int("cameras", self.cameras)
+        require_positive(
             distance_km=self.distance_km,
             carrier_hz=self.carrier_hz,
             rate_bps=self.rate_bps,
@@ -155,7 +152,7 @@ def local_power(theta_flop_per_bit: float, rate_bps: float, gamma_flops_per_w: f
     """On-device analytics power: theta * R / Gamma watts."""
     if theta_flop_per_bit < 0.0:
         raise DomainError(f"theta must be non-negative, got {theta_flop_per_bit!r}")
-    _require_positive(rate_bps=rate_bps, gamma_flops_per_w=gamma_flops_per_w)
+    require_positive(rate_bps=rate_bps, gamma_flops_per_w=gamma_flops_per_w)
     return theta_flop_per_bit * rate_bps / gamma_flops_per_w
 
 
@@ -163,7 +160,7 @@ def coding_power(rate_bps: float, psi_w_per_bps: float) -> float:
     """Redundancy-coding power, proportional to the bitrate: R * psi."""
     if rate_bps < 0.0:
         raise DomainError(f"rate_bps must be non-negative, got {rate_bps!r}")
-    _require_positive(psi_w_per_bps=psi_w_per_bps)
+    require_positive(psi_w_per_bps=psi_w_per_bps)
     return rate_bps * psi_w_per_bps
 
 
@@ -174,9 +171,8 @@ def ofdm_power(n_ofdm: int, delta_f_hz: float, gamma_mod_flops_per_w: float) -> 
     duration 1/delta_f, mapped to watts through the modem efficiency.
     N must be a power of two for the operation count to apply.
     """
-    if not (isinstance(n_ofdm, int) and n_ofdm >= 2 and (n_ofdm & (n_ofdm - 1)) == 0):
-        raise DomainError(f"n_ofdm must be a power of two >= 2, got {n_ofdm!r}")
-    _require_positive(delta_f_hz=delta_f_hz, gamma_mod_flops_per_w=gamma_mod_flops_per_w)
+    _require_transform_size(n_ofdm)
+    require_positive(delta_f_hz=delta_f_hz, gamma_mod_flops_per_w=gamma_mod_flops_per_w)
     flop_per_symbol = 4.0 * n_ofdm * math.log2(n_ofdm) - 6.0 * n_ofdm + 8.0
     return flop_per_symbol * delta_f_hz / gamma_mod_flops_per_w
 
@@ -186,9 +182,8 @@ def dac_power(bits: int, v_dd: float, i_0_a: float, c_p_f: float, sample_rate_hz
 
     P = V_dd * I_0 * (2^bits - 1) + 0.5 * bits * C_p * f_s * V_dd^2
     """
-    if not (isinstance(bits, int) and bits >= 1):
-        raise DomainError(f"bits must be an integer >= 1, got {bits!r}")
-    _require_positive(v_dd=v_dd, i_0_a=i_0_a, sample_rate_hz=sample_rate_hz)
+    require_int("bits", bits, 1, MAX_DAC_BITS)
+    require_positive(v_dd=v_dd, i_0_a=i_0_a, sample_rate_hz=sample_rate_hz)
     if c_p_f < 0.0:
         raise DomainError(f"c_p_f must be non-negative, got {c_p_f!r}")
     static = v_dd * i_0_a * (2.0 ** bits - 1.0)
@@ -212,8 +207,7 @@ def duty_cycled_breakdown(
     active only during the camera's 1/M slot; video compression, coding
     and the local oscillator stay on continuously.
     """
-    if not (isinstance(cameras, int) and cameras >= 1):
-        raise DomainError(f"cameras must be an integer >= 1, got {cameras!r}")
+    require_int("cameras", cameras)
     m = float(cameras)
     parts = dict(
         video_w=video_w,
@@ -227,13 +221,9 @@ def duty_cycled_breakdown(
     return PowerBreakdown(total_w=sum(parts.values()), **parts)
 
 
-def offload_power(radio: RadioParams, deploy: DeploymentParams) -> PowerBreakdown:
-    """Mean power one camera spends to offload its stream.
-
-    Solves the link for the amplifier operating point, evaluates every
-    component model and applies the duty-cycle accounting.
-    """
-    geometry = LinkGeometry(
+def link_geometry(radio: RadioParams, deploy: DeploymentParams) -> LinkGeometry:
+    """The uplink a scenario asks for: its distance, band, fleet and rate."""
+    return LinkGeometry(
         distance_km=deploy.distance_km,
         carrier_hz=deploy.carrier_hz,
         bandwidth_hz=radio.bandwidth_hz,
@@ -241,7 +231,12 @@ def offload_power(radio: RadioParams, deploy: DeploymentParams) -> PowerBreakdow
         rate_bps=deploy.rate_bps,
         beta=radio.beta,
     )
-    point = operating_point(geometry)
+
+
+def breakdown_at(
+    radio: RadioParams, deploy: DeploymentParams, point: PaOperatingPoint
+) -> PowerBreakdown:
+    """Duty-cycled component powers with the amplifier at a sized ``point``."""
     return duty_cycled_breakdown(
         video_w=deploy.p_video_w,
         cod_w=coding_power(deploy.rate_bps, radio.psi_w_per_bps),
@@ -256,10 +251,23 @@ def offload_power(radio: RadioParams, deploy: DeploymentParams) -> PowerBreakdow
     )
 
 
+def offload_power(radio: RadioParams, deploy: DeploymentParams) -> PowerBreakdown:
+    """Mean power one camera spends to offload its stream.
+
+    Solves the link for the amplifier operating point, evaluates every
+    component model and applies the duty-cycle accounting.
+    """
+    return breakdown_at(radio, deploy, operating_point(link_geometry(radio, deploy)))
+
+
+def breakeven_at(offload_w: float, deploy: DeploymentParams) -> float:
+    """theta* = Gamma * P_offload / R: the workload whose local power is ``offload_w``."""
+    return deploy.gamma_flops_per_w * offload_w / deploy.rate_bps
+
+
 def breakeven_theta(radio: RadioParams, deploy: DeploymentParams) -> float:
     """Workload complexity (FLOP/bit) at which local compute matches offload.
 
-    theta* = Gamma * P_offload / R; above it, offloading wins.
+    Above it, offloading wins.
     """
-    total = offload_power(radio, deploy).total_w
-    return deploy.gamma_flops_per_w * total / deploy.rate_bps
+    return breakeven_at(offload_power(radio, deploy).total_w, deploy)

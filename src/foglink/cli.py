@@ -9,8 +9,8 @@ names a file.
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,22 +18,18 @@ from . import pa
 from .chain import (
     DeploymentParams,
     RadioParams,
+    breakdown_at,
+    breakeven_at,
     breakeven_theta,
+    link_geometry,
     local_power,
     offload_power,
 )
-from .config import (
-    BANDWIDTH_PROFILES,
-    default_params,
-    dump_defaults,
-    load_config,
-)
+from .config import BANDWIDTH_PROFILES, dump_defaults, load_params
 from .errors import DomainError, FoglinkError, InfeasibleLinkError, NumericError
-from .link import LinkGeometry, build_channel, operating_point, required_sinr
+from .link import build_channel, operating_point, required_sinr
 from .mc import McConfig, run_mc
 from .units import db_to_linear, linear_to_db, watts_to_dbm
-
-SWEEP_VARIABLES = ("snr_max_db", "bandwidth_hz", "distance_km", "theta")
 
 # Four curves shown in the distance sweeps: both channelizations at one
 # and at ten cameras.
@@ -43,54 +39,42 @@ FIGURE_COMBOS = tuple(
 FIGURE_CAMERA_COUNTS = (1, 10)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A one-dimensional scenario sweep.
+def _grid(
+    variable: str, start: float, stop: float, steps: int, log_spaced: bool = False
+) -> np.ndarray:
+    """The points of a one-dimensional sweep of ``variable``.
 
     ``steps == 1`` with ``start == stop`` is the degenerate single-point
     sweep; otherwise at least two points and an increasing range are
-    required.  ``fixed`` carries scenario overrides held constant during
-    the sweep and must not mention the swept variable itself.
+    required.  Both bounds must be finite; ``variable`` only names the
+    sweep in error messages.
     """
-
-    variable: str
-    start: float
-    stop: float
-    steps: int
-    log_spaced: bool = False
-    fixed: Optional[Mapping[str, float]] = None
-
-    def __post_init__(self):
-        if self.variable not in SWEEP_VARIABLES:
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise DomainError(
+            f"{variable} sweep bounds must be finite, got [{start!r}, {stop!r}]"
+        )
+    if steps == 1:
+        if start != stop:
             raise DomainError(
-                f"unknown sweep variable {self.variable!r}; "
-                f"choose from {SWEEP_VARIABLES}"
+                f"{variable} single-step sweep needs start == stop, got "
+                f"[{start!r}, {stop!r}]"
             )
-        if self.steps == 1:
-            if self.start != self.stop:
-                raise DomainError(
-                    f"single-step sweep needs start == stop, got "
-                    f"[{self.start!r}, {self.stop!r}]"
-                )
-        elif self.steps >= 2:
-            if not self.start < self.stop:
-                raise DomainError(
-                    f"sweep range must be increasing, got "
-                    f"[{self.start!r}, {self.stop!r}]"
-                )
-        else:
-            raise DomainError(f"steps must be >= 1, got {self.steps!r}")
-        if self.log_spaced and not self.start > 0.0:
-            raise DomainError(f"log-spaced sweep needs start > 0, got {self.start!r}")
-        if self.fixed and self.variable in self.fixed:
+    elif steps >= 2:
+        if not start < stop:
             raise DomainError(
-                f"swept variable {self.variable!r} may not appear in fixed overrides"
+                f"{variable} sweep range must be increasing, got [{start!r}, {stop!r}]"
             )
-
-    def values(self) -> np.ndarray:
-        if self.log_spaced:
-            return np.geomspace(self.start, self.stop, self.steps)
-        return np.linspace(self.start, self.stop, self.steps)
+    else:
+        raise DomainError(f"{variable} sweep steps must be >= 1, got {steps!r}")
+    if log_spaced and not start > 0.0:
+        raise DomainError(f"{variable} log-spaced sweep needs start > 0, got {start!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = (np.geomspace if log_spaced else np.linspace)(start, stop, steps)
+    if not np.isfinite(points).all():
+        raise DomainError(
+            f"{variable} sweep from {start!r} to {stop!r} overflows a float"
+        )
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +94,9 @@ def sweep_fig3(
     Returns the rows plus the maximum absolute gap between the exact and
     the affine-approximated SINR over the sweep.
     """
-    spec = SweepSpec("snr_max_db", start_db, stop_db, steps)
     rows = []
     max_gap = 0.0
-    for x in spec.values():
+    for x in _grid("snr_max_db", start_db, stop_db, steps):
         x = float(x)
         try:
             point = pa.optimal_ibo(db_to_linear(x))
@@ -147,28 +130,20 @@ def sweep_fig4(
     omitted rather than aborting the sweep, so narrow bandwidths still
     show the feasible curve.
     """
-    spec = SweepSpec("bandwidth_hz", start_hz, stop_hz, steps)
+    base = link_geometry(radio, deploy)
     rows = []
-    for b in spec.values():
+    for b in _grid("bandwidth_hz", start_hz, stop_hz, steps):
         b = float(b)
         for cameras in FIGURE_CAMERA_COUNTS:
-            geometry = LinkGeometry(
-                distance_km=deploy.distance_km,
-                carrier_hz=deploy.carrier_hz,
-                bandwidth_hz=b,
-                cameras=cameras,
-                rate_bps=deploy.rate_bps,
-                beta=radio.beta,
-            )
             try:
+                geometry = replace(base, bandwidth_hz=b, cameras=cameras)
                 sinr_db = linear_to_db(required_sinr(geometry))
+                snr_max = db_to_linear(pa.snr_max_for_sinr_db(sinr_db))
+                if snr_max > pa.MAX_SNR_CEILING:
+                    continue
+                point = pa.optimal_ibo(snr_max)
             except InfeasibleLinkError:
                 continue
-            snr_max = db_to_linear(pa.snr_max_for_sinr_db(sinr_db))
-            if snr_max > pa.MAX_SNR_CEILING:
-                continue
-            try:
-                point = pa.optimal_ibo(snr_max)
             except FoglinkError as exc:
                 raise _scenario_context(exc, bandwidth_hz=b, cameras=cameras) from exc
             rows.append(
@@ -182,13 +157,48 @@ def sweep_fig4(
     return rows
 
 
-def _combo_params(
-    radio: RadioParams, deploy: DeploymentParams, profile: str, cameras: int
-) -> Tuple[RadioParams, DeploymentParams]:
-    return (
-        replace(radio, **BANDWIDTH_PROFILES[profile]),
-        replace(deploy, cameras=cameras),
-    )
+def _distance_sweep(
+    radio: RadioParams,
+    deploy: DeploymentParams,
+    start_km: float,
+    stop_km: float,
+    steps: int,
+    cells: Callable[[RadioParams, DeploymentParams], Dict],
+) -> List[Dict]:
+    """Rows of ``cells`` over log-spaced distances and the FIGURE_COMBOS."""
+    rows = []
+    for d in _grid("distance_km", start_km, stop_km, steps, log_spaced=True):
+        d = float(d)
+        for profile, cameras in FIGURE_COMBOS:
+            try:
+                combo_radio = replace(radio, **BANDWIDTH_PROFILES[profile])
+                combo_deploy = replace(deploy, cameras=cameras, distance_km=d)
+                row = cells(combo_radio, combo_deploy)
+            except FoglinkError as exc:
+                raise _scenario_context(
+                    exc, distance_km=d, bandwidth_profile=profile, cameras=cameras
+                ) from exc
+            rows.append(
+                {
+                    "distance_km": d,
+                    "bandwidth_hz": combo_radio.bandwidth_hz,
+                    "cameras": cameras,
+                    **row,
+                }
+            )
+    return rows
+
+
+# (CSV column, PowerBreakdown field) of the fig5 power cells
+_FIG5_CELLS = tuple(
+    (f"{part}_dbm", f"{part}_w")
+    for part in ("total", "video", "cod", "ofdm", "dac", "lo", "mix", "pa")
+)
+
+
+def _fig5_cells(radio: RadioParams, deploy: DeploymentParams) -> Dict:
+    down = offload_power(radio, deploy)
+    return {column: watts_to_dbm(getattr(down, field)) for column, field in _FIG5_CELLS}
 
 
 def sweep_fig5(
@@ -199,35 +209,7 @@ def sweep_fig5(
     steps: int = 50,
 ) -> List[Dict]:
     """Offload power and its per-component shares versus distance."""
-    spec = SweepSpec("distance_km", start_km, stop_km, steps, log_spaced=True)
-    rows = []
-    for d in spec.values():
-        d = float(d)
-        for profile, cameras in FIGURE_COMBOS:
-            combo_radio, combo_deploy = _combo_params(radio, deploy, profile, cameras)
-            combo_deploy = replace(combo_deploy, distance_km=d)
-            try:
-                down = offload_power(combo_radio, combo_deploy)
-            except FoglinkError as exc:
-                raise _scenario_context(
-                    exc, distance_km=d, bandwidth_profile=profile, cameras=cameras
-                ) from exc
-            rows.append(
-                {
-                    "distance_km": d,
-                    "bandwidth_hz": combo_radio.bandwidth_hz,
-                    "cameras": cameras,
-                    "total_dbm": watts_to_dbm(down.total_w),
-                    "video_dbm": watts_to_dbm(down.video_w),
-                    "cod_dbm": watts_to_dbm(down.cod_w),
-                    "ofdm_dbm": watts_to_dbm(down.ofdm_w),
-                    "dac_dbm": watts_to_dbm(down.dac_w),
-                    "lo_dbm": watts_to_dbm(down.lo_w),
-                    "mix_dbm": watts_to_dbm(down.mix_w),
-                    "pa_dbm": watts_to_dbm(down.pa_w),
-                }
-            )
-    return rows
+    return _distance_sweep(radio, deploy, start_km, stop_km, steps, _fig5_cells)
 
 
 def sweep_fig6(
@@ -238,43 +220,18 @@ def sweep_fig6(
     steps: int = 50,
 ) -> List[Dict]:
     """Breakeven workload complexity versus distance."""
-    spec = SweepSpec("distance_km", start_km, stop_km, steps, log_spaced=True)
-    rows = []
-    for d in spec.values():
-        d = float(d)
-        for profile, cameras in FIGURE_COMBOS:
-            combo_radio, combo_deploy = _combo_params(radio, deploy, profile, cameras)
-            combo_deploy = replace(combo_deploy, distance_km=d)
-            try:
-                theta_star = breakeven_theta(combo_radio, combo_deploy)
-            except FoglinkError as exc:
-                raise _scenario_context(
-                    exc, distance_km=d, bandwidth_profile=profile, cameras=cameras
-                ) from exc
-            rows.append(
-                {
-                    "distance_km": d,
-                    "bandwidth_hz": combo_radio.bandwidth_hz,
-                    "cameras": cameras,
-                    "theta_star": theta_star,
-                }
-            )
-    return rows
+    return _distance_sweep(
+        radio, deploy, start_km, stop_km, steps,
+        lambda radio, deploy: {"theta_star": breakeven_theta(radio, deploy)},
+    )
 
 
 def link_power_row(radio: RadioParams, deploy: DeploymentParams) -> Dict:
     """Full diagnostic row for one scenario: channel, operating point, powers."""
-    geometry = LinkGeometry(
-        distance_km=deploy.distance_km,
-        carrier_hz=deploy.carrier_hz,
-        bandwidth_hz=radio.bandwidth_hz,
-        cameras=deploy.cameras,
-        rate_bps=deploy.rate_bps,
-        beta=radio.beta,
-    )
+    geometry = link_geometry(radio, deploy)
     channel = build_channel(geometry)
     point = operating_point(geometry, channel)
-    down = offload_power(radio, deploy)
+    down = breakdown_at(radio, deploy, point)
     return {
         "distance_km": deploy.distance_km,
         "carrier_hz": deploy.carrier_hz,
@@ -319,14 +276,13 @@ def breakeven_rows(
             "cameras": deploy.cameras,
             "offload_total_w": down.total_w,
             "offload_total_dbm": watts_to_dbm(down.total_w),
-            "theta_star": deploy.gamma_flops_per_w * down.total_w / deploy.rate_bps,
+            "theta_star": breakeven_at(down.total_w, deploy),
         }
         return columns, [row]
     start, stop, steps = theta_sweep
-    spec = SweepSpec("theta", start, stop, steps)
     columns = ["theta", "local_w", "offload_total_w", "local_minus_offload_w"]
     rows = []
-    for theta in spec.values():
+    for theta in _grid("theta", start, stop, steps):
         theta = float(theta)
         local = local_power(theta, deploy.rate_bps, deploy.gamma_flops_per_w)
         rows.append(
@@ -353,25 +309,28 @@ def mc_verify(
     within max(3 standard errors, 1 percent) of the analytic value.
     Returns the rows and a list of human-readable failure descriptions.
     """
-    snr_max = db_to_linear(snr_max_db)
     sigma2 = 1.0
     rows = []
     failures = []
     for ibo_db in ibo_db_values:
-        ibo = db_to_linear(ibo_db)
-        estimate = run_mc(
-            McConfig(
-                sigma2_w=sigma2,
-                p_max_w=ibo * sigma2,
-                n_samples=n_samples,
-                seed=seed,
-                snr_max_linear=snr_max,
+        try:
+            snr_max = db_to_linear(snr_max_db)
+            ibo = db_to_linear(ibo_db)
+            estimate = run_mc(
+                McConfig(
+                    sigma2_w=sigma2,
+                    p_max_w=ibo * sigma2,
+                    n_samples=n_samples,
+                    seed=seed,
+                    snr_max_linear=snr_max,
+                )
             )
-        )
-        alpha = pa.bussgang_alpha(ibo)
+            alpha = pa.bussgang_alpha(ibo)
+            pa_w = pa.pa_consumed_power(ibo * sigma2, ibo)
+            sinr = pa.sinr_of_ibo(ibo, snr_max)
+        except FoglinkError as exc:
+            raise _scenario_context(exc, ibo_db=ibo_db, snr_max_db=snr_max_db) from exc
         distortion = sigma2 * (1.0 - alpha * alpha - math.exp(-ibo))
-        pa_w = pa.pa_consumed_power(ibo * sigma2, ibo)
-        sinr = pa.sinr_of_ibo(ibo, snr_max)
         noise_w = ibo * sigma2 / snr_max
         # first-order spread of the SINR estimate from its ingredients
         sinr_spread = sinr * math.hypot(
@@ -445,34 +404,16 @@ def render_csv(columns: Sequence[str], rows: Sequence[Mapping], trailer: Sequenc
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise FoglinkError(f"cannot write --out {out_path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
-
-
-def _load_params(args, allow_profile=True, allow_scenario=True):
-    overrides = {}
-    if allow_scenario:
-        if getattr(args, "cameras", None) is not None:
-            overrides["cameras"] = args.cameras
-        if getattr(args, "distance_km", None) is not None:
-            overrides["distance_km"] = args.distance_km
-    profile = getattr(args, "bandwidth_profile", None) if allow_profile else None
-    if profile is not None:
-        overrides.update(BANDWIDTH_PROFILES[profile])
-    if args.config is not None:
-        return load_config(args.config, overrides)
-    if overrides:
-        values = dict(overrides)
-        base_radio, base_deploy = default_params()
-        radio_updates = {k: v for k, v in values.items() if hasattr(base_radio, k)}
-        deploy_updates = {k: v for k, v in values.items() if hasattr(base_deploy, k)}
-        return replace(base_radio, **radio_updates), replace(base_deploy, **deploy_updates)
-    return default_params()
 
 
 def _add_common(parser, config=True):
@@ -497,27 +438,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fig3", help="optimal back-off and SINR vs SNR ceiling")
-    _add_common(p, config=False)
-    p.add_argument("--db-from", type=float, default=-10.0)
-    p.add_argument("--db-to", type=float, default=50.0)
-    p.add_argument("--steps", type=int, default=601)
-
-    p = sub.add_parser("fig4", help="required SINR and back-off vs bandwidth")
-    _add_common(p)
-    p.add_argument("--b-from-hz", type=float, default=1e6)
-    p.add_argument("--b-to-hz", type=float, default=20e6)
-    p.add_argument("--steps", type=int, default=39)
-
-    for name, help_text in (
-        ("fig5", "offload power and components vs distance"),
-        ("fig6", "breakeven workload complexity vs distance"),
+    # (name, help, takes --config, sweep range flags and defaults, steps)
+    for name, help_text, config, (lo_flag, hi_flag), (lo, hi), steps in (
+        ("fig3", "optimal back-off and SINR vs SNR ceiling", False,
+         ("--db-from", "--db-to"), (-10.0, 50.0), 601),
+        ("fig4", "required SINR and back-off vs bandwidth", True,
+         ("--b-from-hz", "--b-to-hz"), (1e6, 20e6), 39),
+        ("fig5", "offload power and components vs distance", True,
+         ("--d-from-km", "--d-to-km"), (0.01, 2.0), 50),
+        ("fig6", "breakeven workload complexity vs distance", True,
+         ("--d-from-km", "--d-to-km"), (0.01, 2.0), 50),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        p.add_argument("--d-from-km", type=float, default=0.01)
-        p.add_argument("--d-to-km", type=float, default=2.0)
-        p.add_argument("--steps", type=int, default=50)
+        _add_common(p, config=config)
+        p.add_argument(lo_flag, type=float, default=lo)
+        p.add_argument(hi_flag, type=float, default=hi)
+        p.add_argument("--steps", type=int, default=steps)
 
     p = sub.add_parser("breakeven", help="breakeven complexity for one scenario")
     _add_common(p)
@@ -547,10 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 FIG3_COLUMNS = ["snr_max_db", "ibo_db_optimal", "sinr_db_exact", "sinr_db_approx"]
 FIG4_COLUMNS = ["bandwidth_hz", "cameras", "sinr_db", "ibo_db"]
-FIG5_COLUMNS = [
-    "distance_km", "bandwidth_hz", "cameras", "total_dbm", "video_dbm",
-    "cod_dbm", "ofdm_dbm", "dac_dbm", "lo_dbm", "mix_dbm", "pa_dbm",
-]
+FIG5_COLUMNS = ["distance_km", "bandwidth_hz", "cameras", *(c for c, _ in _FIG5_CELLS)]
 FIG6_COLUMNS = ["distance_km", "bandwidth_hz", "cameras", "theta_star"]
 LINK_POWER_COLUMNS = [
     "distance_km", "carrier_hz", "bandwidth_hz", "cameras", "rate_bps",
@@ -569,24 +502,29 @@ MC_VERIFY_COLUMNS = [
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if hasattr(args, "config"):  # the commands that evaluate a scenario
+            overrides = {
+                key: getattr(args, key)
+                for key in ("cameras", "distance_km")
+                if getattr(args, key, None) is not None
+            }
+            radio, deploy = load_params(
+                args.config, overrides, getattr(args, "bandwidth_profile", None)
+            )
         if args.command == "fig3":
             rows, max_gap = sweep_fig3(args.db_from, args.db_to, args.steps)
             trailer = [f"# max_abs_approx_error_db,{max_gap:.9g}"]
             _emit(render_csv(FIG3_COLUMNS, rows, trailer), args.out)
         elif args.command == "fig4":
-            radio, deploy = _load_params(args, allow_profile=False, allow_scenario=False)
             rows = sweep_fig4(radio, deploy, args.b_from_hz, args.b_to_hz, args.steps)
             _emit(render_csv(FIG4_COLUMNS, rows), args.out)
-        elif args.command == "fig5":
-            radio, deploy = _load_params(args, allow_profile=False, allow_scenario=False)
-            rows = sweep_fig5(radio, deploy, args.d_from_km, args.d_to_km, args.steps)
-            _emit(render_csv(FIG5_COLUMNS, rows), args.out)
-        elif args.command == "fig6":
-            radio, deploy = _load_params(args, allow_profile=False, allow_scenario=False)
-            rows = sweep_fig6(radio, deploy, args.d_from_km, args.d_to_km, args.steps)
-            _emit(render_csv(FIG6_COLUMNS, rows), args.out)
+        elif args.command in ("fig5", "fig6"):
+            sweep, columns = {
+                "fig5": (sweep_fig5, FIG5_COLUMNS), "fig6": (sweep_fig6, FIG6_COLUMNS),
+            }[args.command]
+            rows = sweep(radio, deploy, args.d_from_km, args.d_to_km, args.steps)
+            _emit(render_csv(columns, rows), args.out)
         elif args.command == "breakeven":
-            radio, deploy = _load_params(args)
             theta_sweep = None
             if args.theta_from is not None or args.theta_to is not None:
                 if args.theta_from is None or args.theta_to is None:
@@ -595,7 +533,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             columns, rows = breakeven_rows(radio, deploy, theta_sweep)
             _emit(render_csv(columns, rows), args.out)
         elif args.command == "link-power":
-            radio, deploy = _load_params(args)
             _emit(render_csv(LINK_POWER_COLUMNS, [link_power_row(radio, deploy)]), args.out)
         elif args.command == "mc-verify":
             try:

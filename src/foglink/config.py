@@ -6,6 +6,7 @@ per key (Hz, W, km, A, F, V, bits per second); nothing is dB-scaled here.
 """
 
 import json
+import math
 from typing import Optional, Tuple
 
 from .chain import DeploymentParams, RadioParams
@@ -15,8 +16,7 @@ __all__ = [
     "RADIO_DEFAULTS",
     "DEPLOY_DEFAULTS",
     "BANDWIDTH_PROFILES",
-    "default_params",
-    "load_config",
+    "load_params",
     "dump_defaults",
 ]
 
@@ -65,59 +65,64 @@ def _build(values: dict) -> Tuple[RadioParams, DeploymentParams]:
         raise ConfigError(str(exc)) from exc
 
 
-def default_params(profile: Optional[str] = None) -> Tuple[RadioParams, DeploymentParams]:
-    """Baseline parameters, optionally switched to a bandwidth profile."""
-    values = {**RADIO_DEFAULTS, **DEPLOY_DEFAULTS}
-    if profile is not None:
-        values.update(_profile_values(profile))
-    return _build(values)
-
-
-def _profile_values(profile: str) -> dict:
-    try:
-        return BANDWIDTH_PROFILES[profile]
-    except KeyError:
-        raise ConfigError(
-            f"unknown bandwidth profile {profile!r}; "
-            f"choose from {sorted(BANDWIDTH_PROFILES)}"
-        ) from None
-
-
 def _coerce(key: str, value) -> object:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"key {key!r} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"key {key!r} must be finite, got {value!r}")
     if key in _INT_KEYS:
-        if float(value) != int(value):
+        if not number.is_integer():
             raise ConfigError(f"key {key!r} must be an integer, got {value!r}")
         return int(value)
-    return float(value)
+    return number
 
 
-def load_config(
-    path: str, overrides: Optional[dict] = None
-) -> Tuple[RadioParams, DeploymentParams]:
-    """Load parameters from a flat JSON file on top of the defaults.
-
-    ``overrides`` (e.g. from command-line flags) are applied after the
-    file, so flags win.  Unknown keys and invariant violations raise
-    ConfigError naming the offending key; parse errors carry the line.
-    """
+def _read_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    if text.strip():
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    else:
-        data = {}
+    if not text.strip():
+        return {}
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a flat JSON object of key/value pairs")
+    return data
+
+
+def load_params(
+    path: Optional[str] = None,
+    overrides: Optional[dict] = None,
+    profile: Optional[str] = None,
+) -> Tuple[RadioParams, DeploymentParams]:
+    """Parameters from the defaults, then the file, the profile and the overrides.
+
+    ``path`` names a flat JSON file, ``profile`` a key of
+    BANDWIDTH_PROFILES, and ``overrides`` (e.g. from command-line flags)
+    are applied last, so flags win.  Every supplied value must be a finite
+    number; unknown keys and invariant violations raise ConfigError naming
+    the offending key, and parse errors carry the line.
+    """
+    if profile is not None and profile not in BANDWIDTH_PROFILES:
+        raise ConfigError(
+            f"unknown bandwidth profile {profile!r}; "
+            f"choose from {sorted(BANDWIDTH_PROFILES)}"
+        )
     values = {**RADIO_DEFAULTS, **DEPLOY_DEFAULTS}
-    for source in (data, overrides or {}):
+    sources = (
+        _read_file(path) if path is not None else {},
+        BANDWIDTH_PROFILES.get(profile, {}),
+        overrides or {},
+    )
+    for source in sources:
         for key, raw in source.items():
             if key not in values:
                 raise ConfigError(f"unknown config key {key!r}")

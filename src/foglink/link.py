@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import pa
-from .errors import DomainError, InfeasibleLinkError
+from .errors import DomainError, InfeasibleLinkError, require_int, require_positive
 from .units import db_to_linear, dbm_to_watts
 
 __all__ = [
@@ -54,16 +54,12 @@ class LinkGeometry:
     beta: float
 
     def __post_init__(self):
-        if not self.distance_km > 0.0:
-            raise DomainError(f"distance_km must be positive, got {self.distance_km!r}")
-        if not self.carrier_hz > 0.0:
-            raise DomainError(f"carrier_hz must be positive, got {self.carrier_hz!r}")
-        if not self.bandwidth_hz > 0.0:
-            raise DomainError(
-                f"bandwidth_hz must be positive, got {self.bandwidth_hz!r}"
-            )
-        if not (isinstance(self.cameras, int) and self.cameras >= 1):
-            raise DomainError(f"cameras must be an integer >= 1, got {self.cameras!r}")
+        require_positive(
+            distance_km=self.distance_km,
+            carrier_hz=self.carrier_hz,
+            bandwidth_hz=self.bandwidth_hz,
+        )
+        require_int("cameras", self.cameras)
         if self.rate_bps < 0.0:
             raise DomainError(f"rate_bps must be non-negative, got {self.rate_bps!r}")
         if not 0.0 < self.beta <= 1.0:
@@ -82,8 +78,9 @@ class ChannelState:
 def path_gain_db(distance_km: float, carrier_hz: float) -> float:
     """Net channel power gain 10*log10(|h|^2) in dB.
 
-    Computes 15 - (128.1 + 37.6*log10(d_km) + 21*log10(f / 2 GHz)); always
-    negative in the model's validity region.
+    Computes 15 - (128.1 + 37.6*log10(d_km) + 21*log10(f / 2 GHz)), which
+    is negative in the model's validity region; a carrier so low that the
+    fit turns into a gain raises DomainError.
     """
     if not distance_km >= MIN_DISTANCE_KM:
         raise DomainError(
@@ -92,9 +89,15 @@ def path_gain_db(distance_km: float, carrier_hz: float) -> float:
         )
     if not carrier_hz > 0.0:
         raise DomainError(f"carrier_hz must be positive, got {carrier_hz!r}")
-    return 15.0 - (
-        128.1 + 37.6 * math.log10(distance_km) + 21.0 * math.log10(carrier_hz / 2e9)
-    )
+    ratio = carrier_hz / 2e9  # rounds to 0 for a subnormal carrier
+    carrier_term = 21.0 * math.log10(ratio) if ratio > 0.0 else -math.inf
+    gain = 15.0 - (128.1 + 37.6 * math.log10(distance_km) + carrier_term)
+    if not gain < 0.0:
+        raise DomainError(
+            f"path gain {gain:.6g} dB at distance_km = {distance_km!r}, "
+            f"carrier_hz = {carrier_hz!r} is not a loss; the model does not apply"
+        )
+    return gain
 
 
 def noise_dbm(bandwidth_hz: float) -> float:
@@ -108,9 +111,11 @@ def required_sinr(geometry: LinkGeometry) -> float:
     """Linear SINR needed to carry the aggregate rate, 2^(M*R/(beta*B)) - 1.
 
     Raises InfeasibleLinkError once the exponent exceeds 60, where the
-    implied SINR requirement is numerically astronomical.
+    implied SINR requirement is numerically astronomical, and DomainError
+    when a positive rate demand rounds to a zero SINR.
     """
-    exponent = geometry.cameras * geometry.rate_bps / (geometry.beta * geometry.bandwidth_hz)
+    shannon_hz = geometry.beta * geometry.bandwidth_hz
+    exponent = geometry.cameras * geometry.rate_bps / shannon_hz if shannon_hz else math.inf
     if exponent > _MAX_RATE_EXPONENT:
         raise InfeasibleLinkError(
             f"rate exponent M*R/(beta*B) = {exponent:.3f} exceeds "
@@ -118,7 +123,10 @@ def required_sinr(geometry: LinkGeometry) -> float:
             f"(cameras = {geometry.cameras}, rate_bps = {geometry.rate_bps!r}, "
             f"beta = {geometry.beta!r}, bandwidth_hz = {geometry.bandwidth_hz!r})"
         )
-    return 2.0 ** exponent - 1.0
+    sinr = 2.0 ** exponent - 1.0
+    if sinr == 0.0 < exponent:
+        raise DomainError(f"required SINR rounds to 0 for {geometry}")
+    return sinr
 
 
 def required_p_max(geometry: LinkGeometry, gain_db: float, noise_level_dbm: float) -> float:
@@ -141,7 +149,13 @@ def required_p_max(geometry: LinkGeometry, gain_db: float, noise_level_dbm: floa
         math.log10(sinr) / pa.SINR_APPROX_SLOPE
         - pa.SINR_APPROX_OFFSET_DB / (10.0 * pa.SINR_APPROX_SLOPE)
     )
-    return noise_w / gain_linear * 10.0 ** exponent
+    p_max = noise_w / gain_linear * 10.0 ** exponent if gain_linear > 0.0 else math.inf
+    if not 0.0 < p_max < math.inf:
+        raise InfeasibleLinkError(
+            f"clipping power {p_max!r} W is not representable for path gain "
+            f"{gain_db:.6g} dB and noise {noise_level_dbm:.6g} dBm in {geometry}"
+        )
+    return p_max
 
 
 def build_channel(geometry: LinkGeometry) -> ChannelState:

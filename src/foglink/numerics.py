@@ -1,10 +1,12 @@
 """Special functions and scalar root finding.
 
-erf/erfc delegate to the C library through :mod:`math`; the test suite
-verifies them against independent series and continued-fraction oracles
-to an absolute 1e-12 budget, which is what the downstream operating-point
-solves rely on.  Both solvers work on plain floats; callers convert any
-dB quantities before invoking them.
+erfc delegates to the C library through :mod:`math`, as does the
+``math.erf`` the amplifier power model calls; the test suite verifies both
+against independent series and continued-fraction oracles to an absolute
+1e-12 budget, which is what the downstream operating-point solves rely on.
+Both solvers work on plain floats; callers convert any dB quantities
+before invoking them.  The bisection solver is the reference the tests
+hold the guarded Newton solve to.
 """
 
 import math
@@ -13,7 +15,7 @@ from typing import Callable, Literal, Optional, Tuple
 
 from .errors import BracketError, ConvergenceError, DomainError
 
-__all__ = ["RootSolveReport", "erf", "erfc", "solve_newton", "solve_bisection"]
+__all__ = ["RootSolveReport", "erfc", "solve_newton", "solve_bisection"]
 
 
 @dataclass(frozen=True)
@@ -27,13 +29,6 @@ class RootSolveReport:
     residual: float
     iterations: int
     method: Literal["newton", "bisection"]
-
-
-def erf(x: float) -> float:
-    """Error function, accurate to well below 1e-12 absolute."""
-    if not math.isfinite(x):
-        raise DomainError(f"erf requires a finite argument, got {x!r}")
-    return math.erf(x)
 
 
 def erfc(x: float) -> float:

@@ -34,10 +34,13 @@ _SQRT_PI = math.sqrt(math.pi)
 # cover SNR ceilings from -10 dB up to 100 dB with margin.
 IBO_BRACKET = (1e-8, 1e3)
 
-# Above this SNR ceiling the optimal back-off exceeds ~35 (linear) and the
-# Bussgang gain is no longer distinguishable from 1.0 in double precision,
-# so no valid operating point can be represented.
-MAX_SNR_CEILING = 1e16
+# Largest SNR ceiling the back-off solve accepts, 156.5 dB.  Near 160 dB
+# the optimal back-off approaches ~36 (linear), where the Bussgang gain is
+# no longer distinguishable from 1.0 in double precision: measured on a
+# 0.01 dB grid, the solve fails from 157.79 dB through 159.48 dB, so the
+# cap sits below that band and above the 156.24 dB that fig4's default
+# grid reaches.
+MAX_SNR_CEILING = 10.0 ** 15.65
 
 # Approximation of the maximum achievable SINR in dB as an affine function
 # of the SNR ceiling in dB.

@@ -23,8 +23,8 @@ from foglink import (
     bussgang_alpha,
     breakeven_theta,
     db_to_linear,
-    default_params,
     linear_to_db,
+    load_params,
     local_power,
     offload_power,
     optimal_ibo,
@@ -146,7 +146,7 @@ def test_criterion_3_backoff_sign_vs_bandwidth():
 
 
 def _combo_breakdowns(distance_km):
-    radio, deploy = default_params()
+    radio, deploy = load_params()
     for profile in ("9mhz", "18mhz"):
         for cameras in (1, 10):
             yield (profile, cameras), offload_power(
@@ -178,7 +178,7 @@ def test_criterion_4_short_link_power():
 
 
 def test_criterion_5_breakeven_complexities():
-    radio, deploy = default_params()
+    radio, deploy = load_params()
 
     def theta(profile, cameras, distance_km):
         return breakeven_theta(
@@ -250,7 +250,7 @@ def test_criterion_6_monte_carlo_equivalence():
 
 def test_criterion_7_round_trip_invariants():
     rng = np.random.default_rng(2024)
-    base_radio, base_deploy = default_params()
+    base_radio, base_deploy = load_params()
     worst_rel = 0.0
     for _ in range(100):
         profile = "9mhz" if rng.random() < 0.5 else "18mhz"

@@ -14,16 +14,18 @@ from foglink import (
     breakeven_theta,
     coding_power,
     dac_power,
-    default_params,
     duty_cycled_breakdown,
+    load_params,
     local_power,
     offload_power,
     ofdm_power,
     watts_to_dbm,
 )
+from foglink.chain import MAX_DAC_BITS, breakdown_at, breakeven_at, link_geometry
 from foglink.config import BANDWIDTH_PROFILES
+from foglink.link import operating_point
 
-RADIO, DEPLOY = default_params()
+RADIO, DEPLOY = load_params()
 
 
 def scenario(profile="18mhz", cameras=1, distance_km=0.02):
@@ -148,6 +150,11 @@ class TestOffloadPower:
                          + down.lo_w + down.mix_w + down.pa_w)
                 assert abs(parts - down.total_w) <= 1e-12 * down.total_w
 
+    def test_is_the_breakdown_at_the_solved_link(self):
+        radio, deploy = scenario("9mhz", 10, 0.5)
+        point = operating_point(link_geometry(radio, deploy))
+        assert offload_power(radio, deploy) == breakdown_at(radio, deploy, point)
+
     def test_huge_fleet_is_infeasible(self):
         # a million cameras sharing 18 MHz would need SINR 2^833333; the
         # rate guard fires long before the duty-cycle savings matter
@@ -189,6 +196,11 @@ class TestBreakevenTheta:
                 total = offload_power(radio, deploy).total_w
                 assert abs(local - total) <= 1e-9 * total
 
+    def test_is_breakeven_at_the_offload_power(self):
+        radio, deploy = scenario("18mhz", 10, 0.3)
+        total = offload_power(radio, deploy).total_w
+        assert breakeven_theta(radio, deploy) == breakeven_at(total, deploy)
+
     def test_fleet_sharing_helps_only_near_the_node(self):
         for d in (0.02, 0.05, 0.1):
             one = breakeven_theta(*scenario("18mhz", 1, d))
@@ -221,6 +233,13 @@ class TestParamValidation:
                 c_p_f=1e-12, p_lo_w=0.0675, p_mix_w=0.021, psi_w_per_bps=1e-10,
                 beta=0.4,
             )
+
+    def test_radio_rejects_dac_bits_beyond_float_range(self):
+        assert replace(RADIO, dac_bits=MAX_DAC_BITS).dac_bits == MAX_DAC_BITS
+        with pytest.raises(DomainError, match="dac_bits"):
+            replace(RADIO, dac_bits=2000)
+        with pytest.raises(DomainError, match="bits"):
+            dac_power(MAX_DAC_BITS + 1, 3.0, 5e-6, 1e-12, 30.72e6)
 
     def test_deploy_rejects_zero_rate(self):
         with pytest.raises(DomainError):

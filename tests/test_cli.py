@@ -6,7 +6,7 @@ import math
 import pytest
 
 import foglink.cli as cli
-from foglink import DomainError, default_params, watts_to_dbm
+from foglink import DomainError, load_params, watts_to_dbm
 from foglink.chain import breakeven_theta
 
 
@@ -161,7 +161,7 @@ class TestFig6:
         header, rows = parse_csv(out)
         assert header == cli.FIG6_COLUMNS
         assert len(rows) == 8
-        radio, deploy = default_params()
+        radio, deploy = load_params()
         from dataclasses import replace
         from foglink.config import BANDWIDTH_PROFILES
 
@@ -296,12 +296,91 @@ class TestErrorExits:
         assert code == 1
         assert "n_ofdm" in err
 
+    @pytest.mark.parametrize("command", ["print-defaults", "fig3"])
+    def test_unwritable_out_path(self, capsys, tmp_path, command):
+        for out in (tmp_path, tmp_path / "absent" / "out.csv"):
+            code, _, err = run_cli([command, "--out", str(out)], capsys)
+            assert code == 1
+            assert err.startswith("error: cannot write --out") and "--out" in err
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             ["breakeven", "--config", str(tmp_path / "absent.json")], capsys
         )
         assert code == 1
         assert "absent.json" in err
+
+
+    @pytest.mark.parametrize("args, named", [
+        (["link-power", "--distance-km", "inf"], "distance_km"),
+        (["link-power", "--distance-km", "nan"], "distance_km"),
+        (["link-power", "--distance-km", "1e300"], "distance_km=1e+300"),
+        (["fig5", "--d-to-km", "1e300"], "distance_km"),
+        (["fig6", "--d-to-km", "1e300"], "distance_km"),
+        (["fig4", "--b-to-hz", "1e300"], "bandwidth_hz"),
+        (["mc-verify", "--ibo-db", "1e5", "--samples", "1000"], "ibo_db=100000.0"),
+        (["mc-verify", "--snr-max-db", "1e5", "--samples", "1000"], "snr_max_db=100000.0"),
+        (["breakeven", "--theta-from", "100", "--theta-to", "1e400"], "theta"),
+    ])
+    def test_unrepresentable_flag_is_one_error_line(self, capsys, args, named):
+        code, _, err = run_cli(args, capsys)
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert named in err
+
+    @pytest.mark.parametrize("command, entry, named", [
+        ("link-power", '"carrier_hz": 1e300', "carrier_hz=1e+300"),
+        ("breakeven", '"carrier_hz": 1e300', "carrier_hz=1e+300"),
+        ("link-power", '"carrier_hz": 1e-300', "carrier_hz = 1e-300"),
+        ("fig4", '"rate_bps": 1e-300', "rate_bps=1e-300"),
+        ("link-power", '"dac_bits": 2000', "dac_bits"),
+        ("link-power", '"n_ofdm": 1e400', "n_ofdm"),
+        ("fig5", '"cameras": NaN', "cameras"),
+        ("fig6", '"p_video_w": Infinity', "p_video_w"),
+    ])
+    def test_unrepresentable_config_value_is_one_error_line(
+        self, capsys, tmp_path, command, entry, named
+    ):
+        path = tmp_path / "params.json"
+        path.write_text("{" + entry + "}", encoding="utf-8")
+        code, _, err = run_cli([command, "--config", str(path)], capsys)
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert named in err
+
+
+class TestSolveCounts:
+    def test_link_power_solves_the_operating_point_once(self, capsys, monkeypatch):
+        import foglink.link
+        import foglink.pa
+
+        calls = {"optimal_ibo": 0, "build_channel": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(foglink.pa, "optimal_ibo")
+        counted(foglink.link, "build_channel")
+        monkeypatch.setattr(cli, "build_channel", foglink.link.build_channel)
+        code, _, _ = run_cli(["link-power"], capsys)
+        assert code == 0
+        assert calls == {"optimal_ibo": 1, "build_channel": 1}
+
+
+@pytest.mark.parametrize("steps", [40, 400, 781, 1561])
+def test_dense_fig4_grids_complete(capsys, steps):
+    # the 10-camera ceiling near 3.44 MHz once reached the band where the
+    # back-off solve fails; such ceilings are now beyond MAX_SNR_CEILING
+    code, out, err = run_cli(["fig4", "--steps", str(steps)], capsys)
+    assert code == 0 and err == ""
+    _, rows = parse_csv(out)
+    assert rows and all(math.isfinite(v) for row in rows for v in row.values())
 
 
 class TestCsvRendering:
@@ -316,17 +395,19 @@ class TestCsvRendering:
             cli.render_csv(["x"], [{"x": float("nan")}])
 
     def test_sweep_spec_validation(self):
-        with pytest.raises(DomainError):
-            cli.SweepSpec("distance_km", 2.0, 1.0, 10)
-        with pytest.raises(DomainError):
-            cli.SweepSpec("distance_km", 1.0, 2.0, 0)
-        with pytest.raises(DomainError):
-            cli.SweepSpec("voltage", 1.0, 2.0, 10)
-        with pytest.raises(DomainError):
-            cli.SweepSpec("theta", 1.0, 1.5, 10, fixed={"theta": 2.0})
-        single = cli.SweepSpec("snr_max_db", 0.0, 0.0, 1)
-        assert list(single.values()) == [0.0]
-        spaced = cli.SweepSpec("distance_km", 0.01, 2.0, 50, log_spaced=True)
-        values = spaced.values()
+        with pytest.raises(DomainError, match="increasing"):
+            cli._grid("distance_km", 2.0, 1.0, 10)
+        with pytest.raises(DomainError, match="steps"):
+            cli._grid("distance_km", 1.0, 2.0, 0)
+        with pytest.raises(DomainError, match="start == stop"):
+            cli._grid("snr_max_db", 0.0, 1.0, 1)
+        with pytest.raises(DomainError, match="start > 0"):
+            cli._grid("distance_km", 0.0, 2.0, 10, log_spaced=True)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match="theta sweep bounds must be finite"):
+                cli._grid("theta", 1.0, bad, 10)
+        single = cli._grid("snr_max_db", 0.0, 0.0, 1)
+        assert list(single) == [0.0]
+        values = cli._grid("distance_km", 0.01, 2.0, 50, log_spaced=True)
         assert len(values) == 50
         assert values[0] == pytest.approx(0.01) and values[-1] == pytest.approx(2.0)

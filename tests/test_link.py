@@ -60,6 +60,11 @@ class TestPathGain:
         with pytest.raises(DomainError):
             path_gain_db(1.0, 0.0)
 
+    @pytest.mark.parametrize("carrier_hz", [1e-300, 5e-324])
+    def test_carrier_that_turns_loss_into_gain_rejected(self, carrier_hz):
+        with pytest.raises(DomainError, match="carrier_hz"):
+            path_gain_db(0.02, carrier_hz)
+
 
 class TestNoise:
     def test_unit_bandwidth(self):
@@ -107,6 +112,14 @@ class TestRequiredSinr:
         with pytest.raises(InfeasibleLinkError, match="cameras = 10"):
             required_sinr(bad)
 
+    def test_vanishing_band_is_infeasible(self):
+        with pytest.raises(InfeasibleLinkError):
+            required_sinr(geometry(bandwidth_hz=5e-324))
+
+    def test_unresolvable_demand_names_parameters(self):
+        with pytest.raises(DomainError, match="rate_bps=1e-300"):
+            required_sinr(geometry(rate_bps=1e-300))
+
 
 class TestRequiredPMax:
     def test_hand_chain(self):
@@ -125,6 +138,12 @@ class TestRequiredPMax:
         assert abs(value - oracle) <= 1e-12 * oracle
         # frozen output of the same chain
         assert abs(value - 0.20599649843480475) <= 1e-12
+
+    @pytest.mark.parametrize("distance_km, carrier_hz", [(1e300, 3.5e9), (0.02, 1e300)])
+    def test_unrepresentable_power_names_geometry(self, distance_km, carrier_hz):
+        geo = geometry(distance_km=distance_km, carrier_hz=carrier_hz)
+        with pytest.raises(InfeasibleLinkError, match="distance_km=.*carrier_hz="):
+            build_channel(geo)
 
     def test_zero_rate_gives_zero_power(self):
         geo = geometry(rate_bps=0.0)
@@ -233,6 +252,19 @@ class TestGeometryValidation:
 
     def test_allows_zero_rate(self):
         assert geometry(rate_bps=0.0).rate_bps == 0.0
+
+
+def test_conversions_reject_unrepresentable_levels():
+    for level in (1e5, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            db_to_linear(level)
+        with pytest.raises(DomainError):
+            dbm_to_watts(level)
+    for power in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            linear_to_db(power)
+        with pytest.raises(DomainError):
+            watts_to_dbm(power)
 
 
 def test_db_conversions_round_trip():

