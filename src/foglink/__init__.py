@@ -39,7 +39,6 @@ from .link import (
     required_p_max,
     required_sinr,
 )
-from .mc import CHUNK_SAMPLES, McConfig, McEstimate, run_mc, soft_limit
 from .numerics import RootSolveReport, erfc, solve_bisection, solve_newton
 from .pa import (
     PaOperatingPoint,
@@ -81,3 +80,14 @@ __all__ = [
     "FoglinkError", "DomainError", "BracketError", "ConvergenceError",
     "InfeasibleLinkError", "ConfigError", "NumericError",
 ]
+
+# The Monte-Carlo names load ``.mc``, and with it numpy, on first use, so
+# the scalar pipeline starts without numpy.
+_MC_NAMES = frozenset({"McConfig", "McEstimate", "CHUNK_SAMPLES", "soft_limit", "run_mc"})
+
+
+def __getattr__(name):
+    if name in _MC_NAMES:
+        from . import mc
+        return getattr(mc, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

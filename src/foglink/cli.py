@@ -12,8 +12,6 @@ import sys
 from dataclasses import replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import pa
 from .chain import (
     DeploymentParams,
@@ -28,7 +26,6 @@ from .chain import (
 from .config import BANDWIDTH_PROFILES, dump_defaults, load_params
 from .errors import DomainError, FoglinkError, InfeasibleLinkError, NumericError
 from .link import build_channel, operating_point, required_sinr
-from .mc import McConfig, run_mc
 from .units import db_to_linear, linear_to_db, watts_to_dbm
 
 # Four curves shown in the distance sweeps: both channelizations at one
@@ -39,16 +36,32 @@ FIGURE_COMBOS = tuple(
 FIGURE_CAMERA_COUNTS = (1, 10)
 
 
+def _linspace(start: float, stop: float, steps: int) -> List[float]:
+    """``np.linspace(start, stop, steps)`` bit for bit, in Python floats."""
+    div, delta = max(steps - 1, 1), stop - start
+    step = delta / div
+    if step == 0.0:  # subnormal spacing: scale before multiplying, as numpy does
+        points = [i / div * delta + start for i in range(steps)]
+    else:
+        points = [i * step + start for i in range(steps)]
+    if steps > 1:
+        points[-1] = stop
+    return points
+
+
 def _grid(
     variable: str, start: float, stop: float, steps: int, log_spaced: bool = False
-) -> np.ndarray:
+) -> List[float]:
     """The points of a one-dimensional sweep of ``variable``.
 
     ``steps == 1`` with ``start == stop`` is the degenerate single-point
     sweep; otherwise at least two points and an increasing range are
     required.  Both bounds must be finite; ``variable`` only names the
-    sweep in error messages.
+    sweep in error messages.  Linear points equal ``np.linspace``; log-spaced
+    ones are 10**e over that grid of log10 bounds, with the bounds at both
+    ends, as ``np.geomspace`` computes them but with libm's rounding.
     """
+    start, stop = float(start), float(stop)
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise DomainError(
             f"{variable} sweep bounds must be finite, got [{start!r}, {stop!r}]"
@@ -68,9 +81,17 @@ def _grid(
         raise DomainError(f"{variable} sweep steps must be >= 1, got {steps!r}")
     if log_spaced and not start > 0.0:
         raise DomainError(f"{variable} log-spaced sweep needs start > 0, got {start!r}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        points = (np.geomspace if log_spaced else np.linspace)(start, stop, steps)
-    if not np.isfinite(points).all():
+    try:
+        if log_spaced:
+            exponents = _linspace(math.log10(start), math.log10(stop), steps)
+            inner = (math.pow(10.0, e) for e in exponents[1:-1])
+            points = [start, *inner, stop][:steps]  # [start] when steps == 1
+        else:
+            points = _linspace(start, stop, steps)
+        finite = all(map(math.isfinite, points))
+    except OverflowError:
+        finite = False
+    if not finite:
         raise DomainError(
             f"{variable} sweep from {start!r} to {stop!r} overflows a float"
         )
@@ -97,7 +118,6 @@ def sweep_fig3(
     rows = []
     max_gap = 0.0
     for x in _grid("snr_max_db", start_db, stop_db, steps):
-        x = float(x)
         try:
             point = pa.optimal_ibo(db_to_linear(x))
         except FoglinkError as exc:
@@ -133,7 +153,6 @@ def sweep_fig4(
     base = link_geometry(radio, deploy)
     rows = []
     for b in _grid("bandwidth_hz", start_hz, stop_hz, steps):
-        b = float(b)
         for cameras in FIGURE_CAMERA_COUNTS:
             try:
                 geometry = replace(base, bandwidth_hz=b, cameras=cameras)
@@ -168,7 +187,6 @@ def _distance_sweep(
     """Rows of ``cells`` over log-spaced distances and the FIGURE_COMBOS."""
     rows = []
     for d in _grid("distance_km", start_km, stop_km, steps, log_spaced=True):
-        d = float(d)
         for profile, cameras in FIGURE_COMBOS:
             try:
                 combo_radio = replace(radio, **BANDWIDTH_PROFILES[profile])
@@ -283,7 +301,6 @@ def breakeven_rows(
     columns = ["theta", "local_w", "offload_total_w", "local_minus_offload_w"]
     rows = []
     for theta in _grid("theta", start, stop, steps):
-        theta = float(theta)
         local = local_power(theta, deploy.rate_bps, deploy.gamma_flops_per_w)
         rows.append(
             {
@@ -309,6 +326,8 @@ def mc_verify(
     within max(3 standard errors, 1 percent) of the analytic value.
     Returns the rows and a list of human-readable failure descriptions.
     """
+    from .mc import McConfig, run_mc  # numpy loads here, on the Monte-Carlo path only
+
     sigma2 = 1.0
     rows = []
     failures = []
@@ -385,7 +404,7 @@ def mc_verify(
 def _format_cell(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         raise NumericError(f"boolean cell {value!r} has no CSV rendering")
     number = float(value)
     if not math.isfinite(number):
@@ -542,6 +561,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                   f"got {args.ibo_db!r}") from None
             if not ibo_list:
                 raise DomainError("--ibo-db produced an empty back-off list")
+            if args.samples < 2:  # one sample has no standard error
+                raise DomainError(f"--samples must be at least 2, got {args.samples}")
             rows, failures = mc_verify(ibo_list, args.samples, args.seed, args.snr_max_db)
             _emit(render_csv(MC_VERIFY_COLUMNS, rows), args.out)
             if failures:

@@ -139,7 +139,11 @@ def optimal_ibo_residual(ibo_linear: float, snr_max_linear: float) -> float:
     """
     if not ibo_linear > 0.0:
         raise DomainError(f"ibo_linear must be positive, got {ibo_linear!r}")
-    z = math.sqrt(ibo_linear)
+    return _stationarity_gap(math.sqrt(ibo_linear), snr_max_linear)
+
+
+def _stationarity_gap(z: float, snr_max_linear: float) -> float:
+    """(sqrt(pi)/2) * erfc(z) - z / SNR_MAX, in z = sqrt(IBO)."""
     return 0.5 * _SQRT_PI * erfc(z) - z / snr_max_linear
 
 
@@ -165,7 +169,7 @@ def optimal_ibo(snr_max_linear: float) -> PaOperatingPoint:
     z_lo, z_hi = math.sqrt(IBO_BRACKET[0]), math.sqrt(IBO_BRACKET[1])
 
     def gap(z: float) -> float:
-        return 0.5 * _SQRT_PI * erfc(z) - z / s
+        return _stationarity_gap(z, s)
 
     def dgap(z: float) -> float:
         return -math.exp(-z * z) - 1.0 / s

@@ -260,12 +260,15 @@ class TestMcVerify:
     def test_statistical_failure_exits_nonzero(self, capsys, monkeypatch):
         import foglink.mc
 
+        run_mc = foglink.mc.run_mc
+
         def biased_run_mc(cfg):
-            est = foglink.mc.run_mc(cfg)
+            est = run_mc(cfg)
             object.__setattr__(est, "alpha_hat", est.alpha_hat * 1.5)
             return est
 
-        monkeypatch.setattr(cli, "run_mc", biased_run_mc)
+        # mc_verify imports run_mc from foglink.mc when it is called
+        monkeypatch.setattr(foglink.mc, "run_mc", biased_run_mc)
         code, out, err = run_cli(
             ["mc-verify", "--samples", "2000", "--seed", "9"], capsys
         )
@@ -278,6 +281,13 @@ class TestMcVerify:
         code, _, err = run_cli(["mc-verify", "--ibo-db", "a,b"], capsys)
         assert code == 1
         assert "ibo-db" in err
+
+    @pytest.mark.parametrize("samples", [-2, 0, 1])
+    def test_too_few_samples_names_the_flag(self, capsys, samples):
+        # one sample has no standard error, so its NaN cells could not print
+        code, out, err = run_cli(["mc-verify", "--samples", str(samples)], capsys)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: --samples must be at least 2, got {samples}"]
 
 
 class TestErrorExits:
@@ -411,3 +421,36 @@ class TestCsvRendering:
         values = cli._grid("distance_km", 0.01, 2.0, 50, log_spaced=True)
         assert len(values) == 50
         assert values[0] == pytest.approx(0.01) and values[-1] == pytest.approx(2.0)
+
+
+class TestGridPrecision:
+    """``_grid`` gives numpy's sweep points without importing numpy."""
+
+    @pytest.mark.parametrize("variable, start, stop, steps", [
+        ("snr_max_db", -10.0, 50.0, 601),  # fig3 default
+        ("snr_max_db", -10.0, 50.0, 24001),  # fig3 at 40x density
+        ("bandwidth_hz", 1e6, 20e6, 39),  # fig4 default
+        ("theta", 100.0, 600.0, 11),
+        ("theta", 37.25, 812.5, 50),
+    ])
+    def test_linear_grid_equals_linspace(self, variable, start, stop, steps):
+        np = pytest.importorskip("numpy")
+        grid = cli._grid(variable, start, stop, steps)
+        expected = np.linspace(start, stop, steps)
+        assert all(type(x) is float for x in grid)
+        assert len(grid) == steps
+        assert all(x == y for x, y in zip(grid, expected))
+
+    @pytest.mark.parametrize("steps", [50, 1961])
+    def test_log_grid_within_one_ulp_of_geomspace(self, steps):
+        np = pytest.importorskip("numpy")
+        grid = cli._grid("distance_km", 0.01, 2.0, steps, log_spaced=True)
+        expected = np.geomspace(0.01, 2.0, steps)
+        assert len(grid) == steps
+        assert grid[0] == 0.01 and grid[-1] == 2.0
+        assert all(abs(x - y) <= math.ulp(y) for x, y in zip(grid, expected))
+
+    @pytest.mark.parametrize("start, stop", [(-1e308, 1.7e308), (-1.7e308, 1e308)])
+    def test_overflowing_spacing_names_the_variable(self, start, stop):
+        with pytest.raises(DomainError, match="snr_max_db sweep from .* overflows a float"):
+            cli._grid("snr_max_db", start, stop, 3)

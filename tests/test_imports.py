@@ -1,0 +1,98 @@
+"""numpy is loaded only on the Monte-Carlo path.
+
+The scalar pipeline (link budget, back-off solve, component powers,
+breakeven) needs no arrays, so every command but ``mc-verify`` runs
+without importing numpy.  Each check runs in a fresh interpreter, because
+this test process has numpy loaded already.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCALAR_COMMANDS = ("fig3", "fig4", "fig5", "fig6", "link-power", "breakeven", "print-defaults")
+
+# the package's exports, the lazily loaded Monte-Carlo names among them
+EXPORTS = [
+    "__version__",
+    "RootSolveReport", "erfc", "solve_newton", "solve_bisection",
+    "PaOperatingPoint", "bussgang_alpha", "sinr_of_ibo", "optimal_ibo",
+    "optimal_ibo_residual", "sinr_approx_db", "snr_max_for_sinr_db",
+    "pa_consumed_power",
+    "LinkGeometry", "ChannelState", "MIN_DISTANCE_KM", "path_gain_db",
+    "noise_dbm", "required_sinr", "required_p_max", "build_channel",
+    "operating_point",
+    "RadioParams", "DeploymentParams", "PowerBreakdown", "local_power",
+    "coding_power", "ofdm_power", "dac_power", "duty_cycled_breakdown",
+    "offload_power", "breakeven_theta",
+    "McConfig", "McEstimate", "CHUNK_SAMPLES", "soft_limit", "run_mc",
+    "load_params", "dump_defaults",
+    "db_to_linear", "linear_to_db", "dbm_to_watts", "watts_to_dbm",
+    "FoglinkError", "DomainError", "BracketError", "ConvergenceError",
+    "InfeasibleLinkError", "ConfigError", "NumericError",
+]
+
+
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports foglink from src/."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_scalar_commands_never_load_numpy(tmp_path):
+    out = run_fresh(
+        "import sys\n"
+        "import foglink.cli as cli\n"
+        "print('import', 'numpy' in sys.modules)\n"
+        f"for command in {SCALAR_COMMANDS!r}:\n"
+        f"    assert cli.main([command, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "    print(command, 'numpy' in sys.modules)\n"
+    )
+    assert out.splitlines() == [
+        f"{step} False" for step in ("import", *SCALAR_COMMANDS)
+    ]
+
+
+def test_mc_verify_loads_numpy(tmp_path):
+    out = run_fresh(
+        "import sys\n"
+        "import foglink.cli as cli\n"
+        "cli.main(['mc-verify', '--samples', '1000', "
+        f"'--out', {str(tmp_path / 'mc.csv')!r}])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert out == "True\n"
+
+
+def test_monte_carlo_exports_load_on_first_use():
+    out = run_fresh(
+        "import sys\n"
+        "import foglink\n"
+        "print('numpy' in sys.modules)\n"
+        "from foglink import run_mc, McConfig\n"
+        "import foglink.mc\n"
+        "assert run_mc is foglink.mc.run_mc and McConfig is foglink.mc.McConfig\n"
+        "print('numpy' in sys.modules)\n"
+        "print(foglink.__all__)\n"
+        "namespace = {}\n"
+        "exec('from foglink import *', namespace)\n"
+        "assert set(foglink.__all__) <= set(namespace)\n"
+        "try:\n"
+        "    foglink.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert out.splitlines() == [
+        "False",
+        "True",
+        repr(EXPORTS),
+        "module 'foglink' has no attribute 'no_such_name'",
+    ]
