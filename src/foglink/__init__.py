@@ -39,7 +39,6 @@ from .link import (
     required_p_max,
     required_sinr,
 )
-from .numerics import RootSolveReport, erfc, solve_bisection, solve_newton
 from .pa import (
     PaOperatingPoint,
     bussgang_alpha,
@@ -56,8 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # numerics
-    "RootSolveReport", "erfc", "solve_newton", "solve_bisection",
     # pa
     "PaOperatingPoint", "bussgang_alpha", "sinr_of_ibo", "optimal_ibo",
     "optimal_ibo_residual", "sinr_approx_db", "snr_max_for_sinr_db",

@@ -30,10 +30,11 @@ from .units import db_to_linear, linear_to_db, watts_to_dbm
 
 # Four curves shown in the distance sweeps: both channelizations at one
 # and at ten cameras.
-FIGURE_COMBOS = tuple(
-    (profile, cameras) for profile in ("9mhz", "18mhz") for cameras in (1, 10)
-)
+FIGURE_PROFILES = ("9mhz", "18mhz")
 FIGURE_CAMERA_COUNTS = (1, 10)
+FIGURE_COMBOS = tuple(
+    (profile, cameras) for profile in FIGURE_PROFILES for cameras in FIGURE_CAMERA_COUNTS
+)
 
 
 def _linspace(start: float, stop: float, steps: int) -> List[float]:
@@ -185,11 +186,18 @@ def _distance_sweep(
     cells: Callable[[RadioParams, DeploymentParams], Dict],
 ) -> List[Dict]:
     """Rows of ``cells`` over log-spaced distances and the FIGURE_COMBOS."""
+    distances = _grid("distance_km", start_km, stop_km, steps, log_spaced=True)
+    profile_radios = {}
+    for profile in FIGURE_PROFILES:
+        try:
+            profile_radios[profile] = replace(radio, **BANDWIDTH_PROFILES[profile])
+        except FoglinkError as exc:
+            raise _scenario_context(exc, bandwidth_profile=profile) from exc
     rows = []
-    for d in _grid("distance_km", start_km, stop_km, steps, log_spaced=True):
+    for d in distances:
         for profile, cameras in FIGURE_COMBOS:
+            combo_radio = profile_radios[profile]
             try:
-                combo_radio = replace(radio, **BANDWIDTH_PROFILES[profile])
                 combo_deploy = replace(deploy, cameras=cameras, distance_km=d)
                 row = cells(combo_radio, combo_deploy)
             except FoglinkError as exc:
@@ -349,7 +357,7 @@ def mc_verify(
             sinr = pa.sinr_of_ibo(ibo, snr_max)
         except FoglinkError as exc:
             raise _scenario_context(exc, ibo_db=ibo_db, snr_max_db=snr_max_db) from exc
-        distortion = sigma2 * (1.0 - alpha * alpha - math.exp(-ibo))
+        distortion = sigma2 * pa.distortion_power(ibo)
         noise_w = ibo * sigma2 / snr_max
         # first-order spread of the SINR estimate from its ingredients
         sinr_spread = sinr * math.hypot(

@@ -17,17 +17,7 @@ class BracketError(FoglinkError, ValueError):
 
 
 class ConvergenceError(FoglinkError, RuntimeError):
-    """An iterative solver failed to reach the requested tolerance.
-
-    Carries the best iterate seen so the caller can inspect how close
-    the solver got.
-    """
-
-    def __init__(self, message, best_root=None, best_residual=None, iterations=None):
-        super().__init__(message)
-        self.best_root = best_root
-        self.best_residual = best_residual
-        self.iterations = iterations
+    """An iterative solver failed to reach the requested tolerance."""
 
 
 class InfeasibleLinkError(FoglinkError, ValueError):

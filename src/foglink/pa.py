@@ -14,12 +14,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DomainError
-from .numerics import erfc, solve_newton
+from .errors import BracketError, ConvergenceError, DomainError
 
 __all__ = [
     "PaOperatingPoint",
     "bussgang_alpha",
+    "distortion_power",
     "sinr_of_ibo",
     "optimal_ibo_residual",
     "optimal_ibo",
@@ -30,8 +30,10 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# Search bracket for the optimal back-off, in linear IBO.  Wide enough to
-# cover SNR ceilings from -10 dB up to 100 dB with margin.
+# Search bracket for the optimal back-off, in linear IBO.  It holds a sign
+# change of the stationarity gap for every SNR ceiling above -39.475 dB,
+# 10*log10(1e-4 / ((sqrt(pi)/2) * erfc(1e-4))), where the gap at its lower
+# end turns negative, up to MAX_SNR_CEILING.
 IBO_BRACKET = (1e-8, 1e3)
 
 # Largest SNR ceiling the back-off solve accepts, 156.5 dB.  Near 160 dB
@@ -104,7 +106,16 @@ def bussgang_alpha(ibo_linear: float) -> float:
     if not (math.isfinite(ibo_linear) and ibo_linear > 0.0):
         raise DomainError(f"ibo_linear must be positive and finite, got {ibo_linear!r}")
     root = math.sqrt(ibo_linear)
-    return 1.0 - math.exp(-ibo_linear) + 0.5 * _SQRT_PI * root * erfc(root)
+    return 1.0 - math.exp(-ibo_linear) + 0.5 * _SQRT_PI * root * math.erfc(root)
+
+
+def distortion_power(ibo_linear: float) -> float:
+    """Clipping-distortion power at unit mean input power.
+
+        D = 1 - alpha^2 - exp(-IBO)
+    """
+    alpha = bussgang_alpha(ibo_linear)
+    return 1.0 - alpha * alpha - math.exp(-ibo_linear)
 
 
 def sinr_of_ibo(ibo_linear: float, snr_max_linear: float) -> float:
@@ -120,7 +131,7 @@ def sinr_of_ibo(ibo_linear: float, snr_max_linear: float) -> float:
             f"snr_max_linear must be positive and finite, got {snr_max_linear!r}"
         )
     alpha = bussgang_alpha(ibo_linear)
-    denom = 1.0 - alpha * alpha - math.exp(-ibo_linear) + ibo_linear / snr_max_linear
+    denom = distortion_power(ibo_linear) + ibo_linear / snr_max_linear
     sinr = alpha * alpha / denom
     if not (math.isfinite(sinr) and sinr > 0.0):
         raise DomainError(
@@ -137,24 +148,29 @@ def optimal_ibo_residual(ibo_linear: float, snr_max_linear: float) -> float:
     positive below the SINR-optimal back-off, negative above it, and zero
     at the optimum.
     """
-    if not ibo_linear > 0.0:
-        raise DomainError(f"ibo_linear must be positive, got {ibo_linear!r}")
+    if not (math.isfinite(ibo_linear) and ibo_linear > 0.0):
+        raise DomainError(f"ibo_linear must be positive and finite, got {ibo_linear!r}")
     return _stationarity_gap(math.sqrt(ibo_linear), snr_max_linear)
 
 
 def _stationarity_gap(z: float, snr_max_linear: float) -> float:
     """(sqrt(pi)/2) * erfc(z) - z / SNR_MAX, in z = sqrt(IBO)."""
-    return 0.5 * _SQRT_PI * erfc(z) - z / snr_max_linear
+    return 0.5 * _SQRT_PI * math.erfc(z) - z / snr_max_linear
 
 
 def optimal_ibo(snr_max_linear: float) -> PaOperatingPoint:
     """Back-off that maximizes SINR for a given SNR ceiling.
 
-    Solves the stationarity condition in z = sqrt(IBO) with a guarded
-    Newton iteration (the condition is strictly decreasing in z, so the
-    root is unique).  The returned operating point carries the optimal
-    back-off, the Bussgang gain and the achieved SINR; absolute power
-    levels are left unset.
+    Solves the stationarity condition in z = sqrt(IBO) by Newton steps kept
+    inside a shrinking sign-change bracket, with a bisection step whenever
+    a Newton step would leave it (the condition is strictly decreasing in
+    z, so the root is unique).  The returned operating point carries the
+    optimal back-off, the Bussgang gain and the achieved SINR; absolute
+    power levels are left unset.
+
+    Raises BracketError when IBO_BRACKET holds no sign change, and
+    ConvergenceError when the gap is not within 1e-13 after 200 steps or
+    once a step makes no progress.
     """
     if not (math.isfinite(snr_max_linear) and snr_max_linear > 0.0):
         raise DomainError(
@@ -166,20 +182,39 @@ def optimal_ibo(snr_max_linear: float) -> PaOperatingPoint:
             f"where the Bussgang gain saturates to 1.0 in double precision"
         )
     s = snr_max_linear
-    z_lo, z_hi = math.sqrt(IBO_BRACKET[0]), math.sqrt(IBO_BRACKET[1])
-
-    def gap(z: float) -> float:
-        return _stationarity_gap(z, s)
-
-    def dgap(z: float) -> float:
-        return -math.exp(-z * z) - 1.0 / s
-
+    lo, hi = math.sqrt(IBO_BRACKET[0]), math.sqrt(IBO_BRACKET[1])
+    g_lo, g_hi = _stationarity_gap(lo, s), _stationarity_gap(hi, s)
+    if g_lo * g_hi > 0.0:
+        raise BracketError(
+            f"no sign change on bracket [{lo!r}, {hi!r}]: "
+            f"f(lo) = {g_lo!r}, f(hi) = {g_hi!r}"
+        )
     # d(gap)/dz at the root flattens toward -1/s for large s, so start near
     # the asymptotic root location to keep the iteration count low.
-    z0 = max(0.5, math.sqrt(math.log(s))) if s > math.e else 0.5
-    z0 = min(max(z0, z_lo), z_hi)
-    report = solve_newton(gap, dgap, z0, tol=1e-13, max_iter=200, bracket=(z_lo, z_hi))
-    z = report.root
+    z = max(0.5, math.sqrt(math.log(s))) if s > math.e else 0.5
+    z = min(max(z, lo), hi)
+    g = _stationarity_gap(z, s)
+    for _ in range(200):
+        if abs(g) <= 1e-13:
+            break
+        slope = -math.exp(-z * z) - 1.0 / s
+        z_next = z - g / slope
+        # the gap falls with z: the root lies above z while g > 0
+        if g > 0.0:
+            lo = z
+        else:
+            hi = z
+        if not lo < z_next < hi:
+            z_next = 0.5 * (lo + hi)
+        if z_next == z:
+            break
+        z = z_next
+        g = _stationarity_gap(z, s)
+    if abs(g) > 1e-13:
+        raise ConvergenceError(
+            f"back-off solve did not converge: |gap| = {abs(g)!r} at z = {z!r}, "
+            f"snr_max_linear = {s!r}"
+        )
     ibo = z * z
     return PaOperatingPoint(
         ibo_linear=ibo,

@@ -35,11 +35,11 @@ from foglink import (
     sinr_approx_db,
     sinr_of_ibo,
     snr_max_for_sinr_db,
-    solve_bisection,
     watts_to_dbm,
 )
 import foglink.cli as cli
 from foglink.config import BANDWIDTH_PROFILES
+from oracles import solve_bisection
 
 GRID_DB = [round(-10.0 + 0.1 * k, 10) for k in range(601)]
 
@@ -101,7 +101,7 @@ def test_criterion_2_optimal_backoff_solver():
             z_hi,
             tol=1e-11,
         )
-        worst_gap = max(worst_gap, abs(point.ibo_linear - oracle.root ** 2))
+        worst_gap = max(worst_gap, abs(point.ibo_linear - oracle ** 2))
         for factor in (0.99, 1.01):
             perturbed = sinr_of_ibo(point.ibo_linear * factor, s)
             if perturbed > point.sinr_linear * (1.0 + 1e-12):

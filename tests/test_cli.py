@@ -331,6 +331,8 @@ class TestErrorExits:
         (["mc-verify", "--ibo-db", "1e5", "--samples", "1000"], "ibo_db=100000.0"),
         (["mc-verify", "--snr-max-db", "1e5", "--samples", "1000"], "snr_max_db=100000.0"),
         (["breakeven", "--theta-from", "100", "--theta-to", "1e400"], "theta"),
+        # below -39.475 dB the back-off bracket holds no sign change
+        (["fig3", "--db-from", "-45", "--db-to", "0", "--steps", "4"], "snr_max_db=-45.0"),
     ])
     def test_unrepresentable_flag_is_one_error_line(self, capsys, args, named):
         code, _, err = run_cli(args, capsys)
@@ -357,6 +359,16 @@ class TestErrorExits:
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert named in err
+
+    @pytest.mark.parametrize("command", ["fig5", "fig6"])
+    def test_invalid_profile_radio_names_key_and_profile(self, capsys, tmp_path, command):
+        # valid as given, but the 9 MHz profile's sample rate makes n_ofdm 512
+        path = tmp_path / "params.json"
+        path.write_text('{"delta_f_hz": 30e3, "n_ofdm": 1024}', encoding="utf-8")
+        code, _, err = run_cli([command, "--config", str(path)], capsys)
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "n_ofdm" in err and "bandwidth_profile='9mhz'" in err
 
 
 class TestSolveCounts:

@@ -18,7 +18,6 @@ SCALAR_COMMANDS = ("fig3", "fig4", "fig5", "fig6", "link-power", "breakeven", "p
 # the package's exports, the lazily loaded Monte-Carlo names among them
 EXPORTS = [
     "__version__",
-    "RootSolveReport", "erfc", "solve_newton", "solve_bisection",
     "PaOperatingPoint", "bussgang_alpha", "sinr_of_ibo", "optimal_ibo",
     "optimal_ibo_residual", "sinr_approx_db", "snr_max_for_sinr_db",
     "pa_consumed_power",

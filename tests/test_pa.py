@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import foglink.pa
 from foglink import (
+    BracketError,
+    ConvergenceError,
     DomainError,
     PaOperatingPoint,
     bussgang_alpha,
@@ -15,22 +18,21 @@ from foglink import (
     sinr_approx_db,
     sinr_of_ibo,
     snr_max_for_sinr_db,
-    solve_bisection,
 )
-from foglink.pa import IBO_BRACKET, MAX_SNR_CEILING
+from foglink.pa import IBO_BRACKET, MAX_SNR_CEILING, distortion_power
+from oracles import solve_bisection
 
 SQRT_PI = math.sqrt(math.pi)
 
 
 def bisect_optimal_ibo(snr_max, tol=1e-11):
     """Independent bisection oracle for the SINR-optimal back-off."""
-    report = solve_bisection(
+    return solve_bisection(
         lambda i: 0.5 * SQRT_PI * math.erfc(math.sqrt(i)) - math.sqrt(i) / snr_max,
         IBO_BRACKET[0],
         IBO_BRACKET[1],
         tol=tol,
     )
-    return report.root
 
 
 class TestBussgangAlpha:
@@ -71,6 +73,24 @@ class TestBussgangAlpha:
             bussgang_alpha(bad)
 
 
+class TestDistortionPower:
+    def test_closed_form(self):
+        for ibo in (1e-6, 0.1, 1.0, 10.0):
+            alpha = bussgang_alpha(ibo)
+            assert distortion_power(ibo) == 1.0 - alpha * alpha - math.exp(-ibo)
+
+    def test_sinr_denominator_is_distortion_plus_noise(self):
+        ibo, snr_max = 1.0, 100.0
+        alpha = bussgang_alpha(ibo)
+        expected = alpha * alpha / (distortion_power(ibo) + ibo / snr_max)
+        assert sinr_of_ibo(ibo, snr_max) == expected
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_domain(self, bad):
+        with pytest.raises(DomainError):
+            distortion_power(bad)
+
+
 class TestSinrOfIbo:
     def test_noise_free_reduction(self):
         # at a huge ceiling the noise share vanishes and the closed form
@@ -108,6 +128,13 @@ class TestOptimalIbo:
         # frozen from the bisection oracle at tol 1e-15
         assert abs(point.ibo_linear - 0.2099321545908347) <= 1e-8
         assert abs(point.ibo_linear - bisect_optimal_ibo(1.0)) <= 1e-8
+
+    def test_backoff_condition_agrees_with_bisection(self):
+        # at an SNR ceiling of 100 (20 dB); frozen from a converged
+        # bisection scan of the same condition
+        ibo = optimal_ibo(100.0).ibo_linear
+        assert abs(ibo - bisect_optimal_ibo(100.0)) <= 1e-8
+        assert abs(ibo - 2.7621807077544887) <= 1e-8
 
     def test_residual_small_everywhere(self):
         for snr_db in np.linspace(-10.0, 50.0, 61):
@@ -147,9 +174,38 @@ class TestOptimalIbo:
             point = optimal_ibo(10.0 ** ((100.0 + 0.01 * k) / 10.0))
             assert 0.0 < point.alpha < 1.0
 
+    def test_bracket_holds_down_to_its_edge(self):
+        # IBO_BRACKET holds a sign change above -39.475 dB
+        point = optimal_ibo(10.0 ** -3.9)
+        assert abs(optimal_ibo_residual(point.ibo_linear, point.snr_max_linear)) <= 1e-13
+        with pytest.raises(BracketError, match="no sign change on bracket"):
+            optimal_ibo(10.0 ** -4.0)
+
+    def test_gap_without_a_root_stops_when_steps_make_no_progress(self, monkeypatch):
+        # a sign change with no zero: bisection shrinks the bracket to
+        # adjacent floats in ~55 steps, well inside the 200-step limit
+        calls = []
+
+        def step_gap(z, s):
+            calls.append(z)
+            return 1.0 if z < 2.0 else -1.0
+
+        monkeypatch.setattr(foglink.pa, "_stationarity_gap", step_gap)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            optimal_ibo(100.0)
+        assert len(calls) < 100
+        assert abs(calls[-1] - 2.0) <= math.ulp(2.0)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             optimal_ibo(0.0)
+
+
+class TestOptimalIboResidual:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_domain(self, bad):
+        with pytest.raises(DomainError):
+            optimal_ibo_residual(bad, 100.0)
 
 
 class TestSinrApproxDb:
