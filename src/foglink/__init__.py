@@ -29,14 +29,11 @@ from .errors import (
     NumericError,
 )
 from .link import (
-    ChannelState,
     LinkGeometry,
     MIN_DISTANCE_KM,
-    build_channel,
     noise_dbm,
     operating_point,
     path_gain_db,
-    required_p_max,
     required_sinr,
 )
 from .pa import (
@@ -60,9 +57,8 @@ __all__ = [
     "optimal_ibo_residual", "sinr_approx_db", "snr_max_for_sinr_db",
     "pa_consumed_power",
     # link
-    "LinkGeometry", "ChannelState", "MIN_DISTANCE_KM", "path_gain_db",
-    "noise_dbm", "required_sinr", "required_p_max", "build_channel",
-    "operating_point",
+    "LinkGeometry", "MIN_DISTANCE_KM", "path_gain_db", "noise_dbm",
+    "required_sinr", "operating_point",
     # chain
     "RadioParams", "DeploymentParams", "PowerBreakdown", "local_power",
     "coding_power", "ofdm_power", "dac_power", "duty_cycled_breakdown",

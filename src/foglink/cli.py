@@ -25,7 +25,7 @@ from .chain import (
 )
 from .config import BANDWIDTH_PROFILES, dump_defaults, load_params
 from .errors import DomainError, FoglinkError, InfeasibleLinkError, NumericError
-from .link import build_channel, operating_point, required_sinr
+from .link import noise_dbm, operating_point, path_gain_db, required_sinr
 from .units import db_to_linear, linear_to_db, watts_to_dbm
 
 # Four curves shown in the distance sweeps: both channelizations at one
@@ -255,8 +255,7 @@ def sweep_fig6(
 def link_power_row(radio: RadioParams, deploy: DeploymentParams) -> Dict:
     """Full diagnostic row for one scenario: channel, operating point, powers."""
     geometry = link_geometry(radio, deploy)
-    channel = build_channel(geometry)
-    point = operating_point(geometry, channel)
+    point = operating_point(geometry)
     down = breakdown_at(radio, deploy, point)
     return {
         "distance_km": deploy.distance_km,
@@ -264,9 +263,9 @@ def link_power_row(radio: RadioParams, deploy: DeploymentParams) -> Dict:
         "bandwidth_hz": radio.bandwidth_hz,
         "cameras": deploy.cameras,
         "rate_bps": deploy.rate_bps,
-        "path_gain_db": channel.path_gain_db,
-        "noise_dbm": channel.noise_dbm,
-        "p_max_w": channel.p_max_w,
+        "path_gain_db": path_gain_db(geometry.distance_km, geometry.carrier_hz),
+        "noise_dbm": noise_dbm(geometry.bandwidth_hz),
+        "p_max_w": point.p_max_w,
         "snr_max_db": linear_to_db(point.snr_max_linear),
         "ibo_db": linear_to_db(point.ibo_linear),
         "sinr_db": linear_to_db(point.sinr_linear),

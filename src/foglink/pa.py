@@ -31,10 +31,11 @@ __all__ = [
 _SQRT_PI = math.sqrt(math.pi)
 
 # Search bracket for the optimal back-off, in linear IBO.  It holds a sign
-# change of the stationarity gap for every SNR ceiling above -39.475 dB,
-# 10*log10(1e-4 / ((sqrt(pi)/2) * erfc(1e-4))), where the gap at its lower
-# end turns negative, up to MAX_SNR_CEILING.
+# change of the stationarity gap for every SNR ceiling from MIN_SNR_CEILING,
+# -39.475 dB, below which the gap at its lower end z = sqrt(1e-8) = 1e-4 is
+# negative, up to MAX_SNR_CEILING.
 IBO_BRACKET = (1e-8, 1e3)
+MIN_SNR_CEILING = 1e-4 / (0.5 * _SQRT_PI * math.erfc(1e-4))
 
 # Largest SNR ceiling the back-off solve accepts, 156.5 dB.  Near 160 dB
 # the optimal back-off approaches ~36 (linear), where the Bussgang gain is
@@ -168,13 +169,20 @@ def optimal_ibo(snr_max_linear: float) -> PaOperatingPoint:
     optimal back-off, the Bussgang gain and the achieved SINR; absolute
     power levels are left unset.
 
-    Raises BracketError when IBO_BRACKET holds no sign change, and
+    Raises DomainError for a ceiling outside [MIN_SNR_CEILING,
+    MAX_SNR_CEILING], BracketError when IBO_BRACKET holds no sign change, and
     ConvergenceError when the gap is not within 1e-13 after 200 steps or
     once a step makes no progress.
     """
     if not (math.isfinite(snr_max_linear) and snr_max_linear > 0.0):
         raise DomainError(
             f"snr_max_linear must be positive and finite, got {snr_max_linear!r}"
+        )
+    if snr_max_linear < MIN_SNR_CEILING:
+        raise DomainError(
+            f"snr_max_linear = {snr_max_linear!r} is below "
+            f"{10.0 * math.log10(MIN_SNR_CEILING):.3f} dB, the lowest SNR ceiling "
+            f"whose optimal back-off lies in the searched range {IBO_BRACKET}"
         )
     if snr_max_linear > MAX_SNR_CEILING:
         raise DomainError(

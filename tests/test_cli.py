@@ -331,7 +331,7 @@ class TestErrorExits:
         (["mc-verify", "--ibo-db", "1e5", "--samples", "1000"], "ibo_db=100000.0"),
         (["mc-verify", "--snr-max-db", "1e5", "--samples", "1000"], "snr_max_db=100000.0"),
         (["breakeven", "--theta-from", "100", "--theta-to", "1e400"], "theta"),
-        # below -39.475 dB the back-off bracket holds no sign change
+        # below -39.475 dB the optimal back-off leaves the searched range
         (["fig3", "--db-from", "-45", "--db-to", "0", "--steps", "4"], "snr_max_db=-45.0"),
     ])
     def test_unrepresentable_flag_is_one_error_line(self, capsys, args, named):
@@ -339,6 +339,14 @@ class TestErrorExits:
         assert code == 1
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert named in err
+
+    def test_too_low_snr_ceiling_names_the_limit(self, capsys):
+        # the same input as the -45 dB case above
+        code, _, err = run_cli(
+            ["fig3", "--db-from", "-45", "--db-to", "0", "--steps", "4"], capsys
+        )
+        assert code == 1
+        assert "is below -39.475 dB, the lowest SNR ceiling" in err
 
     @pytest.mark.parametrize("command, entry, named", [
         ("link-power", '"carrier_hz": 1e300', "carrier_hz=1e+300"),
@@ -376,7 +384,7 @@ class TestSolveCounts:
         import foglink.link
         import foglink.pa
 
-        calls = {"optimal_ibo": 0, "build_channel": 0}
+        calls = {"optimal_ibo": 0}
 
         def counted(module, name):
             original = getattr(module, name)
@@ -388,11 +396,9 @@ class TestSolveCounts:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(foglink.pa, "optimal_ibo")
-        counted(foglink.link, "build_channel")
-        monkeypatch.setattr(cli, "build_channel", foglink.link.build_channel)
         code, _, _ = run_cli(["link-power"], capsys)
         assert code == 0
-        assert calls == {"optimal_ibo": 1, "build_channel": 1}
+        assert calls == {"optimal_ibo": 1}
 
 
 @pytest.mark.parametrize("steps", [40, 400, 781, 1561])

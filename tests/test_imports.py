@@ -21,9 +21,8 @@ EXPORTS = [
     "PaOperatingPoint", "bussgang_alpha", "sinr_of_ibo", "optimal_ibo",
     "optimal_ibo_residual", "sinr_approx_db", "snr_max_for_sinr_db",
     "pa_consumed_power",
-    "LinkGeometry", "ChannelState", "MIN_DISTANCE_KM", "path_gain_db",
-    "noise_dbm", "required_sinr", "required_p_max", "build_channel",
-    "operating_point",
+    "LinkGeometry", "MIN_DISTANCE_KM", "path_gain_db", "noise_dbm",
+    "required_sinr", "operating_point",
     "RadioParams", "DeploymentParams", "PowerBreakdown", "local_power",
     "coding_power", "ofdm_power", "dac_power", "duty_cycled_breakdown",
     "offload_power", "breakeven_theta",

@@ -1,6 +1,7 @@
 """Link budget: path gain, noise, rate inversion, clip-power sizing."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,17 +11,19 @@ from foglink import (
     InfeasibleLinkError,
     LinkGeometry,
     MIN_DISTANCE_KM,
-    build_channel,
     db_to_linear,
     dbm_to_watts,
     linear_to_db,
+    load_params,
     noise_dbm,
     operating_point,
     path_gain_db,
-    required_p_max,
     required_sinr,
+    snr_max_for_sinr_db,
     watts_to_dbm,
 )
+from foglink.chain import link_geometry
+from foglink.cli import FIGURE_COMBOS
 
 
 def geometry(distance_km=0.02, carrier_hz=3.5e9, bandwidth_hz=18e6, cameras=1,
@@ -122,6 +125,8 @@ class TestRequiredSinr:
 
 
 class TestRequiredPMax:
+    """The clipping power the sized operating point carries."""
+
     def test_hand_chain(self):
         # spreadsheet-style chain, recomputed inline from scratch
         d, f, b, m, r, beta = 1.0, 3.5e9, 18e6, 1, 6e6, 0.4
@@ -133,8 +138,7 @@ class TestRequiredPMax:
             / 10.0 ** (gain / 10.0)
             * 10.0 ** (math.log10(sinr) / 0.84 + 2.23 / 8.4)
         )
-        geo = geometry(distance_km=d)
-        value = required_p_max(geo, path_gain_db(d, f), noise_dbm(b))
+        value = operating_point(geometry(distance_km=d)).p_max_w
         assert abs(value - oracle) <= 1e-12 * oracle
         # frozen output of the same chain
         assert abs(value - 0.20599649843480475) <= 1e-12
@@ -143,35 +147,28 @@ class TestRequiredPMax:
     def test_unrepresentable_power_names_geometry(self, distance_km, carrier_hz):
         geo = geometry(distance_km=distance_km, carrier_hz=carrier_hz)
         with pytest.raises(InfeasibleLinkError, match="distance_km=.*carrier_hz="):
-            build_channel(geo)
+            operating_point(geo)
 
-    def test_zero_rate_gives_zero_power(self):
-        geo = geometry(rate_bps=0.0)
-        assert required_p_max(geo, path_gain_db(0.02, 3.5e9), noise_dbm(18e6)) == 0.0
+    def test_zero_rate_has_no_operating_point(self):
+        # a zero rate needs no SINR, so there is no ceiling to solve at
+        with pytest.raises(DomainError):
+            operating_point(geometry(rate_bps=0.0))
 
     def test_linear_in_inverse_gain(self):
-        geo = geometry()
-        gain = path_gain_db(0.02, 3.5e9)
-        noise = noise_dbm(18e6)
-        base = required_p_max(geo, gain, noise)
-        doubled_gain = gain + 10.0 * math.log10(2.0)
-        halved = required_p_max(geo, doubled_gain, noise)
-        assert abs(halved - base / 2.0) <= 1e-12 * base
+        # 0.1 km -> 1 km lowers the path gain by exactly 37.6 dB
+        near = operating_point(geometry(distance_km=0.1)).p_max_w
+        far = operating_point(geometry(distance_km=1.0)).p_max_w
+        assert abs(far - near * 10.0 ** 3.76) <= 1e-12 * far
 
     def test_monotonicities(self):
-        gain = path_gain_db(0.1, 3.5e9)
-        noise9, noise18 = noise_dbm(9e6), noise_dbm(18e6)
-        base = required_p_max(geometry(bandwidth_hz=18e6), gain, noise18)
-        # farther
-        farther = required_p_max(
-            geometry(bandwidth_hz=18e6), path_gain_db(0.2, 3.5e9), noise18
-        )
-        assert farther > base
-        # more cameras, more rate
-        assert required_p_max(geometry(cameras=2), gain, noise18) > base
-        assert required_p_max(geometry(rate_bps=8e6), gain, noise18) > base
-        # narrower band
-        assert required_p_max(geometry(bandwidth_hz=9e6), gain, noise9) > base
+        def p_max(**kwargs):
+            return operating_point(geometry(distance_km=0.1, **kwargs)).p_max_w
+
+        base = p_max()
+        assert operating_point(geometry(distance_km=0.2)).p_max_w > base  # farther
+        assert p_max(cameras=2) > base
+        assert p_max(rate_bps=8e6) > base
+        assert p_max(bandwidth_hz=9e6) > base  # narrower band
 
 
 class TestOperatingPoint:
@@ -193,15 +190,32 @@ class TestOperatingPoint:
         assert point.ibo_linear > 1.0
 
     def test_snr_ceiling_definition_is_exact(self):
+        # P_MAX = N / |h|^2 * SNR_max, the ceiling the fit gives the rate
         geo = geometry()
-        channel = build_channel(geo)
-        point = operating_point(geo, channel)
-        recomputed = (
-            db_to_linear(channel.path_gain_db)
-            * channel.p_max_w
-            / dbm_to_watts(channel.noise_dbm)
+        point = operating_point(geo)
+        assert point.snr_max_linear == db_to_linear(
+            snr_max_for_sinr_db(linear_to_db(required_sinr(geo)))
         )
-        assert point.snr_max_linear == recomputed
+        assert point.p_max_w == (
+            dbm_to_watts(noise_dbm(geo.bandwidth_hz))
+            / db_to_linear(path_gain_db(geo.distance_km, geo.carrier_hz))
+            * point.snr_max_linear
+        )
+
+    @pytest.mark.parametrize("profile, cameras", FIGURE_COMBOS)
+    def test_ceiling_does_not_depend_on_distance(self, profile, cameras):
+        # the rate demand alone fixes the ceiling and the back-off solved at it
+        radio, deploy = load_params(profile=profile)
+        points = {
+            (p.snr_max_linear, p.ibo_linear, p.alpha, p.sinr_linear)
+            for p in (
+                operating_point(link_geometry(
+                    radio, replace(deploy, cameras=cameras, distance_km=float(d))
+                ))
+                for d in np.geomspace(0.01, 2.0, 10)
+            )
+        }
+        assert len(points) == 1
 
     def test_sigma2_consistency(self):
         point = operating_point(geometry())

@@ -19,7 +19,7 @@ from foglink import (
     sinr_of_ibo,
     snr_max_for_sinr_db,
 )
-from foglink.pa import IBO_BRACKET, MAX_SNR_CEILING, distortion_power
+from foglink.pa import IBO_BRACKET, MAX_SNR_CEILING, MIN_SNR_CEILING, distortion_power
 from oracles import solve_bisection
 
 SQRT_PI = math.sqrt(math.pi)
@@ -175,11 +175,18 @@ class TestOptimalIbo:
             assert 0.0 < point.alpha < 1.0
 
     def test_bracket_holds_down_to_its_edge(self):
-        # IBO_BRACKET holds a sign change above -39.475 dB
+        # IBO_BRACKET holds a sign change from -39.475 dB up
         point = optimal_ibo(10.0 ** -3.9)
         assert abs(optimal_ibo_residual(point.ibo_linear, point.snr_max_linear)) <= 1e-13
-        with pytest.raises(BracketError, match="no sign change on bracket"):
+        with pytest.raises(DomainError, match="is below -39.475 dB"):
             optimal_ibo(10.0 ** -4.0)
+        point = optimal_ibo(MIN_SNR_CEILING)
+        assert abs(point.ibo_linear - IBO_BRACKET[0]) <= 1e-15
+
+    def test_gap_without_a_sign_change_is_a_bracket_error(self, monkeypatch):
+        monkeypatch.setattr(foglink.pa, "_stationarity_gap", lambda z, s: 1.0)
+        with pytest.raises(BracketError, match="no sign change on bracket"):
+            optimal_ibo(100.0)
 
     def test_gap_without_a_root_stops_when_steps_make_no_progress(self, monkeypatch):
         # a sign change with no zero: bisection shrinks the bracket to
