@@ -328,34 +328,48 @@ def mc_verify(
 ) -> Tuple[List[Dict], List[str]]:
     """Compare Monte-Carlo estimates against the closed forms per back-off.
 
-    Runs at unit mean input power (sigma2 = 1 W, p_max = IBO).  A row
-    passes when alpha, distortion power, amplifier power and SINR each land
-    within max(3 standard errors, 1 percent) of the analytic value.
-    Returns the rows and a list of human-readable failure descriptions.
+    Runs at unit mean input power (sigma2 = 1 W, p_max = IBO), every
+    back-off on the same samples in one Monte-Carlo run.  Each back-off's
+    configuration and closed forms are checked before any sampling, so a
+    bad entry is refused at once.  A row passes when alpha, distortion power,
+    amplifier power and SINR each land within max(3 standard errors,
+    1 percent) of the analytic value.  Returns the rows and a list of
+    human-readable failure descriptions.
     """
     from .mc import McConfig, run_mc  # numpy loads here, on the Monte-Carlo path only
 
     sigma2 = 1.0
-    rows = []
-    failures = []
+    analytic = []
+    clip_powers = []
     for ibo_db in ibo_db_values:
         try:
             snr_max = db_to_linear(snr_max_db)
             ibo = db_to_linear(ibo_db)
-            estimate = run_mc(
-                McConfig(
-                    sigma2_w=sigma2,
-                    p_max_w=ibo * sigma2,
-                    n_samples=n_samples,
-                    seed=seed,
-                    snr_max_linear=snr_max,
-                )
+            # each back-off's own run is validated in its scenario context
+            config = McConfig(
+                sigma2_w=sigma2,
+                clip_powers_w=(ibo * sigma2,),
+                n_samples=n_samples,
+                seed=seed,
+                snr_max_linear=snr_max,
             )
             alpha = pa.bussgang_alpha(ibo)
             pa_w = pa.pa_consumed_power(ibo * sigma2, ibo)
             sinr = pa.sinr_of_ibo(ibo, snr_max)
         except FoglinkError as exc:
             raise _scenario_context(exc, ibo_db=ibo_db, snr_max_db=snr_max_db) from exc
+        analytic.append((ibo_db, ibo, alpha, pa_w, sinr))
+        clip_powers.append(ibo * sigma2)
+    try:
+        estimates = run_mc(replace(config, clip_powers_w=clip_powers))
+    except FoglinkError as exc:
+        raise _scenario_context(
+            exc, ibo_db=list(ibo_db_values), snr_max_db=snr_max_db
+        ) from exc
+
+    rows = []
+    failures = []
+    for (ibo_db, ibo, alpha, pa_w, sinr), estimate in zip(analytic, estimates):
         distortion = sigma2 * pa.distortion_power(ibo)
         noise_w = ibo * sigma2 / snr_max
         # first-order spread of the SINR estimate from its ingredients
@@ -507,6 +521,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_backoff_list(argv: Sequence[str]) -> List[str]:
+    """Join ``--ibo-db -3,0`` (or an abbreviation such as ``--ibo -3,0``)
+    into ``--ibo-db=-3,0``.
+
+    argparse reads a separate value that starts with '-' as an option unless
+    it is a single number, so a back-off list led by a negative entry would
+    exit 2 with "expected one argument".
+    """
+    joined: List[str] = []
+    for arg in argv:
+        if joined and len(joined[-1]) > 2 and "--ibo-db".startswith(joined[-1]):
+            try:
+                float(arg.split(",")[0])
+            except ValueError:
+                pass
+            else:
+                joined[-1] = f"--ibo-db={arg}"
+                continue
+        joined.append(arg)
+    return joined
+
+
 FIG3_COLUMNS = ["snr_max_db", "ibo_db_optimal", "sinr_db_exact", "sinr_db_approx"]
 FIG4_COLUMNS = ["bandwidth_hz", "cameras", "sinr_db", "ibo_db"]
 FIG5_COLUMNS = ["distance_km", "bandwidth_hz", "cameras", *(c for c, _ in _FIG5_CELLS)]
@@ -526,7 +562,9 @@ MC_VERIFY_COLUMNS = [
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser().parse_args(_attach_backoff_list(argv))
     try:
         if hasattr(args, "config"):  # the commands that evaluate a scenario
             overrides = {

@@ -124,7 +124,8 @@ def operating_point(geometry: LinkGeometry) -> pa.PaOperatingPoint:
     ceiling, so the ceiling and the optimal back-off solved at it depend on
     the rate demand alone.  Path gain and noise turn the ceiling into the
     clipping power P_MAX = SNR_max * N / |h|^2 (InfeasibleLinkError when it
-    is zero or not finite), and sigma^2 = P_MAX / IBO.
+    is zero or not finite), and sigma^2 = P_MAX / IBO.  A zero rate needs no
+    SINR and has no ceiling: DomainError.
 
     The achieved SINR misses the required one by the fit's error, rated at
     0.5 dB for ceilings of -10 to 50 dB only.  At d = 0.02 km, achieved minus
@@ -135,6 +136,11 @@ def operating_point(geometry: LinkGeometry) -> pa.PaOperatingPoint:
     gain_db = path_gain_db(geometry.distance_km, geometry.carrier_hz)
     noise_level_dbm = noise_dbm(geometry.bandwidth_hz)
     sinr = required_sinr(geometry)
+    if sinr == 0.0:
+        raise DomainError(
+            f"rate_bps = {geometry.rate_bps!r} needs no SINR, so there is no SNR "
+            f"ceiling to size the clipping power at in {geometry}"
+        )
     snr_max = db_to_linear(pa.snr_max_for_sinr_db(linear_to_db(sinr)))
     noise_w = dbm_to_watts(noise_level_dbm)
     gain_linear = db_to_linear(gain_db)

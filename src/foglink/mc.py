@@ -1,11 +1,14 @@
 """Seeded Monte-Carlo verification of the analytic amplifier model.
 
-Draws complex-Gaussian samples, pushes them through the soft limiter and
-estimates the Bussgang gain, the clipping-distortion power, the empirical
-SINR and the mean class B supply power, each with a standard error, for
-direct comparison against the closed forms in :mod:`foglink.pa`.
+Draws complex-Gaussian samples, pushes them through the soft limiter at
+each of several clipping powers and estimates the Bussgang gain, the
+clipping-distortion power, the empirical SINR and the mean class B supply
+power, each with a standard error, for direct comparison against the
+closed forms in :mod:`foglink.pa`.
 
-Determinism contract: results are a pure function of (seed, config).
+Determinism contract: each clip power's estimate is a pure function of
+(seed, n_samples, sigma2_w, snr_max_linear, that clip power), whatever
+other clip powers share the run and in whatever order they are given.
 Samples are generated in fixed-size chunks, each from its own jump-ahead
 Philox substream (``Philox(key=seed).jumped(chunk_index)``), and chunk
 partial sums are combined in chunk order.  The chunk layout never depends
@@ -13,13 +16,16 @@ on how the work might be scheduled, so any parallel execution over chunks
 reproduces the sequential result bit for bit.  A sample is
 ``x = sqrt(-sigma2 * log(1 - u1)) * exp(2j * pi * u2)`` (Box-Muller), but
 only u1, the first ``count`` uniforms of each substream, is drawn: the
-soft limiter keeps the phase, so no estimator depends on u2.  This choice
-is fixed because reproducibility per seed is promised within a build.
+soft limiter keeps the phase, so no estimator depends on u2.  Every clip
+power is applied to the same draw of each chunk, and the kernel computes
+each clip's sums with the same operations as it would for that clip
+alone.  This choice is fixed because reproducibility per seed is promised
+within a build.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -38,13 +44,14 @@ _FOUR_OVER_PI = 4.0 / math.pi
 class McConfig:
     """Inputs of one Monte-Carlo run.
 
-    ``sigma2_w`` is the mean input power, ``p_max_w`` the clipping power.
-    ``snr_max_linear``, when given, adds the implied receiver noise so an
-    empirical SINR can be formed.
+    ``sigma2_w`` is the mean input power, ``clip_powers_w`` the clipping
+    powers, each applied to the same samples (stored as a tuple).
+    ``snr_max_linear``, when given, adds the implied receiver noise at each
+    clipping power so an empirical SINR can be formed.
     """
 
     sigma2_w: float
-    p_max_w: float
+    clip_powers_w: Tuple[float, ...]
     n_samples: int
     seed: int
     snr_max_linear: Optional[float] = None
@@ -52,8 +59,13 @@ class McConfig:
     def __post_init__(self):
         if not self.sigma2_w > 0.0:
             raise DomainError(f"sigma2_w must be positive, got {self.sigma2_w!r}")
-        if not self.p_max_w > 0.0:
-            raise DomainError(f"p_max_w must be positive, got {self.p_max_w!r}")
+        clip_powers = tuple(self.clip_powers_w)
+        if not clip_powers:
+            raise DomainError("clip_powers_w must hold at least one clipping power")
+        for p_max in clip_powers:
+            if not p_max > 0.0:
+                raise DomainError(f"p_max_w must be positive, got {p_max!r}")
+        object.__setattr__(self, "clip_powers_w", clip_powers)
         if not (isinstance(self.n_samples, int) and self.n_samples >= 1):
             raise DomainError(f"n_samples must be an integer >= 1, got {self.n_samples!r}")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
@@ -66,7 +78,7 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Estimates with standard errors from one Monte-Carlo run.
+    """Estimates with standard errors at one clipping power of a run.
 
     ``input_amp_hat`` is the mean input amplitude (Rayleigh diagnostic).
     Standard errors are first-order (sample standard deviation over
@@ -125,12 +137,18 @@ def _workspace(n_samples: int) -> np.ndarray:
 
 
 def _chunk_sums(
-    seed: int, chunk_index: int, count: int, sigma2: float, p_max: float, work: np.ndarray
+    seed: int,
+    chunk_index: int,
+    count: int,
+    sigma2: float,
+    clip_powers: Tuple[float, ...],
+    work: np.ndarray,
 ) -> np.ndarray:
-    """Moment sums of one chunk, from its own jump-ahead Philox substream."""
+    """Moment sums of one chunk, one row per clip power, from the chunk's
+    own jump-ahead Philox substream."""
     u1 = work[0, :count]
     np.random.Generator(np.random.Philox(key=seed).jumped(chunk_index)).random(out=u1)
-    return _kernels.moment_sums(u1, sigma2, p_max, work[1:])
+    return _kernels.moment_sums(u1, sigma2, clip_powers, work[1:])
 
 
 def _mean_and_stderr(total: float, total_sq: float, n: int):
@@ -142,25 +160,36 @@ def _mean_and_stderr(total: float, total_sq: float, n: int):
     return mean, math.sqrt(var / n)
 
 
-def run_mc(config: McConfig) -> McEstimate:
-    """Run the Monte-Carlo estimators for one configuration.
+def run_mc(config: McConfig) -> List[McEstimate]:
+    """Run the Monte-Carlo estimators at every clip power of ``config``.
 
-    Estimators (x input sample, y clipped sample, n sample count):
+    Returns one estimate per entry of ``config.clip_powers_w``, in that
+    order.  Estimators (x input sample, y clipped sample, n sample count):
       alpha_hat       = mean(Re(y * conj(x))) / sigma2
       distortion      = mean(|y - alpha_hat * x|^2), expanded in moments so
                         a single pass suffices
       pa_power_hat    = mean((4/pi) * sqrt(|y|^2 * p_max))
       sinr_hat        = alpha_hat^2 * sigma2 / (distortion + p_max/snr_max)
 
-    Raises NumericError if accumulations go non-finite.
+    Raises NumericError, naming the clip powers concerned, if accumulations
+    go non-finite.
     """
+    clip_powers = config.clip_powers_w
     work = _workspace(config.n_samples)
-    sums = np.zeros(_kernels.N_SUMS)
+    sums = np.zeros((len(clip_powers), _kernels.N_SUMS))
     for index, count in _chunk_layout(config.n_samples):
-        sums += _chunk_sums(config.seed, index, count, config.sigma2_w, config.p_max_w, work)
-    if not np.all(np.isfinite(sums)):
-        raise NumericError(f"non-finite accumulation for config {config!r}")
+        sums += _chunk_sums(config.seed, index, count, config.sigma2_w, clip_powers, work)
+    finite = np.all(np.isfinite(sums), axis=1)
+    if not finite.all():
+        concerned = [p_max for p_max, ok in zip(clip_powers, finite) if not ok]
+        raise NumericError(
+            f"non-finite accumulation at clip power(s) {concerned!r} W for config {config!r}"
+        )
+    return [_estimate(config, p_max, row) for p_max, row in zip(clip_powers, sums)]
 
+
+def _estimate(config: McConfig, p_max: float, sums: np.ndarray) -> McEstimate:
+    """Estimates at clip power ``p_max`` from its row of moment sums."""
     n = config.n_samples
     sigma2 = config.sigma2_w
     s_cre, s_a, s_b, s_ampy, s_ampx, s_cre2, s_a2, s_b2, s_ac, s_ab, s_bc = sums
@@ -188,7 +217,7 @@ def run_mc(config: McConfig) -> McEstimate:
         var_d = max(mean_d2 - distortion * distortion, 0.0) * n / (n - 1)
         stderr_distortion = math.sqrt(var_d / n)
 
-    pa_scale = _FOUR_OVER_PI * math.sqrt(config.p_max_w)
+    pa_scale = _FOUR_OVER_PI * math.sqrt(p_max)
     mean_ampy, stderr_ampy = _mean_and_stderr(s_ampy, s_a, n)
     pa_power_hat = pa_scale * mean_ampy
     stderr_pa = pa_scale * stderr_ampy
@@ -197,7 +226,7 @@ def run_mc(config: McConfig) -> McEstimate:
 
     sinr_hat = None
     if config.snr_max_linear is not None:
-        noise_w = config.p_max_w / config.snr_max_linear
+        noise_w = p_max / config.snr_max_linear
         sinr_hat = alpha_hat * alpha_hat * sigma2 / (distortion + noise_w)
 
     return McEstimate(

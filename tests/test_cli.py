@@ -263,9 +263,10 @@ class TestMcVerify:
         run_mc = foglink.mc.run_mc
 
         def biased_run_mc(cfg):
-            est = run_mc(cfg)
-            object.__setattr__(est, "alpha_hat", est.alpha_hat * 1.5)
-            return est
+            estimates = run_mc(cfg)
+            for est in estimates:
+                object.__setattr__(est, "alpha_hat", est.alpha_hat * 1.5)
+            return estimates
 
         # mc_verify imports run_mc from foglink.mc when it is called
         monkeypatch.setattr(foglink.mc, "run_mc", biased_run_mc)
@@ -280,7 +281,30 @@ class TestMcVerify:
     def test_bad_backoff_list(self, capsys):
         code, _, err = run_cli(["mc-verify", "--ibo-db", "a,b"], capsys)
         assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "ibo-db" in err
+
+    @pytest.mark.parametrize("flag", ["--ibo-db", "--ibo"])
+    def test_space_separated_negative_backoff_list(self, capsys, flag):
+        # argparse alone reads "-3,0" as an unknown option and exits 2
+        spaced = run_cli(["mc-verify", flag, "-3,0", "--samples", "1000"], capsys)
+        joined = run_cli(["mc-verify", "--ibo-db=-3,0", "--samples", "1000"], capsys)
+        assert spaced == joined
+        assert spaced[0] == 0 and spaced[1].count("\n") == 3
+
+    def test_bad_backoff_is_refused_before_sampling(self, capsys, monkeypatch):
+        import foglink.mc
+
+        def no_sampling(cfg):
+            raise AssertionError(f"sampled {cfg!r} before refusing a back-off")
+
+        monkeypatch.setattr(foglink.mc, "run_mc", no_sampling)
+        code, out, err = run_cli(["mc-verify", "--ibo-db=0,1e5"], capsys)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: 100000.0 dB has no finite power ratio "
+            "[scenario: ibo_db=100000.0, snr_max_db=20.0]"
+        ]
 
     @pytest.mark.parametrize("samples", [-2, 0, 1])
     def test_too_few_samples_names_the_flag(self, capsys, samples):

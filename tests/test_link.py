@@ -151,8 +151,11 @@ class TestRequiredPMax:
 
     def test_zero_rate_has_no_operating_point(self):
         # a zero rate needs no SINR, so there is no ceiling to solve at
-        with pytest.raises(DomainError):
-            operating_point(geometry(rate_bps=0.0))
+        link = geometry(rate_bps=0.0)
+        with pytest.raises(DomainError) as refused:
+            operating_point(link)
+        message = str(refused.value)
+        assert "rate_bps = 0.0" in message and repr(link) in message
 
     def test_linear_in_inverse_gain(self):
         # 0.1 km -> 1 km lowers the path gain by exactly 37.6 dB

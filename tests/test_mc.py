@@ -9,6 +9,7 @@ import pytest
 from foglink import (
     DomainError,
     McConfig,
+    NumericError,
     bussgang_alpha,
     optimal_ibo,
     pa_consumed_power,
@@ -19,14 +20,26 @@ from foglink.mc import CHUNK_SAMPLES, _chunk_layout, _chunk_sums, _workspace
 from foglink import _kernels
 
 
-def config(ibo=1.0, n=1_000_000, seed=42, snr_max=None, sigma2=1.0):
+# five back-offs (dB) as in the benchmark, and their clip powers at unit sigma2
+BACKOFFS_DB = (-3.0, 0.0, 3.0, 6.0, 12.0)
+CLIP_POWERS = tuple(10.0 ** (x / 10.0) for x in BACKOFFS_DB)
+
+
+def config(ibo=1.0, n=1_000_000, seed=42, snr_max=None, sigma2=1.0, clips=None):
+    if clips is None:
+        clips = (ibo * sigma2,)
     return McConfig(
         sigma2_w=sigma2,
-        p_max_w=ibo * sigma2,
+        clip_powers_w=clips,
         n_samples=n,
         seed=seed,
         snr_max_linear=snr_max,
     )
+
+
+def run_one(**kwargs):
+    [estimate] = run_mc(config(**kwargs))
+    return estimate
 
 
 def analytic_distortion(ibo, sigma2=1.0):
@@ -65,31 +78,51 @@ class TestSoftLimit:
 class TestDeterminism:
     def test_bit_identical_reruns(self):
         # spans multiple chunks to exercise the jump-ahead layout
-        cfg = config(n=CHUNK_SAMPLES + 12345, snr_max=100.0)
+        cfg = config(n=CHUNK_SAMPLES + 12345, snr_max=100.0, clips=CLIP_POWERS)
         assert run_mc(cfg) == run_mc(cfg)
 
     def test_seed_changes_results(self):
-        a = run_mc(config(n=100_000, seed=1))
-        b = run_mc(config(n=100_000, seed=2))
+        a = run_one(n=100_000, seed=1)
+        b = run_one(n=100_000, seed=2)
         assert a.alpha_hat != b.alpha_hat
 
     def test_chunk_combination_order_is_fixed(self):
         # simulate out-of-order workers: evaluate chunk partials in reverse,
         # then combine by chunk index; the sums must match bit for bit
-        cfg = config(n=2 * CHUNK_SAMPLES + 999)
+        cfg = config(n=2 * CHUNK_SAMPLES + 999, clips=CLIP_POWERS)
         layout = list(_chunk_layout(cfg.n_samples))
         work = _workspace(cfg.n_samples)
-        forward = np.zeros(_kernels.N_SUMS)
+        shape = (len(CLIP_POWERS), _kernels.N_SUMS)
+        forward = np.zeros(shape)
         for index, count in layout:
-            forward += _chunk_sums(cfg.seed, index, count, cfg.sigma2_w, cfg.p_max_w, work)
+            forward += _chunk_sums(cfg.seed, index, count, cfg.sigma2_w, cfg.clip_powers_w, work)
         partials = {
-            index: _chunk_sums(cfg.seed, index, count, cfg.sigma2_w, cfg.p_max_w, work)
+            index: _chunk_sums(cfg.seed, index, count, cfg.sigma2_w, cfg.clip_powers_w, work)
             for index, count in reversed(layout)
         }
-        unordered = np.zeros(_kernels.N_SUMS)
+        unordered = np.zeros(shape)
         for index, _ in layout:
             unordered += partials[index]
         assert np.array_equal(forward, unordered)
+
+    @pytest.mark.parametrize("clips", [
+        CLIP_POWERS,
+        # unsorted, with a duplicate, and the no-clipping case
+        (CLIP_POWERS[3], 1e6, CLIP_POWERS[0], CLIP_POWERS[3], CLIP_POWERS[1]),
+    ])
+    def test_shared_draw_equals_one_clip_runs(self, clips):
+        # each clip's estimate is a function of (seed, n, sigma2, that clip)
+        # alone: sharing a run changes none of its bits
+        n = 2 * CHUNK_SAMPLES + 999
+        shared = run_mc(config(n=n, snr_max=100.0, clips=clips))
+        alone = [run_one(n=n, snr_max=100.0, ibo=p_max) for p_max in clips]
+        assert shared == alone
+
+    def test_non_finite_accumulation_names_the_clip_powers(self):
+        # |x|^4 overflows at this input power, whatever the clip
+        with np.errstate(over="ignore"), pytest.raises(NumericError) as refused:
+            run_mc(config(n=1000, sigma2=1e200, clips=(2.5e199, 7.5e200)))
+        assert "[2.5e+199, 7.5e+200]" in str(refused.value)
 
     def test_chunk_layout_covers_exactly(self):
         for n in (1, 10, CHUNK_SAMPLES, CHUNK_SAMPLES + 1, 3 * CHUNK_SAMPLES + 7):
@@ -116,26 +149,32 @@ class TestRadialKernel:
     @pytest.mark.parametrize("ibo_db, count", [
         (-3.0, CHUNK_SAMPLES), (0.0, CHUNK_SAMPLES), (3.0, CHUNK_SAMPLES),
         (12.0, CHUNK_SAMPLES), (0.0, 100_003),
+        # five clips in one call
+        pytest.param(BACKOFFS_DB, CHUNK_SAMPLES, id="five-1048576"),
+        pytest.param(BACKOFFS_DB, 100_003, id="five-100003"),
     ])
     def test_matches_complex_path(self, ibo_db, count):
         sigma2 = 1.3
-        p_max = 10.0 ** (ibo_db / 10.0) * sigma2
+        clips = [10.0 ** (x / 10.0) * sigma2 for x in np.atleast_1d(ibo_db)]
         rng = np.random.Generator(np.random.Philox(key=7))
         u1 = rng.random(count)
         u2 = rng.random(count)
         # a workspace wider than the input, as for the last chunk of a run
         work = np.full((_kernels.WORK_ROWS, CHUNK_SAMPLES + 5), np.nan)
-        radial = _kernels.moment_sums(u1, sigma2, p_max, work)
-        expected = self.box_muller_sums(u1, u2, sigma2, p_max)
-        assert np.allclose(radial, expected, rtol=1e-12, atol=0.0)
+        # the kernel overwrites u1, its product scratch row
+        radial = _kernels.moment_sums(u1.copy(), sigma2, clips, work)
+        assert radial.shape == (len(clips), _kernels.N_SUMS)
+        for row, p_max in zip(radial, clips):
+            expected = self.box_muller_sums(u1, u2, sigma2, p_max)
+            assert np.allclose(row, expected, rtol=1e-12, atol=0.0)
 
     def test_run_mc_reuses_one_chunk_workspace(self):
-        # the run allocates its buffers once, not per chunk: the traced
-        # peak stays below eight chunk-sized float64 arrays
+        # the run allocates its buffers once, not per chunk or per clip:
+        # the traced peak stays below eight chunk-sized float64 arrays
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            run_mc(config(n=3 * CHUNK_SAMPLES + 7))
+            run_mc(config(n=3 * CHUNK_SAMPLES + 7, clips=CLIP_POWERS))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -145,7 +184,7 @@ class TestRadialKernel:
 class TestEstimators:
     @pytest.mark.parametrize("ibo", [0.5, 1.0, 4.0])
     def test_agree_with_closed_forms(self, ibo):
-        est = run_mc(config(ibo=ibo, n=1_000_000, snr_max=100.0))
+        est = run_one(ibo=ibo, n=1_000_000, snr_max=100.0)
         alpha = bussgang_alpha(ibo)
         assert abs(est.alpha_hat - alpha) <= max(3 * est.stderr_alpha, 0.01 * alpha)
         distortion = analytic_distortion(ibo)
@@ -160,20 +199,20 @@ class TestEstimators:
         # residual distortion estimate is the plug-in quadratic in the
         # alpha estimation error, a chi-square of scale sigma2/n
         n = 1_000_000
-        est = run_mc(config(ibo=1e6, n=n))
+        est = run_one(ibo=1e6, n=n)
         floor = 13.0 * 1.0 / n
         assert est.distortion_power_hat <= max(3 * est.stderr_distortion, floor)
         assert abs(est.alpha_hat - 1.0) <= 3 * est.stderr_alpha + 1e-6
 
     def test_rayleigh_amplitude(self):
         sigma2 = 2.5
-        est = run_mc(config(ibo=4.0, n=1_000_000, sigma2=sigma2))
+        est = run_one(ibo=4.0, n=1_000_000, sigma2=sigma2)
         expected = math.sqrt(sigma2) * math.sqrt(math.pi) / 2.0
         assert abs(est.input_amp_hat - expected) <= 3 * est.stderr_input_amp
 
     def test_stderr_scales_with_sample_count(self):
-        small = run_mc(config(n=10_000))
-        large = run_mc(config(n=1_000_000))
+        small = run_one(n=10_000)
+        large = run_one(n=1_000_000)
         ratio = small.stderr_alpha / large.stderr_alpha
         assert 8.5 < ratio < 11.5
         ratio_pa = small.stderr_pa / large.stderr_pa
@@ -183,7 +222,7 @@ class TestEstimators:
         snr_max = 100.0
         best = optimal_ibo(snr_max).ibo_linear
         estimates = {
-            factor: run_mc(config(ibo=best * factor, n=1_000_000, snr_max=snr_max))
+            factor: run_one(ibo=best * factor, n=1_000_000, snr_max=snr_max)
             for factor in (0.5, 1.0, 2.0)
         }
         # the SINR drop at a factor-two detuning dwarfs the Monte-Carlo
@@ -192,11 +231,11 @@ class TestEstimators:
         assert estimates[1.0].sinr_hat > estimates[2.0].sinr_hat
 
     def test_sinr_requires_ceiling(self):
-        assert run_mc(config(n=1000)).sinr_hat is None
-        assert run_mc(config(n=1000, snr_max=50.0)).sinr_hat is not None
+        assert run_one(n=1000).sinr_hat is None
+        assert run_one(n=1000, snr_max=50.0).sinr_hat is not None
 
     def test_single_sample_has_no_stderr(self):
-        est = run_mc(config(n=1))
+        est = run_one(n=1)
         assert math.isnan(est.stderr_alpha)
         assert math.isfinite(est.alpha_hat)
 
@@ -206,21 +245,28 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             config(n=0)
         with pytest.raises(DomainError):
-            McConfig(sigma2_w=1.0, p_max_w=1.0, n_samples=10.5, seed=1)
+            McConfig(sigma2_w=1.0, clip_powers_w=(1.0,), n_samples=10.5, seed=1)
 
     def test_rejects_bad_powers(self):
         with pytest.raises(DomainError):
-            McConfig(sigma2_w=0.0, p_max_w=1.0, n_samples=10, seed=1)
-        with pytest.raises(DomainError):
-            McConfig(sigma2_w=1.0, p_max_w=0.0, n_samples=10, seed=1)
+            McConfig(sigma2_w=0.0, clip_powers_w=(1.0,), n_samples=10, seed=1)
+        for clips in ((0.0,), (1.0, 0.0), (1.0, math.nan), ()):
+            with pytest.raises(DomainError):
+                McConfig(sigma2_w=1.0, clip_powers_w=clips, n_samples=10, seed=1)
+
+    def test_keeps_clip_powers_as_a_tuple(self):
+        clips = [2.0, 1.0, 2.0]
+        cfg = McConfig(sigma2_w=1.0, clip_powers_w=clips, n_samples=10, seed=1)
+        clips.append(3.0)
+        assert cfg.clip_powers_w == (2.0, 1.0, 2.0)
 
     def test_rejects_bad_seed(self):
         with pytest.raises(DomainError):
-            McConfig(sigma2_w=1.0, p_max_w=1.0, n_samples=10, seed=-1)
+            McConfig(sigma2_w=1.0, clip_powers_w=(1.0,), n_samples=10, seed=-1)
         with pytest.raises(DomainError):
-            McConfig(sigma2_w=1.0, p_max_w=1.0, n_samples=10, seed=2 ** 64)
+            McConfig(sigma2_w=1.0, clip_powers_w=(1.0,), n_samples=10, seed=2 ** 64)
 
     def test_rejects_bad_ceiling(self):
         with pytest.raises(DomainError):
-            McConfig(sigma2_w=1.0, p_max_w=1.0, n_samples=10, seed=1,
+            McConfig(sigma2_w=1.0, clip_powers_w=(1.0,), n_samples=10, seed=1,
                      snr_max_linear=0.0)
