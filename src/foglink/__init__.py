@@ -10,7 +10,7 @@ from .chain import (
     DeploymentParams,
     PowerBreakdown,
     RadioParams,
-    breakeven_theta,
+    breakeven_at,
     coding_power,
     dac_power,
     duty_cycled_breakdown,
@@ -31,6 +31,7 @@ from .errors import (
 from .link import (
     LinkGeometry,
     MIN_DISTANCE_KM,
+    clip_power,
     noise_dbm,
     operating_point,
     path_gain_db,
@@ -58,11 +59,11 @@ __all__ = [
     "pa_consumed_power",
     # link
     "LinkGeometry", "MIN_DISTANCE_KM", "path_gain_db", "noise_dbm",
-    "required_sinr", "operating_point",
+    "required_sinr", "operating_point", "clip_power",
     # chain
     "RadioParams", "DeploymentParams", "PowerBreakdown", "local_power",
     "coding_power", "ofdm_power", "dac_power", "duty_cycled_breakdown",
-    "offload_power", "breakeven_theta",
+    "offload_power", "breakeven_at",
     # mc
     "McConfig", "McEstimate", "CHUNK_SAMPLES", "soft_limit", "run_mc",
     # config

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, require_int, require_positive
-from .link import LinkGeometry, operating_point
+from .link import LinkGeometry, clip_power, operating_point
 from .pa import PaOperatingPoint, pa_consumed_power
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "breakdown_at",
     "offload_power",
     "breakeven_at",
-    "breakeven_theta",
 ]
 
 
@@ -234,9 +233,9 @@ def link_geometry(radio: RadioParams, deploy: DeploymentParams) -> LinkGeometry:
 
 
 def breakdown_at(
-    radio: RadioParams, deploy: DeploymentParams, point: PaOperatingPoint
+    radio: RadioParams, deploy: DeploymentParams, point: PaOperatingPoint, p_max_w: float
 ) -> PowerBreakdown:
-    """Duty-cycled component powers with the amplifier at a sized ``point``."""
+    """Duty-cycled component powers, the amplifier at ``point`` clipping at ``p_max_w``."""
     return duty_cycled_breakdown(
         video_w=deploy.p_video_w,
         cod_w=coding_power(deploy.rate_bps, radio.psi_w_per_bps),
@@ -246,7 +245,7 @@ def breakdown_at(
         ),
         lo_w=radio.p_lo_w,
         mix_w=radio.p_mix_w,
-        pa_w=pa_consumed_power(point.p_max_w, point.ibo_linear),
+        pa_w=pa_consumed_power(p_max_w, point.ibo_linear),
         cameras=deploy.cameras,
     )
 
@@ -254,20 +253,15 @@ def breakdown_at(
 def offload_power(radio: RadioParams, deploy: DeploymentParams) -> PowerBreakdown:
     """Mean power one camera spends to offload its stream.
 
-    Solves the link for the amplifier operating point, evaluates every
+    Sizes the amplifier for the rate and the link, evaluates every
     component model and applies the duty-cycle accounting.
     """
-    return breakdown_at(radio, deploy, operating_point(link_geometry(radio, deploy)))
+    geometry = link_geometry(radio, deploy)
+    point = operating_point(geometry)
+    return breakdown_at(radio, deploy, point, clip_power(geometry, point.snr_max_linear))
 
 
 def breakeven_at(offload_w: float, deploy: DeploymentParams) -> float:
-    """theta* = Gamma * P_offload / R: the workload whose local power is ``offload_w``."""
+    """Workload complexity theta* = Gamma * P_offload / R (FLOP/bit) at which
+    local compute draws ``offload_w``; above it, offloading wins."""
     return deploy.gamma_flops_per_w * offload_w / deploy.rate_bps
-
-
-def breakeven_theta(radio: RadioParams, deploy: DeploymentParams) -> float:
-    """Workload complexity (FLOP/bit) at which local compute matches offload.
-
-    Above it, offloading wins.
-    """
-    return breakeven_at(offload_power(radio, deploy).total_w, deploy)

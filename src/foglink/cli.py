@@ -15,17 +15,17 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from . import pa
 from .chain import (
     DeploymentParams,
+    PowerBreakdown,
     RadioParams,
     breakdown_at,
     breakeven_at,
-    breakeven_theta,
     link_geometry,
     local_power,
     offload_power,
 )
 from .config import BANDWIDTH_PROFILES, dump_defaults, load_params
 from .errors import DomainError, FoglinkError, InfeasibleLinkError, NumericError
-from .link import noise_dbm, operating_point, path_gain_db, required_sinr
+from .link import clip_power, noise_dbm, operating_point, path_gain_db, required_sinr
 from .units import db_to_linear, linear_to_db, watts_to_dbm
 
 # Four curves shown in the distance sweeps: both channelizations at one
@@ -158,10 +158,7 @@ def sweep_fig4(
             try:
                 geometry = replace(base, bandwidth_hz=b, cameras=cameras)
                 sinr_db = linear_to_db(required_sinr(geometry))
-                snr_max = db_to_linear(pa.snr_max_for_sinr_db(sinr_db))
-                if snr_max > pa.MAX_SNR_CEILING:
-                    continue
-                point = pa.optimal_ibo(snr_max)
+                point = operating_point(geometry)
             except InfeasibleLinkError:
                 continue
             except FoglinkError as exc:
@@ -183,7 +180,7 @@ def _distance_sweep(
     start_km: float,
     stop_km: float,
     steps: int,
-    cells: Callable[[RadioParams, DeploymentParams], Dict],
+    cells: Callable[[DeploymentParams, PowerBreakdown], Dict],
 ) -> List[Dict]:
     """Rows of ``cells`` over log-spaced distances and the FIGURE_COMBOS."""
     distances = _grid("distance_km", start_km, stop_km, steps, log_spaced=True)
@@ -193,13 +190,24 @@ def _distance_sweep(
             profile_radios[profile] = replace(radio, **BANDWIDTH_PROFILES[profile])
         except FoglinkError as exc:
             raise _scenario_context(exc, bandwidth_profile=profile) from exc
+    # the amplifier point depends on the rate demand alone: one solve per combo
+    points = {}
+    for profile, cameras in FIGURE_COMBOS:
+        first = replace(deploy, cameras=cameras, distance_km=distances[0])
+        geometry = link_geometry(profile_radios[profile], first)
+        try:
+            points[profile, cameras] = operating_point(geometry)
+        except FoglinkError as exc:
+            raise _scenario_context(exc, bandwidth_profile=profile, cameras=cameras) from exc
     rows = []
     for d in distances:
         for profile, cameras in FIGURE_COMBOS:
-            combo_radio = profile_radios[profile]
+            combo_radio, point = profile_radios[profile], points[profile, cameras]
             try:
                 combo_deploy = replace(deploy, cameras=cameras, distance_km=d)
-                row = cells(combo_radio, combo_deploy)
+                geometry = link_geometry(combo_radio, combo_deploy)
+                p_max = clip_power(geometry, point.snr_max_linear)
+                row = cells(combo_deploy, breakdown_at(combo_radio, combo_deploy, point, p_max))
             except FoglinkError as exc:
                 raise _scenario_context(
                     exc, distance_km=d, bandwidth_profile=profile, cameras=cameras
@@ -222,8 +230,7 @@ _FIG5_CELLS = tuple(
 )
 
 
-def _fig5_cells(radio: RadioParams, deploy: DeploymentParams) -> Dict:
-    down = offload_power(radio, deploy)
+def _fig5_cells(deploy: DeploymentParams, down: PowerBreakdown) -> Dict:
     return {column: watts_to_dbm(getattr(down, field)) for column, field in _FIG5_CELLS}
 
 
@@ -248,7 +255,7 @@ def sweep_fig6(
     """Breakeven workload complexity versus distance."""
     return _distance_sweep(
         radio, deploy, start_km, stop_km, steps,
-        lambda radio, deploy: {"theta_star": breakeven_theta(radio, deploy)},
+        lambda deploy, down: {"theta_star": breakeven_at(down.total_w, deploy)},
     )
 
 
@@ -256,7 +263,8 @@ def link_power_row(radio: RadioParams, deploy: DeploymentParams) -> Dict:
     """Full diagnostic row for one scenario: channel, operating point, powers."""
     geometry = link_geometry(radio, deploy)
     point = operating_point(geometry)
-    down = breakdown_at(radio, deploy, point)
+    p_max = clip_power(geometry, point.snr_max_linear)
+    down = breakdown_at(radio, deploy, point, p_max)
     return {
         "distance_km": deploy.distance_km,
         "carrier_hz": deploy.carrier_hz,
@@ -265,12 +273,12 @@ def link_power_row(radio: RadioParams, deploy: DeploymentParams) -> Dict:
         "rate_bps": deploy.rate_bps,
         "path_gain_db": path_gain_db(geometry.distance_km, geometry.carrier_hz),
         "noise_dbm": noise_dbm(geometry.bandwidth_hz),
-        "p_max_w": point.p_max_w,
+        "p_max_w": p_max,
         "snr_max_db": linear_to_db(point.snr_max_linear),
         "ibo_db": linear_to_db(point.ibo_linear),
         "sinr_db": linear_to_db(point.sinr_linear),
         "alpha": point.alpha,
-        "sigma2_w": point.sigma2_w,
+        "sigma2_w": p_max / point.ibo_linear,
         "video_w": down.video_w,
         "cod_w": down.cod_w,
         "ofdm_w": down.ofdm_w,

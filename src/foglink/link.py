@@ -3,13 +3,14 @@
 The propagation model is the urban-macro path loss with a 15 dBi net
 antenna-gain term folded in, valid from 10 m outward; the noise floor is
 thermal noise plus a 5 dB receiver noise figure.  A scaled Shannon relation
-maps the stream rate to the SINR the link must deliver.  Inverting the affine
-SINR fit there gives the SNR ceiling, fixed by the rate demand alone; path
-gain and noise then turn it into the amplifier clipping power.
+maps the stream rate to the SINR the link must deliver.  Sizing has two
+parts: ``operating_point`` solves the amplifier at the SNR ceiling that the
+rate demand alone fixes, and ``clip_power`` turns that ceiling into the
+clipping power through the distance- and band-dependent path gain and noise.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import pa
 from .errors import DomainError, InfeasibleLinkError, require_int, require_positive
@@ -22,6 +23,7 @@ __all__ = [
     "noise_dbm",
     "required_sinr",
     "operating_point",
+    "clip_power",
 ]
 
 # Path-loss model validity floor; below ~10 m the urban-macro fit would
@@ -118,14 +120,12 @@ def required_sinr(geometry: LinkGeometry) -> float:
 
 
 def operating_point(geometry: LinkGeometry) -> pa.PaOperatingPoint:
-    """Fully sized amplifier operating point for a link scenario.
+    """SINR-optimal amplifier operating point for the rate a link must carry.
 
     The affine SINR fit, inverted at the required SINR, gives the SNR
-    ceiling, so the ceiling and the optimal back-off solved at it depend on
-    the rate demand alone.  Path gain and noise turn the ceiling into the
-    clipping power P_MAX = SNR_max * N / |h|^2 (InfeasibleLinkError when it
-    is zero or not finite), and sigma^2 = P_MAX / IBO.  A zero rate needs no
-    SINR and has no ceiling: DomainError.
+    ceiling and the optimal back-off is solved there, so the point depends on
+    the rate demand alone.  A zero rate has no ceiling (DomainError); one
+    above ``pa.MAX_SNR_CEILING`` cannot be solved (InfeasibleLinkError).
 
     The achieved SINR misses the required one by the fit's error, rated at
     0.5 dB for ceilings of -10 to 50 dB only.  At d = 0.02 km, achieved minus
@@ -133,8 +133,6 @@ def operating_point(geometry: LinkGeometry) -> pa.PaOperatingPoint:
     latter at a 62.4 dB ceiling, outside the rating), and +0.49 and -0.33 dB
     at 18 MHz: with 10 cameras there the link falls short of its rate.
     """
-    gain_db = path_gain_db(geometry.distance_km, geometry.carrier_hz)
-    noise_level_dbm = noise_dbm(geometry.bandwidth_hz)
     sinr = required_sinr(geometry)
     if sinr == 0.0:
         raise DomainError(
@@ -142,13 +140,27 @@ def operating_point(geometry: LinkGeometry) -> pa.PaOperatingPoint:
             f"ceiling to size the clipping power at in {geometry}"
         )
     snr_max = db_to_linear(pa.snr_max_for_sinr_db(linear_to_db(sinr)))
+    if snr_max > pa.MAX_SNR_CEILING:
+        raise InfeasibleLinkError(
+            f"rate_bps = {geometry.rate_bps!r} with cameras = {geometry.cameras}, "
+            f"beta = {geometry.beta!r} and bandwidth_hz = {geometry.bandwidth_hz!r} "
+            f"needs an SNR ceiling of {linear_to_db(snr_max):.6g} dB, above the "
+            f"{linear_to_db(pa.MAX_SNR_CEILING):.6g} dB the back-off solve accepts"
+        )
+    return pa.optimal_ibo(snr_max)
+
+
+def clip_power(geometry: LinkGeometry, snr_max_linear: float) -> float:
+    """Clipping power P_MAX = SNR_max * N / |h|^2 in watts that puts the link
+    at SNR ceiling ``snr_max_linear``; InfeasibleLinkError if 0 or not finite."""
+    gain_db = path_gain_db(geometry.distance_km, geometry.carrier_hz)
+    noise_level_dbm = noise_dbm(geometry.bandwidth_hz)
     noise_w = dbm_to_watts(noise_level_dbm)
     gain_linear = db_to_linear(gain_db)
-    p_max = noise_w / gain_linear * snr_max if gain_linear > 0.0 else math.inf
+    p_max = noise_w / gain_linear * snr_max_linear if gain_linear > 0.0 else math.inf
     if not 0.0 < p_max < math.inf:
         raise InfeasibleLinkError(
             f"clipping power {p_max!r} W is not representable for path gain "
             f"{gain_db:.6g} dB and noise {noise_level_dbm:.6g} dBm in {geometry}"
         )
-    point = pa.optimal_ibo(snr_max)
-    return replace(point, p_max_w=p_max, sigma2_w=p_max / point.ibo_linear)
+    return p_max

@@ -229,16 +229,17 @@ def _estimate(config: McConfig, p_max: float, sums: np.ndarray) -> McEstimate:
         noise_w = p_max / config.snr_max_linear
         sinr_hat = alpha_hat * alpha_hat * sigma2 / (distortion + noise_w)
 
+    # Python floats, not numpy scalars, so messages print plain numbers
     return McEstimate(
-        alpha_hat=alpha_hat,
-        distortion_power_hat=distortion,
-        pa_power_hat=pa_power_hat,
-        sinr_hat=sinr_hat,
-        stderr_alpha=stderr_alpha,
-        stderr_distortion=stderr_distortion,
-        stderr_pa=stderr_pa,
-        input_amp_hat=input_amp_hat,
-        stderr_input_amp=stderr_input_amp,
+        alpha_hat=float(alpha_hat),
+        distortion_power_hat=float(distortion),
+        pa_power_hat=float(pa_power_hat),
+        sinr_hat=None if sinr_hat is None else float(sinr_hat),
+        stderr_alpha=float(stderr_alpha),
+        stderr_distortion=float(stderr_distortion),
+        stderr_pa=float(stderr_pa),
+        input_amp_hat=float(input_amp_hat),
+        stderr_input_amp=float(stderr_input_amp),
         n_samples=n,
         seed=config.seed,
     )

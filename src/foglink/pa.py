@@ -12,7 +12,6 @@ name carries ``_db`` accept or return decibels.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import BracketError, ConvergenceError, DomainError
 
@@ -53,22 +52,19 @@ SINR_APPROX_OFFSET_DB = -2.23
 
 @dataclass(frozen=True)
 class PaOperatingPoint:
-    """A solved amplifier operating point.
+    """A solved amplifier operating point, in ratios only.
 
     ``ibo_linear`` is the ratio of clipping power to mean input power,
     ``alpha`` the Bussgang gain, ``sinr_linear`` the achieved SINR and
-    ``snr_max_linear`` the no-distortion SNR ceiling.  ``p_max_w`` and
-    ``sigma2_w`` stay ``None`` until a link budget sizes the absolute
-    power levels; when both are set they must be consistent with the
-    back-off ratio.
+    ``snr_max_linear`` the no-distortion SNR ceiling.  The absolute power
+    levels follow from a link budget: ``link.clip_power`` gives the clipping
+    power, and the mean input power is that over ``ibo_linear``.
     """
 
     ibo_linear: float
     alpha: float
     sinr_linear: float
     snr_max_linear: float
-    p_max_w: Optional[float] = None
-    sigma2_w: Optional[float] = None
 
     def __post_init__(self):
         if not self.ibo_linear > 0.0:
@@ -80,19 +76,6 @@ class PaOperatingPoint:
                 f"sinr_linear must lie in (0, snr_max_linear), got "
                 f"{self.sinr_linear!r} with ceiling {self.snr_max_linear!r}"
             )
-        if (self.p_max_w is None) != (self.sigma2_w is None):
-            raise DomainError("p_max_w and sigma2_w must be set together")
-        if self.p_max_w is not None:
-            if self.p_max_w < 0.0 or not self.sigma2_w > 0.0:
-                raise DomainError(
-                    f"need p_max_w >= 0 and sigma2_w > 0, got "
-                    f"{self.p_max_w!r}, {self.sigma2_w!r}"
-                )
-            if abs(self.p_max_w - self.ibo_linear * self.sigma2_w) > 1e-12 * self.p_max_w:
-                raise DomainError(
-                    f"inconsistent powers: p_max_w = {self.p_max_w!r} but "
-                    f"ibo_linear * sigma2_w = {self.ibo_linear * self.sigma2_w!r}"
-                )
 
 
 def bussgang_alpha(ibo_linear: float) -> float:
@@ -166,8 +149,7 @@ def optimal_ibo(snr_max_linear: float) -> PaOperatingPoint:
     inside a shrinking sign-change bracket, with a bisection step whenever
     a Newton step would leave it (the condition is strictly decreasing in
     z, so the root is unique).  The returned operating point carries the
-    optimal back-off, the Bussgang gain and the achieved SINR; absolute
-    power levels are left unset.
+    optimal back-off, the Bussgang gain and the achieved SINR.
 
     Raises DomainError for a ceiling outside [MIN_SNR_CEILING,
     MAX_SNR_CEILING], BracketError when IBO_BRACKET holds no sign change, and

@@ -20,21 +20,20 @@ import numpy as np
 from foglink import (
     LinkGeometry,
     McConfig,
+    breakeven_at,
     bussgang_alpha,
-    breakeven_theta,
     db_to_linear,
     linear_to_db,
     load_params,
     local_power,
     offload_power,
+    operating_point,
     optimal_ibo,
     optimal_ibo_residual,
     pa_consumed_power,
-    required_sinr,
     run_mc,
     sinr_approx_db,
     sinr_of_ibo,
-    snr_max_for_sinr_db,
     watts_to_dbm,
 )
 import foglink.cli as cli
@@ -128,9 +127,7 @@ def test_criterion_3_backoff_sign_vs_bandwidth():
             rate_bps=6e6,
             beta=0.4,
         )
-        sinr_db = linear_to_db(required_sinr(geometry))
-        point = optimal_ibo(db_to_linear(snr_max_for_sinr_db(sinr_db)))
-        return linear_to_db(point.ibo_linear)
+        return linear_to_db(operating_point(geometry).ibo_linear)
 
     negative = [backoff_db(b * 1e6) for b in range(8, 19)]
     positive = [backoff_db(b * 1e6) for b in range(1, 7)]
@@ -181,10 +178,9 @@ def test_criterion_5_breakeven_complexities():
     radio, deploy = load_params()
 
     def theta(profile, cameras, distance_km):
-        return breakeven_theta(
-            replace(radio, **BANDWIDTH_PROFILES[profile]),
-            replace(deploy, cameras=cameras, distance_km=distance_km),
-        )
+        scenario = replace(deploy, cameras=cameras, distance_km=distance_km)
+        down = offload_power(replace(radio, **BANDWIDTH_PROFILES[profile]), scenario)
+        return breakeven_at(down.total_w, scenario)
 
     cases = [
         ("18mhz", 1, 0.02, 320.0),
@@ -272,7 +268,7 @@ def test_criterion_7_round_trip_invariants():
         parts = (down.video_w + down.cod_w + down.ofdm_w + down.dac_w
                  + down.lo_w + down.mix_w + down.pa_w)
         assert abs(parts - down.total_w) <= 1e-12 * down.total_w
-        theta = breakeven_theta(radio, deploy)
+        theta = breakeven_at(down.total_w, deploy)
         local = local_power(theta, deploy.rate_bps, deploy.gamma_flops_per_w)
         worst_rel = max(worst_rel, abs(local - down.total_w) / down.total_w)
     ok = worst_rel <= 1e-9

@@ -11,7 +11,6 @@ from foglink import (
     InfeasibleLinkError,
     PowerBreakdown,
     RadioParams,
-    breakeven_theta,
     coding_power,
     dac_power,
     duty_cycled_breakdown,
@@ -23,7 +22,7 @@ from foglink import (
 )
 from foglink.chain import MAX_DAC_BITS, breakdown_at, breakeven_at, link_geometry
 from foglink.config import BANDWIDTH_PROFILES
-from foglink.link import operating_point
+from foglink.link import clip_power, operating_point
 
 RADIO, DEPLOY = load_params()
 
@@ -32,6 +31,10 @@ def scenario(profile="18mhz", cameras=1, distance_km=0.02):
     radio = replace(RADIO, **BANDWIDTH_PROFILES[profile])
     deploy = replace(DEPLOY, cameras=cameras, distance_km=distance_km)
     return radio, deploy
+
+
+def theta_star(radio, deploy):
+    return breakeven_at(offload_power(radio, deploy).total_w, deploy)
 
 
 class TestLocalPower:
@@ -152,8 +155,10 @@ class TestOffloadPower:
 
     def test_is_the_breakdown_at_the_solved_link(self):
         radio, deploy = scenario("9mhz", 10, 0.5)
-        point = operating_point(link_geometry(radio, deploy))
-        assert offload_power(radio, deploy) == breakdown_at(radio, deploy, point)
+        geometry = link_geometry(radio, deploy)
+        point = operating_point(geometry)
+        p_max = clip_power(geometry, point.snr_max_linear)
+        assert offload_power(radio, deploy) == breakdown_at(radio, deploy, point, p_max)
 
     def test_huge_fleet_is_infeasible(self):
         # a million cameras sharing 18 MHz would need SINR 2^833333; the
@@ -184,14 +189,14 @@ class TestBreakevenTheta:
         ],
     )
     def test_reported_operating_points(self, profile, cameras, distance, reported):
-        value = breakeven_theta(*scenario(profile, cameras, distance))
+        value = theta_star(*scenario(profile, cameras, distance))
         assert abs(value - reported) / reported <= 0.05
 
     def test_round_trip_with_local_power(self):
         for profile in ("9mhz", "18mhz"):
             for cameras in (1, 4, 10):
                 radio, deploy = scenario(profile, cameras, 0.3)
-                theta = breakeven_theta(radio, deploy)
+                theta = theta_star(radio, deploy)
                 local = local_power(theta, deploy.rate_bps, deploy.gamma_flops_per_w)
                 total = offload_power(radio, deploy).total_w
                 assert abs(local - total) <= 1e-9 * total
@@ -199,15 +204,17 @@ class TestBreakevenTheta:
     def test_is_breakeven_at_the_offload_power(self):
         radio, deploy = scenario("18mhz", 10, 0.3)
         total = offload_power(radio, deploy).total_w
-        assert breakeven_theta(radio, deploy) == breakeven_at(total, deploy)
+        # theta* = Gamma * P_offload / R, evaluated in that order
+        expected = deploy.gamma_flops_per_w * total / deploy.rate_bps
+        assert breakeven_at(total, deploy) == expected
 
     def test_fleet_sharing_helps_only_near_the_node(self):
         for d in (0.02, 0.05, 0.1):
-            one = breakeven_theta(*scenario("18mhz", 1, d))
-            ten = breakeven_theta(*scenario("18mhz", 10, d))
+            one = theta_star(*scenario("18mhz", 1, d))
+            ten = theta_star(*scenario("18mhz", 10, d))
             assert ten < one
-        far_one = breakeven_theta(*scenario("18mhz", 1, 1.0))
-        far_ten = breakeven_theta(*scenario("18mhz", 10, 1.0))
+        far_one = theta_star(*scenario("18mhz", 1, 1.0))
+        far_ten = theta_star(*scenario("18mhz", 10, 1.0))
         assert far_ten > far_one
 
 

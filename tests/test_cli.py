@@ -2,12 +2,18 @@
 
 import json
 import math
+import re
+from dataclasses import replace
 
 import pytest
 
 import foglink.cli as cli
-from foglink import DomainError, load_params, watts_to_dbm
-from foglink.chain import breakeven_theta
+from foglink import DomainError, InfeasibleLinkError, load_params, watts_to_dbm
+from foglink.chain import breakeven_at, offload_power
+from foglink.config import BANDWIDTH_PROFILES
+from foglink.link import LinkGeometry, required_sinr
+from foglink.pa import MAX_SNR_CEILING, snr_max_for_sinr_db
+from foglink.units import db_to_linear, linear_to_db
 
 
 def run_cli(args, capsys=None):
@@ -151,6 +157,22 @@ class TestFig5:
         # more than half the total budget
         assert row["pa_dbm"] > row["total_dbm"] - 3.01
 
+    def test_rows_equal_library_offload_power(self, tmp_path):
+        # one back-off solve per curve gives every row the per-scenario value
+        path = tmp_path / "params.json"
+        path.write_text('{"rate_bps": 1e7, "carrier_hz": 2.6e9}', encoding="utf-8")
+        radio, deploy = load_params(str(path))
+        rows = cli.sweep_fig5(radio, deploy)
+        assert len(rows) == 4 * 50
+        for row in rows:
+            profile = "9mhz" if row["bandwidth_hz"] == 9e6 else "18mhz"
+            down = offload_power(
+                replace(radio, **BANDWIDTH_PROFILES[profile]),
+                replace(deploy, cameras=row["cameras"], distance_km=row["distance_km"]),
+            )
+            for column, field in cli._FIG5_CELLS:
+                assert row[column] == watts_to_dbm(getattr(down, field))
+
 
 class TestFig6:
     def test_matches_library_breakeven(self, capsys):
@@ -162,19 +184,14 @@ class TestFig6:
         assert header == cli.FIG6_COLUMNS
         assert len(rows) == 8
         radio, deploy = load_params()
-        from dataclasses import replace
-        from foglink.config import BANDWIDTH_PROFILES
 
         for row in rows:
             profile = "9mhz" if row["bandwidth_hz"] == 9e6 else "18mhz"
-            expected = breakeven_theta(
-                replace(radio, **BANDWIDTH_PROFILES[profile]),
-                replace(
-                    deploy,
-                    cameras=int(row["cameras"]),
-                    distance_km=row["distance_km"],
-                ),
+            scenario = replace(
+                deploy, cameras=int(row["cameras"]), distance_km=row["distance_km"]
             )
+            down = offload_power(replace(radio, **BANDWIDTH_PROFILES[profile]), scenario)
+            expected = breakeven_at(down.total_w, scenario)
             # CSV cells carry 9 significant digits
             assert abs(row["theta_star"] - expected) <= 1e-8 * expected
 
@@ -277,6 +294,19 @@ class TestMcVerify:
         assert "alpha" in err
         _, rows = parse_csv(out)
         assert all(row["status"] == "fail" for row in rows)
+
+    def test_failure_lines_print_plain_floats(self, capsys):
+        # at 300 dB nothing clips, and 1000 samples miss the zero distortion
+        code, _, err = run_cli(["mc-verify", "--ibo-db=300", "--samples", "1000"], capsys)
+        assert code == 1
+        assert err and "np." not in err
+        line = re.compile(
+            r"mc-verify: ibo_db=300: \w+ estimate (\S+) deviates from analytic (\S+) "
+            r"by more than (\S+)"
+        )
+        for failure in err.splitlines():
+            numbers = line.fullmatch(failure).groups()
+            assert all(math.isfinite(float(number)) for number in numbers)
 
     def test_bad_backoff_list(self, capsys):
         code, _, err = run_cli(["mc-verify", "--ibo-db", "a,b"], capsys)
@@ -392,6 +422,50 @@ class TestErrorExits:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert named in err
 
+    @pytest.mark.parametrize("command", ["link-power", "breakeven"])
+    def test_ceiling_above_the_solvable_range_names_rate_bps(self, capsys, tmp_path, command):
+        # rate exponent 50: the SINR is representable, its 181.8 dB ceiling
+        # is above MAX_SNR_CEILING
+        path = tmp_path / "params.json"
+        path.write_text('{"rate_bps": 3.6e8}', encoding="utf-8")
+        code, out, err = run_cli([command, "--config", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "rate_bps = 360000000.0" in err and "181.839 dB" in err
+
+    @pytest.mark.parametrize("command", ["fig5", "fig6"])
+    def test_ceiling_above_the_solvable_range_names_the_combo(self, capsys, tmp_path, command):
+        # 9 MHz shared by ten cameras is above the cap at any distance, so
+        # the line names the curve and no distance
+        path = tmp_path / "params.json"
+        path.write_text('{"rate_bps": 2e7}', encoding="utf-8")
+        code, out, err = run_cli([command, "--config", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "rate_bps = 20000000.0" in err
+        assert "[scenario: bandwidth_profile='9mhz', cameras=10]" in err
+        assert "distance_km" not in err
+
+    def test_ceiling_above_the_solvable_range_is_omitted_from_fig4(self, capsys, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_text('{"rate_bps": 2e7}', encoding="utf-8")
+        code, out, err = run_cli(["fig4", "--config", str(path)], capsys)
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        kept = {(row["bandwidth_hz"], row["cameras"]) for row in rows}
+        solvable = set()
+        for b in cli._grid("bandwidth_hz", 1e6, 20e6, 39):
+            for cameras in cli.FIGURE_CAMERA_COUNTS:
+                geometry = LinkGeometry(0.02, 3.5e9, b, cameras, 2e7, 0.4)
+                try:
+                    sinr_db = linear_to_db(required_sinr(geometry))
+                except InfeasibleLinkError:  # the rate exponent overflows
+                    continue
+                if db_to_linear(snr_max_for_sinr_db(sinr_db)) <= MAX_SNR_CEILING:
+                    solvable.add((b, cameras))
+        assert kept == solvable
+        assert len(solvable) < 2 * 39  # the curve loses points, not the run
+
     @pytest.mark.parametrize("command", ["fig5", "fig6"])
     def test_invalid_profile_radio_names_key_and_profile(self, capsys, tmp_path, command):
         # valid as given, but the 9 MHz profile's sample rate makes n_ofdm 512
@@ -404,25 +478,30 @@ class TestErrorExits:
 
 
 class TestSolveCounts:
-    def test_link_power_solves_the_operating_point_once(self, capsys, monkeypatch):
-        import foglink.link
+    @staticmethod
+    def solves(args, capsys, monkeypatch):
         import foglink.pa
 
-        calls = {"optimal_ibo": 0}
+        calls = []
+        original = foglink.pa.optimal_ibo
 
-        def counted(module, name):
-            original = getattr(module, name)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        counted(foglink.pa, "optimal_ibo")
-        code, _, _ = run_cli(["link-power"], capsys)
+        monkeypatch.setattr(foglink.pa, "optimal_ibo", counted)
+        code, _, _ = run_cli(args, capsys)
         assert code == 0
-        assert calls == {"optimal_ibo": 1}
+        return len(calls)
+
+    def test_link_power_solves_the_operating_point_once(self, capsys, monkeypatch):
+        assert self.solves(["link-power"], capsys, monkeypatch) == 1
+
+    @pytest.mark.parametrize("steps", [50, 1961])
+    @pytest.mark.parametrize("command", ["fig5", "fig6"])
+    def test_distance_sweeps_solve_once_per_curve(self, capsys, monkeypatch, command, steps):
+        args = [command, "--steps", str(steps)]
+        assert self.solves(args, capsys, monkeypatch) == len(cli.FIGURE_COMBOS) == 4
 
 
 @pytest.mark.parametrize("steps", [40, 400, 781, 1561])

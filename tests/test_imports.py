@@ -22,10 +22,10 @@ EXPORTS = [
     "optimal_ibo_residual", "sinr_approx_db", "snr_max_for_sinr_db",
     "pa_consumed_power",
     "LinkGeometry", "MIN_DISTANCE_KM", "path_gain_db", "noise_dbm",
-    "required_sinr", "operating_point",
+    "required_sinr", "operating_point", "clip_power",
     "RadioParams", "DeploymentParams", "PowerBreakdown", "local_power",
     "coding_power", "ofdm_power", "dac_power", "duty_cycled_breakdown",
-    "offload_power", "breakeven_theta",
+    "offload_power", "breakeven_at",
     "McConfig", "McEstimate", "CHUNK_SAMPLES", "soft_limit", "run_mc",
     "load_params", "dump_defaults",
     "db_to_linear", "linear_to_db", "dbm_to_watts", "watts_to_dbm",

@@ -11,6 +11,7 @@ from foglink import (
     InfeasibleLinkError,
     LinkGeometry,
     MIN_DISTANCE_KM,
+    clip_power,
     db_to_linear,
     dbm_to_watts,
     linear_to_db,
@@ -24,6 +25,7 @@ from foglink import (
 )
 from foglink.chain import link_geometry
 from foglink.cli import FIGURE_COMBOS
+from foglink.pa import MAX_SNR_CEILING
 
 
 def geometry(distance_km=0.02, carrier_hz=3.5e9, bandwidth_hz=18e6, cameras=1,
@@ -36,6 +38,11 @@ def geometry(distance_km=0.02, carrier_hz=3.5e9, bandwidth_hz=18e6, cameras=1,
         rate_bps=rate_bps,
         beta=beta,
     )
+
+
+def p_max_of(geo):
+    """The clipping power of ``geo`` at the ceiling its rate demand fixes."""
+    return clip_power(geo, operating_point(geo).snr_max_linear)
 
 
 class TestPathGain:
@@ -125,7 +132,7 @@ class TestRequiredSinr:
 
 
 class TestRequiredPMax:
-    """The clipping power the sized operating point carries."""
+    """The clipping power at the ceiling the rate demand fixes."""
 
     def test_hand_chain(self):
         # spreadsheet-style chain, recomputed inline from scratch
@@ -138,7 +145,7 @@ class TestRequiredPMax:
             / 10.0 ** (gain / 10.0)
             * 10.0 ** (math.log10(sinr) / 0.84 + 2.23 / 8.4)
         )
-        value = operating_point(geometry(distance_km=d)).p_max_w
+        value = p_max_of(geometry(distance_km=d))
         assert abs(value - oracle) <= 1e-12 * oracle
         # frozen output of the same chain
         assert abs(value - 0.20599649843480475) <= 1e-12
@@ -147,7 +154,7 @@ class TestRequiredPMax:
     def test_unrepresentable_power_names_geometry(self, distance_km, carrier_hz):
         geo = geometry(distance_km=distance_km, carrier_hz=carrier_hz)
         with pytest.raises(InfeasibleLinkError, match="distance_km=.*carrier_hz="):
-            operating_point(geo)
+            p_max_of(geo)
 
     def test_zero_rate_has_no_operating_point(self):
         # a zero rate needs no SINR, so there is no ceiling to solve at
@@ -159,16 +166,16 @@ class TestRequiredPMax:
 
     def test_linear_in_inverse_gain(self):
         # 0.1 km -> 1 km lowers the path gain by exactly 37.6 dB
-        near = operating_point(geometry(distance_km=0.1)).p_max_w
-        far = operating_point(geometry(distance_km=1.0)).p_max_w
+        near = p_max_of(geometry(distance_km=0.1))
+        far = p_max_of(geometry(distance_km=1.0))
         assert abs(far - near * 10.0 ** 3.76) <= 1e-12 * far
 
     def test_monotonicities(self):
         def p_max(**kwargs):
-            return operating_point(geometry(distance_km=0.1, **kwargs)).p_max_w
+            return p_max_of(geometry(distance_km=0.1, **kwargs))
 
         base = p_max()
-        assert operating_point(geometry(distance_km=0.2)).p_max_w > base  # farther
+        assert p_max_of(geometry(distance_km=0.2)) > base  # farther
         assert p_max(cameras=2) > base
         assert p_max(rate_bps=8e6) > base
         assert p_max(bandwidth_hz=9e6) > base  # narrower band
@@ -179,7 +186,7 @@ class TestOperatingPoint:
         geo = geometry()
         point = operating_point(geo)
         # frozen from the sizing chain at d = 0.02 km, B = 18 MHz, M = 1
-        assert abs(point.p_max_w - 8.428157094110426e-08) <= 1e-20
+        assert abs(clip_power(geo, point.snr_max_linear) - 8.428157094110426e-08) <= 1e-20
         assert abs(point.ibo_linear - 0.2927818127313304) <= 1e-10
         assert abs(point.snr_max_linear - 1.3746984116346934) <= 1e-12
         assert point.ibo_linear < 1.0  # below 0 dB in this regime
@@ -199,7 +206,7 @@ class TestOperatingPoint:
         assert point.snr_max_linear == db_to_linear(
             snr_max_for_sinr_db(linear_to_db(required_sinr(geo)))
         )
-        assert point.p_max_w == (
+        assert clip_power(geo, point.snr_max_linear) == (
             dbm_to_watts(noise_dbm(geo.bandwidth_hz))
             / db_to_linear(path_gain_db(geo.distance_km, geo.carrier_hz))
             * point.snr_max_linear
@@ -220,10 +227,33 @@ class TestOperatingPoint:
         }
         assert len(points) == 1
 
-    def test_sigma2_consistency(self):
-        point = operating_point(geometry())
-        assert abs(point.p_max_w - point.ibo_linear * point.sigma2_w) \
-            <= 1e-12 * point.p_max_w
+    @pytest.mark.parametrize("cameras, rate_bps", [(1, 3.6e8), (10, 3.6e7)])
+    def test_ceiling_above_the_solvable_range_names_the_rate(self, cameras, rate_bps):
+        # rate exponent 50 (and 50 again for ten cameras): the SINR is
+        # representable, but the 181.8 dB ceiling is above MAX_SNR_CEILING
+        geo = geometry(cameras=cameras, rate_bps=rate_bps)
+        with pytest.raises(InfeasibleLinkError) as refused:
+            operating_point(geo)
+        message = str(refused.value)
+        assert f"rate_bps = {rate_bps!r} with cameras = {cameras}," in message
+        assert "181.839 dB, above the 156.5 dB" in message
+        assert "distance_km" not in message
+
+    def test_ceiling_at_the_cap_is_solved(self):
+        # a link sized just below the cap solves; just above it is refused
+        below = geometry(bandwidth_hz=3.5e6, cameras=10)
+        assert operating_point(below).snr_max_linear <= MAX_SNR_CEILING
+        with pytest.raises(InfeasibleLinkError):
+            operating_point(geometry(bandwidth_hz=3.4e6, cameras=10))
+
+    def test_clip_power_does_not_depend_on_the_rate(self):
+        # path gain and noise only: the same ceiling gives the same power
+        snr_max = 123.0
+        powers = {
+            clip_power(geometry(distance_km=0.3, rate_bps=r, cameras=m), snr_max)
+            for r in (1e5, 6e6, 2e7) for m in (1, 10)
+        }
+        assert len(powers) == 1
 
     @pytest.mark.parametrize("bandwidth,cameras", [(9e6, 1), (9e6, 10), (18e6, 1), (18e6, 10)])
     @pytest.mark.parametrize("distance", [0.02, 1.0])

@@ -1,5 +1,6 @@
 """Amplifier model: Bussgang gain, SINR curve, optimal back-off, supply power."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -268,37 +269,10 @@ class TestPaConsumedPower:
 
 
 class TestPaOperatingPoint:
-    def test_consistent_powers_accepted(self):
-        point = PaOperatingPoint(
-            ibo_linear=2.0,
-            alpha=0.9,
-            sinr_linear=10.0,
-            snr_max_linear=100.0,
-            p_max_w=4.0,
-            sigma2_w=2.0,
-        )
-        assert point.p_max_w == point.ibo_linear * point.sigma2_w
-
-    def test_inconsistent_powers_rejected(self):
-        with pytest.raises(DomainError):
-            PaOperatingPoint(
-                ibo_linear=2.0,
-                alpha=0.9,
-                sinr_linear=10.0,
-                snr_max_linear=100.0,
-                p_max_w=4.1,
-                sigma2_w=2.0,
-            )
-
-    def test_power_fields_must_pair(self):
-        with pytest.raises(DomainError):
-            PaOperatingPoint(
-                ibo_linear=2.0,
-                alpha=0.9,
-                sinr_linear=10.0,
-                snr_max_linear=100.0,
-                p_max_w=4.0,
-            )
+    def test_carries_ratios_only(self):
+        # absolute powers come from the link budget, not from the point
+        names = [field.name for field in dataclasses.fields(PaOperatingPoint)]
+        assert names == ["ibo_linear", "alpha", "sinr_linear", "snr_max_linear"]
 
     def test_sinr_below_ceiling_enforced(self):
         with pytest.raises(DomainError):
