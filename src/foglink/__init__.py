@@ -11,12 +11,8 @@ from .chain import (
     PowerBreakdown,
     RadioParams,
     breakeven_at,
-    coding_power,
-    dac_power,
-    duty_cycled_breakdown,
     local_power,
     offload_power,
-    ofdm_power,
 )
 from .config import dump_defaults, load_params
 from .errors import (
@@ -62,7 +58,6 @@ __all__ = [
     "required_sinr", "operating_point", "clip_power",
     # chain
     "RadioParams", "DeploymentParams", "PowerBreakdown", "local_power",
-    "coding_power", "ofdm_power", "dac_power", "duty_cycled_breakdown",
     "offload_power", "breakeven_at",
     # mc
     "McConfig", "McEstimate", "CHUNK_SAMPLES", "soft_limit", "run_mc",

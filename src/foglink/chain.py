@@ -1,9 +1,10 @@
-"""Transmitter component power models and the local-vs-offload comparison.
+"""Transmitter power model and the local-vs-offload comparison.
 
-Per-component draws (video coder, redundancy coding, OFDM modulator, DACs,
-local oscillator, mixers, power amplifier) are aggregated into the mean
-offload power of one camera under TDMA duty cycling, and compared against
-the power of running the analytics workload on the device itself.
+``breakdown_at`` holds the per-component draws (video coder, redundancy
+coding, OFDM modulator, DACs, local oscillator, mixers, power amplifier)
+and their TDMA duty cycling, giving the mean offload power of one camera;
+``breakeven_at`` compares it against the power of running the analytics
+workload on the device itself.
 """
 
 import math
@@ -18,10 +19,6 @@ __all__ = [
     "DeploymentParams",
     "PowerBreakdown",
     "local_power",
-    "coding_power",
-    "ofdm_power",
-    "dac_power",
-    "duty_cycled_breakdown",
     "link_geometry",
     "breakdown_at",
     "offload_power",
@@ -33,17 +30,12 @@ __all__ = [
 MAX_DAC_BITS = 1023
 
 
-def _require_transform_size(n_ofdm) -> None:
-    if not (isinstance(n_ofdm, int) and n_ofdm >= 2 and n_ofdm & (n_ofdm - 1) == 0):
-        raise DomainError(f"n_ofdm must be a power of two >= 2, got {n_ofdm!r}")
-
-
 @dataclass(frozen=True)
 class RadioParams:
     """Front-end constants of the transmit chain.
 
-    The OFDM transform size is tied to the converter rate by
-    n_ofdm = sample_rate_hz / delta_f_hz exactly, and the converters run
+    The OFDM transform size is a power of two tied to the converter rate
+    by n_ofdm = sample_rate_hz / delta_f_hz exactly, and the converters run
     faster than the useful band (sample_rate_hz > bandwidth_hz).
     """
 
@@ -78,7 +70,9 @@ class RadioParams:
         require_int("dac_bits", self.dac_bits, 1, MAX_DAC_BITS)
         if not 0.0 < self.beta <= 1.0:
             raise DomainError(f"beta must lie in (0, 1], got {self.beta!r}")
-        _require_transform_size(self.n_ofdm)
+        n = self.n_ofdm
+        if not (isinstance(n, int) and n >= 2 and n & (n - 1) == 0):
+            raise DomainError(f"n_ofdm must be a power of two >= 2, got {n!r}")
         if self.n_ofdm != self.sample_rate_hz / self.delta_f_hz:
             raise DomainError(
                 f"n_ofdm = {self.n_ofdm!r} must equal sample_rate_hz / delta_f_hz "
@@ -155,71 +149,6 @@ def local_power(theta_flop_per_bit: float, rate_bps: float, gamma_flops_per_w: f
     return theta_flop_per_bit * rate_bps / gamma_flops_per_w
 
 
-def coding_power(rate_bps: float, psi_w_per_bps: float) -> float:
-    """Redundancy-coding power, proportional to the bitrate: R * psi."""
-    if rate_bps < 0.0:
-        raise DomainError(f"rate_bps must be non-negative, got {rate_bps!r}")
-    require_positive(psi_w_per_bps=psi_w_per_bps)
-    return rate_bps * psi_w_per_bps
-
-
-def ofdm_power(n_ofdm: int, delta_f_hz: float, gamma_mod_flops_per_w: float) -> float:
-    """OFDM modulator power, dominated by the inverse FFT.
-
-    The transform costs 4*N*log2(N) - 6*N + 8 operations per symbol of
-    duration 1/delta_f, mapped to watts through the modem efficiency.
-    N must be a power of two for the operation count to apply.
-    """
-    _require_transform_size(n_ofdm)
-    require_positive(delta_f_hz=delta_f_hz, gamma_mod_flops_per_w=gamma_mod_flops_per_w)
-    flop_per_symbol = 4.0 * n_ofdm * math.log2(n_ofdm) - 6.0 * n_ofdm + 8.0
-    return flop_per_symbol * delta_f_hz / gamma_mod_flops_per_w
-
-
-def dac_power(bits: int, v_dd: float, i_0_a: float, c_p_f: float, sample_rate_hz: float) -> float:
-    """Converter power: static current-steering term plus dynamic term.
-
-    P = V_dd * I_0 * (2^bits - 1) + 0.5 * bits * C_p * f_s * V_dd^2
-    """
-    require_int("bits", bits, 1, MAX_DAC_BITS)
-    require_positive(v_dd=v_dd, i_0_a=i_0_a, sample_rate_hz=sample_rate_hz)
-    if c_p_f < 0.0:
-        raise DomainError(f"c_p_f must be non-negative, got {c_p_f!r}")
-    static = v_dd * i_0_a * (2.0 ** bits - 1.0)
-    dynamic = 0.5 * bits * c_p_f * sample_rate_hz * v_dd * v_dd
-    return static + dynamic
-
-
-def duty_cycled_breakdown(
-    video_w: float,
-    cod_w: float,
-    ofdm_w: float,
-    dac_w: float,
-    lo_w: float,
-    mix_w: float,
-    pa_w: float,
-    cameras: int,
-) -> PowerBreakdown:
-    """Aggregate raw per-device component draws under TDMA duty cycling.
-
-    The modulator, the two DACs, the two mixers and the amplifier are
-    active only during the camera's 1/M slot; video compression, coding
-    and the local oscillator stay on continuously.
-    """
-    require_int("cameras", cameras)
-    m = float(cameras)
-    parts = dict(
-        video_w=video_w,
-        cod_w=cod_w,
-        ofdm_w=ofdm_w / m,
-        dac_w=2.0 * dac_w / m,
-        lo_w=lo_w,
-        mix_w=2.0 * mix_w / m,
-        pa_w=pa_w / m,
-    )
-    return PowerBreakdown(total_w=sum(parts.values()), **parts)
-
-
 def link_geometry(radio: RadioParams, deploy: DeploymentParams) -> LinkGeometry:
     """The uplink a scenario asks for: its distance, band, fleet and rate."""
     return LinkGeometry(
@@ -235,19 +164,38 @@ def link_geometry(radio: RadioParams, deploy: DeploymentParams) -> LinkGeometry:
 def breakdown_at(
     radio: RadioParams, deploy: DeploymentParams, point: PaOperatingPoint, p_max_w: float
 ) -> PowerBreakdown:
-    """Duty-cycled component powers, the amplifier at ``point`` clipping at ``p_max_w``."""
-    return duty_cycled_breakdown(
+    """Duty-cycled component powers, the amplifier at ``point`` clipping at ``p_max_w``.
+
+    Raw per-device draws:
+
+    - redundancy coding: R * psi
+    - OFDM modulator, dominated by the inverse FFT of N points:
+      (4*N*log2(N) - 6*N + 8) * delta_f / Gamma_mod
+    - each of the two DACs, static current steering plus dynamic switching:
+      V_dd * I_0 * (2^bits - 1) + 0.5 * bits * C_p * f_s * V_dd^2
+    - local oscillator, each of the two mixers: their constant draws
+    - amplifier: the class B supply power at ``point``
+
+    The modulator, DACs, mixers and amplifier are active only during the
+    camera's 1/M slot, so they are divided by M; video compression, coding
+    and the local oscillator stay on continuously.
+    """
+    m = float(deploy.cameras)
+    n = radio.n_ofdm
+    flop_per_symbol = 4.0 * n * math.log2(n) - 6.0 * n + 8.0
+    v_dd, bits = radio.v_dd, radio.dac_bits
+    static = v_dd * radio.i_0_a * (2.0 ** bits - 1.0)
+    dynamic = 0.5 * bits * radio.c_p_f * radio.sample_rate_hz * v_dd * v_dd
+    parts = dict(
         video_w=deploy.p_video_w,
-        cod_w=coding_power(deploy.rate_bps, radio.psi_w_per_bps),
-        ofdm_w=ofdm_power(radio.n_ofdm, radio.delta_f_hz, radio.gamma_mod_flops_per_w),
-        dac_w=dac_power(
-            radio.dac_bits, radio.v_dd, radio.i_0_a, radio.c_p_f, radio.sample_rate_hz
-        ),
+        cod_w=deploy.rate_bps * radio.psi_w_per_bps,
+        ofdm_w=flop_per_symbol * radio.delta_f_hz / radio.gamma_mod_flops_per_w / m,
+        dac_w=2.0 * (static + dynamic) / m,
         lo_w=radio.p_lo_w,
-        mix_w=radio.p_mix_w,
-        pa_w=pa_consumed_power(p_max_w, point.ibo_linear),
-        cameras=deploy.cameras,
+        mix_w=2.0 * radio.p_mix_w / m,
+        pa_w=pa_consumed_power(p_max_w, point.ibo_linear) / m,
     )
+    return PowerBreakdown(total_w=sum(parts.values()), **parts)
 
 
 def offload_power(radio: RadioParams, deploy: DeploymentParams) -> PowerBreakdown:

@@ -180,9 +180,14 @@ def _distance_sweep(
     start_km: float,
     stop_km: float,
     steps: int,
-    cells: Callable[[DeploymentParams, PowerBreakdown], Dict],
+    cells: Callable[[PowerBreakdown], Dict],
 ) -> List[Dict]:
-    """Rows of ``cells`` over log-spaced distances and the FIGURE_COMBOS."""
+    """Rows of ``cells`` over log-spaced distances and the FIGURE_COMBOS.
+
+    A curve's radio, fleet, link and amplifier point are built once, since
+    the point depends on the rate demand alone; a row sizes only the clip
+    power at its distance.
+    """
     distances = _grid("distance_km", start_km, stop_km, steps, log_spaced=True)
     profile_radios = {}
     for profile in FIGURE_PROFILES:
@@ -190,24 +195,22 @@ def _distance_sweep(
             profile_radios[profile] = replace(radio, **BANDWIDTH_PROFILES[profile])
         except FoglinkError as exc:
             raise _scenario_context(exc, bandwidth_profile=profile) from exc
-    # the amplifier point depends on the rate demand alone: one solve per combo
-    points = {}
+    curves = []
     for profile, cameras in FIGURE_COMBOS:
-        first = replace(deploy, cameras=cameras, distance_km=distances[0])
-        geometry = link_geometry(profile_radios[profile], first)
+        curve_radio = profile_radios[profile]
         try:
-            points[profile, cameras] = operating_point(geometry)
+            curve_deploy = replace(deploy, cameras=cameras)
+            geometry = link_geometry(curve_radio, curve_deploy)
+            point = operating_point(geometry)
         except FoglinkError as exc:
             raise _scenario_context(exc, bandwidth_profile=profile, cameras=cameras) from exc
+        curves.append((profile, cameras, curve_radio, curve_deploy, geometry, point))
     rows = []
     for d in distances:
-        for profile, cameras in FIGURE_COMBOS:
-            combo_radio, point = profile_radios[profile], points[profile, cameras]
+        for profile, cameras, curve_radio, curve_deploy, geometry, point in curves:
             try:
-                combo_deploy = replace(deploy, cameras=cameras, distance_km=d)
-                geometry = link_geometry(combo_radio, combo_deploy)
-                p_max = clip_power(geometry, point.snr_max_linear)
-                row = cells(combo_deploy, breakdown_at(combo_radio, combo_deploy, point, p_max))
+                p_max = clip_power(replace(geometry, distance_km=d), point.snr_max_linear)
+                row = cells(breakdown_at(curve_radio, curve_deploy, point, p_max))
             except FoglinkError as exc:
                 raise _scenario_context(
                     exc, distance_km=d, bandwidth_profile=profile, cameras=cameras
@@ -215,7 +218,7 @@ def _distance_sweep(
             rows.append(
                 {
                     "distance_km": d,
-                    "bandwidth_hz": combo_radio.bandwidth_hz,
+                    "bandwidth_hz": curve_radio.bandwidth_hz,
                     "cameras": cameras,
                     **row,
                 }
@@ -230,7 +233,7 @@ _FIG5_CELLS = tuple(
 )
 
 
-def _fig5_cells(deploy: DeploymentParams, down: PowerBreakdown) -> Dict:
+def _fig5_cells(down: PowerBreakdown) -> Dict:
     return {column: watts_to_dbm(getattr(down, field)) for column, field in _FIG5_CELLS}
 
 
@@ -255,7 +258,7 @@ def sweep_fig6(
     """Breakeven workload complexity versus distance."""
     return _distance_sweep(
         radio, deploy, start_km, stop_km, steps,
-        lambda deploy, down: {"theta_star": breakeven_at(down.total_w, deploy)},
+        lambda down: {"theta_star": breakeven_at(down.total_w, deploy)},
     )
 
 
@@ -338,10 +341,10 @@ def mc_verify(
 
     Runs at unit mean input power (sigma2 = 1 W, p_max = IBO), every
     back-off on the same samples in one Monte-Carlo run.  Each back-off's
-    configuration and closed forms are checked before any sampling, so a
-    bad entry is refused at once.  A row passes when alpha, distortion power,
-    amplifier power and SINR each land within max(3 standard errors,
-    1 percent) of the analytic value.  Returns the rows and a list of
+    closed forms, then the run's configuration, are checked before any
+    sampling, so a bad entry or flag is refused at once.  A row passes when
+    alpha, distortion power, amplifier power and SINR each land within
+    max(3 standard errors, 1 percent) of the analytic value.  Returns the rows and a list of
     human-readable failure descriptions.
     """
     from .mc import McConfig, run_mc  # numpy loads here, on the Monte-Carlo path only
@@ -353,14 +356,6 @@ def mc_verify(
         try:
             snr_max = db_to_linear(snr_max_db)
             ibo = db_to_linear(ibo_db)
-            # each back-off's own run is validated in its scenario context
-            config = McConfig(
-                sigma2_w=sigma2,
-                clip_powers_w=(ibo * sigma2,),
-                n_samples=n_samples,
-                seed=seed,
-                snr_max_linear=snr_max,
-            )
             alpha = pa.bussgang_alpha(ibo)
             pa_w = pa.pa_consumed_power(ibo * sigma2, ibo)
             sinr = pa.sinr_of_ibo(ibo, snr_max)
@@ -369,7 +364,14 @@ def mc_verify(
         analytic.append((ibo_db, ibo, alpha, pa_w, sinr))
         clip_powers.append(ibo * sigma2)
     try:
-        estimates = run_mc(replace(config, clip_powers_w=clip_powers))
+        config = McConfig(
+            sigma2_w=sigma2,
+            clip_powers_w=clip_powers,
+            n_samples=n_samples,
+            seed=seed,
+            snr_max_linear=snr_max,
+        )
+        estimates = run_mc(config)
     except FoglinkError as exc:
         raise _scenario_context(
             exc, ibo_db=list(ibo_db_values), snr_max_db=snr_max_db

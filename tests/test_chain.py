@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,13 +12,9 @@ from foglink import (
     InfeasibleLinkError,
     PowerBreakdown,
     RadioParams,
-    coding_power,
-    dac_power,
-    duty_cycled_breakdown,
     load_params,
     local_power,
     offload_power,
-    ofdm_power,
     watts_to_dbm,
 )
 from foglink.chain import MAX_DAC_BITS, breakdown_at, breakeven_at, link_geometry
@@ -35,6 +32,18 @@ def scenario(profile="18mhz", cameras=1, distance_km=0.02):
 
 def theta_star(radio, deploy):
     return breakeven_at(offload_power(radio, deploy).total_w, deploy)
+
+
+# an amplifier point of the baseline link; the draws other than the
+# amplifier's do not depend on it
+GEOMETRY = link_geometry(RADIO, DEPLOY)
+POINT = operating_point(GEOMETRY)
+P_MAX = clip_power(GEOMETRY, POINT.snr_max_linear)
+
+
+def one_camera(radio=RADIO, **deploy_fields):
+    """The breakdown of a single camera, whose draws are not duty cycled."""
+    return breakdown_at(radio, replace(DEPLOY, cameras=1, **deploy_fields), POINT, P_MAX)
 
 
 class TestLocalPower:
@@ -59,57 +68,63 @@ class TestLocalPower:
 
 class TestCodingPower:
     def test_zero_rate(self):
-        assert coding_power(0.0, 1e-10) == 0.0
+        # DeploymentParams refuses a zero rate; breakdown_at still evaluates R * psi
+        deploy = SimpleNamespace(cameras=1, rate_bps=0.0, p_video_w=0.242)
+        assert breakdown_at(RADIO, deploy, POINT, P_MAX).cod_w == 0.0
 
     def test_video_rate(self):
-        assert abs(coding_power(6e6, 1e-10) - 6e-4) <= 1e-18
+        assert abs(one_camera(rate_bps=6e6).cod_w - 6e-4) <= 1e-18
 
     def test_gigabit(self):
         # 0.1 W per Gbps by unit definition
-        assert abs(coding_power(1e9, 1e-10) - 0.1) <= 1e-15
+        assert abs(one_camera(rate_bps=1e9).cod_w - 0.1) <= 1e-15
 
 
 class TestOfdmPower:
     def test_1024_transform(self):
         oracle = (4 * 1024 * 10 - 6 * 1024 + 8) * 15e3 / 120e9
-        assert ofdm_power(1024, 15e3, 120e9) == oracle
+        radio, _ = scenario("9mhz")
+        assert one_camera(radio).ofdm_w == oracle
         assert abs(oracle - 4.353e-3) < 1e-6
 
     def test_2048_transform(self):
         oracle = (4 * 2048 * 11 - 6 * 2048 + 8) * 15e3 / 120e9
-        assert ofdm_power(2048, 15e3, 120e9) == oracle
+        radio, _ = scenario("18mhz")
+        assert one_camera(radio).ofdm_w == oracle
         assert abs(oracle - 9.729e-3) < 1e-6
 
     def test_smallest_transform(self):
         # 4N log2 N - 6N + 8 collapses to 4 at N = 2
-        assert ofdm_power(2, 15e3, 120e9) == 4.0 * 15e3 / 120e9
+        radio = replace(RADIO, sample_rate_hz=2 * 15e3, bandwidth_hz=20e3, n_ofdm=2)
+        assert one_camera(radio).ofdm_w == 4.0 * 15e3 / 120e9
 
     @pytest.mark.parametrize("bad", [1000, 3, 0, 1, -2048])
     def test_rejects_non_power_of_two(self, bad):
-        with pytest.raises(DomainError):
-            ofdm_power(bad, 15e3, 120e9)
+        # the operation count applies to power-of-two transforms only
+        with pytest.raises(DomainError, match="power of two"):
+            replace(RADIO, n_ofdm=bad)
 
 
 class TestDacPower:
     def test_wideband_sampling(self):
         oracle = 3.0 * 5e-6 * 1023 + 0.5 * 10 * 1e-12 * 30.72e6 * 9.0
-        value = dac_power(10, 3.0, 5e-6, 1e-12, 30.72e6)
-        assert value == oracle
-        assert abs(value - 16.7274e-3) < 1e-7
+        value = one_camera(scenario("18mhz")[0]).dac_w
+        assert value == 2 * oracle
+        assert abs(oracle - 16.7274e-3) < 1e-7
 
     def test_narrowband_sampling(self):
-        value = dac_power(10, 3.0, 5e-6, 1e-12, 15.36e6)
+        value = one_camera(scenario("9mhz")[0]).dac_w / 2  # one of the two DACs
         assert abs(value - 16.0362e-3) < 1e-7
 
     def test_single_bit_static_only(self):
-        assert math.isclose(dac_power(1, 3.0, 5e-6, 0.0, 30.72e6), 15e-6,
-                            rel_tol=1e-15)
+        radio = replace(RADIO, dac_bits=1, c_p_f=0.0)
+        assert math.isclose(one_camera(radio).dac_w, 2 * 15e-6, rel_tol=1e-15)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            dac_power(0, 3.0, 5e-6, 1e-12, 30.72e6)
-        with pytest.raises(DomainError):
-            dac_power(10, 3.0, 5e-6, -1e-12, 30.72e6)
+        with pytest.raises(DomainError, match="dac_bits"):
+            replace(RADIO, dac_bits=0)
+        with pytest.raises(DomainError, match="c_p_f"):
+            replace(RADIO, c_p_f=-1e-12)
 
 
 class TestOffloadPower:
@@ -168,12 +183,9 @@ class TestOffloadPower:
             offload_power(radio, deploy)
 
     def test_duty_cycle_limit_keeps_constant_terms(self):
-        # with the radio terms fixed, an enormous fleet leaves only the
+        # with the amplifier point fixed, an enormous fleet leaves only the
         # always-on components: video coder, redundancy coding, oscillator
-        down = duty_cycled_breakdown(
-            video_w=0.242, cod_w=6e-4, ofdm_w=9.729e-3, dac_w=16.7274e-3,
-            lo_w=0.0675, mix_w=0.021, pa_w=0.35, cameras=10 ** 6,
-        )
+        down = breakdown_at(RADIO, replace(DEPLOY, cameras=10 ** 6), POINT, P_MAX)
         constant = 0.242 + 6e-4 + 0.0675
         assert abs(down.total_w - constant) <= 1e-5 * constant
 
@@ -245,8 +257,8 @@ class TestParamValidation:
         assert replace(RADIO, dac_bits=MAX_DAC_BITS).dac_bits == MAX_DAC_BITS
         with pytest.raises(DomainError, match="dac_bits"):
             replace(RADIO, dac_bits=2000)
-        with pytest.raises(DomainError, match="bits"):
-            dac_power(MAX_DAC_BITS + 1, 3.0, 5e-6, 1e-12, 30.72e6)
+        with pytest.raises(DomainError, match="dac_bits"):
+            replace(RADIO, dac_bits=MAX_DAC_BITS + 1)
 
     def test_deploy_rejects_zero_rate(self):
         with pytest.raises(DomainError):

@@ -336,6 +336,15 @@ class TestMcVerify:
             "[scenario: ibo_db=100000.0, snr_max_db=20.0]"
         ]
 
+    def test_bad_seed_names_the_whole_run(self, capsys):
+        # the seed belongs to the run, not to the first back-off
+        code, out, err = run_cli(["mc-verify", "--seed", "-1", "--samples", "10"], capsys)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: seed must be a 64-bit unsigned integer, got -1 "
+            "[scenario: ibo_db=[-3.0, 0.0, 3.0, 6.0], snr_max_db=20.0]"
+        ]
+
     @pytest.mark.parametrize("samples", [-2, 0, 1])
     def test_too_few_samples_names_the_flag(self, capsys, samples):
         # one sample has no standard error, so its NaN cells could not print
@@ -346,12 +355,17 @@ class TestMcVerify:
 
 class TestErrorExits:
     def test_distance_below_floor(self, capsys):
-        code, _, err = run_cli(
-            ["fig5", "--d-from-km", "0.001", "--d-to-km", "1", "--steps", "3"],
-            capsys,
-        )
-        assert code == 1
-        assert "0.01" in err
+        # a row's error names its distance and its curve
+        for command in ("fig5", "fig6"):
+            code, out, err = run_cli(
+                [command, "--steps", "2", "--d-from-km", "0.001", "--d-to-km", "1"],
+                capsys,
+            )
+            assert code == 1 and out == ""
+            assert err.splitlines() == [
+                "error: distance_km = 0.001 is below the 0.01 km path-loss validity "
+                "floor [scenario: distance_km=0.001, bandwidth_profile='9mhz', cameras=1]"
+            ]
 
     def test_bad_config_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -24,7 +24,6 @@ EXPORTS = [
     "LinkGeometry", "MIN_DISTANCE_KM", "path_gain_db", "noise_dbm",
     "required_sinr", "operating_point", "clip_power",
     "RadioParams", "DeploymentParams", "PowerBreakdown", "local_power",
-    "coding_power", "ofdm_power", "dac_power", "duty_cycled_breakdown",
     "offload_power", "breakeven_at",
     "McConfig", "McEstimate", "CHUNK_SAMPLES", "soft_limit", "run_mc",
     "load_params", "dump_defaults",
