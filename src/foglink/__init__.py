@@ -60,7 +60,7 @@ __all__ = [
     "RadioParams", "DeploymentParams", "PowerBreakdown", "local_power",
     "offload_power", "breakeven_at",
     # mc
-    "McConfig", "McEstimate", "CHUNK_SAMPLES", "soft_limit", "run_mc",
+    "McConfig", "McEstimate", "CHUNK_SAMPLES", "run_mc",
     # config
     "load_params", "dump_defaults",
     # units
@@ -72,7 +72,7 @@ __all__ = [
 
 # The Monte-Carlo names load ``.mc``, and with it numpy, on first use, so
 # the scalar pipeline starts without numpy.
-_MC_NAMES = frozenset({"McConfig", "McEstimate", "CHUNK_SAMPLES", "soft_limit", "run_mc"})
+_MC_NAMES = frozenset({"McConfig", "McEstimate", "CHUNK_SAMPLES", "run_mc"})
 
 
 def __getattr__(name):

@@ -3,18 +3,35 @@
 The soft limiter keeps the phase of its input, so every moment the
 verifier needs depends only on the input radius.  The kernel maps Philox
 uniforms u1 to |x|^2 = -sigma2 * log(1 - u1) (the radial half of the
-Box-Muller transform) and r = |x| once, together with their three
-clip-independent sums.  Then, for each clip power p_max in turn, it clips
-the radius at sqrt(p_max) to get rho = |y| and accumulates the eight
+Box-Muller transform) and r = |x| over the whole chunk, with their three
+clip-independent sums.  For each clip power p_max it then clips the
+radius at sqrt(p_max) to get rho = |y| and accumulates the eight
 clip-dependent sums.  With c = y * conj(x), Re(c) = r * rho and Im(c) is
 exactly zero.
 
-Every step is an in-place numpy ufunc writing into a caller-owned
-workspace, so a call allocates nothing but its result.  Each sum is a
-plain ``ndarray.sum`` over a contiguous row, never BLAS, so the result
-bits do not depend on the thread count.  A clip's row applies the same
-ufuncs to the same values whatever other clips share the call, so its
-bits equal those of a call with that clip alone.
+Leaf tree.  ``ndarray.sum`` over a contiguous float64 row of n values is
+numpy's pairwise summation: it splits the row at n//2 - (n//2) % 8,
+recurses, and adds the halves' sums left + right.  The clip-dependent
+half follows that tree down to leaves of at most ``LEAF_SAMPLES`` values
+(``leaf_sizes``) and runs every clip over one leaf while the leaf's rows
+sit in L2 cache.  Each element comes from the same ufuncs on the same
+operands as in a whole-row pass, each leaf row is summed with
+``ndarray.sum``, and ``tree_join`` adds the leaf sums up the same tree, so
+every sum equals the whole-row ``ndarray.sum`` bit for bit.
+
+Shortcut.  On a leaf whose largest radius lies below sqrt(p_max), rho is
+exactly r, so Re(c) = |y|^2 = r*r and the eight sums are Sum r, Sum r*r
+(sums 0 and 1), Sum (r*r)^2 (sums 5, 6 and 8) and Sum (r*r)*|x|^2 (sums 9
+and 10; IEEE multiplication commutes).  These four are computed once per
+leaf and shared by every clip that does not reach it.
+
+Workspace.  The caller owns u1 and a (WORK_ROWS, m) float64 array,
+m >= len(u1), that receives |x|^2 and r; u1 is overwritten as scratch
+once read.  A call allocates only its result, the leaf partials and three
+leaf rows (768 KiB at most).  No sum uses BLAS, so the bits do not depend
+on the thread count, and a clip's row applies the same ufuncs to the same
+values whatever other clips share the call, so its bits equal those of a
+call with that clip alone.
 
 Sum layout (x = input sample, y = clipped sample, c = y * conj(x));
 2, 4 and 7 do not depend on the clip power:
@@ -24,14 +41,42 @@ Sum layout (x = input sample, y = clipped sample, c = y * conj(x));
 """
 
 import math
-from typing import Sequence
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
 N_SUMS = 11
 # Rows of the float64 workspace ``moment_sums`` needs besides ``u1``, each
-# at least as long as ``u1``.
-WORK_ROWS = 4
+# at least as long as ``u1``: |x|^2 and r.
+WORK_ROWS = 2
+# Largest leaf of the summation tree: three leaf rows plus the leaf's
+# slices of r and |x|^2 (1.25 MiB) stay in a 2 MiB L2 cache.
+LEAF_SAMPLES = 1 << 15
+# Columns of the clip-dependent sums, in the order a leaf produces them.
+_CLIP_SUMS = [3, 0, 1, 5, 6, 8, 9, 10]
+
+
+def _half(n: int) -> int:
+    """Length of the left half where numpy's pairwise sum splits n values."""
+    return n // 2 - (n // 2) % 8
+
+
+def leaf_sizes(n: int) -> List[int]:
+    """Lengths, in row order, of the leaves of numpy's pairwise summation
+    tree over n values, cut at LEAF_SAMPLES."""
+    if n <= LEAF_SAMPLES:
+        return [n]
+    half = _half(n)
+    return leaf_sizes(half) + leaf_sizes(n - half)
+
+
+def tree_join(partials: Iterator, n: int):
+    """Add per-leaf partial sums, taken in row order from ``partials``, up
+    the pairwise tree over n values, as ``ndarray.sum`` adds them."""
+    if n <= LEAF_SAMPLES:
+        return next(partials)
+    half = _half(n)
+    return tree_join(partials, half) + tree_join(partials, n - half)
 
 
 def moment_sums(
@@ -42,11 +87,10 @@ def moment_sums(
     Returns a (len(clip_powers), N_SUMS) array, one row per clip power in
     the order given.  ``work`` is a float64 array of shape (WORK_ROWS, m)
     with m >= len(u1); its contents are overwritten, and so are those of
-    ``u1``, which serves as the product scratch row once it is read.
+    ``u1``, which serves as scratch once it is read.
     """
     n = u1.shape[0]
-    b, r, a, cre = work[:WORK_ROWS, :n]
-    tmp = u1
+    b, r = work[:WORK_ROWS, :n]
     out = np.empty((len(clip_powers), N_SUMS))
     np.negative(u1, out=b)
     np.log1p(b, out=b)
@@ -54,22 +98,43 @@ def moment_sums(
     np.sqrt(b, out=r)  # r = |x|
     out[:, 4] = r.sum()
     out[:, 2] = b.sum()
-    np.multiply(b, b, out=tmp)
-    out[:, 7] = tmp.sum()
-    last = len(clip_powers) - 1
-    for k, p_max in enumerate(clip_powers):
-        row = out[k]
-        np.minimum(r, math.sqrt(p_max), out=a)  # rho = |y|
-        row[3] = a.sum()
-        if k == last:  # r is not read again: overwrite it
-            cre = r
-        np.multiply(r, a, out=cre)  # Re(c) = r * rho
-        np.multiply(a, a, out=a)  # |y|^2
-        row[0] = cre.sum()
-        row[1] = a.sum()
-        for index, (left, right) in zip(
-            (5, 6, 8, 9, 10), ((cre, cre), (a, a), (a, cre), (a, b), (b, cre))
-        ):
-            np.multiply(left, right, out=tmp)
-            row[index] = tmp.sum()
+    np.multiply(b, b, out=u1)
+    out[:, 7] = u1.sum()
+
+    clips = [math.sqrt(p_max) for p_max in clip_powers]
+    sizes = leaf_sizes(n)
+    partials = np.empty((len(sizes), len(clips), len(_CLIP_SUMS)))
+    rows = np.empty((3, min(n, LEAF_SAMPLES)))
+    start = 0
+    for leaf, size in zip(partials, sizes):
+        stop = start + size
+        r_leaf, b_leaf = r[start:stop], b[start:stop]
+        rho, cre, tmp = rows[:, :size]
+        peak = r_leaf.max()
+        unclipped = None
+        for part, clip in zip(leaf, clips):
+            if peak < clip:  # rho == r on the whole leaf
+                if unclipped is None:
+                    np.multiply(r_leaf, r_leaf, out=rho)  # r*r = Re(c) = |y|^2
+                    s_rr = rho.sum()
+                    np.multiply(rho, rho, out=tmp)
+                    s_rr2 = tmp.sum()
+                    np.multiply(rho, b_leaf, out=tmp)
+                    s_rrb = tmp.sum()
+                    unclipped = (r_leaf.sum(), s_rr, s_rr, s_rr2, s_rr2, s_rr2, s_rrb, s_rrb)
+                part[:] = unclipped
+                continue
+            np.minimum(r_leaf, clip, out=rho)  # rho = |y|
+            part[0] = rho.sum()
+            np.multiply(r_leaf, rho, out=cre)  # Re(c) = r * rho
+            np.multiply(rho, rho, out=rho)  # |y|^2
+            part[1] = cre.sum()
+            part[2] = rho.sum()
+            for index, (left, right) in enumerate(
+                ((cre, cre), (rho, rho), (rho, cre), (rho, b_leaf), (b_leaf, cre)), 3
+            ):
+                np.multiply(left, right, out=tmp)
+                part[index] = tmp.sum()
+        start = stop
+    out[:, _CLIP_SUMS] = tree_join(iter(partials), n)
     return out

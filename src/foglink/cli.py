@@ -340,21 +340,29 @@ def mc_verify(
     """Compare Monte-Carlo estimates against the closed forms per back-off.
 
     Runs at unit mean input power (sigma2 = 1 W, p_max = IBO), every
-    back-off on the same samples in one Monte-Carlo run.  Each back-off's
-    closed forms, then the run's configuration, are checked before any
-    sampling, so a bad entry or flag is refused at once.  A row passes when
-    alpha, distortion power, amplifier power and SINR each land within
-    max(3 standard errors, 1 percent) of the analytic value.  Returns the rows and a list of
+    back-off on the same samples in one Monte-Carlo run.  The back-off list
+    and the SNR ceiling, each back-off's closed forms, then the run's
+    configuration are checked before any sampling, so a bad entry or flag
+    is refused at once.  A row passes when alpha, distortion power,
+    amplifier power and SINR each land within max(3 standard errors,
+    1 percent) of the analytic value.  Returns the rows and a list of
     human-readable failure descriptions.
     """
     from .mc import McConfig, run_mc  # numpy loads here, on the Monte-Carlo path only
 
     sigma2 = 1.0
+    if not ibo_db_values:
+        raise DomainError("the back-off list ibo_db_values is empty")
+    try:
+        snr_max = db_to_linear(snr_max_db)
+    except FoglinkError as exc:
+        raise _scenario_context(
+            exc, ibo_db=list(ibo_db_values), snr_max_db=snr_max_db
+        ) from exc
     analytic = []
     clip_powers = []
     for ibo_db in ibo_db_values:
         try:
-            snr_max = db_to_linear(snr_max_db)
             ibo = db_to_linear(ibo_db)
             alpha = pa.bussgang_alpha(ibo)
             pa_w = pa.pa_consumed_power(ibo * sigma2, ibo)

@@ -19,20 +19,25 @@ only u1, the first ``count`` uniforms of each substream, is drawn: the
 soft limiter keeps the phase, so no estimator depends on u2.  Every clip
 power is applied to the same draw of each chunk, and the kernel computes
 each clip's sums with the same operations as it would for that clip
-alone.  This choice is fixed because reproducibility per seed is promised
-within a build.
+alone.  The kernel works in cache-sized leaves of numpy's pairwise
+summation tree and adds the leaf sums up that tree, which reproduces a
+whole-row ``ndarray.sum`` bit for bit, and its shortcut for a leaf that a
+clip does not reach gives the same bits as clipping it.  So a clip's bits
+are the same whether it runs alone or shares the run with other clips.
+This choice is fixed because reproducibility per seed is promised within
+a build.
 """
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import _kernels
 from .errors import DomainError, NumericError
 
-__all__ = ["CHUNK_SAMPLES", "McConfig", "McEstimate", "soft_limit", "run_mc"]
+__all__ = ["CHUNK_SAMPLES", "McConfig", "McEstimate", "run_mc"]
 
 # Fixed chunk size; part of the reproducibility contract, not a tuning knob.
 CHUNK_SAMPLES = 1 << 20
@@ -96,30 +101,6 @@ class McEstimate:
     stderr_input_amp: float
     n_samples: int
     seed: int
-
-
-def soft_limit(
-    sample: Union[complex, np.ndarray], p_max_w: float
-) -> Union[complex, np.ndarray]:
-    """Soft limiter: pass below the clip amplitude, clamp magnitude above.
-
-    Samples with |x| < sqrt(p_max_w) are returned unchanged; larger ones
-    are scaled to magnitude sqrt(p_max_w) with their phase preserved.
-    Accepts a scalar or a numpy array.
-    """
-    if not p_max_w > 0.0:
-        raise DomainError(f"p_max_w must be positive, got {p_max_w!r}")
-    clip = math.sqrt(p_max_w)
-    if isinstance(sample, np.ndarray):
-        mag = np.abs(sample)
-        scale = np.ones_like(mag)
-        over = mag >= clip
-        scale[over] = clip / mag[over]
-        return sample * scale
-    mag = abs(sample)
-    if mag < clip:
-        return sample
-    return sample * (clip / mag)
 
 
 def _chunk_layout(n_samples: int):

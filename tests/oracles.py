@@ -1,8 +1,15 @@
-"""Reference solvers the tests hold the package's own solves to.
+"""References the tests hold the package's own computations to.
 
 The bisection here shares no code with ``foglink.pa.optimal_ibo``: it uses
 only the sign of ``f`` and halves the bracket until it is ``tol`` wide.
+``soft_limit`` is the complex-sample soft limiter, and
+``moment_sums_reference`` the whole-row moment kernel that
+``foglink._kernels.moment_sums`` must match bit for bit.
 """
+
+import math
+
+import numpy as np
 
 from foglink import BracketError, ConvergenceError, DomainError
 
@@ -41,3 +48,57 @@ def solve_bisection(f, lo, hi, *, tol=1e-12, max_iter=200):
     raise ConvergenceError(
         f"bisection interval still {hi - lo!r} wide after {max_iter} iterations"
     )
+
+
+def soft_limit(sample, p_max_w):
+    """Soft limiter: pass below the clip amplitude, clamp magnitude above.
+
+    Samples with |x| < sqrt(p_max_w) are returned unchanged; larger ones
+    are scaled to magnitude sqrt(p_max_w) with their phase preserved.
+    Accepts a complex scalar or a numpy array.
+    """
+    if not p_max_w > 0.0:
+        raise DomainError(f"p_max_w must be positive, got {p_max_w!r}")
+    clip = math.sqrt(p_max_w)
+    if isinstance(sample, np.ndarray):
+        mag = np.abs(sample)
+        scale = np.ones_like(mag)
+        over = mag >= clip
+        scale[over] = clip / mag[over]
+        return sample * scale
+    mag = abs(sample)
+    if mag < clip:
+        return sample
+    return sample * (clip / mag)
+
+
+def moment_sums_reference(u1, sigma2, clip_powers):
+    """The (len(clip_powers), 11) moment sums of ``foglink._kernels``, each
+    one ufunc pass and one ``ndarray.sum`` over the whole row.
+
+    Leaves ``u1`` unchanged.
+    """
+    n = u1.shape[0]
+    b, r, a, cre, tmp = np.empty((5, n))
+    out = np.empty((len(clip_powers), 11))
+    np.negative(u1, out=b)
+    np.log1p(b, out=b)
+    np.multiply(b, -sigma2, out=b)  # |x|^2
+    np.sqrt(b, out=r)  # r = |x|
+    out[:, 4] = r.sum()
+    out[:, 2] = b.sum()
+    np.multiply(b, b, out=tmp)
+    out[:, 7] = tmp.sum()
+    for row, p_max in zip(out, clip_powers):
+        np.minimum(r, math.sqrt(p_max), out=a)  # rho = |y|
+        row[3] = a.sum()
+        np.multiply(r, a, out=cre)  # Re(c) = r * rho
+        np.multiply(a, a, out=a)  # |y|^2
+        row[0] = cre.sum()
+        row[1] = a.sum()
+        for index, (left, right) in zip(
+            (5, 6, 8, 9, 10), ((cre, cre), (a, a), (a, cre), (a, b), (b, cre))
+        ):
+            np.multiply(left, right, out=tmp)
+            row[index] = tmp.sum()
+    return out

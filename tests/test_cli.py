@@ -336,6 +336,20 @@ class TestMcVerify:
             "[scenario: ibo_db=100000.0, snr_max_db=20.0]"
         ]
 
+    def test_empty_backoff_list_is_refused(self):
+        # main refuses an empty --ibo-db first; a Python caller gets this
+        with pytest.raises(DomainError, match="back-off list ibo_db_values is empty"):
+            cli.mc_verify([], 10, 1)
+
+    def test_unrepresentable_ceiling_names_the_whole_run(self, capsys):
+        # the SNR ceiling belongs to the run, not to the first back-off
+        code, out, err = run_cli(["mc-verify", "--snr-max-db", "1e5", "--samples", "10"], capsys)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: 100000.0 dB has no finite power ratio "
+            "[scenario: ibo_db=[-3.0, 0.0, 3.0, 6.0], snr_max_db=100000.0]"
+        ]
+
     def test_bad_seed_names_the_whole_run(self, capsys):
         # the seed belongs to the run, not to the first back-off
         code, out, err = run_cli(["mc-verify", "--seed", "-1", "--samples", "10"], capsys)

@@ -25,7 +25,7 @@ EXPORTS = [
     "required_sinr", "operating_point", "clip_power",
     "RadioParams", "DeploymentParams", "PowerBreakdown", "local_power",
     "offload_power", "breakeven_at",
-    "McConfig", "McEstimate", "CHUNK_SAMPLES", "soft_limit", "run_mc",
+    "McConfig", "McEstimate", "CHUNK_SAMPLES", "run_mc",
     "load_params", "dump_defaults",
     "db_to_linear", "linear_to_db", "dbm_to_watts", "watts_to_dbm",
     "FoglinkError", "DomainError", "BracketError", "ConvergenceError",

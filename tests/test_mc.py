@@ -14,15 +14,21 @@ from foglink import (
     optimal_ibo,
     pa_consumed_power,
     run_mc,
-    soft_limit,
 )
 from foglink.mc import CHUNK_SAMPLES, _chunk_layout, _chunk_sums, _workspace
 from foglink import _kernels
+from oracles import moment_sums_reference, soft_limit
 
 
 # five back-offs (dB) as in the benchmark, and their clip powers at unit sigma2
 BACKOFFS_DB = (-3.0, 0.0, 3.0, 6.0, 12.0)
 CLIP_POWERS = tuple(10.0 ** (x / 10.0) for x in BACKOFFS_DB)
+
+LEAF = _kernels.LEAF_SAMPLES
+# around the leaf size, odd tails, and the chunk lengths of real runs
+TREE_COUNTS = (
+    1, 7, 8, 9, LEAF - 1, LEAF, LEAF + 1, 3 * LEAF + 5, 100_003, 562_816, CHUNK_SAMPLES,
+)
 
 
 def config(ibo=1.0, n=1_000_000, seed=42, snr_max=None, sigma2=1.0, clips=None):
@@ -168,9 +174,44 @@ class TestRadialKernel:
             expected = self.box_muller_sums(u1, u2, sigma2, p_max)
             assert np.allclose(row, expected, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("count", TREE_COUNTS)
+    def test_matches_whole_row_reference(self, count):
+        # summing in leaves and adding them up numpy's pairwise tree gives
+        # the whole-row sums bit for bit, on the clipping path and on the
+        # shortcut for leaves a clip does not reach
+        sigma2 = 1.3
+        u1 = np.random.Generator(np.random.Philox(key=11)).random(count)
+        smallest = -sigma2 * math.log1p(-u1.min())  # the least |x|^2
+        largest = -sigma2 * math.log1p(-u1.max())
+        assert 0.0 < 1e-20 < smallest
+        clip_sets = {
+            "unsorted with a duplicate": (4.0, 0.5, 1e6, 4.0, 1.3),
+            "above every sample": (1e6,),
+            "below every sample": (1e-20,),
+            "only the largest sample clipped": (largest * (1.0 - 1e-9),),
+            "-3..12 dB": tuple(p * sigma2 for p in CLIP_POWERS),
+        }
+        work = np.full((_kernels.WORK_ROWS, count + 3), np.nan)
+        for name, clips in clip_sets.items():
+            expected = moment_sums_reference(u1, sigma2, clips)
+            got = _kernels.moment_sums(u1.copy(), sigma2, clips, work)
+            assert np.array_equal(got, expected), name
+
+    @pytest.mark.parametrize("count", TREE_COUNTS)
+    def test_leaf_tree_equals_ndarray_sum(self, count):
+        # the kernel's bits rest on this: if numpy changes its pairwise
+        # summation, this fails rather than the results drifting
+        rng = np.random.default_rng(count)
+        values = rng.standard_normal(count) * 10.0 ** rng.uniform(-8.0, 8.0, count)
+        sizes = _kernels.leaf_sizes(count)
+        assert sum(sizes) == count and max(sizes) <= LEAF
+        bounds = np.cumsum([0] + sizes)
+        leaves = (values[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:]))
+        assert _kernels.tree_join(leaves, count) == values.sum()
+
     def test_run_mc_reuses_one_chunk_workspace(self):
         # the run allocates its buffers once, not per chunk or per clip:
-        # the traced peak stays below eight chunk-sized float64 arrays
+        # the traced peak stays below four chunk-sized float64 arrays
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -178,7 +219,7 @@ class TestRadialKernel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * CHUNK_SAMPLES * 8
+        assert peak < 4 * CHUNK_SAMPLES * 8
 
 
 class TestEstimators:
