@@ -1,9 +1,9 @@
 """Hot moment-accumulation kernel for the Monte-Carlo verifier.
 
 The soft limiter keeps the phase of its input, so every moment the
-verifier needs depends only on the input radius.  The kernel maps Philox
-uniforms u1 to |x|^2 = -sigma2 * log(1 - u1) (the radial half of the
-Box-Muller transform) and r = |x| over the whole chunk, with their three
+verifier needs depends only on the input radius.  The kernel draws Philox
+uniforms u1, maps them to |x|^2 = -sigma2 * log(1 - u1) (the radial half
+of the Box-Muller transform) and r = |x|, and takes their three
 clip-independent sums.  For each clip power p_max it then clips the
 radius at sqrt(p_max) to get rho = |y| and accumulates the eight
 clip-dependent sums.  With c = y * conj(x), Re(c) = r * rho and Im(c) is
@@ -11,27 +11,28 @@ exactly zero.
 
 Leaf tree.  ``ndarray.sum`` over a contiguous float64 row of n values is
 numpy's pairwise summation: it splits the row at n//2 - (n//2) % 8,
-recurses, and adds the halves' sums left + right.  The clip-dependent
-half follows that tree down to leaves of at most ``LEAF_SAMPLES`` values
-(``leaf_sizes``) and runs every clip over one leaf while the leaf's rows
-sit in L2 cache.  Each element comes from the same ufuncs on the same
-operands as in a whole-row pass, each leaf row is summed with
+recurses, and adds the halves' sums left + right.  The kernel follows that
+tree down to leaves of at most ``LEAF_SAMPLES`` values (``leaf_sizes``)
+and does all its work one leaf at a time, in row order, while the leaf's
+rows sit in L2 cache: it draws the leaf's uniforms, which are the next
+doubles of the generator's stream whatever the leaf size, computes |x|^2
+and r, and runs every clip.  Each element comes from the same ufuncs on
+the same operands as in a whole-row pass, each leaf row is summed with
 ``ndarray.sum``, and ``tree_join`` adds the leaf sums up the same tree, so
 every sum equals the whole-row ``ndarray.sum`` bit for bit.
 
 Shortcut.  On a leaf whose largest radius lies below sqrt(p_max), rho is
 exactly r, so Re(c) = |y|^2 = r*r and the eight sums are Sum r, Sum r*r
 (sums 0 and 1), Sum (r*r)^2 (sums 5, 6 and 8) and Sum (r*r)*|x|^2 (sums 9
-and 10; IEEE multiplication commutes).  These four are computed once per
-leaf and shared by every clip that does not reach it.
+and 10; IEEE multiplication commutes).  These are computed once per leaf
+and shared by every clip that does not reach it.
 
-Workspace.  The caller owns u1 and a (WORK_ROWS, m) float64 array,
-m >= len(u1), that receives |x|^2 and r; u1 is overwritten as scratch
-once read.  A call allocates only its result, the leaf partials and three
-leaf rows (768 KiB at most).  No sum uses BLAS, so the bits do not depend
-on the thread count, and a clip's row applies the same ufuncs to the same
-values whatever other clips share the call, so its bits equal those of a
-call with that clip alone.
+Workspace.  A call allocates its result, the leaf partials and five leaf
+rows (1.25 MiB at most), and nothing as long as the chunk, so concurrent
+calls in separate threads each need only their own leaf rows.  No sum
+uses BLAS, so the bits do not depend on the thread count, and a clip's
+row applies the same ufuncs to the same values whatever other clips share
+the call, so its bits equal those of a call with that clip alone.
 
 Sum layout (x = input sample, y = clipped sample, c = y * conj(x));
 2, 4 and 7 do not depend on the clip power:
@@ -46,13 +47,10 @@ from typing import Iterator, List, Sequence
 import numpy as np
 
 N_SUMS = 11
-# Rows of the float64 workspace ``moment_sums`` needs besides ``u1``, each
-# at least as long as ``u1``: |x|^2 and r.
-WORK_ROWS = 2
-# Largest leaf of the summation tree: three leaf rows plus the leaf's
-# slices of r and |x|^2 (1.25 MiB) stay in a 2 MiB L2 cache.
+# Largest leaf of the summation tree: its five leaf rows (1.25 MiB) stay
+# in a 2 MiB L2 cache.
 LEAF_SAMPLES = 1 << 15
-# Columns of the clip-dependent sums, in the order a leaf produces them.
+# Columns of the clip-dependent sums, in the order the shortcut lists them.
 _CLIP_SUMS = [3, 0, 1, 5, 6, 8, 9, 10]
 
 
@@ -80,61 +78,53 @@ def tree_join(partials: Iterator, n: int):
 
 
 def moment_sums(
-    u1: np.ndarray, sigma2: float, clip_powers: Sequence[float], work: np.ndarray
+    generator: np.random.Generator, count: int, sigma2: float, clip_powers: Sequence[float]
 ) -> np.ndarray:
-    """Moment sums of the samples drawn from the uniforms ``u1``.
+    """Moment sums of ``count`` samples drawn from ``generator``.
 
     Returns a (len(clip_powers), N_SUMS) array, one row per clip power in
-    the order given.  ``work`` is a float64 array of shape (WORK_ROWS, m)
-    with m >= len(u1); its contents are overwritten, and so are those of
-    ``u1``, which serves as scratch once it is read.
+    the order given.  The uniforms are drawn one leaf at a time, in row
+    order, as ``count`` consecutive doubles of ``generator``.
     """
-    n = u1.shape[0]
-    b, r = work[:WORK_ROWS, :n]
-    out = np.empty((len(clip_powers), N_SUMS))
-    np.negative(u1, out=b)
-    np.log1p(b, out=b)
-    np.multiply(b, -sigma2, out=b)  # |x|^2
-    np.sqrt(b, out=r)  # r = |x|
-    out[:, 4] = r.sum()
-    out[:, 2] = b.sum()
-    np.multiply(b, b, out=u1)
-    out[:, 7] = u1.sum()
-
     clips = [math.sqrt(p_max) for p_max in clip_powers]
-    sizes = leaf_sizes(n)
-    partials = np.empty((len(sizes), len(clips), len(_CLIP_SUMS)))
-    rows = np.empty((3, min(n, LEAF_SAMPLES)))
-    start = 0
-    for leaf, size in zip(partials, sizes):
-        stop = start + size
-        r_leaf, b_leaf = r[start:stop], b[start:stop]
-        rho, cre, tmp = rows[:, :size]
-        peak = r_leaf.max()
+    sizes = leaf_sizes(count)
+    partials = np.empty((len(sizes), len(clips), N_SUMS))
+    rows = np.empty((5, min(count, LEAF_SAMPLES)))
+    for part, size in zip(partials, sizes):
+        b, r, rho, cre, tmp = rows[:, :size]
+        generator.random(out=b)  # u1
+        np.negative(b, out=b)
+        np.log1p(b, out=b)
+        np.multiply(b, -sigma2, out=b)  # |x|^2
+        np.sqrt(b, out=r)  # r = |x|
+        s_r = r.sum()
+        part[:, 4] = s_r
+        part[:, 2] = b.sum()
+        np.multiply(b, b, out=tmp)
+        part[:, 7] = tmp.sum()
+        peak = r.max()
         unclipped = None
-        for part, clip in zip(leaf, clips):
+        for row, clip in zip(part, clips):
             if peak < clip:  # rho == r on the whole leaf
                 if unclipped is None:
-                    np.multiply(r_leaf, r_leaf, out=rho)  # r*r = Re(c) = |y|^2
+                    np.multiply(r, r, out=rho)  # r*r = Re(c) = |y|^2
                     s_rr = rho.sum()
                     np.multiply(rho, rho, out=tmp)
                     s_rr2 = tmp.sum()
-                    np.multiply(rho, b_leaf, out=tmp)
+                    np.multiply(rho, b, out=tmp)
                     s_rrb = tmp.sum()
-                    unclipped = (r_leaf.sum(), s_rr, s_rr, s_rr2, s_rr2, s_rr2, s_rrb, s_rrb)
-                part[:] = unclipped
+                    unclipped = (s_r, s_rr, s_rr, s_rr2, s_rr2, s_rr2, s_rrb, s_rrb)
+                row[_CLIP_SUMS] = unclipped
                 continue
-            np.minimum(r_leaf, clip, out=rho)  # rho = |y|
-            part[0] = rho.sum()
-            np.multiply(r_leaf, rho, out=cre)  # Re(c) = r * rho
+            np.minimum(r, clip, out=rho)  # rho = |y|
+            row[3] = rho.sum()
+            np.multiply(r, rho, out=cre)  # Re(c) = r * rho
             np.multiply(rho, rho, out=rho)  # |y|^2
-            part[1] = cre.sum()
-            part[2] = rho.sum()
-            for index, (left, right) in enumerate(
-                ((cre, cre), (rho, rho), (rho, cre), (rho, b_leaf), (b_leaf, cre)), 3
+            row[0] = cre.sum()
+            row[1] = rho.sum()
+            for index, (left, right) in zip(
+                (5, 6, 8, 9, 10), ((cre, cre), (rho, rho), (rho, cre), (rho, b), (b, cre))
             ):
                 np.multiply(left, right, out=tmp)
-                part[index] = tmp.sum()
-        start = stop
-    out[:, _CLIP_SUMS] = tree_join(iter(partials), n)
-    return out
+                row[index] = tmp.sum()
+    return tree_join(iter(partials), count)

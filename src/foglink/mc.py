@@ -10,25 +10,30 @@ Determinism contract: each clip power's estimate is a pure function of
 (seed, n_samples, sigma2_w, snr_max_linear, that clip power), whatever
 other clip powers share the run and in whatever order they are given.
 Samples are generated in fixed-size chunks, each from its own jump-ahead
-Philox substream (``Philox(key=seed).jumped(chunk_index)``), and chunk
-partial sums are combined in chunk order.  The chunk layout never depends
-on how the work might be scheduled, so any parallel execution over chunks
-reproduces the sequential result bit for bit.  A sample is
+Philox substream (``Philox(key=seed).jumped(chunk_index)``).  A run
+computes its chunks on one worker thread per CPU it may use (at most one
+per chunk); each worker needs memory only for the cache-sized rows of the
+chunk it is on, not for the chunk.  The chunk partial sums are stored by
+chunk index and added in chunk order, and the chunk layout does not
+depend on the worker count, so the bits do not either.  A sample is
 ``x = sqrt(-sigma2 * log(1 - u1)) * exp(2j * pi * u2)`` (Box-Muller), but
 only u1, the first ``count`` uniforms of each substream, is drawn: the
 soft limiter keeps the phase, so no estimator depends on u2.  Every clip
 power is applied to the same draw of each chunk, and the kernel computes
 each clip's sums with the same operations as it would for that clip
-alone.  The kernel works in cache-sized leaves of numpy's pairwise
-summation tree and adds the leaf sums up that tree, which reproduces a
-whole-row ``ndarray.sum`` bit for bit, and its shortcut for a leaf that a
-clip does not reach gives the same bits as clipping it.  So a clip's bits
-are the same whether it runs alone or shares the run with other clips.
-This choice is fixed because reproducibility per seed is promised within
-a build.
+alone.  The kernel draws and works in cache-sized leaves of numpy's
+pairwise summation tree and adds the leaf sums up that tree, which
+reproduces a whole-row ``ndarray.sum`` bit for bit, and its shortcut for
+a leaf that a clip does not reach gives the same bits as clipping it.
+So a clip's bits are the same whether it runs alone or shares the run
+with other clips.  This choice is fixed because reproducibility per seed
+is promised within a build.
 """
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -112,24 +117,67 @@ def _chunk_layout(n_samples: int):
         yield full, rest
 
 
-def _workspace(n_samples: int) -> np.ndarray:
-    """Buffer reused by every chunk of a run: row 0 holds the uniforms."""
-    return np.empty((1 + _kernels.WORK_ROWS, min(n_samples, CHUNK_SAMPLES)))
-
-
 def _chunk_sums(
-    seed: int,
-    chunk_index: int,
-    count: int,
-    sigma2: float,
-    clip_powers: Tuple[float, ...],
-    work: np.ndarray,
+    seed: int, chunk_index: int, count: int, sigma2: float, clip_powers: Tuple[float, ...]
 ) -> np.ndarray:
     """Moment sums of one chunk, one row per clip power, from the chunk's
     own jump-ahead Philox substream."""
-    u1 = work[0, :count]
-    np.random.Generator(np.random.Philox(key=seed).jumped(chunk_index)).random(out=u1)
-    return _kernels.moment_sums(u1, sigma2, clip_powers, work[1:])
+    generator = np.random.Generator(np.random.Philox(key=seed).jumped(chunk_index))
+    return _kernels.moment_sums(generator, count, sigma2, clip_powers)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _summed_chunks(config: McConfig, workers: int) -> np.ndarray:
+    """Moment sums of the whole run, one row per clip power.
+
+    ``workers`` threads, at most one per chunk, take chunks in turn, each
+    in a copy of the caller's context, so the caller's ``np.errstate``
+    holds in every one; the calling thread is one of them.  The chunk
+    partials are added in chunk order, so the sums do not depend on
+    ``workers``.  The first exception a worker raises is raised here, once
+    every worker has stopped.
+    """
+    layout = list(_chunk_layout(config.n_samples))
+    partials: List[Optional[np.ndarray]] = [None] * len(layout)
+    pending = iter(layout)
+    lock = threading.Lock()
+    errors: List[BaseException] = []
+
+    def work():
+        try:
+            while not errors:
+                with lock:
+                    index, count = next(pending, (None, 0))
+                if index is None:
+                    return
+                partials[index] = _chunk_sums(
+                    config.seed, index, count, config.sigma2_w, config.clip_powers_w
+                )
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(work,))
+        for _ in range(min(workers, len(layout)) - 1)
+    ]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    sums = np.zeros((len(config.clip_powers_w), _kernels.N_SUMS))
+    for partial in partials:
+        sums += partial
+    return sums
 
 
 def _mean_and_stderr(total: float, total_sq: float, n: int):
@@ -156,10 +204,7 @@ def run_mc(config: McConfig) -> List[McEstimate]:
     go non-finite.
     """
     clip_powers = config.clip_powers_w
-    work = _workspace(config.n_samples)
-    sums = np.zeros((len(clip_powers), _kernels.N_SUMS))
-    for index, count in _chunk_layout(config.n_samples):
-        sums += _chunk_sums(config.seed, index, count, config.sigma2_w, clip_powers, work)
+    sums = _summed_chunks(config, _cpu_count())
     finite = np.all(np.isfinite(sums), axis=1)
     if not finite.all():
         concerned = [p_max for p_max, ok in zip(clip_powers, finite) if not ok]

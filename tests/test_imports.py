@@ -2,8 +2,10 @@
 
 The scalar pipeline (link budget, back-off solve, component powers,
 breakeven) needs no arrays, so every command but ``mc-verify`` runs
-without importing numpy.  Each check runs in a fresh interpreter, because
-this test process has numpy loaded already.
+without importing numpy.  No command loads ``concurrent.futures``: the
+Monte-Carlo workers are plain ``threading`` threads, which numpy loads
+anyway.  Each check runs in a fresh interpreter, because this test
+process has numpy loaded already.
 """
 
 import os
@@ -48,25 +50,26 @@ def test_scalar_commands_never_load_numpy(tmp_path):
     out = run_fresh(
         "import sys\n"
         "import foglink.cli as cli\n"
-        "print('import', 'numpy' in sys.modules)\n"
+        "print('import', 'numpy' in sys.modules, 'concurrent.futures' in sys.modules)\n"
         f"for command in {SCALAR_COMMANDS!r}:\n"
         f"    assert cli.main([command, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
-        "    print(command, 'numpy' in sys.modules)\n"
+        "    print(command, 'numpy' in sys.modules, 'concurrent.futures' in sys.modules)\n"
     )
     assert out.splitlines() == [
-        f"{step} False" for step in ("import", *SCALAR_COMMANDS)
+        f"{step} False False" for step in ("import", *SCALAR_COMMANDS)
     ]
 
 
 def test_mc_verify_loads_numpy(tmp_path):
+    # three chunks, so the run starts worker threads
     out = run_fresh(
         "import sys\n"
         "import foglink.cli as cli\n"
-        "cli.main(['mc-verify', '--samples', '1000', "
+        "cli.main(['mc-verify', '--samples', '2100000', "
         f"'--out', {str(tmp_path / 'mc.csv')!r}])\n"
-        "print('numpy' in sys.modules)\n"
+        "print('numpy' in sys.modules, 'concurrent.futures' in sys.modules)\n"
     )
-    assert out == "True\n"
+    assert out == "True False\n"
 
 
 def test_monte_carlo_exports_load_on_first_use():

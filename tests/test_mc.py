@@ -1,7 +1,10 @@
 """Monte-Carlo verifier: estimators, determinism, the radial moment kernel."""
 
 import math
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +18,8 @@ from foglink import (
     pa_consumed_power,
     run_mc,
 )
-from foglink.mc import CHUNK_SAMPLES, _chunk_layout, _chunk_sums, _workspace
-from foglink import _kernels
+from foglink import _kernels, mc
+from foglink.mc import CHUNK_SAMPLES, _chunk_layout, _chunk_sums, _summed_chunks
 from oracles import moment_sums_reference, soft_limit
 
 
@@ -97,19 +100,31 @@ class TestDeterminism:
         # then combine by chunk index; the sums must match bit for bit
         cfg = config(n=2 * CHUNK_SAMPLES + 999, clips=CLIP_POWERS)
         layout = list(_chunk_layout(cfg.n_samples))
-        work = _workspace(cfg.n_samples)
         shape = (len(CLIP_POWERS), _kernels.N_SUMS)
         forward = np.zeros(shape)
         for index, count in layout:
-            forward += _chunk_sums(cfg.seed, index, count, cfg.sigma2_w, cfg.clip_powers_w, work)
+            forward += _chunk_sums(cfg.seed, index, count, cfg.sigma2_w, cfg.clip_powers_w)
         partials = {
-            index: _chunk_sums(cfg.seed, index, count, cfg.sigma2_w, cfg.clip_powers_w, work)
+            index: _chunk_sums(cfg.seed, index, count, cfg.sigma2_w, cfg.clip_powers_w)
             for index, count in reversed(layout)
         }
         unordered = np.zeros(shape)
         for index, _ in layout:
             unordered += partials[index]
         assert np.array_equal(forward, unordered)
+
+    @pytest.mark.parametrize("n, workers", [
+        pytest.param(3 * CHUNK_SAMPLES + 7, (1, 2, 3), id="four-chunks"),
+        # one chunk: more workers than chunks
+        pytest.param(CHUNK_SAMPLES - 5, (1, 4), id="one-chunk"),
+    ])
+    def test_sums_do_not_depend_on_the_worker_count(self, n, workers):
+        # the estimates are a pure function of these sums
+        cfg = config(n=n, clips=CLIP_POWERS)
+        first, *others = [_summed_chunks(cfg, count) for count in workers]
+        for sums in others:
+            assert np.array_equal(sums, first)
+        assert run_mc(cfg) == [mc._estimate(cfg, p, row) for p, row in zip(CLIP_POWERS, first)]
 
     @pytest.mark.parametrize("clips", [
         CLIP_POWERS,
@@ -124,11 +139,50 @@ class TestDeterminism:
         alone = [run_one(n=n, snr_max=100.0, ibo=p_max) for p_max in clips]
         assert shared == alone
 
-    def test_non_finite_accumulation_names_the_clip_powers(self):
-        # |x|^4 overflows at this input power, whatever the clip
-        with np.errstate(over="ignore"), pytest.raises(NumericError) as refused:
-            run_mc(config(n=1000, sigma2=1e200, clips=(2.5e199, 7.5e200)))
+    def test_non_finite_accumulation_names_the_clip_powers(self, monkeypatch):
+        # |x|^4 overflows at this input power, whatever the clip; the run's
+        # three worker threads must see the caller's errstate, or the
+        # overflow warning, an error here, would end the run instead
+        monkeypatch.setattr(mc, "_cpu_count", lambda: 3)
+        cfg = config(n=2 * CHUNK_SAMPLES + 1, sigma2=1e200, clips=(2.5e199, 7.5e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"), pytest.raises(NumericError) as refused:
+                run_mc(cfg)
         assert "[2.5e+199, 7.5e+200]" in str(refused.value)
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        def chunk_sums(seed, chunk_index, count, sigma2, clip_powers):
+            if chunk_index == 2:
+                raise RuntimeError("chunk 2 failed")
+            return np.zeros((len(clip_powers), _kernels.N_SUMS))
+
+        monkeypatch.setattr(mc, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(mc, "_chunk_sums", chunk_sums)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk 2 failed"):
+            run_mc(config(n=3 * CHUNK_SAMPLES + 7))
+        assert threading.active_count() == threads  # every worker joined
+
+    def test_every_chunk_runs_once_under_contention(self, monkeypatch):
+        # eight workers, switching threads as often as the interpreter
+        # allows: no chunk is lost or run twice
+        calls = []
+
+        def chunk_sums(seed, chunk_index, count, sigma2, clip_powers):
+            calls.append(chunk_index)
+            return np.full((len(clip_powers), _kernels.N_SUMS), float(chunk_index))
+
+        monkeypatch.setattr(mc, "_chunk_sums", chunk_sums)
+        chunks = 200
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sums = _summed_chunks(config(n=chunks * CHUNK_SAMPLES), 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(calls) == list(range(chunks))
+        assert np.all(sums == chunks * (chunks - 1) / 2)
 
     def test_chunk_layout_covers_exactly(self):
         for n in (1, 10, CHUNK_SAMPLES, CHUNK_SAMPLES + 1, 3 * CHUNK_SAMPLES + 7):
@@ -165,10 +219,9 @@ class TestRadialKernel:
         rng = np.random.Generator(np.random.Philox(key=7))
         u1 = rng.random(count)
         u2 = rng.random(count)
-        # a workspace wider than the input, as for the last chunk of a run
-        work = np.full((_kernels.WORK_ROWS, CHUNK_SAMPLES + 5), np.nan)
-        # the kernel overwrites u1, its product scratch row
-        radial = _kernels.moment_sums(u1.copy(), sigma2, clips, work)
+        # the kernel draws u1 leaf by leaf from a generator seeded alike
+        generator = np.random.Generator(np.random.Philox(key=7))
+        radial = _kernels.moment_sums(generator, count, sigma2, clips)
         assert radial.shape == (len(clips), _kernels.N_SUMS)
         for row, p_max in zip(radial, clips):
             expected = self.box_muller_sums(u1, u2, sigma2, p_max)
@@ -180,7 +233,10 @@ class TestRadialKernel:
         # the whole-row sums bit for bit, on the clipping path and on the
         # shortcut for leaves a clip does not reach
         sigma2 = 1.3
-        u1 = np.random.Generator(np.random.Philox(key=11)).random(count)
+        def generator():
+            return np.random.Generator(np.random.Philox(key=11))
+
+        u1 = generator().random(count)
         smallest = -sigma2 * math.log1p(-u1.min())  # the least |x|^2
         largest = -sigma2 * math.log1p(-u1.max())
         assert 0.0 < 1e-20 < smallest
@@ -191,10 +247,9 @@ class TestRadialKernel:
             "only the largest sample clipped": (largest * (1.0 - 1e-9),),
             "-3..12 dB": tuple(p * sigma2 for p in CLIP_POWERS),
         }
-        work = np.full((_kernels.WORK_ROWS, count + 3), np.nan)
         for name, clips in clip_sets.items():
             expected = moment_sums_reference(u1, sigma2, clips)
-            got = _kernels.moment_sums(u1.copy(), sigma2, clips, work)
+            got = _kernels.moment_sums(generator(), count, sigma2, clips)
             assert np.array_equal(got, expected), name
 
     @pytest.mark.parametrize("count", TREE_COUNTS)
@@ -209,9 +264,10 @@ class TestRadialKernel:
         leaves = (values[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:]))
         assert _kernels.tree_join(leaves, count) == values.sum()
 
-    def test_run_mc_reuses_one_chunk_workspace(self):
-        # the run allocates its buffers once, not per chunk or per clip:
-        # the traced peak stays below four chunk-sized float64 arrays
+    def test_run_mc_peak_stays_below_one_chunk_array(self):
+        # each worker holds only leaf rows, never a chunk-length row: the
+        # traced peak of a multi-chunk run stays below one chunk-sized
+        # float64 array
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -219,7 +275,7 @@ class TestRadialKernel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * CHUNK_SAMPLES * 8
+        assert peak < CHUNK_SAMPLES * 8
 
 
 class TestEstimators:
