@@ -16,7 +16,6 @@ from .chain import (
 )
 from .config import dump_defaults, load_params
 from .errors import (
-    BracketError,
     ConfigError,
     ConvergenceError,
     DomainError,
@@ -37,7 +36,6 @@ from .pa import (
     PaOperatingPoint,
     bussgang_alpha,
     optimal_ibo,
-    optimal_ibo_residual,
     pa_consumed_power,
     sinr_approx_db,
     sinr_of_ibo,
@@ -51,8 +49,7 @@ __all__ = [
     "__version__",
     # pa
     "PaOperatingPoint", "bussgang_alpha", "sinr_of_ibo", "optimal_ibo",
-    "optimal_ibo_residual", "sinr_approx_db", "snr_max_for_sinr_db",
-    "pa_consumed_power",
+    "sinr_approx_db", "snr_max_for_sinr_db", "pa_consumed_power",
     # link
     "LinkGeometry", "MIN_DISTANCE_KM", "path_gain_db", "noise_dbm",
     "required_sinr", "operating_point", "clip_power",
@@ -66,7 +63,7 @@ __all__ = [
     # units
     "db_to_linear", "linear_to_db", "dbm_to_watts", "watts_to_dbm",
     # errors
-    "FoglinkError", "DomainError", "BracketError", "ConvergenceError",
+    "FoglinkError", "DomainError", "ConvergenceError",
     "InfeasibleLinkError", "ConfigError", "NumericError",
 ]
 

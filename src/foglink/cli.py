@@ -9,8 +9,9 @@ names a file.
 import argparse
 import math
 import sys
-from dataclasses import replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import astuple, fields, replace
+from operator import attrgetter
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from . import pa
 from .chain import (
@@ -109,12 +110,12 @@ def _scenario_context(exc: FoglinkError, **scenario) -> FoglinkError:
 
 
 def sweep_fig3(
-    start_db: float = -10.0, stop_db: float = 50.0, steps: int = 601
-) -> Tuple[List[Dict], float]:
+    start_db: float, stop_db: float, steps: int
+) -> Tuple[List[str], List[tuple], float]:
     """Optimal back-off and SINR versus the SNR ceiling, exact and approximate.
 
-    Returns the rows plus the maximum absolute gap between the exact and
-    the affine-approximated SINR over the sweep.
+    Returns the columns, the rows and the maximum absolute gap between the
+    exact and the affine-approximated SINR over the sweep.
     """
     rows = []
     max_gap = 0.0
@@ -126,24 +127,14 @@ def sweep_fig3(
         exact_db = linear_to_db(point.sinr_linear)
         approx_db = pa.sinr_approx_db(x)
         max_gap = max(max_gap, abs(exact_db - approx_db))
-        rows.append(
-            {
-                "snr_max_db": x,
-                "ibo_db_optimal": linear_to_db(point.ibo_linear),
-                "sinr_db_exact": exact_db,
-                "sinr_db_approx": approx_db,
-            }
-        )
-    return rows, max_gap
+        rows.append((x, linear_to_db(point.ibo_linear), exact_db, approx_db))
+    columns = ["snr_max_db", "ibo_db_optimal", "sinr_db_exact", "sinr_db_approx"]
+    return columns, rows, max_gap
 
 
 def sweep_fig4(
-    radio: RadioParams,
-    deploy: DeploymentParams,
-    start_hz: float = 1e6,
-    stop_hz: float = 20e6,
-    steps: int = 39,
-) -> List[Dict]:
+    radio: RadioParams, deploy: DeploymentParams, start_hz: float, stop_hz: float, steps: int
+) -> Tuple[List[str], List[tuple]]:
     """Required SINR and the resulting optimal back-off versus bandwidth.
 
     Grid points where a camera count cannot meet the rate at all (rate
@@ -163,15 +154,8 @@ def sweep_fig4(
                 continue
             except FoglinkError as exc:
                 raise _scenario_context(exc, bandwidth_hz=b, cameras=cameras) from exc
-            rows.append(
-                {
-                    "bandwidth_hz": b,
-                    "cameras": cameras,
-                    "sinr_db": sinr_db,
-                    "ibo_db": linear_to_db(point.ibo_linear),
-                }
-            )
-    return rows
+            rows.append((b, cameras, sinr_db, linear_to_db(point.ibo_linear)))
+    return ["bandwidth_hz", "cameras", "sinr_db", "ibo_db"], rows
 
 
 def _distance_sweep(
@@ -180,13 +164,14 @@ def _distance_sweep(
     start_km: float,
     stop_km: float,
     steps: int,
-    cells: Callable[[PowerBreakdown], Dict],
-) -> List[Dict]:
+    columns: Sequence[str],
+    cells: Callable[[PowerBreakdown], Iterable[float]],
+) -> Tuple[List[str], List[tuple]]:
     """Rows of ``cells`` over log-spaced distances and the FIGURE_COMBOS.
 
-    A curve's radio, fleet, link and amplifier point are built once, since
-    the point depends on the rate demand alone; a row sizes only the clip
-    power at its distance.
+    ``columns`` names the cells.  A curve's radio, fleet, link and
+    amplifier point are built once, since the point depends on the rate
+    demand alone; a row sizes only the clip power at its distance.
     """
     distances = _grid("distance_km", start_km, stop_km, steps, log_spaced=True)
     profile_radios = {}
@@ -210,95 +195,68 @@ def _distance_sweep(
         for profile, cameras, curve_radio, curve_deploy, geometry, point in curves:
             try:
                 p_max = clip_power(replace(geometry, distance_km=d), point.snr_max_linear)
-                row = cells(breakdown_at(curve_radio, curve_deploy, point, p_max))
+                down = breakdown_at(curve_radio, curve_deploy, point, p_max)
+                rows.append((d, curve_radio.bandwidth_hz, cameras, *cells(down)))
             except FoglinkError as exc:
                 raise _scenario_context(
                     exc, distance_km=d, bandwidth_profile=profile, cameras=cameras
                 ) from exc
-            rows.append(
-                {
-                    "distance_km": d,
-                    "bandwidth_hz": curve_radio.bandwidth_hz,
-                    "cameras": cameras,
-                    **row,
-                }
-            )
-    return rows
+    return ["distance_km", "bandwidth_hz", "cameras", *columns], rows
 
 
-# (CSV column, PowerBreakdown field) of the fig5 power cells
-_FIG5_CELLS = tuple(
-    (f"{part}_dbm", f"{part}_w")
-    for part in ("total", "video", "cod", "ofdm", "dac", "lo", "mix", "pa")
-)
-
-
-def _fig5_cells(down: PowerBreakdown) -> Dict:
-    return {column: watts_to_dbm(getattr(down, field)) for column, field in _FIG5_CELLS}
+# PowerBreakdown's fields: link-power prints them in this order, fig5 total first
+_POWER_FIELDS = [field.name for field in fields(PowerBreakdown)]
+_FIG5_FIELDS = ["total_w", *(name for name in _POWER_FIELDS if name != "total_w")]
 
 
 def sweep_fig5(
-    radio: RadioParams,
-    deploy: DeploymentParams,
-    start_km: float = 0.01,
-    stop_km: float = 2.0,
-    steps: int = 50,
-) -> List[Dict]:
+    radio: RadioParams, deploy: DeploymentParams, start_km: float, stop_km: float, steps: int
+) -> Tuple[List[str], List[tuple]]:
     """Offload power and its per-component shares versus distance."""
-    return _distance_sweep(radio, deploy, start_km, stop_km, steps, _fig5_cells)
-
-
-def sweep_fig6(
-    radio: RadioParams,
-    deploy: DeploymentParams,
-    start_km: float = 0.01,
-    stop_km: float = 2.0,
-    steps: int = 50,
-) -> List[Dict]:
-    """Breakeven workload complexity versus distance."""
+    watts = attrgetter(*_FIG5_FIELDS)
     return _distance_sweep(
         radio, deploy, start_km, stop_km, steps,
-        lambda down: {"theta_star": breakeven_at(down.total_w, deploy)},
+        [f"{name[:-2]}_dbm" for name in _FIG5_FIELDS],
+        lambda down: map(watts_to_dbm, watts(down)),
     )
 
 
-def link_power_row(radio: RadioParams, deploy: DeploymentParams) -> Dict:
+def sweep_fig6(
+    radio: RadioParams, deploy: DeploymentParams, start_km: float, stop_km: float, steps: int
+) -> Tuple[List[str], List[tuple]]:
+    """Breakeven workload complexity versus distance."""
+    return _distance_sweep(
+        radio, deploy, start_km, stop_km, steps,
+        ["theta_star"], lambda down: (breakeven_at(down.total_w, deploy),),
+    )
+
+
+def link_power_row(radio: RadioParams, deploy: DeploymentParams) -> Tuple[List[str], tuple]:
     """Full diagnostic row for one scenario: channel, operating point, powers."""
     geometry = link_geometry(radio, deploy)
     point = operating_point(geometry)
     p_max = clip_power(geometry, point.snr_max_linear)
     down = breakdown_at(radio, deploy, point, p_max)
-    return {
-        "distance_km": deploy.distance_km,
-        "carrier_hz": deploy.carrier_hz,
-        "bandwidth_hz": radio.bandwidth_hz,
-        "cameras": deploy.cameras,
-        "rate_bps": deploy.rate_bps,
-        "path_gain_db": path_gain_db(geometry.distance_km, geometry.carrier_hz),
-        "noise_dbm": noise_dbm(geometry.bandwidth_hz),
-        "p_max_w": p_max,
-        "snr_max_db": linear_to_db(point.snr_max_linear),
-        "ibo_db": linear_to_db(point.ibo_linear),
-        "sinr_db": linear_to_db(point.sinr_linear),
-        "alpha": point.alpha,
-        "sigma2_w": p_max / point.ibo_linear,
-        "video_w": down.video_w,
-        "cod_w": down.cod_w,
-        "ofdm_w": down.ofdm_w,
-        "dac_w": down.dac_w,
-        "lo_w": down.lo_w,
-        "mix_w": down.mix_w,
-        "pa_w": down.pa_w,
-        "total_w": down.total_w,
-        "total_dbm": watts_to_dbm(down.total_w),
-    }
+    columns = [
+        "distance_km", "carrier_hz", "bandwidth_hz", "cameras", "rate_bps",
+        "path_gain_db", "noise_dbm", "p_max_w", "snr_max_db", "ibo_db", "sinr_db",
+        "alpha", "sigma2_w", *_POWER_FIELDS, "total_dbm",
+    ]
+    row = (
+        deploy.distance_km, deploy.carrier_hz, radio.bandwidth_hz, deploy.cameras,
+        deploy.rate_bps, path_gain_db(geometry.distance_km, geometry.carrier_hz),
+        noise_dbm(geometry.bandwidth_hz), p_max, linear_to_db(point.snr_max_linear),
+        linear_to_db(point.ibo_linear), linear_to_db(point.sinr_linear), point.alpha,
+        p_max / point.ibo_linear, *astuple(down), watts_to_dbm(down.total_w),
+    )
+    return columns, row
 
 
 def breakeven_rows(
     radio: RadioParams,
     deploy: DeploymentParams,
-    theta_sweep: Optional[Tuple[float, float, int]] = None,
-) -> Tuple[List[str], List[Dict]]:
+    theta_sweep: Optional[Tuple[float, float, int]],
+) -> Tuple[List[str], List[tuple]]:
     """Breakeven summary, or a workload sweep when a theta range is given."""
     down = offload_power(radio, deploy)
     if theta_sweep is None:
@@ -306,53 +264,35 @@ def breakeven_rows(
             "distance_km", "bandwidth_hz", "cameras",
             "offload_total_w", "offload_total_dbm", "theta_star",
         ]
-        row = {
-            "distance_km": deploy.distance_km,
-            "bandwidth_hz": radio.bandwidth_hz,
-            "cameras": deploy.cameras,
-            "offload_total_w": down.total_w,
-            "offload_total_dbm": watts_to_dbm(down.total_w),
-            "theta_star": breakeven_at(down.total_w, deploy),
-        }
-        return columns, [row]
-    start, stop, steps = theta_sweep
-    columns = ["theta", "local_w", "offload_total_w", "local_minus_offload_w"]
-    rows = []
-    for theta in _grid("theta", start, stop, steps):
-        local = local_power(theta, deploy.rate_bps, deploy.gamma_flops_per_w)
-        rows.append(
-            {
-                "theta": theta,
-                "local_w": local,
-                "offload_total_w": down.total_w,
-                "local_minus_offload_w": local - down.total_w,
-            }
+        row = (
+            deploy.distance_km, radio.bandwidth_hz, deploy.cameras, down.total_w,
+            watts_to_dbm(down.total_w), breakeven_at(down.total_w, deploy),
         )
-    return columns, rows
+        return columns, [row]
+    rows = []
+    for theta in _grid("theta", *theta_sweep):
+        local = local_power(theta, deploy.rate_bps, deploy.gamma_flops_per_w)
+        rows.append((theta, local, down.total_w, local - down.total_w))
+    return ["theta", "local_w", "offload_total_w", "local_minus_offload_w"], rows
 
 
 def mc_verify(
-    ibo_db_values: Sequence[float],
-    n_samples: int,
-    seed: int,
-    snr_max_db: float = 20.0,
-) -> Tuple[List[Dict], List[str]]:
+    ibo_db_values: Sequence[float], n_samples: int, seed: int, snr_max_db: float
+) -> Tuple[List[str], List[tuple], List[str]]:
     """Compare Monte-Carlo estimates against the closed forms per back-off.
 
     Runs at unit mean input power (sigma2 = 1 W, p_max = IBO), every
-    back-off on the same samples in one Monte-Carlo run.  The back-off list
-    and the SNR ceiling, each back-off's closed forms, then the run's
-    configuration are checked before any sampling, so a bad entry or flag
-    is refused at once.  A row passes when alpha, distortion power,
-    amplifier power and SINR each land within max(3 standard errors,
-    1 percent) of the analytic value.  Returns the rows and a list of
-    human-readable failure descriptions.
+    back-off on the same samples in one Monte-Carlo run.  The SNR ceiling,
+    each back-off's closed forms, then the run's configuration (which
+    refuses an empty back-off list) are checked before any sampling, so a
+    bad entry or flag is refused at once.  A row passes when alpha,
+    distortion power, amplifier power and SINR each land within max(3
+    standard errors, 1 percent) of the analytic value.  Returns the
+    columns, the rows and the human-readable failure descriptions.
     """
     from .mc import McConfig, run_mc  # numpy loads here, on the Monte-Carlo path only
 
     sigma2 = 1.0
-    if not ibo_db_values:
-        raise DomainError("the back-off list ibo_db_values is empty")
     try:
         snr_max = db_to_linear(snr_max_db)
     except FoglinkError as exc:
@@ -416,24 +356,19 @@ def mc_verify(
                     f"ibo_db={ibo_db:g}: {name} estimate {measured!r} deviates "
                     f"from analytic {analytic!r} by more than {tolerance!r}"
                 )
-        rows.append(
-            {
-                "ibo_db": ibo_db,
-                "alpha_analytic": alpha,
-                "alpha_hat": estimate.alpha_hat,
-                "stderr_alpha": estimate.stderr_alpha,
-                "distortion_w_analytic": distortion,
-                "distortion_w_hat": estimate.distortion_power_hat,
-                "stderr_distortion": estimate.stderr_distortion,
-                "pa_w_analytic": pa_w,
-                "pa_w_hat": estimate.pa_power_hat,
-                "stderr_pa": estimate.stderr_pa,
-                "sinr_analytic": sinr,
-                "sinr_hat": estimate.sinr_hat,
-                "status": "pass" if row_ok else "fail",
-            }
-        )
-    return rows, failures
+        rows.append((
+            ibo_db, alpha, estimate.alpha_hat, estimate.stderr_alpha,
+            distortion, estimate.distortion_power_hat, estimate.stderr_distortion,
+            pa_w, estimate.pa_power_hat, estimate.stderr_pa,
+            sinr, estimate.sinr_hat, "pass" if row_ok else "fail",
+        ))
+    columns = [
+        "ibo_db", "alpha_analytic", "alpha_hat", "stderr_alpha",
+        "distortion_w_analytic", "distortion_w_hat", "stderr_distortion",
+        "pa_w_analytic", "pa_w_hat", "stderr_pa",
+        "sinr_analytic", "sinr_hat", "status",
+    ]
+    return columns, rows, failures
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +386,10 @@ def _format_cell(value) -> str:
     return f"{number:.9g}"
 
 
-def render_csv(columns: Sequence[str], rows: Sequence[Mapping], trailer: Sequence[str] = ()) -> str:
+def render_csv(columns: Sequence[str], rows: Iterable, trailer: Sequence[str] = ()) -> str:
+    """The header, one line per row (cells in column order), then the trailer."""
     lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row[c]) for c in columns))
+    lines.extend(",".join(map(_format_cell, row)) for row in rows)
     lines.extend(trailer)
     return "\n".join(lines) + "\n"
 
@@ -471,22 +406,98 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command table
 
 
-def _add_common(parser, config=True):
-    if config:
-        parser.add_argument("--config", metavar="PATH",
-                            help="flat JSON parameter file (defaults otherwise)")
-    parser.add_argument("--out", metavar="PATH",
-                        help="write CSV here instead of stdout")
+def _run_fig3(args):
+    columns, rows, max_gap = sweep_fig3(args.db_from, args.db_to, args.steps)
+    return columns, rows, [f"# max_abs_approx_error_db,{max_gap:.9g}"], ()
 
 
-def _add_scenario(parser):
-    parser.add_argument("--bandwidth-profile", choices=sorted(BANDWIDTH_PROFILES),
-                        help="switch the sample-rate/bandwidth/transform triple")
-    parser.add_argument("--cameras", type=int, help="number of cameras sharing the band")
-    parser.add_argument("--distance-km", type=float, help="link distance in km")
+def _run_breakeven(args, radio, deploy):
+    theta_sweep = None
+    if args.theta_from is not None or args.theta_to is not None:
+        if args.theta_from is None or args.theta_to is None:
+            raise DomainError("--theta-from and --theta-to must be given together")
+        theta_sweep = (args.theta_from, args.theta_to, args.steps)
+    return (*breakeven_rows(radio, deploy, theta_sweep), (), ())
+
+
+def _run_link_power(args, radio, deploy):
+    columns, row = link_power_row(radio, deploy)
+    return columns, [row], (), ()
+
+
+def _run_mc_verify(args):
+    try:
+        ibo_list = [float(part) for part in args.ibo_db.split(",") if part.strip()]
+    except ValueError:
+        raise DomainError(f"--ibo-db must be a comma-separated float list, "
+                          f"got {args.ibo_db!r}") from None
+    if not ibo_list:
+        raise DomainError("--ibo-db produced an empty back-off list")
+    if args.samples < 2:  # one sample has no standard error
+        raise DomainError(f"--samples must be at least 2, got {args.samples}")
+    columns, rows, failures = mc_verify(ibo_list, args.samples, args.seed, args.snr_max_db)
+    return columns, rows, (), failures
+
+
+def _sweep_flags(from_flag, to_flag, start, stop, steps):
+    return (
+        (from_flag, {"type": float, "default": start}),
+        (to_flag, {"type": float, "default": stop}),
+        ("--steps", {"type": int, "default": steps}),
+    )
+
+
+_OUT = ("--out", {"metavar": "PATH", "help": "write CSV here instead of stdout"})
+_CONFIG = ("--config", {"metavar": "PATH",
+                        "help": "flat JSON parameter file (defaults otherwise)"})
+_SCENARIO = (
+    _CONFIG, _OUT,
+    ("--bandwidth-profile", {"choices": sorted(BANDWIDTH_PROFILES),
+                             "help": "switch the sample-rate/bandwidth/transform triple"}),
+    ("--cameras", {"type": int, "help": "number of cameras sharing the band"}),
+    ("--distance-km", {"type": float, "help": "link distance in km"}),
+)
+_DISTANCES = _sweep_flags("--d-from-km", "--d-to-km", 0.01, 2.0, 50)
+
+# (name, help, flags, run) of each CSV subcommand, in --help order.  A flag
+# is (option string, add_argument keywords); a command with --config
+# evaluates a scenario.  run(args, *scenario) returns the CSV columns, the
+# rows in column order, the trailer lines and the verdicts that fail the
+# run.  The runs call this module's functions through its globals, so a
+# wrapper put there after import (perfbench/tracer.py) is the one called.
+_COMMANDS = (
+    ("fig3", "optimal back-off and SINR vs SNR ceiling",
+     (_OUT, *_sweep_flags("--db-from", "--db-to", -10.0, 50.0, 601)), _run_fig3),
+    ("fig4", "required SINR and back-off vs bandwidth",
+     (_CONFIG, _OUT, *_sweep_flags("--b-from-hz", "--b-to-hz", 1e6, 20e6, 39)),
+     lambda args, radio, deploy: (*sweep_fig4(
+         radio, deploy, args.b_from_hz, args.b_to_hz, args.steps), (), ())),
+    ("fig5", "offload power and components vs distance", (_CONFIG, _OUT, *_DISTANCES),
+     lambda args, radio, deploy: (*sweep_fig5(
+         radio, deploy, args.d_from_km, args.d_to_km, args.steps), (), ())),
+    ("fig6", "breakeven workload complexity vs distance", (_CONFIG, _OUT, *_DISTANCES),
+     lambda args, radio, deploy: (*sweep_fig6(
+         radio, deploy, args.d_from_km, args.d_to_km, args.steps), (), ())),
+    ("breakeven", "breakeven complexity for one scenario", (
+        *_SCENARIO,
+        ("--theta-from", {"type": float, "help": "sweep workload complexity from here"}),
+        ("--theta-to", {"type": float, "help": "sweep workload complexity to here"}),
+        ("--steps", {"type": int, "default": 50}),
+    ), _run_breakeven),
+    ("link-power", "channel, operating point and power budget", _SCENARIO,
+     _run_link_power),
+    ("mc-verify", "Monte-Carlo check of the amplifier model", (
+        _OUT,
+        ("--ibo-db", {"default": "-3,0,3,6", "help": "comma-separated back-off list in dB"}),
+        ("--samples", {"type": int, "default": 10_000_000}),
+        ("--seed", {"type": int, "default": 42}),
+        ("--snr-max-db", {"type": float, "default": 20.0,
+                          "help": "SNR ceiling used for the empirical SINR"}),
+    ), _run_mc_verify),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -495,47 +506,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Energy model for offloading camera analytics over an OFDM uplink.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # (name, help, takes --config, sweep range flags and defaults, steps)
-    for name, help_text, config, (lo_flag, hi_flag), (lo, hi), steps in (
-        ("fig3", "optimal back-off and SINR vs SNR ceiling", False,
-         ("--db-from", "--db-to"), (-10.0, 50.0), 601),
-        ("fig4", "required SINR and back-off vs bandwidth", True,
-         ("--b-from-hz", "--b-to-hz"), (1e6, 20e6), 39),
-        ("fig5", "offload power and components vs distance", True,
-         ("--d-from-km", "--d-to-km"), (0.01, 2.0), 50),
-        ("fig6", "breakeven workload complexity vs distance", True,
-         ("--d-from-km", "--d-to-km"), (0.01, 2.0), 50),
-    ):
+    for name, help_text, flags, run in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        _add_common(p, config=config)
-        p.add_argument(lo_flag, type=float, default=lo)
-        p.add_argument(hi_flag, type=float, default=hi)
-        p.add_argument("--steps", type=int, default=steps)
-
-    p = sub.add_parser("breakeven", help="breakeven complexity for one scenario")
-    _add_common(p)
-    _add_scenario(p)
-    p.add_argument("--theta-from", type=float, help="sweep workload complexity from here")
-    p.add_argument("--theta-to", type=float, help="sweep workload complexity to here")
-    p.add_argument("--steps", type=int, default=50)
-
-    p = sub.add_parser("link-power", help="channel, operating point and power budget")
-    _add_common(p)
-    _add_scenario(p)
-
-    p = sub.add_parser("mc-verify", help="Monte-Carlo check of the amplifier model")
-    _add_common(p, config=False)
-    p.add_argument("--ibo-db", default="-3,0,3,6",
-                   help="comma-separated back-off list in dB")
-    p.add_argument("--samples", type=int, default=10_000_000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--snr-max-db", type=float, default=20.0,
-                   help="SNR ceiling used for the empirical SINR")
-
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(run=run)
     p = sub.add_parser("print-defaults", help="emit the baseline parameters as JSON")
     p.add_argument("--out", metavar="PATH")
-
     return parser
 
 
@@ -561,83 +538,32 @@ def _attach_backoff_list(argv: Sequence[str]) -> List[str]:
     return joined
 
 
-FIG3_COLUMNS = ["snr_max_db", "ibo_db_optimal", "sinr_db_exact", "sinr_db_approx"]
-FIG4_COLUMNS = ["bandwidth_hz", "cameras", "sinr_db", "ibo_db"]
-FIG5_COLUMNS = ["distance_km", "bandwidth_hz", "cameras", *(c for c, _ in _FIG5_CELLS)]
-FIG6_COLUMNS = ["distance_km", "bandwidth_hz", "cameras", "theta_star"]
-LINK_POWER_COLUMNS = [
-    "distance_km", "carrier_hz", "bandwidth_hz", "cameras", "rate_bps",
-    "path_gain_db", "noise_dbm", "p_max_w", "snr_max_db", "ibo_db", "sinr_db",
-    "alpha", "sigma2_w", "video_w", "cod_w", "ofdm_w", "dac_w", "lo_w",
-    "mix_w", "pa_w", "total_w", "total_dbm",
-]
-MC_VERIFY_COLUMNS = [
-    "ibo_db", "alpha_analytic", "alpha_hat", "stderr_alpha",
-    "distortion_w_analytic", "distortion_w_hat", "stderr_distortion",
-    "pa_w_analytic", "pa_w_hat", "stderr_pa",
-    "sinr_analytic", "sinr_hat", "status",
-]
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_attach_backoff_list(argv))
     try:
-        if hasattr(args, "config"):  # the commands that evaluate a scenario
+        if args.command == "print-defaults":
+            _emit(dump_defaults() + "\n", args.out)
+            return 0
+        scenario = ()
+        if hasattr(args, "config"):
             overrides = {
                 key: getattr(args, key)
                 for key in ("cameras", "distance_km")
                 if getattr(args, key, None) is not None
             }
-            radio, deploy = load_params(
+            scenario = load_params(
                 args.config, overrides, getattr(args, "bandwidth_profile", None)
             )
-        if args.command == "fig3":
-            rows, max_gap = sweep_fig3(args.db_from, args.db_to, args.steps)
-            trailer = [f"# max_abs_approx_error_db,{max_gap:.9g}"]
-            _emit(render_csv(FIG3_COLUMNS, rows, trailer), args.out)
-        elif args.command == "fig4":
-            rows = sweep_fig4(radio, deploy, args.b_from_hz, args.b_to_hz, args.steps)
-            _emit(render_csv(FIG4_COLUMNS, rows), args.out)
-        elif args.command in ("fig5", "fig6"):
-            sweep, columns = {
-                "fig5": (sweep_fig5, FIG5_COLUMNS), "fig6": (sweep_fig6, FIG6_COLUMNS),
-            }[args.command]
-            rows = sweep(radio, deploy, args.d_from_km, args.d_to_km, args.steps)
-            _emit(render_csv(columns, rows), args.out)
-        elif args.command == "breakeven":
-            theta_sweep = None
-            if args.theta_from is not None or args.theta_to is not None:
-                if args.theta_from is None or args.theta_to is None:
-                    raise DomainError("--theta-from and --theta-to must be given together")
-                theta_sweep = (args.theta_from, args.theta_to, args.steps)
-            columns, rows = breakeven_rows(radio, deploy, theta_sweep)
-            _emit(render_csv(columns, rows), args.out)
-        elif args.command == "link-power":
-            _emit(render_csv(LINK_POWER_COLUMNS, [link_power_row(radio, deploy)]), args.out)
-        elif args.command == "mc-verify":
-            try:
-                ibo_list = [float(part) for part in args.ibo_db.split(",") if part.strip()]
-            except ValueError:
-                raise DomainError(f"--ibo-db must be a comma-separated float list, "
-                                  f"got {args.ibo_db!r}") from None
-            if not ibo_list:
-                raise DomainError("--ibo-db produced an empty back-off list")
-            if args.samples < 2:  # one sample has no standard error
-                raise DomainError(f"--samples must be at least 2, got {args.samples}")
-            rows, failures = mc_verify(ibo_list, args.samples, args.seed, args.snr_max_db)
-            _emit(render_csv(MC_VERIFY_COLUMNS, rows), args.out)
-            if failures:
-                for failure in failures:
-                    print(f"mc-verify: {failure}", file=sys.stderr)
-                return 1
-        elif args.command == "print-defaults":
-            _emit(dump_defaults() + "\n", args.out)
+        columns, rows, trailer, verdicts = args.run(args, *scenario)
+        _emit(render_csv(columns, rows, trailer), args.out)
     except FoglinkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
+    for verdict in verdicts:
+        print(f"{args.command}: {verdict}", file=sys.stderr)
+    return 1 if verdicts else 0
 
 
 if __name__ == "__main__":

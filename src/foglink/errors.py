@@ -12,10 +12,6 @@ class DomainError(FoglinkError, ValueError):
     """An argument lies outside the validity range of a model or function."""
 
 
-class BracketError(FoglinkError, ValueError):
-    """A root-finding bracket does not enclose a sign change."""
-
-
 class ConvergenceError(FoglinkError, RuntimeError):
     """An iterative solver failed to reach the requested tolerance."""
 

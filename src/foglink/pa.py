@@ -13,14 +13,13 @@ name carries ``_db`` accept or return decibels.
 import math
 from dataclasses import dataclass
 
-from .errors import BracketError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "PaOperatingPoint",
     "bussgang_alpha",
     "distortion_power",
     "sinr_of_ibo",
-    "optimal_ibo_residual",
     "optimal_ibo",
     "sinr_approx_db",
     "snr_max_for_sinr_db",
@@ -32,7 +31,8 @@ _SQRT_PI = math.sqrt(math.pi)
 # Search bracket for the optimal back-off, in linear IBO.  It holds a sign
 # change of the stationarity gap for every SNR ceiling from MIN_SNR_CEILING,
 # -39.475 dB, below which the gap at its lower end z = sqrt(1e-8) = 1e-4 is
-# negative, up to MAX_SNR_CEILING.
+# negative, up to MAX_SNR_CEILING; at its upper end erfc(sqrt(1e3)) is 0.0,
+# so the gap is -sqrt(1e3) / SNR_MAX < 0 for every finite ceiling.
 IBO_BRACKET = (1e-8, 1e3)
 MIN_SNR_CEILING = 1e-4 / (0.5 * _SQRT_PI * math.erfc(1e-4))
 
@@ -125,18 +125,6 @@ def sinr_of_ibo(ibo_linear: float, snr_max_linear: float) -> float:
     return sinr
 
 
-def optimal_ibo_residual(ibo_linear: float, snr_max_linear: float) -> float:
-    """Stationarity gap of the SINR curve at a given back-off.
-
-    Returns (sqrt(pi)/2) * erfc(sqrt(IBO)) - sqrt(IBO) / SNR_MAX, which is
-    positive below the SINR-optimal back-off, negative above it, and zero
-    at the optimum.
-    """
-    if not (math.isfinite(ibo_linear) and ibo_linear > 0.0):
-        raise DomainError(f"ibo_linear must be positive and finite, got {ibo_linear!r}")
-    return _stationarity_gap(math.sqrt(ibo_linear), snr_max_linear)
-
-
 def _stationarity_gap(z: float, snr_max_linear: float) -> float:
     """(sqrt(pi)/2) * erfc(z) - z / SNR_MAX, in z = sqrt(IBO)."""
     return 0.5 * _SQRT_PI * math.erfc(z) - z / snr_max_linear
@@ -152,9 +140,8 @@ def optimal_ibo(snr_max_linear: float) -> PaOperatingPoint:
     optimal back-off, the Bussgang gain and the achieved SINR.
 
     Raises DomainError for a ceiling outside [MIN_SNR_CEILING,
-    MAX_SNR_CEILING], BracketError when IBO_BRACKET holds no sign change, and
-    ConvergenceError when the gap is not within 1e-13 after 200 steps or
-    once a step makes no progress.
+    MAX_SNR_CEILING], and ConvergenceError when the gap is not within 1e-13
+    after 200 steps or once a step makes no progress.
     """
     if not (math.isfinite(snr_max_linear) and snr_max_linear > 0.0):
         raise DomainError(
@@ -173,12 +160,6 @@ def optimal_ibo(snr_max_linear: float) -> PaOperatingPoint:
         )
     s = snr_max_linear
     lo, hi = math.sqrt(IBO_BRACKET[0]), math.sqrt(IBO_BRACKET[1])
-    g_lo, g_hi = _stationarity_gap(lo, s), _stationarity_gap(hi, s)
-    if g_lo * g_hi > 0.0:
-        raise BracketError(
-            f"no sign change on bracket [{lo!r}, {hi!r}]: "
-            f"f(lo) = {g_lo!r}, f(hi) = {g_hi!r}"
-        )
     # d(gap)/dz at the root flattens toward -1/s for large s, so start near
     # the asymptotic root location to keep the iteration count low.
     z = max(0.5, math.sqrt(math.log(s))) if s > math.e else 0.5

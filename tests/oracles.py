@@ -11,13 +11,13 @@ import math
 
 import numpy as np
 
-from foglink import BracketError, ConvergenceError, DomainError
+from foglink import ConvergenceError, DomainError
 
 
 def solve_bisection(f, lo, hi, *, tol=1e-12, max_iter=200):
     """Root of ``f`` on [lo, hi]; returns once the interval width is <= tol.
 
-    Requires f(lo) and f(hi) to differ in sign, otherwise BracketError.
+    Requires f(lo) and f(hi) to differ in sign, otherwise ValueError.
     The returned root always lies inside the original bracket.
     """
     if not tol > 0.0:
@@ -31,7 +31,7 @@ def solve_bisection(f, lo, hi, *, tol=1e-12, max_iter=200):
     if fhi == 0.0:
         return hi
     if flo * fhi > 0.0:
-        raise BracketError(
+        raise ValueError(
             f"no sign change on [{lo!r}, {hi!r}]: f(lo) = {flo!r}, f(hi) = {fhi!r}"
         )
     for _ in range(max_iter):

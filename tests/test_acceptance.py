@@ -29,7 +29,6 @@ from foglink import (
     offload_power,
     operating_point,
     optimal_ibo,
-    optimal_ibo_residual,
     pa_consumed_power,
     run_mc,
     sinr_approx_db,
@@ -37,6 +36,7 @@ from foglink import (
     watts_to_dbm,
 )
 import foglink.cli as cli
+from foglink import pa
 from foglink.config import BANDWIDTH_PROFILES
 from oracles import solve_bisection
 
@@ -92,7 +92,7 @@ def test_criterion_2_optimal_backoff_solver():
         s = db_to_linear(x)
         point = optimal_ibo(s)
         worst_residual = max(
-            worst_residual, abs(optimal_ibo_residual(point.ibo_linear, s))
+            worst_residual, abs(pa._stationarity_gap(math.sqrt(point.ibo_linear), s))
         )
         oracle = solve_bisection(
             lambda z: 0.5 * math.sqrt(math.pi) * math.erfc(z) - z / s,

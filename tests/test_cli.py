@@ -16,6 +16,12 @@ from foglink.pa import MAX_SNR_CEILING, snr_max_for_sinr_db
 from foglink.units import db_to_linear, linear_to_db
 
 
+FIG5_HEADER = [
+    "distance_km", "bandwidth_hz", "cameras", "total_dbm", "video_dbm", "cod_dbm",
+    "ofdm_dbm", "dac_dbm", "lo_dbm", "mix_dbm", "pa_dbm",
+]
+
+
 def run_cli(args, capsys=None):
     code = cli.main(args)
     if capsys is None:
@@ -57,7 +63,7 @@ class TestFig3:
         )
         assert code == 0
         header, rows = parse_csv(out)
-        assert header == cli.FIG3_COLUMNS
+        assert header == ["snr_max_db", "ibo_db_optimal", "sinr_db_exact", "sinr_db_approx"]
         assert len(rows) == 1
         assert rows[0]["sinr_db_approx"] == -2.23
         assert abs(rows[0]["sinr_db_exact"] - (-1.77371155)) < 1e-6
@@ -119,6 +125,14 @@ class TestFig4:
         for pair in both:
             assert pair[10]["sinr_db"] > pair[1]["sinr_db"]
 
+    def test_no_feasible_point_still_prints_the_header(self, capsys):
+        # no camera count meets the rate at 1-2 Hz, so there is no first row
+        # to take the columns from
+        code, out, err = run_cli(
+            ["fig4", "--b-from-hz", "1", "--b-to-hz", "2", "--steps", "3"], capsys
+        )
+        assert (code, out, err) == (0, "bandwidth_hz,cameras,sinr_db,ibo_db\n", "")
+
     def test_infeasible_narrowband_fleet_rows_omitted(self, rows):
         assert not any(
             row["cameras"] == 10 and row["bandwidth_hz"] <= 2.5e6 for row in rows
@@ -134,7 +148,7 @@ class TestFig5:
         )
         assert code == 0
         header, rows = parse_csv(out)
-        assert header == cli.FIG5_COLUMNS
+        assert header == FIG5_HEADER
         assert len(rows) == 4
         totals = [row["total_dbm"] for row in rows]
         assert all(abs(t - 26.0) < 1.0 for t in totals)
@@ -152,7 +166,7 @@ class TestFig5:
         ]
         assert len(rows) == 1
         row = rows[0]
-        others = [row[c] for c in cli.FIG5_COLUMNS[4:-1]]
+        others = [row[c] for c in FIG5_HEADER[4:-1]]
         assert row["pa_dbm"] > max(others)
         # more than half the total budget
         assert row["pa_dbm"] > row["total_dbm"] - 3.01
@@ -162,16 +176,17 @@ class TestFig5:
         path = tmp_path / "params.json"
         path.write_text('{"rate_bps": 1e7, "carrier_hz": 2.6e9}', encoding="utf-8")
         radio, deploy = load_params(str(path))
-        rows = cli.sweep_fig5(radio, deploy)
+        columns, rows = cli.sweep_fig5(radio, deploy, 0.01, 2.0, 50)
+        assert columns == FIG5_HEADER
         assert len(rows) == 4 * 50
-        for row in rows:
-            profile = "9mhz" if row["bandwidth_hz"] == 9e6 else "18mhz"
+        for distance_km, bandwidth_hz, cameras, *cells in rows:
+            profile = "9mhz" if bandwidth_hz == 9e6 else "18mhz"
             down = offload_power(
                 replace(radio, **BANDWIDTH_PROFILES[profile]),
-                replace(deploy, cameras=row["cameras"], distance_km=row["distance_km"]),
+                replace(deploy, cameras=cameras, distance_km=distance_km),
             )
-            for column, field in cli._FIG5_CELLS:
-                assert row[column] == watts_to_dbm(getattr(down, field))
+            for column, cell in zip(columns[3:], cells):
+                assert cell == watts_to_dbm(getattr(down, column.replace("_dbm", "_w")))
 
 
 class TestFig6:
@@ -181,7 +196,7 @@ class TestFig6:
         )
         assert code == 0
         header, rows = parse_csv(out)
-        assert header == cli.FIG6_COLUMNS
+        assert header == ["distance_km", "bandwidth_hz", "cameras", "theta_star"]
         assert len(rows) == 8
         radio, deploy = load_params()
 
@@ -237,7 +252,12 @@ class TestLinkPower:
         code, out, _ = run_cli(["link-power"], capsys)
         assert code == 0
         header, rows = parse_csv(out)
-        assert header == cli.LINK_POWER_COLUMNS
+        assert header == [
+            "distance_km", "carrier_hz", "bandwidth_hz", "cameras", "rate_bps",
+            "path_gain_db", "noise_dbm", "p_max_w", "snr_max_db", "ibo_db", "sinr_db",
+            "alpha", "sigma2_w", "video_w", "cod_w", "ofdm_w", "dac_w", "lo_w",
+            "mix_w", "pa_w", "total_w", "total_dbm",
+        ]
         row = rows[0]
         parts = sum(
             row[c] for c in ("video_w", "cod_w", "ofdm_w", "dac_w", "lo_w",
@@ -255,7 +275,12 @@ class TestMcVerify:
         assert code == 0
         assert err == ""
         header, rows = parse_csv(out)
-        assert header == cli.MC_VERIFY_COLUMNS
+        assert header == [
+            "ibo_db", "alpha_analytic", "alpha_hat", "stderr_alpha",
+            "distortion_w_analytic", "distortion_w_hat", "stderr_distortion",
+            "pa_w_analytic", "pa_w_hat", "stderr_pa",
+            "sinr_analytic", "sinr_hat", "status",
+        ]
         assert [row["ibo_db"] for row in rows] == [-3.0, 0.0, 3.0, 6.0]
         assert all(row["status"] == "pass" for row in rows)
 
@@ -337,9 +362,10 @@ class TestMcVerify:
         ]
 
     def test_empty_backoff_list_is_refused(self):
-        # main refuses an empty --ibo-db first; a Python caller gets this
-        with pytest.raises(DomainError, match="back-off list ibo_db_values is empty"):
-            cli.mc_verify([], 10, 1)
+        # main refuses an empty --ibo-db first; a Python caller gets
+        # McConfig's refusal of an empty clip list
+        with pytest.raises(DomainError, match="clip_powers_w must hold at least one"):
+            cli.mc_verify([], 10, 1, 20.0)
 
     def test_unrepresentable_ceiling_names_the_whole_run(self, capsys):
         # the SNR ceiling belongs to the run, not to the first back-off
@@ -532,6 +558,32 @@ class TestSolveCounts:
         assert self.solves(args, capsys, monkeypatch) == len(cli.FIGURE_COMBOS) == 4
 
 
+@pytest.mark.parametrize("argv, sites", [
+    (["fig3", "--steps", "3"], ["sweep_fig3", "render_csv"]),
+    (["fig4", "--steps", "3"], ["load_params", "sweep_fig4", "render_csv"]),
+    (["fig5", "--steps", "2"], ["load_params", "sweep_fig5", "render_csv"]),
+    (["fig6", "--steps", "2"], ["load_params", "sweep_fig6", "render_csv"]),
+    (["breakeven"], ["load_params", "breakeven_rows", "render_csv"]),
+    (["link-power"], ["load_params", "link_power_row", "render_csv"]),
+    (["mc-verify", "--samples", "2000", "--seed", "9"], ["mc_verify", "render_csv"]),
+    (["print-defaults"], ["dump_defaults"]),
+])
+def test_main_calls_what_is_set_on_the_module_after_import(capsys, monkeypatch, argv, sites):
+    # perfbench/tracer.py wraps these names in foglink.cli once it is
+    # imported; a command table that held the functions themselves would
+    # bypass the wrappers and leave the per-layer timings at zero
+    sites = [*sites, "_emit"]
+    calls = []
+    for name in sites:
+        def counted(*args, _name=name, _original=getattr(cli, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    assert run_cli(argv, capsys)[0] == 0
+    assert sorted(calls) == sorted(sites)
+
+
 @pytest.mark.parametrize("steps", [40, 400, 781, 1561])
 def test_dense_fig4_grids_complete(capsys, steps):
     # the 10-camera ceiling near 3.44 MHz once reached the band where the
@@ -544,14 +596,14 @@ def test_dense_fig4_grids_complete(capsys, steps):
 
 class TestCsvRendering:
     def test_nine_significant_digits(self):
-        text = cli.render_csv(["x"], [{"x": math.pi}])
+        text = cli.render_csv(["x"], [(math.pi,)])
         assert text == "x\n3.14159265\n"
 
     def test_non_finite_rejected(self):
         from foglink import NumericError
 
         with pytest.raises(NumericError):
-            cli.render_csv(["x"], [{"x": float("nan")}])
+            cli.render_csv(["x"], [(float("nan"),)])
 
     def test_sweep_spec_validation(self):
         with pytest.raises(DomainError, match="increasing"):

@@ -14,6 +14,7 @@ float there is an argparse usage error.  ``--steps`` stays <= 64 and
 derandomized, so the suite is deterministic.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -76,6 +77,23 @@ def run(argv):
         except SystemExit as exc:
             raise AssertionError(f"{argv}: usage exit {exc.code}: {err.getvalue()}")
     return code, out.getvalue(), err.getvalue().splitlines()
+
+
+def test_every_numeric_flag_is_fuzzed():
+    # a float or int option added to the parser cannot escape the fuzz
+    commands = next(
+        action.choices for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    defined = {float: set(), int: set()}
+    for command, parser in commands.items():
+        for action in parser._actions:
+            if action.type in defined:
+                defined[action.type].update((command, flag) for flag in action.option_strings)
+    assert defined[float] == {(c, f) for c, flags in FLOAT_FLAGS.items() for f in flags}
+    assert defined[int] == {
+        ("mc-verify", "--samples"), *((c, f) for c, flags in INT_FLAGS.items() for f in flags)
+    }
 
 
 def statuses_of_finite_csv(argv, text):

@@ -21,8 +21,7 @@ SCALAR_COMMANDS = ("fig3", "fig4", "fig5", "fig6", "link-power", "breakeven", "p
 EXPORTS = [
     "__version__",
     "PaOperatingPoint", "bussgang_alpha", "sinr_of_ibo", "optimal_ibo",
-    "optimal_ibo_residual", "sinr_approx_db", "snr_max_for_sinr_db",
-    "pa_consumed_power",
+    "sinr_approx_db", "snr_max_for_sinr_db", "pa_consumed_power",
     "LinkGeometry", "MIN_DISTANCE_KM", "path_gain_db", "noise_dbm",
     "required_sinr", "operating_point", "clip_power",
     "RadioParams", "DeploymentParams", "PowerBreakdown", "local_power",
@@ -30,7 +29,7 @@ EXPORTS = [
     "McConfig", "McEstimate", "CHUNK_SAMPLES", "run_mc",
     "load_params", "dump_defaults",
     "db_to_linear", "linear_to_db", "dbm_to_watts", "watts_to_dbm",
-    "FoglinkError", "DomainError", "BracketError", "ConvergenceError",
+    "FoglinkError", "DomainError", "ConvergenceError",
     "InfeasibleLinkError", "ConfigError", "NumericError",
 ]
 
