@@ -1,14 +1,16 @@
 """Transmitter power model and the local-vs-offload comparison.
 
-``breakdown_at`` holds the per-component draws (video coder, redundancy
-coding, OFDM modulator, DACs, local oscillator, mixers, power amplifier)
-and their TDMA duty cycling, giving the mean offload power of one camera;
+``breakdown_by_clip_power`` holds the per-component draws (video coder,
+redundancy coding, OFDM modulator, DACs, local oscillator, mixers, power
+amplifier) and their TDMA duty cycling, giving the mean offload power of
+one camera (``breakdown_at`` at one clipping power);
 ``breakeven_at`` compares it against the power of running the analytics
 workload on the device itself.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import DomainError, require_int, require_positive
 from .link import LinkGeometry, clip_power, operating_point
@@ -21,6 +23,7 @@ __all__ = [
     "local_power",
     "link_geometry",
     "breakdown_at",
+    "breakdown_by_clip_power",
     "offload_power",
     "breakeven_at",
 ]
@@ -135,7 +138,10 @@ class PowerBreakdown:
         if any(p < 0.0 for p in parts):
             raise DomainError(f"component powers must be non-negative, got {parts!r}")
         total = sum(parts)
-        if abs(total - self.total_w) > 1e-12 * max(total, self.total_w):
+        if not math.isfinite(total):  # a NaN or infinite part
+            raise DomainError(f"component powers must be finite, got {parts!r}")
+        if not (math.isfinite(self.total_w)
+                and abs(total - self.total_w) <= 1e-12 * max(total, self.total_w)):
             raise DomainError(
                 f"total_w = {self.total_w!r} does not match component sum {total!r}"
             )
@@ -164,7 +170,15 @@ def link_geometry(radio: RadioParams, deploy: DeploymentParams) -> LinkGeometry:
 def breakdown_at(
     radio: RadioParams, deploy: DeploymentParams, point: PaOperatingPoint, p_max_w: float
 ) -> PowerBreakdown:
-    """Duty-cycled component powers, the amplifier at ``point`` clipping at ``p_max_w``.
+    """Duty-cycled component powers, the amplifier at ``point`` clipping at ``p_max_w``."""
+    return breakdown_by_clip_power(radio, deploy, point)(p_max_w)
+
+
+def breakdown_by_clip_power(
+    radio: RadioParams, deploy: DeploymentParams, point: PaOperatingPoint
+) -> Callable[[float], PowerBreakdown]:
+    """``breakdown_at`` as a function of ``p_max_w``; the parts that do not
+    depend on it, and their sum, are computed once.
 
     Raw per-device draws:
 
@@ -193,9 +207,14 @@ def breakdown_at(
         dac_w=2.0 * (static + dynamic) / m,
         lo_w=radio.p_lo_w,
         mix_w=2.0 * radio.p_mix_w / m,
-        pa_w=pa_consumed_power(p_max_w, point.ibo_linear) / m,
     )
-    return PowerBreakdown(total_w=sum(parts.values()), **parts)
+    head = sum(parts.values())
+
+    def at(p_max_w):
+        pa_w = pa_consumed_power(p_max_w, point.ibo_linear) / m
+        return PowerBreakdown(**parts, pa_w=pa_w, total_w=head + pa_w)
+
+    return at
 
 
 def offload_power(radio: RadioParams, deploy: DeploymentParams) -> PowerBreakdown:

@@ -13,7 +13,7 @@ from dataclasses import astuple, fields, replace
 from operator import attrgetter
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from . import pa
+from . import chain, link, pa
 from .chain import (
     DeploymentParams,
     PowerBreakdown,
@@ -169,9 +169,9 @@ def _distance_sweep(
 ) -> Tuple[List[str], List[tuple]]:
     """Rows of ``cells`` over log-spaced distances and the FIGURE_COMBOS.
 
-    ``columns`` names the cells.  A curve's radio, fleet, link and
-    amplifier point are built once, since the point depends on the rate
-    demand alone; a row sizes only the clip power at its distance.
+    ``columns`` names the cells.  A curve's amplifier point, band noise and
+    clip-independent power parts, and a distance's path gain (the curves
+    share the carrier) are computed once; a row sizes only its amplifier.
     """
     distances = _grid("distance_km", start_km, stop_km, steps, log_spaced=True)
     profile_radios = {}
@@ -187,20 +187,24 @@ def _distance_sweep(
             curve_deploy = replace(deploy, cameras=cameras)
             geometry = link_geometry(curve_radio, curve_deploy)
             point = operating_point(geometry)
+            clip_power_at = link.clip_power_by_distance(geometry, point.snr_max_linear)
+            breakdown = chain.breakdown_by_clip_power(curve_radio, curve_deploy, point)
         except FoglinkError as exc:
             raise _scenario_context(exc, bandwidth_profile=profile, cameras=cameras) from exc
-        curves.append((profile, cameras, curve_radio, curve_deploy, geometry, point))
+        curves.append((profile, cameras, curve_radio.bandwidth_hz, clip_power_at, breakdown))
     rows = []
-    for d in distances:
-        for profile, cameras, curve_radio, curve_deploy, geometry, point in curves:
-            try:
-                p_max = clip_power(replace(geometry, distance_km=d), point.snr_max_linear)
-                down = breakdown_at(curve_radio, curve_deploy, point, p_max)
-                rows.append((d, curve_radio.bandwidth_hz, cameras, *cells(down)))
-            except FoglinkError as exc:
-                raise _scenario_context(
-                    exc, distance_km=d, bandwidth_profile=profile, cameras=cameras
-                ) from exc
+    try:
+        for d in distances:
+            # a row's error names its curve; the path gain is the first curve's
+            profile, cameras = FIGURE_COMBOS[0]
+            gain_db, gain_linear = link.path_gain(d, deploy.carrier_hz)
+            for profile, cameras, bandwidth_hz, clip_power_at, breakdown in curves:
+                down = breakdown(clip_power_at(d, gain_db, gain_linear))
+                rows.append((d, bandwidth_hz, cameras, *cells(down)))
+    except FoglinkError as exc:
+        raise _scenario_context(
+            exc, distance_km=d, bandwidth_profile=profile, cameras=cameras
+        ) from exc
     return ["distance_km", "bandwidth_hz", "cameras", *columns], rows
 
 
@@ -376,6 +380,8 @@ def mc_verify(
 
 
 def _format_cell(value) -> str:
+    if type(value) is float and value - value == 0.0:  # finite: the common case
+        return format(value, ".9g")
     if isinstance(value, str):
         return value
     if isinstance(value, bool):

@@ -10,7 +10,8 @@ clipping power through the distance- and band-dependent path gain and noise.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable, Tuple
 
 from . import pa
 from .errors import DomainError, InfeasibleLinkError, require_int, require_positive
@@ -20,10 +21,12 @@ __all__ = [
     "LinkGeometry",
     "MIN_DISTANCE_KM",
     "path_gain_db",
+    "path_gain",
     "noise_dbm",
     "required_sinr",
     "operating_point",
     "clip_power",
+    "clip_power_by_distance",
 ]
 
 # Path-loss model validity floor; below ~10 m the urban-macro fit would
@@ -150,17 +153,35 @@ def operating_point(geometry: LinkGeometry) -> pa.PaOperatingPoint:
     return pa.optimal_ibo(snr_max)
 
 
+def path_gain(distance_km: float, carrier_hz: float) -> Tuple[float, float]:
+    """``path_gain_db`` and its linear power ratio."""
+    gain_db = path_gain_db(distance_km, carrier_hz)
+    return gain_db, db_to_linear(gain_db)
+
+
 def clip_power(geometry: LinkGeometry, snr_max_linear: float) -> float:
     """Clipping power P_MAX = SNR_max * N / |h|^2 in watts that puts the link
     at SNR ceiling ``snr_max_linear``; InfeasibleLinkError if 0 or not finite."""
-    gain_db = path_gain_db(geometry.distance_km, geometry.carrier_hz)
+    gain = path_gain(geometry.distance_km, geometry.carrier_hz)
+    return clip_power_by_distance(geometry, snr_max_linear)(geometry.distance_km, *gain)
+
+
+def clip_power_by_distance(
+    geometry: LinkGeometry, snr_max_linear: float
+) -> Callable[[float, float, float], float]:
+    """``clip_power`` of ``geometry`` moved to a distance, as a function of it
+    and its ``path_gain``; the band's noise is computed once."""
     noise_level_dbm = noise_dbm(geometry.bandwidth_hz)
     noise_w = dbm_to_watts(noise_level_dbm)
-    gain_linear = db_to_linear(gain_db)
-    p_max = noise_w / gain_linear * snr_max_linear if gain_linear > 0.0 else math.inf
-    if not 0.0 < p_max < math.inf:
-        raise InfeasibleLinkError(
-            f"clipping power {p_max!r} W is not representable for path gain "
-            f"{gain_db:.6g} dB and noise {noise_level_dbm:.6g} dBm in {geometry}"
-        )
-    return p_max
+
+    def at(distance_km, gain_db, gain_linear):
+        p_max = noise_w / gain_linear * snr_max_linear if gain_linear > 0.0 else math.inf
+        if not 0.0 < p_max < math.inf:
+            raise InfeasibleLinkError(
+                f"clipping power {p_max!r} W is not representable for path gain "
+                f"{gain_db:.6g} dB and noise {noise_level_dbm:.6g} dBm in "
+                f"{replace(geometry, distance_km=distance_km)}"
+            )
+        return p_max
+
+    return at

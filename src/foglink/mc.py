@@ -67,23 +67,22 @@ class McConfig:
     snr_max_linear: Optional[float] = None
 
     def __post_init__(self):
-        if not self.sigma2_w > 0.0:
-            raise DomainError(f"sigma2_w must be positive, got {self.sigma2_w!r}")
+        if not 0.0 < self.sigma2_w < math.inf:
+            raise DomainError(f"sigma2_w must be positive and finite, got {self.sigma2_w!r}")
         clip_powers = tuple(self.clip_powers_w)
         if not clip_powers:
             raise DomainError("clip_powers_w must hold at least one clipping power")
         for p_max in clip_powers:
-            if not p_max > 0.0:
-                raise DomainError(f"p_max_w must be positive, got {p_max!r}")
+            if not 0.0 < p_max < math.inf:
+                raise DomainError(f"clip_powers_w must be positive and finite, got {p_max!r}")
         object.__setattr__(self, "clip_powers_w", clip_powers)
         if not (isinstance(self.n_samples, int) and self.n_samples >= 1):
             raise DomainError(f"n_samples must be an integer >= 1, got {self.n_samples!r}")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if self.snr_max_linear is not None and not self.snr_max_linear > 0.0:
-            raise DomainError(
-                f"snr_max_linear must be positive when given, got {self.snr_max_linear!r}"
-            )
+        if self.snr_max_linear is not None and not 0.0 < self.snr_max_linear < math.inf:
+            raise DomainError(f"snr_max_linear must be positive and finite when given, "
+                              f"got {self.snr_max_linear!r}")
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,10 @@ def distortion_power(ibo_linear: float) -> float:
 
         D = 1 - alpha^2 - exp(-IBO)
     """
-    alpha = bussgang_alpha(ibo_linear)
+    return _distortion(bussgang_alpha(ibo_linear), ibo_linear)
+
+
+def _distortion(alpha: float, ibo_linear: float) -> float:
     return 1.0 - alpha * alpha - math.exp(-ibo_linear)
 
 
@@ -114,9 +117,12 @@ def sinr_of_ibo(ibo_linear: float, snr_max_linear: float) -> float:
         raise DomainError(
             f"snr_max_linear must be positive and finite, got {snr_max_linear!r}"
         )
-    alpha = bussgang_alpha(ibo_linear)
-    denom = distortion_power(ibo_linear) + ibo_linear / snr_max_linear
-    sinr = alpha * alpha / denom
+    return _sinr(bussgang_alpha(ibo_linear), ibo_linear, snr_max_linear)
+
+
+def _sinr(alpha: float, ibo_linear: float, snr_max_linear: float) -> float:
+    """``sinr_of_ibo`` from the Bussgang gain at ``ibo_linear``."""
+    sinr = alpha * alpha / (_distortion(alpha, ibo_linear) + ibo_linear / snr_max_linear)
     if not (math.isfinite(sinr) and sinr > 0.0):
         raise DomainError(
             f"SINR degenerated to {sinr!r} at ibo = {ibo_linear!r}, "
@@ -187,10 +193,11 @@ def optimal_ibo(snr_max_linear: float) -> PaOperatingPoint:
             f"snr_max_linear = {s!r}"
         )
     ibo = z * z
+    alpha = bussgang_alpha(ibo)
     return PaOperatingPoint(
         ibo_linear=ibo,
-        alpha=bussgang_alpha(ibo),
-        sinr_linear=sinr_of_ibo(ibo, s),
+        alpha=alpha,
+        sinr_linear=_sinr(alpha, ibo, s),
         snr_max_linear=s,
     )
 

@@ -273,3 +273,18 @@ class TestParamValidation:
         with pytest.raises(DomainError):
             PowerBreakdown(video_w=0.1, cod_w=0.1, ofdm_w=0.0, dac_w=0.0,
                            lo_w=0.0, mix_w=0.0, pa_w=0.0, total_w=0.3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_breakdown_rejects_a_non_finite_component(self, bad):
+        # NaN compares False with 0.0, so a sign check alone lets it through
+        with pytest.raises(DomainError, match="component powers must be finite"):
+            PowerBreakdown(bad, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(DomainError, match="component powers must be finite"):
+            PowerBreakdown(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, bad, bad)
+        with pytest.raises(DomainError, match="must be non-negative"):
+            PowerBreakdown(-1.0, 0.0, 0.0, 0.0, 0.0, 0.0, bad, bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_breakdown_rejects_a_non_finite_total(self, bad):
+        with pytest.raises(DomainError, match="does not match component sum 1.0"):
+            PowerBreakdown(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, bad)

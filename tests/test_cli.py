@@ -210,6 +210,21 @@ class TestFig6:
             # CSV cells carry 9 significant digits
             assert abs(row["theta_star"] - expected) <= 1e-8 * expected
 
+    def test_rows_equal_library_breakeven(self, tmp_path):
+        # the hoisted per-curve and per-distance work gives every row the
+        # per-scenario value, bit for bit
+        path = tmp_path / "params.json"
+        path.write_text('{"rate_bps": 1e7, "carrier_hz": 2.6e9}', encoding="utf-8")
+        radio, deploy = load_params(str(path))
+        columns, rows = cli.sweep_fig6(radio, deploy, 0.01, 2.0, 50)
+        assert columns == ["distance_km", "bandwidth_hz", "cameras", "theta_star"]
+        assert len(rows) == 4 * 50
+        for distance_km, bandwidth_hz, cameras, theta in rows:
+            profile = "9mhz" if bandwidth_hz == 9e6 else "18mhz"
+            scenario = replace(deploy, cameras=cameras, distance_km=distance_km)
+            down = offload_power(replace(radio, **BANDWIDTH_PROFILES[profile]), scenario)
+            assert theta == breakeven_at(down.total_w, scenario)
+
 
 class TestBreakeven:
     def test_single_row(self, capsys):
@@ -407,6 +422,41 @@ class TestErrorExits:
                 "floor [scenario: distance_km=0.001, bandwidth_profile='9mhz', cameras=1]"
             ]
 
+    @pytest.mark.parametrize("args, line", [
+        (["--d-from-km", "0.001"],
+         "error: distance_km = 0.001 is below the 0.01 km path-loss validity floor "
+         "[scenario: distance_km=0.001, bandwidth_profile='9mhz', cameras=1]"),
+        (["--d-to-km", "1e300"],
+         "error: clipping power inf W is not representable for path gain -3287.35 dB and "
+         "noise -99.4576 dBm in LinkGeometry(distance_km=1.9306977288832772e+84, "
+         "carrier_hz=3500000000.0, bandwidth_hz=9000000.0, cameras=1, rate_bps=6000000.0, "
+         "beta=0.4) [scenario: distance_km=1.9306977288832772e+84, "
+         "bandwidth_profile='9mhz', cameras=1]"),
+        # on a fine grid a later curve of the same distance fails first
+        (["--d-from-km", "1e80", "--d-to-km", "1e86", "--steps", "2000"],
+         "error: clipping power inf W is not representable for path gain -3149.68 dB and "
+         "noise -99.4576 dBm in LinkGeometry(distance_km=4.210291410564762e+80, "
+         "carrier_hz=3500000000.0, bandwidth_hz=9000000.0, cameras=10, rate_bps=6000000.0, "
+         "beta=0.4) [scenario: distance_km=4.210291410564762e+80, "
+         "bandwidth_profile='9mhz', cameras=10]"),
+    ], ids=["below-floor", "unrepresentable", "later-curve"])
+    @pytest.mark.parametrize("command", ["fig5", "fig6"])
+    def test_row_error_names_the_row(self, capsys, command, args, line):
+        code, out, err = run_cli([command, *args], capsys)
+        assert (code, out, err) == (1, "", line + "\n")
+
+    def test_overflowing_component_power_is_one_error_line(self, capsys, tmp_path):
+        # the DAC draw overflows to inf; the breakdown refuses it and the
+        # error names the row, before any inf cell reaches the CSV
+        path = tmp_path / "params.json"
+        path.write_text('{"v_dd": 1e200}', encoding="utf-8")
+        code, out, err = run_cli(["fig5", "--config", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: component powers must be finite, got (")
+        assert err.endswith(
+            "[scenario: distance_km=0.01, bandwidth_profile='9mhz', cameras=1]\n"
+        )
+
     def test_bad_config_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"n_ofdm": 1000}', encoding="utf-8")
@@ -557,6 +607,24 @@ class TestSolveCounts:
         args = [command, "--steps", str(steps)]
         assert self.solves(args, capsys, monkeypatch) == len(cli.FIGURE_COMBOS) == 4
 
+    @pytest.mark.parametrize("command", ["fig5", "fig6"])
+    def test_distance_sweeps_take_one_path_gain_per_distance(
+        self, capsys, monkeypatch, command
+    ):
+        # the four curves share the carrier, so a distance has one path gain
+        import foglink.link
+
+        calls = []
+        original = foglink.link.path_gain_db
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(foglink.link, "path_gain_db", counted)
+        assert run_cli([command, "--steps", "1961"], capsys)[0] == 0
+        assert len(calls) == 1961
+
 
 @pytest.mark.parametrize("argv, sites", [
     (["fig3", "--steps", "3"], ["sweep_fig3", "render_csv"]),
@@ -604,6 +672,27 @@ class TestCsvRendering:
 
         with pytest.raises(NumericError):
             cli.render_csv(["x"], [(float("nan"),)])
+
+    def test_every_number_type_renders_as_its_float(self):
+        # a plain finite float takes a shorter path than other cells; the
+        # bytes must not depend on which path a cell took
+        import numpy as np
+
+        values = [-0.0, 5e-324, 1.7976931348623157e308, 10, np.float64(math.pi)]
+        text = cli.render_csv(["x", "y"], [(v, "label") for v in values])
+        assert text == "x,y\n" + "".join(f"{float(v):.9g},label\n" for v in values)
+
+    @pytest.mark.parametrize("value, message", [
+        (True, "boolean cell True has no CSV rendering"),
+        (math.inf, "non-finite value inf in CSV output"),
+        (-math.inf, "non-finite value -inf in CSV output"),
+        (math.nan, "non-finite value nan in CSV output"),
+    ])
+    def test_unrenderable_cells_keep_their_messages(self, value, message):
+        from foglink import NumericError
+
+        with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+            cli.render_csv(["x"], [(value,)])
 
     def test_sweep_spec_validation(self):
         with pytest.raises(DomainError, match="increasing"):

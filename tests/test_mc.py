@@ -363,6 +363,18 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             McConfig(sigma2_w=1.0, clip_powers_w=(1.0,), n_samples=10, seed=2 ** 64)
 
+    @pytest.mark.parametrize("field, fields", [
+        ("sigma2_w", {"sigma2_w": math.inf}),
+        ("clip_powers_w", {"clip_powers_w": [1.0, math.inf]}),
+        ("snr_max_linear", {"snr_max_linear": math.inf}),
+    ])
+    def test_rejects_infinite_inputs_naming_the_field(self, field, fields):
+        # refused before any sampling: an infinite sigma2_w once spent a
+        # whole run and then raised NumericError
+        kwargs = dict(sigma2_w=1.0, clip_powers_w=(1.0,), n_samples=10, seed=1)
+        with pytest.raises(DomainError, match=f"^{field} must be positive and finite"):
+            McConfig(**{**kwargs, **fields})
+
     def test_rejects_bad_ceiling(self):
         with pytest.raises(DomainError):
             McConfig(sigma2_w=1.0, clip_powers_w=(1.0,), n_samples=10, seed=1,

@@ -146,6 +146,16 @@ class TestOptimalIbo:
             residual = abs(gap_at(point))
             assert residual <= 1e-10
 
+    def test_point_carries_the_closed_forms_at_its_backoff(self):
+        # the solve computes alpha once and forms the SINR from it; the
+        # bits must be those of the standalone closed forms.  fig3's
+        # default grid, plus ceilings where the back-off is large
+        for snr_db in [*map(float, np.linspace(-10.0, 50.0, 601)), 100.0, 137.0, 156.0]:
+            s = 10.0 ** (snr_db / 10.0)
+            point = optimal_ibo(s)
+            assert point.alpha == bussgang_alpha(point.ibo_linear)
+            assert point.sinr_linear == sinr_of_ibo(point.ibo_linear, s)
+
     def test_huge_ceiling(self):
         point = optimal_ibo(1e10)
         assert abs(gap_at(point)) <= 1e-10
