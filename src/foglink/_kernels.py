@@ -1,13 +1,13 @@
 """Hot moment-accumulation kernel for the Monte-Carlo verifier.
 
-The soft limiter keeps the phase of its input, so every moment the
-verifier needs depends only on the input radius.  The kernel draws Philox
-uniforms u1, maps them to |x|^2 = -sigma2 * log(1 - u1) (the radial half
-of the Box-Muller transform) and r = |x|, and takes their three
-clip-independent sums.  For each clip power p_max it then clips the
-radius at sqrt(p_max) to get rho = |y| and accumulates the eight
-clip-dependent sums.  With c = y * conj(x), Re(c) = r * rho and Im(c) is
-exactly zero.
+The verifier runs at unit mean input power.  The soft limiter keeps the
+phase of its input, so every moment the verifier needs depends only on
+the input radius.  The kernel draws Philox uniforms u1, maps them to
+|x|^2 = -log(1 - u1) (the radial half of the Box-Muller transform) and
+r = |x|, and takes their two clip-independent sums.  For each clip power
+p_max it then clips the radius at sqrt(p_max) to get rho = |y| and
+accumulates the eight clip-dependent sums.  With c = y * conj(x),
+Re(c) = r * rho and Im(c) is exactly zero.
 
 Leaf tree.  ``ndarray.sum`` over a contiguous float64 row of n values is
 numpy's pairwise summation: it splits the row at n//2 - (n//2) % 8,
@@ -22,10 +22,10 @@ the same operands as in a whole-row pass, each leaf row is summed with
 every sum equals the whole-row ``ndarray.sum`` bit for bit.
 
 Shortcut.  On a leaf whose largest radius lies below sqrt(p_max), rho is
-exactly r, so Re(c) = |y|^2 = r*r and the eight sums are Sum r, Sum r*r
-(sums 0 and 1), Sum (r*r)^2 (sums 5, 6 and 8) and Sum (r*r)*|x|^2 (sums 9
-and 10; IEEE multiplication commutes).  These are computed once per leaf
-and shared by every clip that does not reach it.
+exactly r, so Re(c) = |y|^2 = r*r and the eight sums are Sum r (sum 3),
+Sum r*r (sums 0 and 1), Sum (r*r)^2 (sums 4, 5 and 7) and
+Sum (r*r)*|x|^2 (sums 8 and 9; IEEE multiplication commutes).  These are
+computed once per leaf and shared by every clip that does not reach it.
 
 Workspace.  A call allocates its result, the leaf partials and five leaf
 rows (1.25 MiB at most), and nothing as long as the chunk, so concurrent
@@ -35,10 +35,10 @@ row applies the same ufuncs to the same values whatever other clips share
 the call, so its bits equal those of a call with that clip alone.
 
 Sum layout (x = input sample, y = clipped sample, c = y * conj(x));
-2, 4 and 7 do not depend on the clip power:
+2 and 6 do not depend on the clip power:
   0: sum Re(c)        1: sum |y|^2        2: sum |x|^2      3: sum |y|
-  4: sum |x|          5: sum Re(c)^2      6: sum |y|^4      7: sum |x|^4
-  8: sum |y|^2 Re(c)  9: sum |y|^2|x|^2  10: sum |x|^2 Re(c)
+  4: sum Re(c)^2      5: sum |y|^4        6: sum |x|^4      7: sum |y|^2 Re(c)
+  8: sum |y|^2|x|^2   9: sum |x|^2 Re(c)
 """
 
 import math
@@ -46,12 +46,12 @@ from typing import Iterator, List, Sequence
 
 import numpy as np
 
-N_SUMS = 11
+N_SUMS = 10
 # Largest leaf of the summation tree: its five leaf rows (1.25 MiB) stay
 # in a 2 MiB L2 cache.
 LEAF_SAMPLES = 1 << 15
 # Columns of the clip-dependent sums, in the order the shortcut lists them.
-_CLIP_SUMS = [3, 0, 1, 5, 6, 8, 9, 10]
+_CLIP_SUMS = [3, 0, 1, 4, 5, 7, 8, 9]
 
 
 def _half(n: int) -> int:
@@ -78,7 +78,7 @@ def tree_join(partials: Iterator, n: int):
 
 
 def moment_sums(
-    generator: np.random.Generator, count: int, sigma2: float, clip_powers: Sequence[float]
+    generator: np.random.Generator, count: int, clip_powers: Sequence[float]
 ) -> np.ndarray:
     """Moment sums of ``count`` samples drawn from ``generator``.
 
@@ -95,18 +95,17 @@ def moment_sums(
         generator.random(out=b)  # u1
         np.negative(b, out=b)
         np.log1p(b, out=b)
-        np.multiply(b, -sigma2, out=b)  # |x|^2
+        np.negative(b, out=b)  # |x|^2
         np.sqrt(b, out=r)  # r = |x|
-        s_r = r.sum()
-        part[:, 4] = s_r
         part[:, 2] = b.sum()
         np.multiply(b, b, out=tmp)
-        part[:, 7] = tmp.sum()
+        part[:, 6] = tmp.sum()
         peak = r.max()
         unclipped = None
         for row, clip in zip(part, clips):
             if peak < clip:  # rho == r on the whole leaf
                 if unclipped is None:
+                    s_r = r.sum()
                     np.multiply(r, r, out=rho)  # r*r = Re(c) = |y|^2
                     s_rr = rho.sum()
                     np.multiply(rho, rho, out=tmp)
@@ -123,7 +122,7 @@ def moment_sums(
             row[0] = cre.sum()
             row[1] = rho.sum()
             for index, (left, right) in zip(
-                (5, 6, 8, 9, 10), ((cre, cre), (rho, rho), (rho, cre), (rho, b), (b, cre))
+                (4, 5, 7, 8, 9), ((cre, cre), (rho, rho), (rho, cre), (rho, b), (b, cre))
             ):
                 np.multiply(left, right, out=tmp)
                 row[index] = tmp.sum()

@@ -32,6 +32,15 @@ __all__ = [
 # Converter resolutions whose 2^bits is still a finite float.
 MAX_DAC_BITS = 1023
 
+# The config keys each computed component power is made from; the
+# per-camera division by the camera count cannot make a finite draw infinite.
+_PART_KEYS = {
+    "cod_w": "rate_bps and psi_w_per_bps",
+    "ofdm_w": "n_ofdm, delta_f_hz and gamma_mod_flops_per_w",
+    "dac_w": "v_dd, i_0_a, dac_bits, c_p_f and sample_rate_hz",
+    "mix_w": "p_mix_w",
+}
+
 
 @dataclass(frozen=True)
 class RadioParams:
@@ -152,7 +161,11 @@ def local_power(theta_flop_per_bit: float, rate_bps: float, gamma_flops_per_w: f
     if theta_flop_per_bit < 0.0:
         raise DomainError(f"theta must be non-negative, got {theta_flop_per_bit!r}")
     require_positive(rate_bps=rate_bps, gamma_flops_per_w=gamma_flops_per_w)
-    return theta_flop_per_bit * rate_bps / gamma_flops_per_w
+    local_w = theta_flop_per_bit * rate_bps / gamma_flops_per_w
+    if not math.isfinite(local_w):
+        raise DomainError(f"local power is not finite for theta = {theta_flop_per_bit!r}, "
+                          f"rate_bps = {rate_bps!r}, gamma_flops_per_w = {gamma_flops_per_w!r}")
+    return local_w
 
 
 def link_geometry(radio: RadioParams, deploy: DeploymentParams) -> LinkGeometry:
@@ -208,6 +221,11 @@ def breakdown_by_clip_power(
         lo_w=radio.p_lo_w,
         mix_w=2.0 * radio.p_mix_w / m,
     )
+    for name, keys in _PART_KEYS.items():
+        if not math.isfinite(parts[name]):
+            raise DomainError(
+                f"{name} = {parts[name]!r} W is not finite; it is computed from {keys}"
+            )
     head = sum(parts.values())
 
     def at(p_max_w):
@@ -231,4 +249,9 @@ def offload_power(radio: RadioParams, deploy: DeploymentParams) -> PowerBreakdow
 def breakeven_at(offload_w: float, deploy: DeploymentParams) -> float:
     """Workload complexity theta* = Gamma * P_offload / R (FLOP/bit) at which
     local compute draws ``offload_w``; above it, offloading wins."""
-    return deploy.gamma_flops_per_w * offload_w / deploy.rate_bps
+    theta = deploy.gamma_flops_per_w * offload_w / deploy.rate_bps
+    if not math.isfinite(theta):
+        raise DomainError(f"breakeven theta is not finite for gamma_flops_per_w = "
+                          f"{deploy.gamma_flops_per_w!r}, offload power {offload_w!r} W, "
+                          f"rate_bps = {deploy.rate_bps!r}")
+    return theta

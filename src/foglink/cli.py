@@ -296,7 +296,6 @@ def mc_verify(
     """
     from .mc import McConfig, run_mc  # numpy loads here, on the Monte-Carlo path only
 
-    sigma2 = 1.0
     try:
         snr_max = db_to_linear(snr_max_db)
     except FoglinkError as exc:
@@ -309,21 +308,16 @@ def mc_verify(
         try:
             ibo = db_to_linear(ibo_db)
             alpha = pa.bussgang_alpha(ibo)
-            pa_w = pa.pa_consumed_power(ibo * sigma2, ibo)
+            pa_w = pa.pa_consumed_power(ibo, ibo)
             sinr = pa.sinr_of_ibo(ibo, snr_max)
         except FoglinkError as exc:
             raise _scenario_context(exc, ibo_db=ibo_db, snr_max_db=snr_max_db) from exc
         analytic.append((ibo_db, ibo, alpha, pa_w, sinr))
-        clip_powers.append(ibo * sigma2)
+        clip_powers.append(ibo)
     try:
-        config = McConfig(
-            sigma2_w=sigma2,
-            clip_powers_w=clip_powers,
-            n_samples=n_samples,
-            seed=seed,
-            snr_max_linear=snr_max,
-        )
-        estimates = run_mc(config)
+        estimates = run_mc(McConfig(
+            clip_powers_w=clip_powers, n_samples=n_samples, seed=seed, snr_max_linear=snr_max
+        ))
     except FoglinkError as exc:
         raise _scenario_context(
             exc, ibo_db=list(ibo_db_values), snr_max_db=snr_max_db
@@ -332,8 +326,8 @@ def mc_verify(
     rows = []
     failures = []
     for (ibo_db, ibo, alpha, pa_w, sinr), estimate in zip(analytic, estimates):
-        distortion = sigma2 * pa.distortion_power(ibo)
-        noise_w = ibo * sigma2 / snr_max
+        distortion = pa.distortion_power(ibo)
+        noise_w = ibo / snr_max
         # first-order spread of the SINR estimate from its ingredients
         sinr_spread = sinr * math.hypot(
             2.0 * estimate.stderr_alpha / alpha,

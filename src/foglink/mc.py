@@ -1,14 +1,16 @@
 """Seeded Monte-Carlo verification of the analytic amplifier model.
 
-Draws complex-Gaussian samples, pushes them through the soft limiter at
-each of several clipping powers and estimates the Bussgang gain, the
-clipping-distortion power, the empirical SINR and the mean class B supply
-power, each with a standard error, for direct comparison against the
-closed forms in :mod:`foglink.pa`.
+Draws complex-Gaussian samples of unit mean power, pushes them through
+the soft limiter at each of several clipping powers and estimates the
+Bussgang gain, the clipping-distortion power and the mean class B supply
+power, each with a standard error, and the empirical SINR, for direct
+comparison against the closed forms in :mod:`foglink.pa`, which are stated
+at unit input power too.
 
-Determinism contract: each clip power's estimate is a pure function of
-(seed, n_samples, sigma2_w, snr_max_linear, that clip power), whatever
-other clip powers share the run and in whatever order they are given.
+Determinism contract: at unit input power, each clip power's estimate is
+a pure function of (seed, n_samples, snr_max_linear, that clip power),
+whatever other clip powers share the run and in whatever order they are
+given.
 Samples are generated in fixed-size chunks, each from its own jump-ahead
 Philox substream (``Philox(key=seed).jumped(chunk_index)``).  A run
 computes its chunks on one worker thread per CPU it may use (at most one
@@ -16,12 +18,12 @@ per chunk); each worker needs memory only for the cache-sized rows of the
 chunk it is on, not for the chunk.  The chunk partial sums are stored by
 chunk index and added in chunk order, and the chunk layout does not
 depend on the worker count, so the bits do not either.  A sample is
-``x = sqrt(-sigma2 * log(1 - u1)) * exp(2j * pi * u2)`` (Box-Muller), but
+``x = sqrt(-log(1 - u1)) * exp(2j * pi * u2)`` (Box-Muller), but
 only u1, the first ``count`` uniforms of each substream, is drawn: the
 soft limiter keeps the phase, so no estimator depends on u2.  Every clip
 power is applied to the same draw of each chunk, and the kernel computes
-each clip's sums with the same operations as it would for that clip
-alone.  The kernel draws and works in cache-sized leaves of numpy's
+each clip's ten moment sums with the same operations as it would for that
+clip alone.  The kernel draws and works in cache-sized leaves of numpy's
 pairwise summation tree and adds the leaf sums up that tree, which
 reproduces a whole-row ``ndarray.sum`` bit for bit, and its shortcut for
 a leaf that a clip does not reach gives the same bits as clipping it.
@@ -52,23 +54,20 @@ _FOUR_OVER_PI = 4.0 / math.pi
 
 @dataclass(frozen=True)
 class McConfig:
-    """Inputs of one Monte-Carlo run.
+    """Inputs of one Monte-Carlo run at unit mean input power.
 
-    ``sigma2_w`` is the mean input power, ``clip_powers_w`` the clipping
-    powers, each applied to the same samples (stored as a tuple).
-    ``snr_max_linear``, when given, adds the implied receiver noise at each
-    clipping power so an empirical SINR can be formed.
+    ``clip_powers_w`` are the clipping powers, each applied to the same
+    samples (stored as a tuple).  ``snr_max_linear`` sets the receiver
+    noise implied at each clipping power, from which the empirical SINR is
+    formed.
     """
 
-    sigma2_w: float
     clip_powers_w: Tuple[float, ...]
     n_samples: int
     seed: int
-    snr_max_linear: Optional[float] = None
+    snr_max_linear: float
 
     def __post_init__(self):
-        if not 0.0 < self.sigma2_w < math.inf:
-            raise DomainError(f"sigma2_w must be positive and finite, got {self.sigma2_w!r}")
         clip_powers = tuple(self.clip_powers_w)
         if not clip_powers:
             raise DomainError("clip_powers_w must hold at least one clipping power")
@@ -76,12 +75,13 @@ class McConfig:
             if not 0.0 < p_max < math.inf:
                 raise DomainError(f"clip_powers_w must be positive and finite, got {p_max!r}")
         object.__setattr__(self, "clip_powers_w", clip_powers)
-        if not (isinstance(self.n_samples, int) and self.n_samples >= 1):
-            raise DomainError(f"n_samples must be an integer >= 1, got {self.n_samples!r}")
+        if not (isinstance(self.n_samples, int) and self.n_samples >= 2):
+            # one sample has no standard error
+            raise DomainError(f"n_samples must be an integer >= 2, got {self.n_samples!r}")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if self.snr_max_linear is not None and not 0.0 < self.snr_max_linear < math.inf:
-            raise DomainError(f"snr_max_linear must be positive and finite when given, "
+        if not 0.0 < self.snr_max_linear < math.inf:
+            raise DomainError(f"snr_max_linear must be positive and finite, "
                               f"got {self.snr_max_linear!r}")
 
 
@@ -89,22 +89,17 @@ class McConfig:
 class McEstimate:
     """Estimates with standard errors at one clipping power of a run.
 
-    ``input_amp_hat`` is the mean input amplitude (Rayleigh diagnostic).
     Standard errors are first-order (sample standard deviation over
-    sqrt(n)); they are NaN for n = 1.
+    sqrt(n)).
     """
 
     alpha_hat: float
     distortion_power_hat: float
     pa_power_hat: float
-    sinr_hat: Optional[float]
+    sinr_hat: float
     stderr_alpha: float
     stderr_distortion: float
     stderr_pa: float
-    input_amp_hat: float
-    stderr_input_amp: float
-    n_samples: int
-    seed: int
 
 
 def _chunk_layout(n_samples: int):
@@ -117,12 +112,12 @@ def _chunk_layout(n_samples: int):
 
 
 def _chunk_sums(
-    seed: int, chunk_index: int, count: int, sigma2: float, clip_powers: Tuple[float, ...]
+    seed: int, chunk_index: int, count: int, clip_powers: Tuple[float, ...]
 ) -> np.ndarray:
     """Moment sums of one chunk, one row per clip power, from the chunk's
     own jump-ahead Philox substream."""
     generator = np.random.Generator(np.random.Philox(key=seed).jumped(chunk_index))
-    return _kernels.moment_sums(generator, count, sigma2, clip_powers)
+    return _kernels.moment_sums(generator, count, clip_powers)
 
 
 def _cpu_count() -> int:
@@ -156,9 +151,7 @@ def _summed_chunks(config: McConfig, workers: int) -> np.ndarray:
                     index, count = next(pending, (None, 0))
                 if index is None:
                     return
-                partials[index] = _chunk_sums(
-                    config.seed, index, count, config.sigma2_w, config.clip_powers_w
-                )
+                partials[index] = _chunk_sums(config.seed, index, count, config.clip_powers_w)
         except BaseException as exc:  # re-raised in the calling thread
             errors.append(exc)
 
@@ -181,8 +174,6 @@ def _summed_chunks(config: McConfig, workers: int) -> np.ndarray:
 
 def _mean_and_stderr(total: float, total_sq: float, n: int):
     mean = total / n
-    if n < 2:
-        return mean, float("nan")
     # clamp: the difference of large sums can round slightly negative
     var = max(total_sq - total * total / n, 0.0) / (n - 1)
     return mean, math.sqrt(var / n)
@@ -193,11 +184,11 @@ def run_mc(config: McConfig) -> List[McEstimate]:
 
     Returns one estimate per entry of ``config.clip_powers_w``, in that
     order.  Estimators (x input sample, y clipped sample, n sample count):
-      alpha_hat       = mean(Re(y * conj(x))) / sigma2
+      alpha_hat       = mean(Re(y * conj(x)))
       distortion      = mean(|y - alpha_hat * x|^2), expanded in moments so
                         a single pass suffices
       pa_power_hat    = mean((4/pi) * sqrt(|y|^2 * p_max))
-      sinr_hat        = alpha_hat^2 * sigma2 / (distortion + p_max/snr_max)
+      sinr_hat        = alpha_hat^2 / (distortion + p_max/snr_max)
 
     Raises NumericError, naming the clip powers concerned, if accumulations
     go non-finite.
@@ -216,17 +207,13 @@ def run_mc(config: McConfig) -> List[McEstimate]:
 def _estimate(config: McConfig, p_max: float, sums: np.ndarray) -> McEstimate:
     """Estimates at clip power ``p_max`` from its row of moment sums."""
     n = config.n_samples
-    sigma2 = config.sigma2_w
-    s_cre, s_a, s_b, s_ampy, s_ampx, s_cre2, s_a2, s_b2, s_ac, s_ab, s_bc = sums
+    s_cre, s_a, s_b, s_ampy, s_cre2, s_a2, s_b2, s_ac, s_ab, s_bc = sums
 
-    mean_cre, stderr_cre = _mean_and_stderr(s_cre, s_cre2, n)
-    alpha_hat = mean_cre / sigma2
-    stderr_alpha = stderr_cre / sigma2
-
-    a_hat = alpha_hat
+    # the Bussgang gain mean(Re(c)) / sigma2, at sigma2 = 1
+    a_hat, stderr_alpha = _mean_and_stderr(s_cre, s_cre2, n)
     mean_a = s_a / n
     mean_b = s_b / n
-    distortion = mean_a - 2.0 * a_hat * mean_cre + a_hat * a_hat * mean_b
+    distortion = mean_a - 2.0 * a_hat * a_hat + a_hat * a_hat * mean_b
     # second moment of the per-sample distortion, expanded with plug-in alpha
     mean_d2 = (
         s_a2
@@ -236,35 +223,23 @@ def _estimate(config: McConfig, p_max: float, sums: np.ndarray) -> McEstimate:
         - 4.0 * a_hat ** 3 * s_bc
         + a_hat ** 4 * s_b2
     ) / n
-    if n < 2:
-        stderr_distortion = float("nan")
-    else:
-        var_d = max(mean_d2 - distortion * distortion, 0.0) * n / (n - 1)
-        stderr_distortion = math.sqrt(var_d / n)
+    var_d = max(mean_d2 - distortion * distortion, 0.0) * n / (n - 1)
+    stderr_distortion = math.sqrt(var_d / n)
 
     pa_scale = _FOUR_OVER_PI * math.sqrt(p_max)
     mean_ampy, stderr_ampy = _mean_and_stderr(s_ampy, s_a, n)
     pa_power_hat = pa_scale * mean_ampy
     stderr_pa = pa_scale * stderr_ampy
 
-    input_amp_hat, stderr_input_amp = _mean_and_stderr(s_ampx, s_b, n)
-
-    sinr_hat = None
-    if config.snr_max_linear is not None:
-        noise_w = p_max / config.snr_max_linear
-        sinr_hat = alpha_hat * alpha_hat * sigma2 / (distortion + noise_w)
+    sinr_hat = a_hat * a_hat / (distortion + p_max / config.snr_max_linear)
 
     # Python floats, not numpy scalars, so messages print plain numbers
     return McEstimate(
-        alpha_hat=float(alpha_hat),
+        alpha_hat=float(a_hat),
         distortion_power_hat=float(distortion),
         pa_power_hat=float(pa_power_hat),
-        sinr_hat=None if sinr_hat is None else float(sinr_hat),
+        sinr_hat=float(sinr_hat),
         stderr_alpha=float(stderr_alpha),
         stderr_distortion=float(stderr_distortion),
         stderr_pa=float(stderr_pa),
-        input_amp_hat=float(input_amp_hat),
-        stderr_input_amp=float(stderr_input_amp),
-        n_samples=n,
-        seed=config.seed,
     )

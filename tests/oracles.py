@@ -72,23 +72,22 @@ def soft_limit(sample, p_max_w):
     return sample * (clip / mag)
 
 
-def moment_sums_reference(u1, sigma2, clip_powers):
-    """The (len(clip_powers), 11) moment sums of ``foglink._kernels``, each
+def moment_sums_reference(u1, clip_powers):
+    """The (len(clip_powers), 10) moment sums of ``foglink._kernels``, each
     one ufunc pass and one ``ndarray.sum`` over the whole row.
 
     Leaves ``u1`` unchanged.
     """
     n = u1.shape[0]
     b, r, a, cre, tmp = np.empty((5, n))
-    out = np.empty((len(clip_powers), 11))
+    out = np.empty((len(clip_powers), 10))
     np.negative(u1, out=b)
     np.log1p(b, out=b)
-    np.multiply(b, -sigma2, out=b)  # |x|^2
+    np.negative(b, out=b)  # |x|^2
     np.sqrt(b, out=r)  # r = |x|
-    out[:, 4] = r.sum()
     out[:, 2] = b.sum()
     np.multiply(b, b, out=tmp)
-    out[:, 7] = tmp.sum()
+    out[:, 6] = tmp.sum()
     for row, p_max in zip(out, clip_powers):
         np.minimum(r, math.sqrt(p_max), out=a)  # rho = |y|
         row[3] = a.sum()
@@ -97,7 +96,7 @@ def moment_sums_reference(u1, sigma2, clip_powers):
         row[0] = cre.sum()
         row[1] = a.sum()
         for index, (left, right) in zip(
-            (5, 6, 8, 9, 10), ((cre, cre), (a, a), (a, cre), (a, b), (b, cre))
+            (4, 5, 7, 8, 9), ((cre, cre), (a, a), (a, cre), (a, b), (b, cre))
         ):
             np.multiply(left, right, out=tmp)
             row[index] = tmp.sum()

@@ -208,8 +208,8 @@ def test_criterion_6_monte_carlo_equivalence():
     failures = []
     backoffs_db = (-3.0, 0.0, 3.0, 6.0)
     estimates = run_mc(
-        McConfig(sigma2_w=1.0, clip_powers_w=[db_to_linear(x) for x in backoffs_db],
-                 n_samples=10_000_000, seed=42)
+        McConfig(clip_powers_w=[db_to_linear(x) for x in backoffs_db],
+                 n_samples=10_000_000, seed=42, snr_max_linear=100.0)
     )
     first_estimate = estimates[0]
     for ibo_db, estimate in zip(backoffs_db, estimates):
@@ -228,8 +228,8 @@ def test_criterion_6_monte_carlo_equivalence():
                 failures.append((ibo_db, name, analytic, measured))
     # run alone, the -3 dB back-off must not depend on the other rows
     [repeat] = run_mc(
-        McConfig(sigma2_w=1.0, clip_powers_w=[db_to_linear(-3.0)], n_samples=10_000_000,
-                 seed=42)
+        McConfig(clip_powers_w=[db_to_linear(-3.0)], n_samples=10_000_000, seed=42,
+                 snr_max_linear=100.0)
     )
     deterministic = repeat == first_estimate
     elapsed = time.perf_counter() - started

@@ -432,30 +432,71 @@ class TestErrorExits:
          "carrier_hz=3500000000.0, bandwidth_hz=9000000.0, cameras=1, rate_bps=6000000.0, "
          "beta=0.4) [scenario: distance_km=1.9306977288832772e+84, "
          "bandwidth_profile='9mhz', cameras=1]"),
-        # on a fine grid a later curve of the same distance fails first
-        (["--d-from-km", "1e80", "--d-to-km", "1e86", "--steps", "2000"],
-         "error: clipping power inf W is not representable for path gain -3149.68 dB and "
-         "noise -99.4576 dBm in LinkGeometry(distance_km=4.210291410564762e+80, "
-         "carrier_hz=3500000000.0, bandwidth_hz=9000000.0, cameras=10, rate_bps=6000000.0, "
-         "beta=0.4) [scenario: distance_km=4.210291410564762e+80, "
-         "bandwidth_profile='9mhz', cameras=10]"),
+        # on a fine grid a later curve of the same distance fails first;
+        # fig6's theta* overflows sooner, on the first row
+        (["--d-from-km", "1e80", "--d-to-km", "1e86", "--steps", "2000"], {
+            "fig5": "error: clipping power inf W is not representable for path gain "
+            "-3149.68 dB and noise -99.4576 dBm in LinkGeometry("
+            "distance_km=4.210291410564762e+80, carrier_hz=3500000000.0, "
+            "bandwidth_hz=9000000.0, cameras=10, rate_bps=6000000.0, beta=0.4) "
+            "[scenario: distance_km=4.210291410564762e+80, bandwidth_profile='9mhz', "
+            "cameras=10]",
+            "fig6": "error: breakeven theta is not finite for gamma_flops_per_w = "
+            "5000000000.0, offload power 2.2164789426981296e+300 W, rate_bps = 6000000.0 "
+            "[scenario: distance_km=1e+80, bandwidth_profile='9mhz', cameras=1]",
+        }),
     ], ids=["below-floor", "unrepresentable", "later-curve"])
     @pytest.mark.parametrize("command", ["fig5", "fig6"])
     def test_row_error_names_the_row(self, capsys, command, args, line):
+        if isinstance(line, dict):
+            line = line[command]
         code, out, err = run_cli([command, *args], capsys)
         assert (code, out, err) == (1, "", line + "\n")
 
     def test_overflowing_component_power_is_one_error_line(self, capsys, tmp_path):
-        # the DAC draw overflows to inf; the breakdown refuses it and the
-        # error names the row, before any inf cell reaches the CSV
+        # the DAC draw overflows to inf; the curve's breakdown refuses it
+        # before any row, and the error names the part, its keys and the curve
         path = tmp_path / "params.json"
         path.write_text('{"v_dd": 1e200}', encoding="utf-8")
         code, out, err = run_cli(["fig5", "--config", str(path)], capsys)
         assert code == 1 and out == ""
-        assert err.startswith("error: component powers must be finite, got (")
-        assert err.endswith(
-            "[scenario: distance_km=0.01, bandwidth_profile='9mhz', cameras=1]\n"
+        assert err == (
+            "error: dac_w = inf W is not finite; it is computed from v_dd, i_0_a, dac_bits, "
+            "c_p_f and sample_rate_hz [scenario: bandwidth_profile='9mhz', cameras=1]\n"
         )
+
+    @pytest.mark.parametrize("entry, part, key", [
+        ('"v_dd": 1e200', "dac_w", "v_dd"),
+        ('"gamma_mod_flops_per_w": 1e-300', "ofdm_w", "gamma_mod_flops_per_w"),
+        ('"psi_w_per_bps": 1e303', "cod_w", "psi_w_per_bps"),
+    ])
+    def test_overflowing_component_power_names_its_key(
+        self, capsys, tmp_path, entry, part, key
+    ):
+        path = tmp_path / "params.json"
+        path.write_text("{" + entry + "}", encoding="utf-8")
+        code, out, err = run_cli(["link-power", "--config", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {part} = inf W is not finite; it is computed from ")
+        assert key in err
+
+    @pytest.mark.parametrize("command, entry, args, named", [
+        ("breakeven", None, ["--theta-from", "0", "--theta-to", "1e308", "--steps", "3"],
+         "theta = 5e+307"),
+        ("fig6", '"gamma_flops_per_w": 1e308', [], "gamma_flops_per_w = 1e+308"),
+    ])
+    def test_overflowing_theta_or_local_power_names_its_inputs(
+        self, capsys, tmp_path, command, entry, args, named
+    ):
+        if entry is not None:
+            path = tmp_path / "params.json"
+            path.write_text("{" + entry + "}", encoding="utf-8")
+            args = [*args, "--config", str(path)]
+        code, out, err = run_cli([command, *args], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert named in err and "rate_bps = 6000000.0" in err
 
     def test_bad_config_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

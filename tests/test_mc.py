@@ -1,5 +1,6 @@
 """Monte-Carlo verifier: estimators, determinism, the radial moment kernel."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -23,7 +24,7 @@ from foglink.mc import CHUNK_SAMPLES, _chunk_layout, _chunk_sums, _summed_chunks
 from oracles import moment_sums_reference, soft_limit
 
 
-# five back-offs (dB) as in the benchmark, and their clip powers at unit sigma2
+# five back-offs (dB) as in the benchmark, and their clip powers at unit input power
 BACKOFFS_DB = (-3.0, 0.0, 3.0, 6.0, 12.0)
 CLIP_POWERS = tuple(10.0 ** (x / 10.0) for x in BACKOFFS_DB)
 
@@ -34,12 +35,9 @@ TREE_COUNTS = (
 )
 
 
-def config(ibo=1.0, n=1_000_000, seed=42, snr_max=None, sigma2=1.0, clips=None):
-    if clips is None:
-        clips = (ibo * sigma2,)
+def config(ibo=1.0, n=1_000_000, seed=42, snr_max=100.0, clips=None):
     return McConfig(
-        sigma2_w=sigma2,
-        clip_powers_w=clips,
+        clip_powers_w=(ibo,) if clips is None else clips,
         n_samples=n,
         seed=seed,
         snr_max_linear=snr_max,
@@ -51,9 +49,9 @@ def run_one(**kwargs):
     return estimate
 
 
-def analytic_distortion(ibo, sigma2=1.0):
+def analytic_distortion(ibo):
     alpha = bussgang_alpha(ibo)
-    return sigma2 * (1.0 - alpha * alpha - math.exp(-ibo))
+    return 1.0 - alpha * alpha - math.exp(-ibo)
 
 
 class TestSoftLimit:
@@ -103,9 +101,9 @@ class TestDeterminism:
         shape = (len(CLIP_POWERS), _kernels.N_SUMS)
         forward = np.zeros(shape)
         for index, count in layout:
-            forward += _chunk_sums(cfg.seed, index, count, cfg.sigma2_w, cfg.clip_powers_w)
+            forward += _chunk_sums(cfg.seed, index, count, cfg.clip_powers_w)
         partials = {
-            index: _chunk_sums(cfg.seed, index, count, cfg.sigma2_w, cfg.clip_powers_w)
+            index: _chunk_sums(cfg.seed, index, count, cfg.clip_powers_w)
             for index, count in reversed(layout)
         }
         unordered = np.zeros(shape)
@@ -132,7 +130,7 @@ class TestDeterminism:
         (CLIP_POWERS[3], 1e6, CLIP_POWERS[0], CLIP_POWERS[3], CLIP_POWERS[1]),
     ])
     def test_shared_draw_equals_one_clip_runs(self, clips):
-        # each clip's estimate is a function of (seed, n, sigma2, that clip)
+        # each clip's estimate is a function of (seed, n, snr_max, that clip)
         # alone: sharing a run changes none of its bits
         n = 2 * CHUNK_SAMPLES + 999
         shared = run_mc(config(n=n, snr_max=100.0, clips=clips))
@@ -140,19 +138,30 @@ class TestDeterminism:
         assert shared == alone
 
     def test_non_finite_accumulation_names_the_clip_powers(self, monkeypatch):
-        # |x|^4 overflows at this input power, whatever the clip; the run's
-        # three worker threads must see the caller's errstate, or the
-        # overflow warning, an error here, would end the run instead
+        # at unit input power the kernel cannot overflow, so the chunk sums
+        # overflow here for the clip powers above 1; each of the run's three
+        # worker threads must see the caller's errstate, or the overflow
+        # warning, an error here, would end the run instead
+        barrier = threading.Barrier(3, timeout=60)
+        threads = set()
+
+        def chunk_sums(seed, chunk_index, count, clip_powers):
+            barrier.wait()  # one chunk on each of the three threads
+            threads.add(threading.get_ident())
+            return np.multiply(np.array(clip_powers)[:, None], np.full(_kernels.N_SUMS, 1e308))
+
         monkeypatch.setattr(mc, "_cpu_count", lambda: 3)
-        cfg = config(n=2 * CHUNK_SAMPLES + 1, sigma2=1e200, clips=(2.5e199, 7.5e200))
+        monkeypatch.setattr(mc, "_chunk_sums", chunk_sums)
+        cfg = config(n=2 * CHUNK_SAMPLES + 1, clips=(2.5, 0.5, 7.5))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(over="ignore"), pytest.raises(NumericError) as refused:
                 run_mc(cfg)
-        assert "[2.5e+199, 7.5e+200]" in str(refused.value)
+        assert "[2.5, 7.5]" in str(refused.value)
+        assert len(threads) == 3
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
-        def chunk_sums(seed, chunk_index, count, sigma2, clip_powers):
+        def chunk_sums(seed, chunk_index, count, clip_powers):
             if chunk_index == 2:
                 raise RuntimeError("chunk 2 failed")
             return np.zeros((len(clip_powers), _kernels.N_SUMS))
@@ -169,7 +178,7 @@ class TestDeterminism:
         # allows: no chunk is lost or run twice
         calls = []
 
-        def chunk_sums(seed, chunk_index, count, sigma2, clip_powers):
+        def chunk_sums(seed, chunk_index, count, clip_powers):
             calls.append(chunk_index)
             return np.full((len(clip_powers), _kernels.N_SUMS), float(chunk_index))
 
@@ -193,15 +202,15 @@ class TestDeterminism:
 
 class TestRadialKernel:
     @staticmethod
-    def box_muller_sums(u1, u2, sigma2, p_max):
+    def box_muller_sums(u1, u2, p_max):
         # the full complex path: Box-Muller samples through the soft limiter
-        x = np.sqrt(-sigma2 * np.log1p(-u1)) * np.exp(2j * math.pi * u2)
+        x = np.sqrt(-np.log1p(-u1)) * np.exp(2j * math.pi * u2)
         y = soft_limit(x, p_max)
         c = y * np.conj(x)
         assert np.all(np.abs(c.imag) <= 1e-15 * np.abs(c) + 1e-300)
         c_re, a, b = c.real, np.abs(y) ** 2, np.abs(x) ** 2
         return np.array([
-            c_re.sum(), a.sum(), b.sum(), np.abs(y).sum(), np.abs(x).sum(),
+            c_re.sum(), a.sum(), b.sum(), np.abs(y).sum(),
             (c_re * c_re).sum(), (a * a).sum(), (b * b).sum(),
             (a * c_re).sum(), (a * b).sum(), (b * c_re).sum(),
         ])
@@ -214,17 +223,16 @@ class TestRadialKernel:
         pytest.param(BACKOFFS_DB, 100_003, id="five-100003"),
     ])
     def test_matches_complex_path(self, ibo_db, count):
-        sigma2 = 1.3
-        clips = [10.0 ** (x / 10.0) * sigma2 for x in np.atleast_1d(ibo_db)]
+        clips = [10.0 ** (x / 10.0) for x in np.atleast_1d(ibo_db)]
         rng = np.random.Generator(np.random.Philox(key=7))
         u1 = rng.random(count)
         u2 = rng.random(count)
         # the kernel draws u1 leaf by leaf from a generator seeded alike
         generator = np.random.Generator(np.random.Philox(key=7))
-        radial = _kernels.moment_sums(generator, count, sigma2, clips)
+        radial = _kernels.moment_sums(generator, count, clips)
         assert radial.shape == (len(clips), _kernels.N_SUMS)
         for row, p_max in zip(radial, clips):
-            expected = self.box_muller_sums(u1, u2, sigma2, p_max)
+            expected = self.box_muller_sums(u1, u2, p_max)
             assert np.allclose(row, expected, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("count", TREE_COUNTS)
@@ -232,24 +240,23 @@ class TestRadialKernel:
         # summing in leaves and adding them up numpy's pairwise tree gives
         # the whole-row sums bit for bit, on the clipping path and on the
         # shortcut for leaves a clip does not reach
-        sigma2 = 1.3
         def generator():
             return np.random.Generator(np.random.Philox(key=11))
 
         u1 = generator().random(count)
-        smallest = -sigma2 * math.log1p(-u1.min())  # the least |x|^2
-        largest = -sigma2 * math.log1p(-u1.max())
+        smallest = -math.log1p(-u1.min())  # the least |x|^2
+        largest = -math.log1p(-u1.max())
         assert 0.0 < 1e-20 < smallest
         clip_sets = {
             "unsorted with a duplicate": (4.0, 0.5, 1e6, 4.0, 1.3),
             "above every sample": (1e6,),
             "below every sample": (1e-20,),
             "only the largest sample clipped": (largest * (1.0 - 1e-9),),
-            "-3..12 dB": tuple(p * sigma2 for p in CLIP_POWERS),
+            "-3..12 dB": CLIP_POWERS,
         }
         for name, clips in clip_sets.items():
-            expected = moment_sums_reference(u1, sigma2, clips)
-            got = _kernels.moment_sums(generator(), count, sigma2, clips)
+            expected = moment_sums_reference(u1, clips)
+            got = _kernels.moment_sums(generator(), count, clips)
             assert np.array_equal(got, expected), name
 
     @pytest.mark.parametrize("count", TREE_COUNTS)
@@ -294,18 +301,12 @@ class TestEstimators:
     def test_no_clipping_leaves_no_distortion(self):
         # clip amplitude 1000 sigma: the limiter never engages, and the
         # residual distortion estimate is the plug-in quadratic in the
-        # alpha estimation error, a chi-square of scale sigma2/n
+        # alpha estimation error, a chi-square of scale 1/n
         n = 1_000_000
         est = run_one(ibo=1e6, n=n)
         floor = 13.0 * 1.0 / n
         assert est.distortion_power_hat <= max(3 * est.stderr_distortion, floor)
         assert abs(est.alpha_hat - 1.0) <= 3 * est.stderr_alpha + 1e-6
-
-    def test_rayleigh_amplitude(self):
-        sigma2 = 2.5
-        est = run_one(ibo=4.0, n=1_000_000, sigma2=sigma2)
-        expected = math.sqrt(sigma2) * math.sqrt(math.pi) / 2.0
-        assert abs(est.input_amp_hat - expected) <= 3 * est.stderr_input_amp
 
     def test_stderr_scales_with_sample_count(self):
         small = run_one(n=10_000)
@@ -327,55 +328,53 @@ class TestEstimators:
         assert estimates[1.0].sinr_hat > estimates[0.5].sinr_hat
         assert estimates[1.0].sinr_hat > estimates[2.0].sinr_hat
 
-    def test_sinr_requires_ceiling(self):
-        assert run_one(n=1000).sinr_hat is None
-        assert run_one(n=1000, snr_max=50.0).sinr_hat is not None
-
-    def test_single_sample_has_no_stderr(self):
-        est = run_one(n=1)
-        assert math.isnan(est.stderr_alpha)
-        assert math.isfinite(est.alpha_hat)
-
 
 class TestConfigValidation:
+    def test_has_no_defaults(self):
+        # every input of a run is stated by its caller
+        assert [(f.name, f.default, f.default_factory) for f in dataclasses.fields(McConfig)] == [
+            (name, dataclasses.MISSING, dataclasses.MISSING)
+            for name in ("clip_powers_w", "n_samples", "seed", "snr_max_linear")
+        ]
+
     def test_rejects_bad_counts(self):
         with pytest.raises(DomainError):
             config(n=0)
         with pytest.raises(DomainError):
-            McConfig(sigma2_w=1.0, clip_powers_w=(1.0,), n_samples=10.5, seed=1)
+            config(n=10.5)
+
+    def test_rejects_a_single_sample(self):
+        # one sample has no standard error
+        with pytest.raises(DomainError, match="^n_samples must be an integer >= 2, got 1$"):
+            config(n=1)
+        assert config(n=2).n_samples == 2
 
     def test_rejects_bad_powers(self):
-        with pytest.raises(DomainError):
-            McConfig(sigma2_w=0.0, clip_powers_w=(1.0,), n_samples=10, seed=1)
         for clips in ((0.0,), (1.0, 0.0), (1.0, math.nan), ()):
             with pytest.raises(DomainError):
-                McConfig(sigma2_w=1.0, clip_powers_w=clips, n_samples=10, seed=1)
+                config(n=10, clips=clips)
 
     def test_keeps_clip_powers_as_a_tuple(self):
         clips = [2.0, 1.0, 2.0]
-        cfg = McConfig(sigma2_w=1.0, clip_powers_w=clips, n_samples=10, seed=1)
+        cfg = config(n=10, clips=clips)
         clips.append(3.0)
         assert cfg.clip_powers_w == (2.0, 1.0, 2.0)
 
     def test_rejects_bad_seed(self):
         with pytest.raises(DomainError):
-            McConfig(sigma2_w=1.0, clip_powers_w=(1.0,), n_samples=10, seed=-1)
+            config(n=10, seed=-1)
         with pytest.raises(DomainError):
-            McConfig(sigma2_w=1.0, clip_powers_w=(1.0,), n_samples=10, seed=2 ** 64)
+            config(n=10, seed=2 ** 64)
 
     @pytest.mark.parametrize("field, fields", [
-        ("sigma2_w", {"sigma2_w": math.inf}),
-        ("clip_powers_w", {"clip_powers_w": [1.0, math.inf]}),
-        ("snr_max_linear", {"snr_max_linear": math.inf}),
+        ("clip_powers_w", {"clips": [1.0, math.inf]}),
+        ("snr_max_linear", {"snr_max": math.inf}),
     ])
     def test_rejects_infinite_inputs_naming_the_field(self, field, fields):
-        # refused before any sampling: an infinite sigma2_w once spent a
-        # whole run and then raised NumericError
-        kwargs = dict(sigma2_w=1.0, clip_powers_w=(1.0,), n_samples=10, seed=1)
+        # refused before any sampling, not after a whole run
         with pytest.raises(DomainError, match=f"^{field} must be positive and finite"):
-            McConfig(**{**kwargs, **fields})
+            config(n=10, **fields)
 
     def test_rejects_bad_ceiling(self):
         with pytest.raises(DomainError):
-            McConfig(sigma2_w=1.0, clip_powers_w=(1.0,), n_samples=10, seed=1,
-                     snr_max_linear=0.0)
+            config(n=10, snr_max=0.0)
