@@ -1,16 +1,16 @@
 """Transmitter power model and the local-vs-offload comparison.
 
-``breakdown_by_clip_power`` holds the per-component draws (video coder,
-redundancy coding, OFDM modulator, DACs, local oscillator, mixers, power
-amplifier) and their TDMA duty cycling, giving the mean offload power of
-one camera (``breakdown_at`` at one clipping power);
+``breakdown_at`` holds the per-component draws (video coder, redundancy
+coding, OFDM modulator, DACs, local oscillator, mixers, power amplifier)
+and their TDMA duty cycling; ``offload_power`` gives the mean offload power
+of one camera on a link, ``offload_power_law`` as a function of distance.
 ``breakeven_at`` compares it against the power of running the analytics
 workload on the device itself.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import astuple, dataclass, replace
+from typing import Tuple
 
 from .errors import DomainError, require_int, require_positive
 from .link import LinkGeometry, clip_power, operating_point
@@ -23,8 +23,8 @@ __all__ = [
     "local_power",
     "link_geometry",
     "breakdown_at",
-    "breakdown_by_clip_power",
     "offload_power",
+    "offload_power_law",
     "breakeven_at",
 ]
 
@@ -32,12 +32,14 @@ __all__ = [
 # Converter resolutions whose 2^bits is still a finite float.
 MAX_DAC_BITS = 1023
 
-# The config keys each computed component power is made from; the
+# The config keys each clip-independent component power is made from; the
 # per-camera division by the camera count cannot make a finite draw infinite.
 _PART_KEYS = {
+    "video_w": "p_video_w",
     "cod_w": "rate_bps and psi_w_per_bps",
     "ofdm_w": "n_ofdm, delta_f_hz and gamma_mod_flops_per_w",
     "dac_w": "v_dd, i_0_a, dac_bits, c_p_f and sample_rate_hz",
+    "lo_w": "p_lo_w",
     "mix_w": "p_mix_w",
 }
 
@@ -183,15 +185,7 @@ def link_geometry(radio: RadioParams, deploy: DeploymentParams) -> LinkGeometry:
 def breakdown_at(
     radio: RadioParams, deploy: DeploymentParams, point: PaOperatingPoint, p_max_w: float
 ) -> PowerBreakdown:
-    """Duty-cycled component powers, the amplifier at ``point`` clipping at ``p_max_w``."""
-    return breakdown_by_clip_power(radio, deploy, point)(p_max_w)
-
-
-def breakdown_by_clip_power(
-    radio: RadioParams, deploy: DeploymentParams, point: PaOperatingPoint
-) -> Callable[[float], PowerBreakdown]:
-    """``breakdown_at`` as a function of ``p_max_w``; the parts that do not
-    depend on it, and their sum, are computed once.
+    """Duty-cycled component powers, the amplifier at ``point`` clipping at ``p_max_w``.
 
     Raw per-device draws:
 
@@ -227,12 +221,11 @@ def breakdown_by_clip_power(
                 f"{name} = {parts[name]!r} W is not finite; it is computed from {keys}"
             )
     head = sum(parts.values())
-
-    def at(p_max_w):
-        pa_w = pa_consumed_power(p_max_w, point.ibo_linear) / m
-        return PowerBreakdown(**parts, pa_w=pa_w, total_w=head + pa_w)
-
-    return at
+    if not math.isfinite(head):
+        raise DomainError(f"the clip-independent parts sum to {head!r} W, which is not "
+                          f"finite; they are computed from {'; '.join(_PART_KEYS.values())}")
+    pa_w = pa_consumed_power(p_max_w, point.ibo_linear) / m
+    return PowerBreakdown(**parts, pa_w=pa_w, total_w=head + pa_w)
 
 
 def offload_power(radio: RadioParams, deploy: DeploymentParams) -> PowerBreakdown:
@@ -244,6 +237,15 @@ def offload_power(radio: RadioParams, deploy: DeploymentParams) -> PowerBreakdow
     geometry = link_geometry(radio, deploy)
     point = operating_point(geometry)
     return breakdown_at(radio, deploy, point, clip_power(geometry, point.snr_max_linear))
+
+
+def offload_power_law(radio: RadioParams, deploy: DeploymentParams) -> Tuple[PowerBreakdown, float]:
+    """``offload_power`` at any distance d is H + K * d ** PATH_LOSS_EXPONENT:
+    the amplifier draw is linear in the clipping power, which grows as the
+    path loss.  Returns the breakdown at 1 km, whose ``pa_w`` is K, and H,
+    the sum of its other parts."""
+    at_1km = offload_power(radio, replace(deploy, distance_km=1.0))
+    return at_1km, sum(astuple(at_1km)[:-2])
 
 
 def breakeven_at(offload_w: float, deploy: DeploymentParams) -> float:

@@ -10,10 +10,9 @@ import argparse
 import math
 import sys
 from dataclasses import astuple, fields, replace
-from operator import attrgetter
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from . import chain, link, pa
+from . import pa
 from .chain import (
     DeploymentParams,
     PowerBreakdown,
@@ -23,10 +22,13 @@ from .chain import (
     link_geometry,
     local_power,
     offload_power,
+    offload_power_law,
 )
 from .config import BANDWIDTH_PROFILES, dump_defaults, load_params
 from .errors import DomainError, FoglinkError, InfeasibleLinkError, NumericError
-from .link import clip_power, noise_dbm, operating_point, path_gain_db, required_sinr
+from .link import (
+    PATH_LOSS_EXPONENT, clip_power, noise_dbm, operating_point, path_gain_db, required_sinr
+)
 from .units import db_to_linear, linear_to_db, watts_to_dbm
 
 # Four curves shown in the distance sweeps: both channelizations at one
@@ -165,46 +167,46 @@ def _distance_sweep(
     stop_km: float,
     steps: int,
     columns: Sequence[str],
-    cells: Callable[[PowerBreakdown], Iterable[float]],
+    curve_cells: Callable[[PowerBreakdown], Callable[[float, float], tuple]],
 ) -> Tuple[List[str], List[tuple]]:
-    """Rows of ``cells`` over log-spaced distances and the FIGURE_COMBOS.
+    """Rows over log-spaced distances and the FIGURE_COMBOS, each curve solved
+    once as H + K * d ** PATH_LOSS_EXPONENT (``offload_power_law``).
 
-    ``columns`` names the cells.  A curve's amplifier point, band noise and
-    clip-independent power parts, and a distance's path gain (the curves
-    share the carrier) are computed once; a row sizes only its amplifier.
+    ``curve_cells(at_1km)`` formats what a curve holds fixed and returns the
+    cells named by ``columns`` as a function of a row's total and amplifier
+    powers.  An error names its curve and, if it has one, its distance.
     """
     distances = _grid("distance_km", start_km, stop_km, steps, log_spaced=True)
-    profile_radios = {}
-    for profile in FIGURE_PROFILES:
-        try:
-            profile_radios[profile] = replace(radio, **BANDWIDTH_PROFILES[profile])
-        except FoglinkError as exc:
-            raise _scenario_context(exc, bandwidth_profile=profile) from exc
-    curves = []
-    for profile, cameras in FIGURE_COMBOS:
-        curve_radio = profile_radios[profile]
-        try:
-            curve_deploy = replace(deploy, cameras=cameras)
-            geometry = link_geometry(curve_radio, curve_deploy)
-            point = operating_point(geometry)
-            clip_power_at = link.clip_power_by_distance(geometry, point.snr_max_linear)
-            breakdown = chain.breakdown_by_clip_power(curve_radio, curve_deploy, point)
-        except FoglinkError as exc:
-            raise _scenario_context(exc, bandwidth_profile=profile, cameras=cameras) from exc
-        curves.append((profile, cameras, curve_radio.bandwidth_hz, clip_power_at, breakdown))
-    rows = []
+    d = distances[0]
+    profile, cameras = FIGURE_COMBOS[0]
+    scenario = {"bandwidth_profile": profile, "cameras": cameras}
+    curves, rows = [], []
     try:
+        path_gain_db(d, deploy.carrier_hz)  # it falls with distance: checks the grid
+        d = None  # a curve's error names no distance
+        for profile, cameras in FIGURE_COMBOS:
+            scenario = {"bandwidth_profile": profile, "cameras": cameras}
+            curve_radio = replace(radio, **BANDWIDTH_PROFILES[profile])
+            at_1km, head_w = offload_power_law(curve_radio, replace(deploy, cameras=cameras))
+            labels = (_format_cell(curve_radio.bandwidth_hz), _format_cell(cameras))
+            curves.append((scenario, labels, head_w, at_1km.pa_w, curve_cells(at_1km)))
         for d in distances:
-            # a row's error names its curve; the path gain is the first curve's
-            profile, cameras = FIGURE_COMBOS[0]
-            gain_db, gain_linear = link.path_gain(d, deploy.carrier_hz)
-            for profile, cameras, bandwidth_hz, clip_power_at, breakdown in curves:
-                down = breakdown(clip_power_at(d, gain_db, gain_linear))
-                rows.append((d, bandwidth_hz, cameras, *cells(down)))
+            try:
+                scale = d ** PATH_LOSS_EXPONENT
+            except OverflowError:
+                scale = math.inf
+            for scenario, labels, head_w, pa_1km_w, cells in curves:
+                pa_w = pa_1km_w * scale
+                total_w = head_w + pa_w
+                if not total_w < math.inf:
+                    raise InfeasibleLinkError(
+                        f"offload power {head_w!r} W + {pa_1km_w!r} W * distance_km ** "
+                        f"{PATH_LOSS_EXPONENT:g} is not finite"
+                    )
+                rows.append((d, *labels, *cells(total_w, pa_w)))
     except FoglinkError as exc:
-        raise _scenario_context(
-            exc, distance_km=d, bandwidth_profile=profile, cameras=cameras
-        ) from exc
+        named = scenario if d is None else {"distance_km": d, **scenario}
+        raise _scenario_context(exc, **named) from exc
     return ["distance_km", "bandwidth_hz", "cameras", *columns], rows
 
 
@@ -217,11 +219,13 @@ def sweep_fig5(
     radio: RadioParams, deploy: DeploymentParams, start_km: float, stop_km: float, steps: int
 ) -> Tuple[List[str], List[tuple]]:
     """Offload power and its per-component shares versus distance."""
-    watts = attrgetter(*_FIG5_FIELDS)
+    def curve_cells(at_1km):  # the parts but the amplifier's do not vary along a curve
+        fixed = [_format_cell(watts_to_dbm(getattr(at_1km, f))) for f in _FIG5_FIELDS[1:-1]]
+        return lambda total_w, pa_w: (watts_to_dbm(total_w), *fixed, watts_to_dbm(pa_w))
+
     return _distance_sweep(
         radio, deploy, start_km, stop_km, steps,
-        [f"{name[:-2]}_dbm" for name in _FIG5_FIELDS],
-        lambda down: map(watts_to_dbm, watts(down)),
+        [f"{name[:-2]}_dbm" for name in _FIG5_FIELDS], curve_cells,
     )
 
 
@@ -230,8 +234,8 @@ def sweep_fig6(
 ) -> Tuple[List[str], List[tuple]]:
     """Breakeven workload complexity versus distance."""
     return _distance_sweep(
-        radio, deploy, start_km, stop_km, steps,
-        ["theta_star"], lambda down: (breakeven_at(down.total_w, deploy),),
+        radio, deploy, start_km, stop_km, steps, ["theta_star"],
+        lambda at_1km: lambda total_w, pa_w: (breakeven_at(total_w, deploy),),
     )
 
 

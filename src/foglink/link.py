@@ -6,12 +6,12 @@ thermal noise plus a 5 dB receiver noise figure.  A scaled Shannon relation
 maps the stream rate to the SINR the link must deliver.  Sizing has two
 parts: ``operating_point`` solves the amplifier at the SNR ceiling that the
 rate demand alone fixes, and ``clip_power`` turns that ceiling into the
-clipping power through the distance- and band-dependent path gain and noise.
+clipping power through the distance- and band-dependent path gain and noise;
+at a fixed ceiling it grows as ``distance_km ** PATH_LOSS_EXPONENT``.
 """
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Tuple
+from dataclasses import dataclass
 
 from . import pa
 from .errors import DomainError, InfeasibleLinkError, require_int, require_positive
@@ -20,18 +20,20 @@ from .units import db_to_linear, dbm_to_watts, linear_to_db
 __all__ = [
     "LinkGeometry",
     "MIN_DISTANCE_KM",
+    "PATH_LOSS_EXPONENT",
     "path_gain_db",
-    "path_gain",
     "noise_dbm",
     "required_sinr",
     "operating_point",
     "clip_power",
-    "clip_power_by_distance",
 ]
 
 # Path-loss model validity floor; below ~10 m the urban-macro fit would
 # produce positive gain artifacts.
 MIN_DISTANCE_KM = 0.01
+
+# The path loss rises by 37.6 dB per decade of distance: |h|^2 ~ d^-3.76.
+PATH_LOSS_EXPONENT = 37.6 / 10
 
 # Rate inversions with 2^exponent beyond this are treated as infeasible
 # rather than silently overflowing.
@@ -84,7 +86,7 @@ def path_gain_db(distance_km: float, carrier_hz: float) -> float:
         raise DomainError(f"carrier_hz must be positive, got {carrier_hz!r}")
     ratio = carrier_hz / 2e9  # rounds to 0 for a subnormal carrier
     carrier_term = 21.0 * math.log10(ratio) if ratio > 0.0 else -math.inf
-    gain = 15.0 - (128.1 + 37.6 * math.log10(distance_km) + carrier_term)
+    gain = 15.0 - (128.1 + 10.0 * PATH_LOSS_EXPONENT * math.log10(distance_km) + carrier_term)
     if not gain < 0.0:
         raise DomainError(
             f"path gain {gain:.6g} dB at distance_km = {distance_km!r}, "
@@ -153,35 +155,17 @@ def operating_point(geometry: LinkGeometry) -> pa.PaOperatingPoint:
     return pa.optimal_ibo(snr_max)
 
 
-def path_gain(distance_km: float, carrier_hz: float) -> Tuple[float, float]:
-    """``path_gain_db`` and its linear power ratio."""
-    gain_db = path_gain_db(distance_km, carrier_hz)
-    return gain_db, db_to_linear(gain_db)
-
-
 def clip_power(geometry: LinkGeometry, snr_max_linear: float) -> float:
     """Clipping power P_MAX = SNR_max * N / |h|^2 in watts that puts the link
     at SNR ceiling ``snr_max_linear``; InfeasibleLinkError if 0 or not finite."""
-    gain = path_gain(geometry.distance_km, geometry.carrier_hz)
-    return clip_power_by_distance(geometry, snr_max_linear)(geometry.distance_km, *gain)
-
-
-def clip_power_by_distance(
-    geometry: LinkGeometry, snr_max_linear: float
-) -> Callable[[float, float, float], float]:
-    """``clip_power`` of ``geometry`` moved to a distance, as a function of it
-    and its ``path_gain``; the band's noise is computed once."""
+    gain_db = path_gain_db(geometry.distance_km, geometry.carrier_hz)
+    gain_linear = db_to_linear(gain_db)
     noise_level_dbm = noise_dbm(geometry.bandwidth_hz)
-    noise_w = dbm_to_watts(noise_level_dbm)
-
-    def at(distance_km, gain_db, gain_linear):
-        p_max = noise_w / gain_linear * snr_max_linear if gain_linear > 0.0 else math.inf
-        if not 0.0 < p_max < math.inf:
-            raise InfeasibleLinkError(
-                f"clipping power {p_max!r} W is not representable for path gain "
-                f"{gain_db:.6g} dB and noise {noise_level_dbm:.6g} dBm in "
-                f"{replace(geometry, distance_km=distance_km)}"
-            )
-        return p_max
-
-    return at
+    p_max = (dbm_to_watts(noise_level_dbm) / gain_linear * snr_max_linear
+             if gain_linear > 0.0 else math.inf)
+    if not 0.0 < p_max < math.inf:
+        raise InfeasibleLinkError(
+            f"clipping power {p_max!r} W is not representable for path gain "
+            f"{gain_db:.6g} dB and noise {noise_level_dbm:.6g} dBm in {geometry}"
+        )
+    return p_max

@@ -37,7 +37,9 @@ from foglink import (
 )
 import foglink.cli as cli
 from foglink import pa
+from foglink.chain import offload_power_law
 from foglink.config import BANDWIDTH_PROFILES
+from foglink.link import PATH_LOSS_EXPONENT
 from oracles import solve_bisection
 
 GRID_DB = [round(-10.0 + 0.1 * k, 10) for k in range(601)]
@@ -309,3 +311,45 @@ def test_criterion_8_figure_commands(tmp_path):
     )
     assert elapsed < 10.0
     assert stable
+
+
+def test_criterion_9_short_wideband_crossover():
+    # The abstract finds offloading most efficient "for short, wideband
+    # links".  Each curve is H + K * d ** 3.76, so 18 MHz, with the larger
+    # fixed draw H and the smaller amplifier draw K, becomes the cheaper
+    # band at d* = ((H_18 - H_9) / (K_9 - K_18)) ** (1 / 3.76); 9 MHz is
+    # cheaper below it.  Each d* is checked against a bisection on the totals.
+    radio, deploy = load_params()
+
+    def radio_of(profile):
+        return replace(radio, **BANDWIDTH_PROFILES[profile])
+
+    crossovers, gaps, signs_ok = {}, {}, True
+    for cameras in (1, 10):
+        fleet = replace(deploy, cameras=cameras)
+        (narrow, head_9), (wide, head_18) = (
+            offload_power_law(radio_of(profile), fleet) for profile in ("9mhz", "18mhz")
+        )
+        crossover = ((head_18 - head_9) / (narrow.pa_w - wide.pa_w)) ** (1.0 / PATH_LOSS_EXPONENT)
+
+        def narrow_minus_wide(distance_km):
+            at = replace(fleet, distance_km=distance_km)
+            return (offload_power(radio_of("9mhz"), at).total_w
+                    - offload_power(radio_of("18mhz"), at).total_w)
+
+        signs_ok &= narrow_minus_wide(0.01) < 0.0 < narrow_minus_wide(2.0)
+        bisected = solve_bisection(narrow_minus_wide, 0.01, 2.0, tol=1e-15)
+        crossovers[cameras] = crossover
+        gaps[cameras] = abs(crossover - bisected) / bisected
+    pinned = {cameras: f"{d:.6g}" for cameras, d in crossovers.items()}
+    ok = signs_ok and max(gaps.values()) <= 1e-13 and pinned == {1: "0.473349", 10: "0.0154529"}
+    report(
+        9,
+        "9 MHz cheaper below d*, 18 MHz beyond it",
+        ok,
+        f"d* = {pinned[1]} km with 1 camera, {pinned[10]} km with 10; "
+        f"bisection gap {max(gaps.values()):.1e}",
+    )
+    assert signs_ok
+    assert max(gaps.values()) <= 1e-13
+    assert pinned == {1: "0.473349", 10: "0.0154529"}

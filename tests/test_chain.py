@@ -17,9 +17,15 @@ from foglink import (
     offload_power,
     watts_to_dbm,
 )
-from foglink.chain import MAX_DAC_BITS, breakdown_at, breakeven_at, link_geometry
+from foglink.chain import (
+    MAX_DAC_BITS,
+    breakdown_at,
+    breakeven_at,
+    link_geometry,
+    offload_power_law,
+)
 from foglink.config import BANDWIDTH_PROFILES
-from foglink.link import clip_power, operating_point
+from foglink.link import PATH_LOSS_EXPONENT, clip_power, operating_point
 
 RADIO, DEPLOY = load_params()
 
@@ -167,6 +173,18 @@ class TestOffloadPower:
                 parts = (down.video_w + down.cod_w + down.ofdm_w + down.dac_w
                          + down.lo_w + down.mix_w + down.pa_w)
                 assert abs(parts - down.total_w) <= 1e-12 * down.total_w
+
+    @pytest.mark.parametrize("profile, cameras", [("9mhz", 10), ("18mhz", 1)])
+    def test_is_a_power_law_in_distance(self, profile, cameras):
+        # P(d) = H + K * d ** 3.76, K the amplifier draw at 1 km
+        radio, deploy = scenario(profile, cameras)
+        at_1km, head_w = offload_power_law(radio, deploy)
+        assert at_1km == offload_power(radio, replace(deploy, distance_km=1.0))
+        assert head_w + at_1km.pa_w == at_1km.total_w
+        for d in np.geomspace(0.01, 2.0, 25):
+            total = offload_power(radio, replace(deploy, distance_km=float(d))).total_w
+            law = head_w + at_1km.pa_w * float(d) ** PATH_LOSS_EXPONENT
+            assert abs(law - total) <= 1e-13 * total
 
     def test_is_the_breakdown_at_the_solved_link(self):
         radio, deploy = scenario("9mhz", 10, 0.5)

@@ -4,17 +4,26 @@ import json
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import foglink.cli as cli
 from foglink import DomainError, InfeasibleLinkError, load_params, watts_to_dbm
-from foglink.chain import breakeven_at, offload_power
+from foglink.chain import breakeven_at, offload_power, offload_power_law
 from foglink.config import BANDWIDTH_PROFILES
-from foglink.link import LinkGeometry, required_sinr
+from foglink.link import PATH_LOSS_EXPONENT, LinkGeometry, required_sinr
 from foglink.pa import MAX_SNR_CEILING, snr_max_for_sinr_db
 from foglink.units import db_to_linear, linear_to_db
 
+
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+# the bandwidth cell of a distance-sweep row, and its profile
+PROFILE_OF_CELL = {
+    cli._format_cell(values["bandwidth_hz"]): name
+    for name, values in BANDWIDTH_PROFILES.items()
+}
 
 FIG5_HEADER = [
     "distance_km", "bandwidth_hz", "cameras", "total_dbm", "video_dbm", "cod_dbm",
@@ -172,21 +181,26 @@ class TestFig5:
         assert row["pa_dbm"] > row["total_dbm"] - 3.01
 
     def test_rows_equal_library_offload_power(self, tmp_path):
-        # one back-off solve per curve gives every row the per-scenario value
+        # each curve is solved once, as H + K * d ** 3.76: every printed cell
+        # is the per-scenario offload_power rendered, and each float cell is
+        # within 1e-13 of it
         path = tmp_path / "params.json"
         path.write_text('{"rate_bps": 1e7, "carrier_hz": 2.6e9}', encoding="utf-8")
         radio, deploy = load_params(str(path))
         columns, rows = cli.sweep_fig5(radio, deploy, 0.01, 2.0, 50)
         assert columns == FIG5_HEADER
         assert len(rows) == 4 * 50
-        for distance_km, bandwidth_hz, cameras, *cells in rows:
-            profile = "9mhz" if bandwidth_hz == 9e6 else "18mhz"
+        for distance_km, bandwidth, cameras, *cells in rows:
+            profile = PROFILE_OF_CELL[bandwidth]
             down = offload_power(
                 replace(radio, **BANDWIDTH_PROFILES[profile]),
-                replace(deploy, cameras=cameras, distance_km=distance_km),
+                replace(deploy, cameras=int(cameras), distance_km=distance_km),
             )
             for column, cell in zip(columns[3:], cells):
-                assert cell == watts_to_dbm(getattr(down, column.replace("_dbm", "_w")))
+                expected = watts_to_dbm(getattr(down, column.replace("_dbm", "_w")))
+                assert cli._format_cell(cell) == cli._format_cell(expected)
+                if isinstance(cell, float):
+                    assert abs(cell - expected) <= 1e-13 * abs(expected)
 
 
 class TestFig6:
@@ -211,19 +225,49 @@ class TestFig6:
             assert abs(row["theta_star"] - expected) <= 1e-8 * expected
 
     def test_rows_equal_library_breakeven(self, tmp_path):
-        # the hoisted per-curve and per-distance work gives every row the
-        # per-scenario value, bit for bit
+        # each curve is solved once, as H + K * d ** 3.76: every theta* prints
+        # as the per-scenario value and is within 1e-13 of it
         path = tmp_path / "params.json"
         path.write_text('{"rate_bps": 1e7, "carrier_hz": 2.6e9}', encoding="utf-8")
         radio, deploy = load_params(str(path))
         columns, rows = cli.sweep_fig6(radio, deploy, 0.01, 2.0, 50)
         assert columns == ["distance_km", "bandwidth_hz", "cameras", "theta_star"]
         assert len(rows) == 4 * 50
-        for distance_km, bandwidth_hz, cameras, theta in rows:
-            profile = "9mhz" if bandwidth_hz == 9e6 else "18mhz"
-            scenario = replace(deploy, cameras=cameras, distance_km=distance_km)
+        for distance_km, bandwidth, cameras, theta in rows:
+            profile = PROFILE_OF_CELL[bandwidth]
+            scenario = replace(deploy, cameras=int(cameras), distance_km=distance_km)
             down = offload_power(replace(radio, **BANDWIDTH_PROFILES[profile]), scenario)
-            assert theta == breakeven_at(down.total_w, scenario)
+            expected = breakeven_at(down.total_w, scenario)
+            assert cli._format_cell(theta) == cli._format_cell(expected)
+            assert abs(theta - expected) <= 1e-13 * expected
+
+
+@pytest.mark.parametrize("command", ["fig5", "fig6"])
+def test_dense_distance_grid_keeps_the_default_rows(capsys, command):
+    # the 1961-point grid holds the 50-point one at every 40th distance; its
+    # rows there print the reference bytes, and fig6 divides the same total
+    # that fig5 prints
+    code, out, err = run_cli([command, "--steps", "1961"], capsys)
+    assert (code, err) == (0, "")
+    header, *lines = out.splitlines()
+    curves = len(cli.FIGURE_COMBOS)
+    kept = [line for k in range(0, 1961, 40) for line in lines[k * curves:(k + 1) * curves]]
+    assert [header, *kept] == (REFERENCE_DIR / f"{command}.csv").read_text().splitlines()
+
+    radio, deploy = load_params()
+    laws = [
+        offload_power_law(replace(radio, **BANDWIDTH_PROFILES[profile]),
+                          replace(deploy, cameras=cameras))
+        for profile, cameras in cli.FIGURE_COMBOS
+    ]
+    distances = cli._grid("distance_km", 0.01, 2.0, 1961, log_spaced=True)
+    column = -1 if command == "fig6" else 3  # theta_star, or total_dbm
+    for k, d in enumerate(distances):
+        for j, (at_1km, head_w) in enumerate(laws):
+            total_w = head_w + at_1km.pa_w * d ** PATH_LOSS_EXPONENT
+            cell = (breakeven_at(total_w, deploy) if command == "fig6"
+                    else watts_to_dbm(total_w))
+            assert lines[k * curves + j].split(",")[column] == cli._format_cell(cell)
 
 
 class TestBreakeven:
@@ -427,25 +471,25 @@ class TestErrorExits:
          "error: distance_km = 0.001 is below the 0.01 km path-loss validity floor "
          "[scenario: distance_km=0.001, bandwidth_profile='9mhz', cameras=1]"),
         (["--d-to-km", "1e300"],
-         "error: clipping power inf W is not representable for path gain -3287.35 dB and "
-         "noise -99.4576 dBm in LinkGeometry(distance_km=1.9306977288832772e+84, "
-         "carrier_hz=3500000000.0, bandwidth_hz=9000000.0, cameras=1, rate_bps=6000000.0, "
-         "beta=0.4) [scenario: distance_km=1.9306977288832772e+84, "
+         "error: offload power 0.38852539999999997 W + 0.3512882387549126 W * distance_km "
+         "** 3.76 is not finite [scenario: distance_km=1.9306977288832772e+84, "
          "bandwidth_profile='9mhz', cameras=1]"),
         # on a fine grid a later curve of the same distance fails first;
         # fig6's theta* overflows sooner, on the first row
         (["--d-from-km", "1e80", "--d-to-km", "1e86", "--steps", "2000"], {
-            "fig5": "error: clipping power inf W is not representable for path gain "
-            "-3149.68 dB and noise -99.4576 dBm in LinkGeometry("
-            "distance_km=4.210291410564762e+80, carrier_hz=3500000000.0, "
-            "bandwidth_hz=9000000.0, cameras=10, rate_bps=6000000.0, beta=0.4) "
-            "[scenario: distance_km=4.210291410564762e+80, bandwidth_profile='9mhz', "
-            "cameras=10]",
+            "fig5": "error: offload power 0.31794254 W + 4370.138142904178 W * distance_km "
+            "** 3.76 is not finite [scenario: distance_km=1.0339683702740127e+81, "
+            "bandwidth_profile='9mhz', cameras=10]",
             "fig6": "error: breakeven theta is not finite for gamma_flops_per_w = "
-            "5000000000.0, offload power 2.2164789426981296e+300 W, rate_bps = 6000000.0 "
+            "5000000000.0, offload power 2.2164789427193317e+300 W, rate_bps = 6000000.0 "
             "[scenario: distance_km=1e+80, bandwidth_profile='9mhz', cameras=1]",
         }),
-    ], ids=["below-floor", "unrepresentable", "later-curve"])
+        # distance_km ** 3.76 itself overflows a float on the first row
+        (["--d-from-km", "1e82", "--d-to-km", "1e83", "--steps", "2"],
+         "error: offload power 0.38852539999999997 W + 0.3512882387549126 W * distance_km "
+         "** 3.76 is not finite [scenario: distance_km=1e+82, bandwidth_profile='9mhz', "
+         "cameras=1]"),
+    ], ids=["below-floor", "unrepresentable", "later-curve", "power-overflows"])
     @pytest.mark.parametrize("command", ["fig5", "fig6"])
     def test_row_error_names_the_row(self, capsys, command, args, line):
         if isinstance(line, dict):
@@ -480,6 +524,20 @@ class TestErrorExits:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {part} = inf W is not finite; it is computed from ")
         assert key in err
+
+    @pytest.mark.parametrize("command", ["link-power", "breakeven", "fig5", "fig6"])
+    def test_overflowing_sum_of_parts_names_its_keys(self, capsys, tmp_path, command):
+        # each part is finite, but their sum is not
+        path = tmp_path / "params.json"
+        path.write_text('{"p_video_w": 1e308, "p_lo_w": 1e308}', encoding="utf-8")
+        code, out, err = run_cli([command, "--config", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(
+            "error: the clip-independent parts sum to inf W, which is not finite; "
+            "they are computed from p_video_w; rate_bps and psi_w_per_bps; "
+        )
+        assert "; p_lo_w; p_mix_w" in err
 
     @pytest.mark.parametrize("command, entry, args, named", [
         ("breakeven", None, ["--theta-from", "0", "--theta-to", "1e308", "--steps", "3"],
@@ -652,19 +710,26 @@ class TestSolveCounts:
     def test_distance_sweeps_take_one_path_gain_per_distance(
         self, capsys, monkeypatch, command
     ):
-        # the four curves share the carrier, so a distance has one path gain
+        # a curve is H + K * d ** 3.76, so the path gain and the amplifier
+        # draw are evaluated per curve and per sweep, never per row
+        import foglink.chain
         import foglink.link
 
         calls = []
-        original = foglink.link.path_gain_db
+        for module, name in [(foglink.link, "path_gain_db"), (cli, "path_gain_db"),
+                             (foglink.chain, "pa_consumed_power")]:
+            def counted(*args, _name=name, _original=getattr(module, name)):
+                calls.append(_name)
+                return _original(*args)
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(foglink.link, "path_gain_db", counted)
-        assert run_cli([command, "--steps", "1961"], capsys)[0] == 0
-        assert len(calls) == 1961
+            monkeypatch.setattr(module, name, counted)
+        counts = []
+        for steps in (50, 1961):
+            calls.clear()
+            assert run_cli([command, "--steps", str(steps)], capsys)[0] == 0
+            counts.append(sorted(calls))
+        assert counts[0] == counts[1]
+        assert counts[0].count("pa_consumed_power") == len(cli.FIGURE_COMBOS)
 
 
 @pytest.mark.parametrize("argv, sites", [
