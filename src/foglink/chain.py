@@ -1,16 +1,16 @@
 """Transmitter power model and the local-vs-offload comparison.
 
-``breakdown_at`` holds the per-component draws (video coder, redundancy
-coding, OFDM modulator, DACs, local oscillator, mixers, power amplifier)
-and their TDMA duty cycling; ``offload_power`` gives the mean offload power
-of one camera on a link, ``offload_power_law`` as a function of distance.
+``clip_independent_parts`` and ``breakdown_at`` hold the per-component
+draws (video coder, redundancy coding, OFDM modulator, DACs, local
+oscillator, mixers, power amplifier) and their TDMA duty cycling;
+``offload_power`` gives the mean offload power of one camera on a link.
 ``breakeven_at`` compares it against the power of running the analytics
 workload on the device itself.
 """
 
 import math
-from dataclasses import astuple, dataclass, replace
-from typing import Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from .errors import DomainError, require_int, require_positive
 from .link import LinkGeometry, clip_power, operating_point
@@ -22,9 +22,9 @@ __all__ = [
     "PowerBreakdown",
     "local_power",
     "link_geometry",
+    "clip_independent_parts",
     "breakdown_at",
     "offload_power",
-    "offload_power_law",
     "breakeven_at",
 ]
 
@@ -182,10 +182,11 @@ def link_geometry(radio: RadioParams, deploy: DeploymentParams) -> LinkGeometry:
     )
 
 
-def breakdown_at(
-    radio: RadioParams, deploy: DeploymentParams, point: PaOperatingPoint, p_max_w: float
-) -> PowerBreakdown:
-    """Duty-cycled component powers, the amplifier at ``point`` clipping at ``p_max_w``.
+def clip_independent_parts(
+    radio: RadioParams, deploy: DeploymentParams
+) -> Tuple[Dict[str, float], float]:
+    """The duty-cycled draws of every component but the amplifier, keyed by
+    their ``PowerBreakdown`` field, and their sum H.
 
     Raw per-device draws:
 
@@ -195,11 +196,11 @@ def breakdown_at(
     - each of the two DACs, static current steering plus dynamic switching:
       V_dd * I_0 * (2^bits - 1) + 0.5 * bits * C_p * f_s * V_dd^2
     - local oscillator, each of the two mixers: their constant draws
-    - amplifier: the class B supply power at ``point``
 
-    The modulator, DACs, mixers and amplifier are active only during the
-    camera's 1/M slot, so they are divided by M; video compression, coding
-    and the local oscillator stay on continuously.
+    The modulator, DACs and mixers are active only during the camera's 1/M
+    slot, so they are divided by M; video compression, coding and the local
+    oscillator stay on continuously.  A part or H that is not finite raises
+    DomainError naming the config keys it is computed from.
     """
     m = float(deploy.cameras)
     n = radio.n_ofdm
@@ -224,7 +225,17 @@ def breakdown_at(
     if not math.isfinite(head):
         raise DomainError(f"the clip-independent parts sum to {head!r} W, which is not "
                           f"finite; they are computed from {'; '.join(_PART_KEYS.values())}")
-    pa_w = pa_consumed_power(p_max_w, point.ibo_linear) / m
+    return parts, head
+
+
+def breakdown_at(
+    radio: RadioParams, deploy: DeploymentParams, point: PaOperatingPoint, p_max_w: float
+) -> PowerBreakdown:
+    """``clip_independent_parts`` and the amplifier at ``point`` clipping at
+    ``p_max_w``: its class B supply power, linear in ``p_max_w``, divided by M
+    as it is active only during the camera's 1/M slot."""
+    parts, head = clip_independent_parts(radio, deploy)
+    pa_w = pa_consumed_power(p_max_w, point.ibo_linear) / float(deploy.cameras)
     return PowerBreakdown(**parts, pa_w=pa_w, total_w=head + pa_w)
 
 
@@ -237,15 +248,6 @@ def offload_power(radio: RadioParams, deploy: DeploymentParams) -> PowerBreakdow
     geometry = link_geometry(radio, deploy)
     point = operating_point(geometry)
     return breakdown_at(radio, deploy, point, clip_power(geometry, point.snr_max_linear))
-
-
-def offload_power_law(radio: RadioParams, deploy: DeploymentParams) -> Tuple[PowerBreakdown, float]:
-    """``offload_power`` at any distance d is H + K * d ** PATH_LOSS_EXPONENT:
-    the amplifier draw is linear in the clipping power, which grows as the
-    path loss.  Returns the breakdown at 1 km, whose ``pa_w`` is K, and H,
-    the sum of its other parts."""
-    at_1km = offload_power(radio, replace(deploy, distance_km=1.0))
-    return at_1km, sum(astuple(at_1km)[:-2])
 
 
 def breakeven_at(offload_w: float, deploy: DeploymentParams) -> float:

@@ -19,10 +19,10 @@ from .chain import (
     RadioParams,
     breakdown_at,
     breakeven_at,
+    clip_independent_parts,
     link_geometry,
     local_power,
     offload_power,
-    offload_power_law,
 )
 from .config import BANDWIDTH_PROFILES, dump_defaults, load_params
 from .errors import DomainError, FoglinkError, InfeasibleLinkError, NumericError
@@ -170,43 +170,50 @@ def _distance_sweep(
     curve_cells: Callable[[PowerBreakdown], Callable[[float, float], tuple]],
 ) -> Tuple[List[str], List[tuple]]:
     """Rows over log-spaced distances and the FIGURE_COMBOS, each curve solved
-    once as H + K * d ** PATH_LOSS_EXPONENT (``offload_power_law``).
+    once at the first distance d0 as H + pa_w * (d / d0) ** PATH_LOSS_EXPONENT.
 
-    ``curve_cells(at_1km)`` formats what a curve holds fixed and returns the
-    cells named by ``columns`` as a function of a row's total and amplifier
-    powers.  An error names its curve and, if it has one, its distance.
+    ``curve_cells(at_d0)`` returns the cells named by ``columns`` as a
+    function of a row's total and amplifier powers.  An error names its
+    curve, and its distance if it depends on one.
     """
     distances = _grid("distance_km", start_km, stop_km, steps, log_spaced=True)
-    d = distances[0]
-    profile, cameras = FIGURE_COMBOS[0]
-    scenario = {"bandwidth_profile": profile, "cameras": cameras}
-    curves, rows = [], []
-    try:
-        path_gain_db(d, deploy.carrier_hz)  # it falls with distance: checks the grid
-        d = None  # a curve's error names no distance
-        for profile, cameras in FIGURE_COMBOS:
-            scenario = {"bandwidth_profile": profile, "cameras": cameras}
+    d0 = distances[0]
+    curves = []
+    for profile, cameras in FIGURE_COMBOS:
+        scenario = {"bandwidth_profile": profile, "cameras": cameras}
+        try:
             curve_radio = replace(radio, **BANDWIDTH_PROFILES[profile])
-            at_1km, head_w = offload_power_law(curve_radio, replace(deploy, cameras=cameras))
-            labels = (_format_cell(curve_radio.bandwidth_hz), _format_cell(cameras))
-            curves.append((scenario, labels, head_w, at_1km.pa_w, curve_cells(at_1km)))
+            curve_deploy = replace(deploy, cameras=cameras, distance_km=d0)
+            geometry = link_geometry(curve_radio, curve_deploy)
+            point = operating_point(geometry)
+            head_w = clip_independent_parts(curve_radio, curve_deploy)[1]
+        except FoglinkError as exc:
+            raise _scenario_context(exc, **scenario) from exc
+        try:  # the path gain falls with distance: d0 checks the grid
+            at_d0 = breakdown_at(curve_radio, curve_deploy, point,
+                                 clip_power(geometry, point.snr_max_linear))
+        except FoglinkError as exc:
+            raise _scenario_context(exc, distance_km=d0, **scenario) from exc
+        curves.append((scenario, curve_radio.bandwidth_hz, cameras, head_w, at_d0.pa_w,
+                       curve_cells(at_d0)))
+    rows = []
+    try:
         for d in distances:
             try:
-                scale = d ** PATH_LOSS_EXPONENT
+                scale = (d / d0) ** PATH_LOSS_EXPONENT
             except OverflowError:
                 scale = math.inf
-            for scenario, labels, head_w, pa_1km_w, cells in curves:
-                pa_w = pa_1km_w * scale
+            for scenario, bandwidth_hz, cameras, head_w, pa_d0_w, cells in curves:
+                pa_w = pa_d0_w * scale
                 total_w = head_w + pa_w
                 if not total_w < math.inf:
                     raise InfeasibleLinkError(
-                        f"offload power {head_w!r} W + {pa_1km_w!r} W * distance_km ** "
-                        f"{PATH_LOSS_EXPONENT:g} is not finite"
+                        f"offload power {head_w!r} W + {pa_d0_w!r} W * (distance_km / "
+                        f"{d0!r}) ** {PATH_LOSS_EXPONENT:g} is not finite"
                     )
-                rows.append((d, *labels, *cells(total_w, pa_w)))
+                rows.append((d, bandwidth_hz, cameras, *cells(total_w, pa_w)))
     except FoglinkError as exc:
-        named = scenario if d is None else {"distance_km": d, **scenario}
-        raise _scenario_context(exc, **named) from exc
+        raise _scenario_context(exc, distance_km=d, **scenario) from exc
     return ["distance_km", "bandwidth_hz", "cameras", *columns], rows
 
 
@@ -219,8 +226,8 @@ def sweep_fig5(
     radio: RadioParams, deploy: DeploymentParams, start_km: float, stop_km: float, steps: int
 ) -> Tuple[List[str], List[tuple]]:
     """Offload power and its per-component shares versus distance."""
-    def curve_cells(at_1km):  # the parts but the amplifier's do not vary along a curve
-        fixed = [_format_cell(watts_to_dbm(getattr(at_1km, f))) for f in _FIG5_FIELDS[1:-1]]
+    def curve_cells(at_d0):  # the parts but the amplifier's do not vary along a curve
+        fixed = [watts_to_dbm(getattr(at_d0, f)) for f in _FIG5_FIELDS[1:-1]]
         return lambda total_w, pa_w: (watts_to_dbm(total_w), *fixed, watts_to_dbm(pa_w))
 
     return _distance_sweep(
@@ -235,7 +242,7 @@ def sweep_fig6(
     """Breakeven workload complexity versus distance."""
     return _distance_sweep(
         radio, deploy, start_km, stop_km, steps, ["theta_star"],
-        lambda at_1km: lambda total_w, pa_w: (breakeven_at(total_w, deploy),),
+        lambda at_d0: lambda total_w, pa_w: (breakeven_at(total_w, deploy),),
     )
 
 

@@ -37,7 +37,7 @@ from foglink import (
 )
 import foglink.cli as cli
 from foglink import pa
-from foglink.chain import offload_power_law
+from foglink.chain import clip_independent_parts
 from foglink.config import BANDWIDTH_PROFILES
 from foglink.link import PATH_LOSS_EXPONENT
 from oracles import solve_bisection
@@ -315,10 +315,11 @@ def test_criterion_8_figure_commands(tmp_path):
 
 def test_criterion_9_short_wideband_crossover():
     # The abstract finds offloading most efficient "for short, wideband
-    # links".  Each curve is H + K * d ** 3.76, so 18 MHz, with the larger
-    # fixed draw H and the smaller amplifier draw K, becomes the cheaper
-    # band at d* = ((H_18 - H_9) / (K_9 - K_18)) ** (1 / 3.76); 9 MHz is
-    # cheaper below it.  Each d* is checked against a bisection on the totals.
+    # links".  Each curve is H + K * d ** 3.76 (K the amplifier draw at
+    # 1 km), so 18 MHz, with the larger fixed draw H and the smaller K,
+    # becomes the cheaper band at d* = ((H_18 - H_9) / (K_9 - K_18)) ** (1 / 3.76);
+    # 9 MHz is cheaper below it.  Each d* is checked against a bisection on
+    # the totals.
     radio, deploy = load_params()
 
     def radio_of(profile):
@@ -327,10 +328,13 @@ def test_criterion_9_short_wideband_crossover():
     crossovers, gaps, signs_ok = {}, {}, True
     for cameras in (1, 10):
         fleet = replace(deploy, cameras=cameras)
-        (narrow, head_9), (wide, head_18) = (
-            offload_power_law(radio_of(profile), fleet) for profile in ("9mhz", "18mhz")
+        at_1km = replace(fleet, distance_km=1.0)
+        (head_9, k_9), (head_18, k_18) = (
+            (clip_independent_parts(radio_of(profile), at_1km)[1],
+             offload_power(radio_of(profile), at_1km).pa_w)
+            for profile in ("9mhz", "18mhz")
         )
-        crossover = ((head_18 - head_9) / (narrow.pa_w - wide.pa_w)) ** (1.0 / PATH_LOSS_EXPONENT)
+        crossover = ((head_18 - head_9) / (k_9 - k_18)) ** (1.0 / PATH_LOSS_EXPONENT)
 
         def narrow_minus_wide(distance_km):
             at = replace(fleet, distance_km=distance_km)

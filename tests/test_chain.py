@@ -21,8 +21,8 @@ from foglink.chain import (
     MAX_DAC_BITS,
     breakdown_at,
     breakeven_at,
+    clip_independent_parts,
     link_geometry,
-    offload_power_law,
 )
 from foglink.config import BANDWIDTH_PROFILES
 from foglink.link import PATH_LOSS_EXPONENT, clip_power, operating_point
@@ -176,14 +176,15 @@ class TestOffloadPower:
 
     @pytest.mark.parametrize("profile, cameras", [("9mhz", 10), ("18mhz", 1)])
     def test_is_a_power_law_in_distance(self, profile, cameras):
-        # P(d) = H + K * d ** 3.76, K the amplifier draw at 1 km
-        radio, deploy = scenario(profile, cameras)
-        at_1km, head_w = offload_power_law(radio, deploy)
-        assert at_1km == offload_power(radio, replace(deploy, distance_km=1.0))
-        assert head_w + at_1km.pa_w == at_1km.total_w
+        # P(d) = H + pa_w(d0) * (d / d0) ** 3.76, H the clip-independent parts
+        radio, deploy = scenario(profile, cameras, 0.3)
+        parts, head_w = clip_independent_parts(radio, deploy)
+        at_d0 = offload_power(radio, deploy)
+        assert parts == {name: getattr(at_d0, name) for name in parts}
+        assert head_w + at_d0.pa_w == at_d0.total_w
         for d in np.geomspace(0.01, 2.0, 25):
             total = offload_power(radio, replace(deploy, distance_km=float(d))).total_w
-            law = head_w + at_1km.pa_w * float(d) ** PATH_LOSS_EXPONENT
+            law = head_w + at_d0.pa_w * (float(d) / 0.3) ** PATH_LOSS_EXPONENT
             assert abs(law - total) <= 1e-13 * total
 
     def test_is_the_breakdown_at_the_solved_link(self):

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import foglink.cli as cli
-from foglink import DomainError, InfeasibleLinkError, load_params, watts_to_dbm
-from foglink.chain import breakeven_at, offload_power, offload_power_law
+from foglink import DomainError, FoglinkError, InfeasibleLinkError, load_params, watts_to_dbm
+from foglink.chain import breakeven_at, clip_independent_parts, offload_power
 from foglink.config import BANDWIDTH_PROFILES
 from foglink.link import PATH_LOSS_EXPONENT, LinkGeometry, required_sinr
 from foglink.pa import MAX_SNR_CEILING, snr_max_for_sinr_db
@@ -19,16 +19,24 @@ from foglink.units import db_to_linear, linear_to_db
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
-# the bandwidth cell of a distance-sweep row, and its profile
-PROFILE_OF_CELL = {
-    cli._format_cell(values["bandwidth_hz"]): name
-    for name, values in BANDWIDTH_PROFILES.items()
+# the bandwidth of a distance-sweep row, and its profile
+PROFILE_OF_BANDWIDTH = {
+    values["bandwidth_hz"]: name for name, values in BANDWIDTH_PROFILES.items()
 }
 
 FIG5_HEADER = [
     "distance_km", "bandwidth_hz", "cameras", "total_dbm", "video_dbm", "cod_dbm",
     "ofdm_dbm", "dac_dbm", "lo_dbm", "mix_dbm", "pa_dbm",
 ]
+
+
+def curve_law(radio, deploy, profile, cameras, d0):
+    """H and the amplifier draw at d0 of one distance-sweep curve: its offload
+    power at d is H + pa_w * (d / d0) ** PATH_LOSS_EXPONENT."""
+    curve_radio = replace(radio, **BANDWIDTH_PROFILES[profile])
+    curve_deploy = replace(deploy, cameras=cameras, distance_km=d0)
+    head_w = clip_independent_parts(curve_radio, curve_deploy)[1]
+    return head_w, offload_power(curve_radio, curve_deploy).pa_w
 
 
 def run_cli(args, capsys=None):
@@ -181,8 +189,9 @@ class TestFig5:
         assert row["pa_dbm"] > row["total_dbm"] - 3.01
 
     def test_rows_equal_library_offload_power(self, tmp_path):
-        # each curve is solved once, as H + K * d ** 3.76: every printed cell
-        # is the per-scenario offload_power rendered, and each float cell is
+        # each curve is solved once, at the first distance d0: its total and
+        # amplifier cells are those of H + pa_w(d0) * (d / d0) ** 3.76 bit for
+        # bit, and every cell prints as the per-scenario offload_power and is
         # within 1e-13 of it
         path = tmp_path / "params.json"
         path.write_text('{"rate_bps": 1e7, "carrier_hz": 2.6e9}', encoding="utf-8")
@@ -191,16 +200,37 @@ class TestFig5:
         assert columns == FIG5_HEADER
         assert len(rows) == 4 * 50
         for distance_km, bandwidth, cameras, *cells in rows:
-            profile = PROFILE_OF_CELL[bandwidth]
+            profile = PROFILE_OF_BANDWIDTH[bandwidth]
+            head_w, pa_d0_w = curve_law(radio, deploy, profile, cameras, 0.01)
+            pa_w = pa_d0_w * (distance_km / 0.01) ** PATH_LOSS_EXPONENT
+            assert (cells[0], cells[-1]) == (watts_to_dbm(head_w + pa_w), watts_to_dbm(pa_w))
             down = offload_power(
                 replace(radio, **BANDWIDTH_PROFILES[profile]),
-                replace(deploy, cameras=int(cameras), distance_km=distance_km),
+                replace(deploy, cameras=cameras, distance_km=distance_km),
             )
             for column, cell in zip(columns[3:], cells):
                 expected = watts_to_dbm(getattr(down, column.replace("_dbm", "_w")))
                 assert cli._format_cell(cell) == cli._format_cell(expected)
-                if isinstance(cell, float):
-                    assert abs(cell - expected) <= 1e-13 * abs(expected)
+                assert abs(cell - expected) <= 1e-13 * abs(expected)
+
+    @pytest.mark.parametrize("carrier_hz, start_km, stop_km", [
+        (1e3, 10.0, 20.0),  # the path-loss fit is a gain at 1 km, a loss beyond 8 km
+        (1e155, 0.01, 0.02),  # the clipping power overflows a float at 1 km
+    ])
+    def test_link_is_checked_at_grid_distances_only(self, carrier_hz, start_km, stop_km):
+        radio, deploy = load_params()
+        deploy = replace(deploy, carrier_hz=carrier_hz)
+        with pytest.raises(FoglinkError):  # at 9 MHz with ten cameras
+            offload_power(replace(radio, **BANDWIDTH_PROFILES["9mhz"]),
+                          replace(deploy, cameras=10, distance_km=1.0))
+        columns, rows = cli.sweep_fig5(radio, deploy, start_km, stop_km, 3)
+        assert len(rows) == 4 * 3
+        for distance_km, bandwidth, cameras, total_dbm, *_ in rows:
+            down = offload_power(
+                replace(radio, **BANDWIDTH_PROFILES[PROFILE_OF_BANDWIDTH[bandwidth]]),
+                replace(deploy, cameras=cameras, distance_km=distance_km),
+            )
+            assert cli._format_cell(total_dbm) == cli._format_cell(watts_to_dbm(down.total_w))
 
 
 class TestFig6:
@@ -225,8 +255,9 @@ class TestFig6:
             assert abs(row["theta_star"] - expected) <= 1e-8 * expected
 
     def test_rows_equal_library_breakeven(self, tmp_path):
-        # each curve is solved once, as H + K * d ** 3.76: every theta* prints
-        # as the per-scenario value and is within 1e-13 of it
+        # each curve is solved once, at the first distance d0: theta* is the
+        # breakeven of H + pa_w(d0) * (d / d0) ** 3.76 bit for bit, and prints
+        # as the per-scenario value
         path = tmp_path / "params.json"
         path.write_text('{"rate_bps": 1e7, "carrier_hz": 2.6e9}', encoding="utf-8")
         radio, deploy = load_params(str(path))
@@ -234,8 +265,11 @@ class TestFig6:
         assert columns == ["distance_km", "bandwidth_hz", "cameras", "theta_star"]
         assert len(rows) == 4 * 50
         for distance_km, bandwidth, cameras, theta in rows:
-            profile = PROFILE_OF_CELL[bandwidth]
-            scenario = replace(deploy, cameras=int(cameras), distance_km=distance_km)
+            profile = PROFILE_OF_BANDWIDTH[bandwidth]
+            head_w, pa_d0_w = curve_law(radio, deploy, profile, cameras, 0.01)
+            law_w = head_w + pa_d0_w * (distance_km / 0.01) ** PATH_LOSS_EXPONENT
+            scenario = replace(deploy, cameras=cameras, distance_km=distance_km)
+            assert theta == breakeven_at(law_w, scenario)
             down = offload_power(replace(radio, **BANDWIDTH_PROFILES[profile]), scenario)
             expected = breakeven_at(down.total_w, scenario)
             assert cli._format_cell(theta) == cli._format_cell(expected)
@@ -255,16 +289,12 @@ def test_dense_distance_grid_keeps_the_default_rows(capsys, command):
     assert [header, *kept] == (REFERENCE_DIR / f"{command}.csv").read_text().splitlines()
 
     radio, deploy = load_params()
-    laws = [
-        offload_power_law(replace(radio, **BANDWIDTH_PROFILES[profile]),
-                          replace(deploy, cameras=cameras))
-        for profile, cameras in cli.FIGURE_COMBOS
-    ]
+    laws = [curve_law(radio, deploy, *combo, 0.01) for combo in cli.FIGURE_COMBOS]
     distances = cli._grid("distance_km", 0.01, 2.0, 1961, log_spaced=True)
     column = -1 if command == "fig6" else 3  # theta_star, or total_dbm
     for k, d in enumerate(distances):
-        for j, (at_1km, head_w) in enumerate(laws):
-            total_w = head_w + at_1km.pa_w * d ** PATH_LOSS_EXPONENT
+        for j, (head_w, pa_d0_w) in enumerate(laws):
+            total_w = head_w + pa_d0_w * (d / 0.01) ** PATH_LOSS_EXPONENT
             cell = (breakeven_at(total_w, deploy) if command == "fig6"
                     else watts_to_dbm(total_w))
             assert lines[k * curves + j].split(",")[column] == cli._format_cell(cell)
@@ -470,26 +500,28 @@ class TestErrorExits:
         (["--d-from-km", "0.001"],
          "error: distance_km = 0.001 is below the 0.01 km path-loss validity floor "
          "[scenario: distance_km=0.001, bandwidth_profile='9mhz', cameras=1]"),
+        # (distance_km / d0) ** 3.76 overflows a float
         (["--d-to-km", "1e300"],
-         "error: offload power 0.38852539999999997 W + 0.3512882387549126 W * distance_km "
-         "** 3.76 is not finite [scenario: distance_km=1.9306977288832772e+84, "
-         "bandwidth_profile='9mhz', cameras=1]"),
+         "error: offload power 0.38852539999999997 W + 1.0608735209848913e-08 W * "
+         "(distance_km / 0.01) ** 3.76 is not finite [scenario: "
+         "distance_km=1.9306977288832772e+84, bandwidth_profile='9mhz', cameras=1]"),
         # on a fine grid a later curve of the same distance fails first;
         # fig6's theta* overflows sooner, on the first row
         (["--d-from-km", "1e80", "--d-to-km", "1e86", "--steps", "2000"], {
-            "fig5": "error: offload power 0.31794254 W + 4370.138142904178 W * distance_km "
-            "** 3.76 is not finite [scenario: distance_km=1.0339683702740127e+81, "
-            "bandwidth_profile='9mhz', cameras=10]",
+            "fig5": "error: offload power 0.31794254 W + 2.757370757632164e+304 W * "
+            "(distance_km / 1e+80) ** 3.76 is not finite [scenario: "
+            "distance_km=1.0339683702740127e+81, bandwidth_profile='9mhz', cameras=10]",
             "fig6": "error: breakeven theta is not finite for gamma_flops_per_w = "
-            "5000000000.0, offload power 2.2164789427193317e+300 W, rate_bps = 6000000.0 "
+            "5000000000.0, offload power 2.2164789426981296e+300 W, rate_bps = 6000000.0 "
             "[scenario: distance_km=1e+80, bandwidth_profile='9mhz', cameras=1]",
         }),
-        # distance_km ** 3.76 itself overflows a float on the first row
+        # every curve is checked as a link at the first distance before any row
         (["--d-from-km", "1e82", "--d-to-km", "1e83", "--steps", "2"],
-         "error: offload power 0.38852539999999997 W + 0.3512882387549126 W * distance_km "
-         "** 3.76 is not finite [scenario: distance_km=1e+82, bandwidth_profile='9mhz', "
-         "cameras=1]"),
-    ], ids=["below-floor", "unrepresentable", "later-curve", "power-overflows"])
+         "error: clipping power inf W is not representable for path gain -3201.4 dB and "
+         "noise -99.4576 dBm in LinkGeometry(distance_km=1e+82, carrier_hz=3500000000.0, "
+         "bandwidth_hz=9000000.0, cameras=10, rate_bps=6000000.0, beta=0.4) [scenario: "
+         "distance_km=1e+82, bandwidth_profile='9mhz', cameras=10]"),
+    ], ids=["below-floor", "unrepresentable", "later-curve", "first-unrepresentable"])
     @pytest.mark.parametrize("command", ["fig5", "fig6"])
     def test_row_error_names_the_row(self, capsys, command, args, line):
         if isinstance(line, dict):
