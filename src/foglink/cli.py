@@ -7,6 +7,7 @@ names a file.
 """
 
 import argparse
+import itertools
 import math
 import sys
 from dataclasses import astuple, fields, replace
@@ -385,8 +386,7 @@ def mc_verify(
 
 
 def _format_cell(value) -> str:
-    if type(value) is float and value - value == 0.0:  # finite: the common case
-        return format(value, ".9g")
+    """A str as is, a number at 9 significant digits; bool and inf/nan raise."""
     if isinstance(value, str):
         return value
     if isinstance(value, bool):
@@ -398,11 +398,28 @@ def _format_cell(value) -> str:
 
 
 def render_csv(columns: Sequence[str], rows: Iterable, trailer: Sequence[str] = ()) -> str:
-    """The header, one line per row (cells in column order), then the trailer."""
-    lines = [",".join(columns)]
-    lines.extend(",".join(map(_format_cell, row)) for row in rows)
-    lines.extend(trailer)
-    return "\n".join(lines) + "\n"
+    """The header, one line per row (cells in column order), then the trailer.
+
+    A row of numbers is one ``%.9g`` template format, the bytes of
+    ``_format_cell``.  A finite number prints no 'n', so an 'n' in the body
+    means an inf or a nan: such a table, or one with a boolean or a cell
+    ``%`` refuses (a str), goes cell by cell, which names the first bad cell.
+    """
+    rows = list(rows)
+    header = ",".join(columns)
+    template = ",".join(["%.9g"] * len(columns))
+    try:
+        lines = [*map(template.__mod__, rows)]
+    except (TypeError, OverflowError):  # a str, a huge int or a row of another length
+        pass
+    else:
+        text = "\n".join([header, *lines, *trailer, ""])
+        body_end = len(text) - len(trailer) - sum(map(len, trailer))
+        cell_types = map(type, itertools.chain.from_iterable(rows))
+        if text.find("n", len(header) + 1, body_end) < 0 and bool not in cell_types:
+            return text
+    lines = [",".join(map(_format_cell, row)) for row in rows]
+    return "\n".join([header, *lines, *trailer, ""])
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:

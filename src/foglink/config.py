@@ -5,7 +5,6 @@ may appear and missing keys take the baseline defaults.  Units are fixed
 per key (Hz, W, km, A, F, V, bits per second); nothing is dB-scaled here.
 """
 
-import json
 import math
 from typing import Optional, Tuple
 
@@ -89,6 +88,8 @@ def _read_file(path: str) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not text.strip():
         return {}
+    import json  # only a config file or print-defaults needs it
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -132,4 +133,6 @@ def load_params(
 
 def dump_defaults() -> str:
     """Baseline parameters as editable JSON text."""
+    import json
+
     return json.dumps({**RADIO_DEFAULTS, **DEPLOY_DEFAULTS}, indent=2, sort_keys=True)

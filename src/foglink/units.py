@@ -36,4 +36,7 @@ def dbm_to_watts(value_dbm: float) -> float:
 
 def watts_to_dbm(power_w: float) -> float:
     """dBm level of a positive power in watts."""
-    return linear_to_db(power_w * 1e3)
+    milliwatts = power_w * 1e3
+    if milliwatts == math.inf and power_w < math.inf:  # above ~1.8e305 W
+        return linear_to_db(power_w) + 30.0
+    return linear_to_db(milliwatts)

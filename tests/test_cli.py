@@ -3,10 +3,13 @@
 import json
 import math
 import re
+import struct
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import foglink.cli as cli
 from foglink import DomainError, FoglinkError, InfeasibleLinkError, load_params, watts_to_dbm
@@ -298,6 +301,17 @@ def test_dense_distance_grid_keeps_the_default_rows(capsys, command):
             cell = (breakeven_at(total_w, deploy) if command == "fig6"
                     else watts_to_dbm(total_w))
             assert lines[k * curves + j].split(",")[column] == cli._format_cell(cell)
+
+
+def test_dense_snr_grid_keeps_the_default_rows(capsys):
+    # fig3's 24001-point grid holds the 601-point one at every 40th ceiling;
+    # the max-gap trailer may differ, as the dense grid samples more points
+    code, out, err = run_cli(["fig3", "--steps", "24001"], capsys)
+    assert (code, err) == (0, "")
+    header, *lines = [line for line in out.splitlines() if not line.startswith("#")]
+    assert len(lines) == 24001
+    reference = (REFERENCE_DIR / "fig3.csv").read_text().splitlines()
+    assert [header, *lines[::40]] == [line for line in reference if not line.startswith("#")]
 
 
 class TestBreakeven:
@@ -657,6 +671,18 @@ class TestErrorExits:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert named in err
 
+    @pytest.mark.parametrize("command", ["fig5", "link-power"])
+    def test_power_near_the_float_limit_prints_finite_dbm(self, capsys, tmp_path, command):
+        # the video draw alone is finite in watts, but not in milliwatts
+        path = tmp_path / "params.json"
+        path.write_text('{"p_video_w": 1.7e308}', encoding="utf-8")
+        code, out, err = run_cli([command, "--config", str(path)], capsys)
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert rows and all(math.isfinite(v) for row in rows for v in row.values())
+        column = "video_dbm" if command == "fig5" else "total_dbm"
+        assert {row[column] for row in rows} == {float(f"{10 * math.log10(1.7e308) + 30:.9g}")}
+
     @pytest.mark.parametrize("command", ["link-power", "breakeven"])
     def test_ceiling_above_the_solvable_range_names_rate_bps(self, capsys, tmp_path, command):
         # rate exponent 50: the SINR is representable, its 181.8 dB ceiling
@@ -800,6 +826,24 @@ def test_dense_fig4_grids_complete(capsys, steps):
     assert rows and all(math.isfinite(v) for row in rows for v in row.values())
 
 
+def _float_of_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# the numbers a table may hold: finite floats (random bit patterns among
+# them), ints and numpy float64s
+NUMBERS = st.one_of(
+    st.sampled_from([
+        -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+        1.7976931348623157e308, -1.7976931348623157e308,
+    ]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1).map(_float_of_bits).filter(math.isfinite),
+    st.integers(-10**308, 10**308),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+
+
 class TestCsvRendering:
     def test_nine_significant_digits(self):
         text = cli.render_csv(["x"], [(math.pi,)])
@@ -812,13 +856,13 @@ class TestCsvRendering:
             cli.render_csv(["x"], [(float("nan"),)])
 
     def test_every_number_type_renders_as_its_float(self):
-        # a plain finite float takes a shorter path than other cells; the
-        # bytes must not depend on which path a cell took
-        import numpy as np
-
+        # an all-number table takes one %-format per row, a table with a str
+        # cell goes cell by cell; the bytes must not depend on the path
         values = [-0.0, 5e-324, 1.7976931348623157e308, 10, np.float64(math.pi)]
         text = cli.render_csv(["x", "y"], [(v, "label") for v in values])
         assert text == "x,y\n" + "".join(f"{float(v):.9g},label\n" for v in values)
+        text = cli.render_csv(["x"], [(v,) for v in values])
+        assert text == "x\n" + "".join(f"{float(v):.9g}\n" for v in values)
 
     @pytest.mark.parametrize("value, message", [
         (True, "boolean cell True has no CSV rendering"),
@@ -831,6 +875,45 @@ class TestCsvRendering:
 
         with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
             cli.render_csv(["x"], [(value,)])
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(st.lists(st.tuples(NUMBERS, NUMBERS, NUMBERS), max_size=20))
+    def test_rows_render_as_their_cells(self, rows):
+        lines = ["a,b,c", *(",".join(map(cli._format_cell, row)) for row in rows)]
+        assert cli.render_csv(["a", "b", "c"], rows) == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("value, message", [
+        (math.nan, "non-finite value nan in CSV output"),
+        (False, "boolean cell False has no CSV rendering"),
+    ])
+    def test_a_bad_cell_deep_in_a_table_keeps_its_message(self, value, message):
+        from foglink import NumericError
+
+        rows = [(k / 7, float(k)) for k in range(1000)]
+        rows[500] = (0.5, value)
+        with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+            cli.render_csv(["x", "y"], rows)
+
+    def test_the_first_bad_cell_in_row_order_is_named(self):
+        from foglink import NumericError
+
+        rows = [(1.0, 2.0)] * 10
+        rows[3], rows[6] = (1.0, True), (math.inf, 2.0)
+        with pytest.raises(NumericError, match="^boolean cell True"):
+            cli.render_csv(["x", "y"], rows)
+
+    def test_a_table_of_numbers_takes_no_per_cell_call(self, monkeypatch):
+        # the 'n' of a header or trailer does not send a table cell by cell
+        def refused(value):
+            raise AssertionError(f"per-cell rendering of {value!r}")
+
+        monkeypatch.setattr(cli, "_format_cell", refused)
+        text = cli.render_csv(["n", "snr"], [(1.5, 10), (-0.0, 2e-9)], ["note: nan"])
+        assert text == "n,snr\n1.5,10\n-0,2e-09\nnote: nan\n"
+
+    def test_str_cells_render_as_text(self):
+        text = cli.render_csv(["x", "label"], [(1.0, "nan"), (2.5, "inf"), (3.0, "pass")])
+        assert text == "x,label\n1,nan\n2.5,inf\n3,pass\n"
 
     def test_sweep_spec_validation(self):
         with pytest.raises(DomainError, match="increasing"):

@@ -5,13 +5,16 @@ breakeven) needs no arrays, so every command but ``mc-verify`` runs
 without importing numpy.  No command loads ``concurrent.futures``: the
 Monte-Carlo workers are plain ``threading`` threads, which numpy loads
 anyway.  Each check runs in a fresh interpreter, because this test
-process has numpy loaded already.
+process has numpy loaded already.  Likewise ``json`` loads only when a
+command reads a config file or prints the defaults.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -56,6 +59,25 @@ def test_scalar_commands_never_load_numpy(tmp_path):
     )
     assert out.splitlines() == [
         f"{step} False False" for step in ("import", *SCALAR_COMMANDS)
+    ]
+
+
+@pytest.mark.parametrize("last", [["link-power", "--config"], ["print-defaults"]])
+def test_only_a_config_file_or_print_defaults_loads_json(tmp_path, last):
+    config = tmp_path / "config.json"
+    config.write_text('{"cameras": 2}')
+    if last[-1] == "--config":
+        last = [*last, str(config)]
+    out_path = str(tmp_path / "out")
+    out = run_fresh(
+        "import sys\n"
+        "import foglink.cli as cli\n"
+        f"for argv in {[[command] for command in SCALAR_COMMANDS[:-1]] + [last]!r}:\n"
+        f"    assert cli.main([*argv, '--out', {out_path!r}]) == 0\n"
+        "    print(argv[0], 'json' in sys.modules)\n"
+    )
+    assert out.splitlines() == [
+        *(f"{command} False" for command in SCALAR_COMMANDS[:-1]), f"{last[0]} True",
     ]
 
 

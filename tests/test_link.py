@@ -314,6 +314,16 @@ def test_conversions_reject_unrepresentable_levels():
             watts_to_dbm(power)
 
 
+def test_watts_to_dbm_near_the_float_limit():
+    # p * 1e3 overflows above ~1.8e305 W, though p's dBm level is finite;
+    # below that the level is the log of the product, bit for bit
+    for power in (1.7e308, 1.7976931348623157e308, 1.8e305):
+        assert watts_to_dbm(power) == linear_to_db(power) + 30.0
+    for power in (1.7e305, 0.242, 5e-324):
+        assert watts_to_dbm(power) == linear_to_db(power * 1e3)
+    assert watts_to_dbm(math.inf) == math.inf
+
+
 def test_db_conversions_round_trip():
     rng = np.random.default_rng(11)
     for x in rng.uniform(-150.0, 150.0, 200):
