@@ -41,6 +41,7 @@ from .pa import (
     sinr_of_ibo,
     snr_max_for_sinr_db,
 )
+from .record import replace
 from .units import db_to_linear, dbm_to_watts, linear_to_db, watts_to_dbm
 
 __version__ = "0.1.0"
@@ -60,6 +61,8 @@ __all__ = [
     "McConfig", "McEstimate", "CHUNK_SAMPLES", "run_mc",
     # config
     "load_params", "dump_defaults",
+    # records
+    "replace",
     # units
     "db_to_linear", "linear_to_db", "dbm_to_watts", "watts_to_dbm",
     # errors

@@ -9,12 +9,12 @@ workload on the device itself.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .errors import DomainError, require_int, require_positive
 from .link import LinkGeometry, clip_power, operating_point
 from .pa import PaOperatingPoint, pa_consumed_power
+from .record import Record
 
 __all__ = [
     "RadioParams",
@@ -44,8 +44,7 @@ _PART_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class RadioParams:
+class RadioParams(Record):
     """Front-end constants of the transmit chain.
 
     The OFDM transform size is a power of two tied to the converter rate
@@ -99,8 +98,7 @@ class RadioParams:
             )
 
 
-@dataclass(frozen=True)
-class DeploymentParams:
+class DeploymentParams(Record):
     """Scenario knobs: fleet size, link geometry, stream and workload."""
 
     cameras: int
@@ -123,8 +121,7 @@ class DeploymentParams:
         )
 
 
-@dataclass(frozen=True)
-class PowerBreakdown:
+class PowerBreakdown(Record):
     """Per-component mean powers of one camera, in watts.
 
     Every field already includes its duty-cycle share, so the components

@@ -10,7 +10,6 @@ import argparse
 import itertools
 import math
 import sys
-from dataclasses import astuple, fields, replace
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from . import pa
@@ -30,6 +29,7 @@ from .errors import DomainError, FoglinkError, InfeasibleLinkError, NumericError
 from .link import (
     PATH_LOSS_EXPONENT, clip_power, noise_dbm, operating_point, path_gain_db, required_sinr
 )
+from .record import replace
 from .units import db_to_linear, linear_to_db, watts_to_dbm
 
 # Four curves shown in the distance sweeps: both channelizations at one
@@ -219,7 +219,7 @@ def _distance_sweep(
 
 
 # PowerBreakdown's fields: link-power prints them in this order, fig5 total first
-_POWER_FIELDS = [field.name for field in fields(PowerBreakdown)]
+_POWER_FIELDS = list(PowerBreakdown._fields)
 _FIG5_FIELDS = ["total_w", *(name for name in _POWER_FIELDS if name != "total_w")]
 
 
@@ -263,7 +263,7 @@ def link_power_row(radio: RadioParams, deploy: DeploymentParams) -> Tuple[List[s
         deploy.rate_bps, path_gain_db(geometry.distance_km, geometry.carrier_hz),
         noise_dbm(geometry.bandwidth_hz), p_max, linear_to_db(point.snr_max_linear),
         linear_to_db(point.ibo_linear), linear_to_db(point.sinr_linear), point.alpha,
-        p_max / point.ibo_linear, *astuple(down), watts_to_dbm(down.total_w),
+        p_max / point.ibo_linear, *down._values(), watts_to_dbm(down.total_w),
     )
     return columns, row
 

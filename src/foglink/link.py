@@ -11,10 +11,10 @@ at a fixed ceiling it grows as ``distance_km ** PATH_LOSS_EXPONENT``.
 """
 
 import math
-from dataclasses import dataclass
 
 from . import pa
 from .errors import DomainError, InfeasibleLinkError, require_int, require_positive
+from .record import Record
 from .units import db_to_linear, dbm_to_watts, linear_to_db
 
 __all__ = [
@@ -40,8 +40,7 @@ PATH_LOSS_EXPONENT = 37.6 / 10
 _MAX_RATE_EXPONENT = 60.0
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
+class LinkGeometry(Record):
     """Scenario geometry and rate demand for one TDMA uplink.
 
     ``cameras`` devices share the band in time, each delivering

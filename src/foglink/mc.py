@@ -36,13 +36,13 @@ import contextvars
 import math
 import os
 import threading
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import _kernels
 from .errors import DomainError, NumericError
+from .record import Record
 
 __all__ = ["CHUNK_SAMPLES", "McConfig", "McEstimate", "run_mc"]
 
@@ -52,8 +52,7 @@ CHUNK_SAMPLES = 1 << 20
 _FOUR_OVER_PI = 4.0 / math.pi
 
 
-@dataclass(frozen=True)
-class McConfig:
+class McConfig(Record):
     """Inputs of one Monte-Carlo run at unit mean input power.
 
     ``clip_powers_w`` are the clipping powers, each applied to the same
@@ -85,8 +84,7 @@ class McConfig:
                               f"got {self.snr_max_linear!r}")
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(Record):
     """Estimates with standard errors at one clipping power of a run.
 
     Standard errors are first-order (sample standard deviation over

@@ -11,9 +11,9 @@ name carries ``_db`` accept or return decibels.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
+from .record import Record
 
 __all__ = [
     "PaOperatingPoint",
@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+_HALF_SQRT_PI = 0.5 * _SQRT_PI
 
 # Search bracket for the optimal back-off, in linear IBO.  It holds a sign
 # change of the stationarity gap for every SNR ceiling from MIN_SNR_CEILING,
@@ -34,7 +35,8 @@ _SQRT_PI = math.sqrt(math.pi)
 # negative, up to MAX_SNR_CEILING; at its upper end erfc(sqrt(1e3)) is 0.0,
 # so the gap is -sqrt(1e3) / SNR_MAX < 0 for every finite ceiling.
 IBO_BRACKET = (1e-8, 1e3)
-MIN_SNR_CEILING = 1e-4 / (0.5 * _SQRT_PI * math.erfc(1e-4))
+_Z_BRACKET = (math.sqrt(IBO_BRACKET[0]), math.sqrt(IBO_BRACKET[1]))
+MIN_SNR_CEILING = 1e-4 / (_HALF_SQRT_PI * math.erfc(1e-4))
 
 # Largest SNR ceiling the back-off solve accepts, 156.5 dB.  Near 160 dB
 # the optimal back-off approaches ~36 (linear), where the Bussgang gain is
@@ -50,8 +52,7 @@ SINR_APPROX_SLOPE = 0.84
 SINR_APPROX_OFFSET_DB = -2.23
 
 
-@dataclass(frozen=True)
-class PaOperatingPoint:
+class PaOperatingPoint(Record):
     """A solved amplifier operating point, in ratios only.
 
     ``ibo_linear`` is the ratio of clipping power to mean input power,
@@ -90,7 +91,7 @@ def bussgang_alpha(ibo_linear: float) -> float:
     if not (math.isfinite(ibo_linear) and ibo_linear > 0.0):
         raise DomainError(f"ibo_linear must be positive and finite, got {ibo_linear!r}")
     root = math.sqrt(ibo_linear)
-    return 1.0 - math.exp(-ibo_linear) + 0.5 * _SQRT_PI * root * math.erfc(root)
+    return 1.0 - math.exp(-ibo_linear) + _HALF_SQRT_PI * root * math.erfc(root)
 
 
 def distortion_power(ibo_linear: float) -> float:
@@ -131,11 +132,6 @@ def _sinr(alpha: float, ibo_linear: float, snr_max_linear: float) -> float:
     return sinr
 
 
-def _stationarity_gap(z: float, snr_max_linear: float) -> float:
-    """(sqrt(pi)/2) * erfc(z) - z / SNR_MAX, in z = sqrt(IBO)."""
-    return 0.5 * _SQRT_PI * math.erfc(z) - z / snr_max_linear
-
-
 def optimal_ibo(snr_max_linear: float) -> PaOperatingPoint:
     """Back-off that maximizes SINR for a given SNR ceiling.
 
@@ -165,16 +161,19 @@ def optimal_ibo(snr_max_linear: float) -> PaOperatingPoint:
             f"where the Bussgang gain saturates to 1.0 in double precision"
         )
     s = snr_max_linear
-    lo, hi = math.sqrt(IBO_BRACKET[0]), math.sqrt(IBO_BRACKET[1])
+    erfc, exp = math.erfc, math.exp
+    inv_s = 1.0 / s
+    lo, hi = _Z_BRACKET
     # d(gap)/dz at the root flattens toward -1/s for large s, so start near
     # the asymptotic root location to keep the iteration count low.
     z = max(0.5, math.sqrt(math.log(s))) if s > math.e else 0.5
     z = min(max(z, lo), hi)
-    g = _stationarity_gap(z, s)
+    # the stationarity gap (sqrt(pi)/2) * erfc(z) - z / s, in z = sqrt(IBO)
+    g = _HALF_SQRT_PI * erfc(z) - z / s
     for _ in range(200):
-        if abs(g) <= 1e-13:
+        if -1e-13 <= g <= 1e-13:
             break
-        slope = -math.exp(-z * z) - 1.0 / s
+        slope = -exp(-z * z) - inv_s
         z_next = z - g / slope
         # the gap falls with z: the root lies above z while g > 0
         if g > 0.0:
@@ -186,7 +185,7 @@ def optimal_ibo(snr_max_linear: float) -> PaOperatingPoint:
         if z_next == z:
             break
         z = z_next
-        g = _stationarity_gap(z, s)
+        g = _HALF_SQRT_PI * erfc(z) - z / s
     if abs(g) > 1e-13:
         raise ConvergenceError(
             f"back-off solve did not converge: |gap| = {abs(g)!r} at z = {z!r}, "

@@ -13,7 +13,6 @@ exact overshoot, so it stays visible.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -30,13 +29,13 @@ from foglink import (
     operating_point,
     optimal_ibo,
     pa_consumed_power,
+    replace,
     run_mc,
     sinr_approx_db,
     sinr_of_ibo,
     watts_to_dbm,
 )
 import foglink.cli as cli
-from foglink import pa
 from foglink.chain import clip_independent_parts
 from foglink.config import BANDWIDTH_PROFILES
 from foglink.link import PATH_LOSS_EXPONENT
@@ -93,15 +92,12 @@ def test_criterion_2_optimal_backoff_solver():
     for x in GRID_DB:
         s = db_to_linear(x)
         point = optimal_ibo(s)
-        worst_residual = max(
-            worst_residual, abs(pa._stationarity_gap(math.sqrt(point.ibo_linear), s))
-        )
-        oracle = solve_bisection(
-            lambda z: 0.5 * math.sqrt(math.pi) * math.erfc(z) - z / s,
-            z_lo,
-            z_hi,
-            tol=1e-11,
-        )
+
+        def gap(z):  # the stationarity condition in z = sqrt(IBO)
+            return 0.5 * math.sqrt(math.pi) * math.erfc(z) - z / s
+
+        worst_residual = max(worst_residual, abs(gap(math.sqrt(point.ibo_linear))))
+        oracle = solve_bisection(gap, z_lo, z_hi, tol=1e-11)
         worst_gap = max(worst_gap, abs(point.ibo_linear - oracle ** 2))
         for factor in (0.99, 1.01):
             perturbed = sinr_of_ibo(point.ibo_linear * factor, s)

@@ -1,7 +1,6 @@
 """Component power models, the offload aggregate, breakeven complexity."""
 
 import math
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +14,7 @@ from foglink import (
     load_params,
     local_power,
     offload_power,
+    replace,
     watts_to_dbm,
 )
 from foglink.chain import (

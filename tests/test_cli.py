@@ -4,7 +4,6 @@ import json
 import math
 import re
 import struct
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import foglink.cli as cli
-from foglink import DomainError, FoglinkError, InfeasibleLinkError, load_params, watts_to_dbm
+from foglink import (
+    DomainError, FoglinkError, InfeasibleLinkError, load_params, replace, watts_to_dbm
+)
 from foglink.chain import breakeven_at, clip_independent_parts, offload_power
 from foglink.config import BANDWIDTH_PROFILES
 from foglink.link import PATH_LOSS_EXPONENT, LinkGeometry, required_sinr

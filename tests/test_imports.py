@@ -6,7 +6,9 @@ without importing numpy.  No command loads ``concurrent.futures``: the
 Monte-Carlo workers are plain ``threading`` threads, which numpy loads
 anyway.  Each check runs in a fresh interpreter, because this test
 process has numpy loaded already.  Likewise ``json`` loads only when a
-command reads a config file or prints the defaults.
+command reads a config file or prints the defaults, and no command loads
+``dataclasses`` or ``inspect``: the records are plain ``foglink.record``
+classes, which cost no code generation at import.
 """
 
 import os
@@ -31,6 +33,7 @@ EXPORTS = [
     "offload_power", "breakeven_at",
     "McConfig", "McEstimate", "CHUNK_SAMPLES", "run_mc",
     "load_params", "dump_defaults",
+    "replace",
     "db_to_linear", "linear_to_db", "dbm_to_watts", "watts_to_dbm",
     "FoglinkError", "DomainError", "ConvergenceError",
     "InfeasibleLinkError", "ConfigError", "NumericError",
@@ -78,6 +81,22 @@ def test_only_a_config_file_or_print_defaults_loads_json(tmp_path, last):
     )
     assert out.splitlines() == [
         *(f"{command} False" for command in SCALAR_COMMANDS[:-1]), f"{last[0]} True",
+    ]
+
+
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
+    out = run_fresh(
+        "import sys\n"
+        "import foglink.cli as cli\n"
+        "print('import', 'dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+        f"for command in {SCALAR_COMMANDS!r}:\n"
+        f"    assert cli.main([command, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "    print(command, 'dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+        "import foglink.mc\n"  # numpy itself loads inspect
+        "print('mc', 'dataclasses' in sys.modules)\n"
+    )
+    assert out.splitlines() == [
+        *(f"{step} False False" for step in ("import", *SCALAR_COMMANDS)), "mc False",
     ]
 
 

@@ -1,7 +1,6 @@
 """Link budget: path gain, noise, rate inversion, clip-power sizing."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from foglink import (
     noise_dbm,
     operating_point,
     path_gain_db,
+    replace,
     required_sinr,
     snr_max_for_sinr_db,
     watts_to_dbm,

@@ -1,6 +1,5 @@
 """Monte-Carlo verifier: estimators, determinism, the radial moment kernel."""
 
-import dataclasses
 import math
 import sys
 import threading
@@ -332,10 +331,13 @@ class TestEstimators:
 class TestConfigValidation:
     def test_has_no_defaults(self):
         # every input of a run is stated by its caller
-        assert [(f.name, f.default, f.default_factory) for f in dataclasses.fields(McConfig)] == [
-            (name, dataclasses.MISSING, dataclasses.MISSING)
-            for name in ("clip_powers_w", "n_samples", "seed", "snr_max_linear")
-        ]
+        names = ("clip_powers_w", "n_samples", "seed", "snr_max_linear")
+        assert McConfig._fields == names
+        full = dict(clip_powers_w=(1.0,), n_samples=10, seed=0, snr_max_linear=100.0)
+        McConfig(**full)
+        for name in names:
+            with pytest.raises(TypeError, match=name):
+                McConfig(**{key: value for key, value in full.items() if key != name})
 
     def test_rejects_bad_counts(self):
         with pytest.raises(DomainError):
