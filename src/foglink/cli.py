@@ -120,17 +120,23 @@ def sweep_fig3(
     Returns the columns, the rows and the maximum absolute gap between the
     exact and the affine-approximated SINR over the sweep.
     """
+    points = _grid("snr_max_db", start_db, stop_db, steps)
+    solves = pa.optimal_ibos(map(db_to_linear, points))
+    log10 = math.log10
     rows = []
     max_gap = 0.0
-    for x in _grid("snr_max_db", start_db, stop_db, steps):
-        try:
-            point = pa.optimal_ibo(db_to_linear(x))
-        except FoglinkError as exc:
-            raise _scenario_context(exc, snr_max_db=x) from exc
-        exact_db = linear_to_db(point.sinr_linear)
-        approx_db = pa.sinr_approx_db(x)
-        max_gap = max(max_gap, abs(exact_db - approx_db))
-        rows.append((x, linear_to_db(point.ibo_linear), exact_db, approx_db))
+    try:
+        for x, (ibo, _, sinr) in zip(points, solves):
+            # linear_to_db on ratios the solve has checked positive
+            exact_db = 10.0 * log10(sinr)
+            approx_db = pa.sinr_approx_db(x)
+            gap = abs(exact_db - approx_db)
+            if gap > max_gap:
+                max_gap = gap
+            rows.append((x, 10.0 * log10(ibo), exact_db, approx_db))
+    except FoglinkError as exc:
+        # raised while rows holds every point before the failing one
+        raise _scenario_context(exc, snr_max_db=points[len(rows)]) from exc
     columns = ["snr_max_db", "ibo_db_optimal", "sinr_db_exact", "sinr_db_approx"]
     return columns, rows, max_gap
 

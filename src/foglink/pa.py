@@ -11,6 +11,7 @@ name carries ``_db`` accept or return decibels.
 """
 
 import math
+from typing import Iterable, Iterator, Tuple
 
 from .errors import ConvergenceError, DomainError
 from .record import Record
@@ -21,6 +22,7 @@ __all__ = [
     "distortion_power",
     "sinr_of_ibo",
     "optimal_ibo",
+    "optimal_ibos",
     "sinr_approx_db",
     "snr_max_for_sinr_db",
     "pa_consumed_power",
@@ -132,72 +134,95 @@ def _sinr(alpha: float, ibo_linear: float, snr_max_linear: float) -> float:
     return sinr
 
 
-def optimal_ibo(snr_max_linear: float) -> PaOperatingPoint:
-    """Back-off that maximizes SINR for a given SNR ceiling.
+def optimal_ibos(ceilings: Iterable[float]) -> Iterator[Tuple[float, float, float]]:
+    """Back-offs that maximize SINR, one per SNR ceiling, in order.
+
+    Yields ``(ibo_linear, alpha, sinr_linear)`` for each ceiling, the bits of
+    ``bussgang_alpha(ibo_linear)`` and ``sinr_of_ibo(ibo_linear, s)``, and
+    raises at the first ceiling that fails, as :func:`optimal_ibo` does.
 
     Solves the stationarity condition in z = sqrt(IBO) by Newton steps kept
     inside a shrinking sign-change bracket, with a bisection step whenever
     a Newton step would leave it (the condition is strictly decreasing in
-    z, so the root is unique).  The returned operating point carries the
-    optimal back-off, the Bussgang gain and the achieved SINR.
+    z, so the root is unique).
 
     Raises DomainError for a ceiling outside [MIN_SNR_CEILING,
-    MAX_SNR_CEILING], and ConvergenceError when the gap is not within 1e-13
-    after 200 steps or once a step makes no progress.
+    MAX_SNR_CEILING], ConvergenceError when the gap is not within 1e-13
+    after 200 steps or once a step makes no progress, and DomainError when
+    the solved point is not a valid :class:`PaOperatingPoint`.
     """
-    if not (math.isfinite(snr_max_linear) and snr_max_linear > 0.0):
-        raise DomainError(
-            f"snr_max_linear must be positive and finite, got {snr_max_linear!r}"
-        )
-    if snr_max_linear < MIN_SNR_CEILING:
-        raise DomainError(
-            f"snr_max_linear = {snr_max_linear!r} is below "
-            f"{10.0 * math.log10(MIN_SNR_CEILING):.3f} dB, the lowest SNR ceiling "
-            f"whose optimal back-off lies in the searched range {IBO_BRACKET}"
-        )
-    if snr_max_linear > MAX_SNR_CEILING:
-        raise DomainError(
-            f"snr_max_linear = {snr_max_linear!r} exceeds {MAX_SNR_CEILING:g}, "
-            f"where the Bussgang gain saturates to 1.0 in double precision"
-        )
-    s = snr_max_linear
-    erfc, exp = math.erfc, math.exp
-    inv_s = 1.0 / s
-    lo, hi = _Z_BRACKET
-    # d(gap)/dz at the root flattens toward -1/s for large s, so start near
-    # the asymptotic root location to keep the iteration count low.
-    z = max(0.5, math.sqrt(math.log(s))) if s > math.e else 0.5
-    z = min(max(z, lo), hi)
-    # the stationarity gap (sqrt(pi)/2) * erfc(z) - z / s, in z = sqrt(IBO)
-    g = _HALF_SQRT_PI * erfc(z) - z / s
-    for _ in range(200):
-        if -1e-13 <= g <= 1e-13:
-            break
-        slope = -exp(-z * z) - inv_s
-        z_next = z - g / slope
-        # the gap falls with z: the root lies above z while g > 0
-        if g > 0.0:
-            lo = z
-        else:
-            hi = z
-        if not lo < z_next < hi:
-            z_next = 0.5 * (lo + hi)
-        if z_next == z:
-            break
-        z = z_next
-        g = _HALF_SQRT_PI * erfc(z) - z / s
-    if abs(g) > 1e-13:
-        raise ConvergenceError(
-            f"back-off solve did not converge: |gap| = {abs(g)!r} at z = {z!r}, "
-            f"snr_max_linear = {s!r}"
-        )
-    ibo = z * z
-    alpha = bussgang_alpha(ibo)
+    erfc, exp, sqrt, log, isfinite = math.erfc, math.exp, math.sqrt, math.log, math.isfinite
+    half_sqrt_pi = _HALF_SQRT_PI
+    z_lo, z_hi = _Z_BRACKET
+    for s in ceilings:
+        if not (isfinite(s) and s > 0.0):
+            raise DomainError(f"snr_max_linear must be positive and finite, got {s!r}")
+        if s < MIN_SNR_CEILING:
+            raise DomainError(
+                f"snr_max_linear = {s!r} is below "
+                f"{10.0 * math.log10(MIN_SNR_CEILING):.3f} dB, the lowest SNR ceiling "
+                f"whose optimal back-off lies in the searched range {IBO_BRACKET}"
+            )
+        if s > MAX_SNR_CEILING:
+            raise DomainError(
+                f"snr_max_linear = {s!r} exceeds {MAX_SNR_CEILING:g}, "
+                f"where the Bussgang gain saturates to 1.0 in double precision"
+            )
+        inv_s = 1.0 / s
+        lo, hi = z_lo, z_hi
+        # d(gap)/dz at the root flattens toward -1/s for large s, so start near
+        # the asymptotic root location to keep the iteration count low.
+        z = max(0.5, sqrt(log(s))) if s > math.e else 0.5
+        z = min(max(z, lo), hi)
+        # the stationarity gap (sqrt(pi)/2) * erfc(z) - z / s, in z = sqrt(IBO)
+        g = half_sqrt_pi * erfc(z) - z / s
+        for _ in range(200):
+            if -1e-13 <= g <= 1e-13:
+                break
+            slope = -exp(-z * z) - inv_s
+            z_next = z - g / slope
+            # the gap falls with z: the root lies above z while g > 0
+            if g > 0.0:
+                lo = z
+            else:
+                hi = z
+            if not lo < z_next < hi:
+                z_next = 0.5 * (lo + hi)
+            if z_next == z:
+                break
+            z = z_next
+            g = half_sqrt_pi * erfc(z) - z / s
+        if abs(g) > 1e-13:
+            raise ConvergenceError(
+                f"back-off solve did not converge: |gap| = {abs(g)!r} at z = {z!r}, "
+                f"snr_max_linear = {s!r}"
+            )
+        # bussgang_alpha and sinr_of_ibo at the root, operation for operation
+        ibo = z * z
+        root = sqrt(ibo)
+        e = exp(-ibo)
+        alpha = 1.0 - e + half_sqrt_pi * root * erfc(root)
+        sinr = alpha * alpha / (1.0 - alpha * alpha - e + ibo / s)
+        if not (0.0 < alpha < 1.0 and 0.0 < sinr < s):
+            # some check fails: _sinr raises "SINR degenerated", or else the
+            # record raises its first failing check
+            PaOperatingPoint(
+                ibo_linear=ibo, alpha=alpha, sinr_linear=_sinr(alpha, ibo, s),
+                snr_max_linear=s,
+            )
+        yield ibo, alpha, sinr
+
+
+def optimal_ibo(snr_max_linear: float) -> PaOperatingPoint:
+    """Back-off that maximizes SINR for a given SNR ceiling.
+
+    The batch of one of :func:`optimal_ibos`, with its errors: the returned
+    operating point carries the optimal back-off, the Bussgang gain and the
+    achieved SINR.
+    """
+    ibo, alpha, sinr = next(optimal_ibos((snr_max_linear,)))
     return PaOperatingPoint(
-        ibo_linear=ibo,
-        alpha=alpha,
-        sinr_linear=_sinr(alpha, ibo, s),
-        snr_max_linear=s,
+        ibo_linear=ibo, alpha=alpha, sinr_linear=sinr, snr_max_linear=snr_max_linear
     )
 
 

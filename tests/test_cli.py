@@ -1,5 +1,6 @@
 """CLI surface: sweeps, CSV schema, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import re
@@ -313,6 +314,19 @@ def test_dense_snr_grid_keeps_the_default_rows(capsys):
     assert len(lines) == 24001
     reference = (REFERENCE_DIR / "fig3.csv").read_text().splitlines()
     assert [header, *lines[::40]] == [line for line in reference if not line.startswith("#")]
+
+
+# sha256 of the stdout of `fig3 --steps 24001`, every row and the trailer;
+# a change that moves fig3's bytes on purpose re-pins it with the digest
+# the failing test prints
+DENSE_FIG3_SHA256 = "37b640f7c8bb4287c24545e1a9f9f29c607231d5dcbcebefcd611aebb0152324"
+
+
+def test_dense_snr_grid_keeps_its_bytes(capsys):
+    code, out, err = run_cli(["fig3", "--steps", "24001"], capsys)
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == DENSE_FIG3_SHA256, f"fig3 bytes moved; new digest {digest}"
 
 
 class TestBreakeven:
@@ -637,6 +651,9 @@ class TestErrorExits:
         (["breakeven", "--theta-from", "100", "--theta-to", "1e400"], "theta"),
         # below -39.475 dB the optimal back-off leaves the searched range
         (["fig3", "--db-from", "-45", "--db-to", "0", "--steps", "4"], "snr_max_db=-45.0"),
+        # a ceiling past MAX_SNR_CEILING mid-grid, and as the last point
+        (["fig3", "--db-from", "150", "--db-to", "160", "--steps", "11"], "snr_max_db=157.0"),
+        (["fig3", "--db-from", "150", "--db-to", "157", "--steps", "8"], "snr_max_db=157.0"),
     ])
     def test_unrepresentable_flag_is_one_error_line(self, capsys, args, named):
         code, _, err = run_cli(args, capsys)
@@ -764,6 +781,23 @@ class TestSolveCounts:
     def test_distance_sweeps_solve_once_per_curve(self, capsys, monkeypatch, command, steps):
         args = [command, "--steps", str(steps)]
         assert self.solves(args, capsys, monkeypatch) == len(cli.FIGURE_COMBOS) == 4
+
+    def test_fig3_streams_through_the_batch_without_records(self, capsys, monkeypatch):
+        import foglink.pa
+
+        built = []
+        original = foglink.pa.PaOperatingPoint.__post_init__
+
+        def counted(point):
+            built.append(point)
+            original(point)
+
+        monkeypatch.setattr(foglink.pa.PaOperatingPoint, "__post_init__", counted)
+        assert self.solves(["fig3", "--steps", "601"], capsys, monkeypatch) == 0
+        assert built == []
+        # the count sees the records a scalar command builds
+        assert self.solves(["link-power"], capsys, monkeypatch) == 1
+        assert len(built) >= 1
 
     @pytest.mark.parametrize("command", ["fig5", "fig6"])
     def test_distance_sweeps_take_one_path_gain_per_distance(

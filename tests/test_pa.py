@@ -1,5 +1,6 @@
 """Amplifier model: Bussgang gain, SINR curve, optimal back-off, supply power."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from foglink import (
     ConvergenceError,
     DomainError,
+    FoglinkError,
     PaOperatingPoint,
     bussgang_alpha,
     optimal_ibo,
@@ -16,10 +18,19 @@ from foglink import (
     sinr_of_ibo,
     snr_max_for_sinr_db,
 )
-from foglink.pa import IBO_BRACKET, MAX_SNR_CEILING, MIN_SNR_CEILING, distortion_power
+from foglink.pa import (
+    IBO_BRACKET, MAX_SNR_CEILING, MIN_SNR_CEILING, distortion_power, optimal_ibos
+)
 from oracles import solve_bisection
 
 SQRT_PI = math.sqrt(math.pi)
+
+# sha256 over the solve's outcome at every 0.01 dB from -40 to 157 dB, both
+# sides of MIN_SNR_CEILING and MAX_SNR_CEILING included: one line per
+# ceiling, the repr of (ibo, alpha, sinr) in float.hex, or the exception's
+# type name and message.  A change that moves the solver's bits on purpose
+# re-pins it with the digest the failing test prints.
+SOLVER_GRID_SHA256 = "e00070646ded4d85ed58502b1975996c28e475f4426d167174e6e8f939ef61f6"
 
 
 def gap_at(point):
@@ -215,6 +226,49 @@ class TestOptimalIbo:
     def test_domain(self):
         with pytest.raises(DomainError):
             optimal_ibo(0.0)
+
+    def test_a_solved_point_that_fails_its_checks_raises_the_first(self, monkeypatch):
+        # the batch builds no record, so it checks each point itself: the
+        # SINR first, then the record's checks in order.  Past the cap the
+        # root solves, but alpha rounds to 1.0
+        monkeypatch.setattr("foglink.pa.MAX_SNR_CEILING", math.inf)
+        with pytest.raises(DomainError, match=r"^alpha must lie in \(0, 1\), got 1\.0$"):
+            next(optimal_ibos([10.0 ** 15.8]))
+        # exp held just above (sqrt(pi)/2) z erfc(z) at the root leaves alpha
+        # just below 1 and almost no distortion: the SINR tops the ceiling
+        z = math.sqrt(optimal_ibo(1.0).ibo_linear)
+        c = 0.5 * SQRT_PI * z * math.erfc(z) + 0.01
+        monkeypatch.setattr(math, "exp", lambda x: c)
+        with pytest.raises(DomainError, match=r"^sinr_linear must lie in .*, got 98\.99"):
+            next(optimal_ibos([1.0]))
+        # exp = 0 leaves alpha above 1 and the SINR negative: the SINR
+        # check is the one that raises
+        monkeypatch.setattr(math, "exp", lambda x: 0.0)
+        with pytest.raises(DomainError, match=r"^SINR degenerated to -37\.2"):
+            next(optimal_ibos([100.0]))
+
+    def test_bits_are_pinned_on_a_fine_grid(self):
+        digest = hashlib.sha256()
+        solved, points = [], []
+        for k in range(-4000, 15701):
+            s = 10.0 ** (k / 1000.0)
+            try:
+                point = optimal_ibo(s)
+            except FoglinkError as exc:
+                line = f"{type(exc).__name__}: {exc}"
+            else:
+                ibo, alpha, sinr = point.ibo_linear, point.alpha, point.sinr_linear
+                assert alpha == bussgang_alpha(ibo)
+                assert sinr == sinr_of_ibo(ibo, s)
+                solved.append(s)
+                points.append((ibo, alpha, sinr))
+                line = repr((ibo.hex(), alpha.hex(), sinr.hex()))
+            digest.update(line.encode() + b"\n")
+        # one batch over every ceiling that solves gives the same tuples
+        assert list(optimal_ibos(solved)) == points
+        assert digest.hexdigest() == SOLVER_GRID_SHA256, (
+            f"solver bits moved; new digest {digest.hexdigest()}"
+        )
 
 
 class TestSinrApproxDb:
