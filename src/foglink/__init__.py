@@ -24,7 +24,6 @@ from .errors import (
     NumericError,
 )
 from .link import (
-    LinkGeometry,
     MIN_DISTANCE_KM,
     clip_power,
     noise_dbm,
@@ -52,7 +51,7 @@ __all__ = [
     "PaOperatingPoint", "bussgang_alpha", "sinr_of_ibo", "optimal_ibo",
     "sinr_approx_db", "snr_max_for_sinr_db", "pa_consumed_power",
     # link
-    "LinkGeometry", "MIN_DISTANCE_KM", "path_gain_db", "noise_dbm",
+    "MIN_DISTANCE_KM", "path_gain_db", "noise_dbm",
     "required_sinr", "operating_point", "clip_power",
     # chain
     "RadioParams", "DeploymentParams", "PowerBreakdown", "local_power",

@@ -12,7 +12,7 @@ import math
 from typing import Dict, Tuple
 
 from .errors import DomainError, require_int, require_positive
-from .link import LinkGeometry, clip_power, operating_point
+from .link import clip_power, operating_point
 from .pa import PaOperatingPoint, pa_consumed_power
 from .record import Record
 
@@ -21,7 +21,6 @@ __all__ = [
     "DeploymentParams",
     "PowerBreakdown",
     "local_power",
-    "link_geometry",
     "clip_independent_parts",
     "breakdown_at",
     "offload_power",
@@ -138,22 +137,6 @@ class PowerBreakdown(Record):
     pa_w: float
     total_w: float
 
-    def __post_init__(self):
-        parts = (
-            self.video_w, self.cod_w, self.ofdm_w, self.dac_w,
-            self.lo_w, self.mix_w, self.pa_w,
-        )
-        if any(p < 0.0 for p in parts):
-            raise DomainError(f"component powers must be non-negative, got {parts!r}")
-        total = sum(parts)
-        if not math.isfinite(total):  # a NaN or infinite part
-            raise DomainError(f"component powers must be finite, got {parts!r}")
-        if not (math.isfinite(self.total_w)
-                and abs(total - self.total_w) <= 1e-12 * max(total, self.total_w)):
-            raise DomainError(
-                f"total_w = {self.total_w!r} does not match component sum {total!r}"
-            )
-
 
 def local_power(theta_flop_per_bit: float, rate_bps: float, gamma_flops_per_w: float) -> float:
     """On-device analytics power: theta * R / Gamma watts."""
@@ -165,18 +148,6 @@ def local_power(theta_flop_per_bit: float, rate_bps: float, gamma_flops_per_w: f
         raise DomainError(f"local power is not finite for theta = {theta_flop_per_bit!r}, "
                           f"rate_bps = {rate_bps!r}, gamma_flops_per_w = {gamma_flops_per_w!r}")
     return local_w
-
-
-def link_geometry(radio: RadioParams, deploy: DeploymentParams) -> LinkGeometry:
-    """The uplink a scenario asks for: its distance, band, fleet and rate."""
-    return LinkGeometry(
-        distance_km=deploy.distance_km,
-        carrier_hz=deploy.carrier_hz,
-        bandwidth_hz=radio.bandwidth_hz,
-        cameras=deploy.cameras,
-        rate_bps=deploy.rate_bps,
-        beta=radio.beta,
-    )
 
 
 def clip_independent_parts(
@@ -230,10 +201,17 @@ def breakdown_at(
 ) -> PowerBreakdown:
     """``clip_independent_parts`` and the amplifier at ``point`` clipping at
     ``p_max_w``: its class B supply power, linear in ``p_max_w``, divided by M
-    as it is active only during the camera's 1/M slot."""
+    as it is active only during the camera's 1/M slot.  An amplifier draw
+    that overflows, or that makes the total overflow, raises DomainError."""
     parts, head = clip_independent_parts(radio, deploy)
     pa_w = pa_consumed_power(p_max_w, point.ibo_linear) / float(deploy.cameras)
-    return PowerBreakdown(**parts, pa_w=pa_w, total_w=head + pa_w)
+    total_w = head + pa_w
+    if not total_w < math.inf:
+        raise DomainError(
+            f"amplifier draw pa_w = {pa_w!r} W at clipping power {p_max_w!r} W makes "
+            f"the offload power {total_w!r} W, which is not finite"
+        )
+    return PowerBreakdown(**parts, pa_w=pa_w, total_w=total_w)
 
 
 def offload_power(radio: RadioParams, deploy: DeploymentParams) -> PowerBreakdown:
@@ -242,9 +220,10 @@ def offload_power(radio: RadioParams, deploy: DeploymentParams) -> PowerBreakdow
     Sizes the amplifier for the rate and the link, evaluates every
     component model and applies the duty-cycle accounting.
     """
-    geometry = link_geometry(radio, deploy)
-    point = operating_point(geometry)
-    return breakdown_at(radio, deploy, point, clip_power(geometry, point.snr_max_linear))
+    point = operating_point(radio.bandwidth_hz, deploy.cameras, deploy.rate_bps, radio.beta)
+    p_max = clip_power(deploy.distance_km, deploy.carrier_hz, radio.bandwidth_hz,
+                       point.snr_max_linear)
+    return breakdown_at(radio, deploy, point, p_max)
 
 
 def breakeven_at(offload_w: float, deploy: DeploymentParams) -> float:

@@ -20,7 +20,6 @@ from .chain import (
     breakdown_at,
     breakeven_at,
     clip_independent_parts,
-    link_geometry,
     local_power,
     offload_power,
 )
@@ -151,14 +150,15 @@ def sweep_fig4(
     omitted rather than aborting the sweep, so narrow bandwidths still
     show the feasible curve.
     """
-    base = link_geometry(radio, deploy)
+    bandwidths = _grid("bandwidth_hz", start_hz, stop_hz, steps)
+    if not bandwidths[0] > 0.0:  # the grid increases: this checks every point
+        raise DomainError(f"bandwidth_hz must be positive, got {bandwidths[0]!r}")
     rows = []
-    for b in _grid("bandwidth_hz", start_hz, stop_hz, steps):
+    for b in bandwidths:
         for cameras in FIGURE_CAMERA_COUNTS:
             try:
-                geometry = replace(base, bandwidth_hz=b, cameras=cameras)
-                sinr_db = linear_to_db(required_sinr(geometry))
-                point = operating_point(geometry)
+                point = operating_point(b, cameras, deploy.rate_bps, radio.beta)
+                sinr_db = linear_to_db(required_sinr(b, cameras, deploy.rate_bps, radio.beta))
             except InfeasibleLinkError:
                 continue
             except FoglinkError as exc:
@@ -191,14 +191,15 @@ def _distance_sweep(
         try:
             curve_radio = replace(radio, **BANDWIDTH_PROFILES[profile])
             curve_deploy = replace(deploy, cameras=cameras, distance_km=d0)
-            geometry = link_geometry(curve_radio, curve_deploy)
-            point = operating_point(geometry)
+            point = operating_point(curve_radio.bandwidth_hz, cameras, deploy.rate_bps,
+                                    curve_radio.beta)
             head_w = clip_independent_parts(curve_radio, curve_deploy)[1]
         except FoglinkError as exc:
             raise _scenario_context(exc, **scenario) from exc
         try:  # the path gain falls with distance: d0 checks the grid
-            at_d0 = breakdown_at(curve_radio, curve_deploy, point,
-                                 clip_power(geometry, point.snr_max_linear))
+            p_max = clip_power(d0, deploy.carrier_hz, curve_radio.bandwidth_hz,
+                               point.snr_max_linear)
+            at_d0 = breakdown_at(curve_radio, curve_deploy, point, p_max)
         except FoglinkError as exc:
             raise _scenario_context(exc, distance_km=d0, **scenario) from exc
         curves.append((scenario, curve_radio.bandwidth_hz, cameras, head_w, at_d0.pa_w,
@@ -255,9 +256,9 @@ def sweep_fig6(
 
 def link_power_row(radio: RadioParams, deploy: DeploymentParams) -> Tuple[List[str], tuple]:
     """Full diagnostic row for one scenario: channel, operating point, powers."""
-    geometry = link_geometry(radio, deploy)
-    point = operating_point(geometry)
-    p_max = clip_power(geometry, point.snr_max_linear)
+    point = operating_point(radio.bandwidth_hz, deploy.cameras, deploy.rate_bps, radio.beta)
+    p_max = clip_power(deploy.distance_km, deploy.carrier_hz, radio.bandwidth_hz,
+                       point.snr_max_linear)
     down = breakdown_at(radio, deploy, point, p_max)
     columns = [
         "distance_km", "carrier_hz", "bandwidth_hz", "cameras", "rate_bps",
@@ -266,8 +267,8 @@ def link_power_row(radio: RadioParams, deploy: DeploymentParams) -> Tuple[List[s
     ]
     row = (
         deploy.distance_km, deploy.carrier_hz, radio.bandwidth_hz, deploy.cameras,
-        deploy.rate_bps, path_gain_db(geometry.distance_km, geometry.carrier_hz),
-        noise_dbm(geometry.bandwidth_hz), p_max, linear_to_db(point.snr_max_linear),
+        deploy.rate_bps, path_gain_db(deploy.distance_km, deploy.carrier_hz),
+        noise_dbm(radio.bandwidth_hz), p_max, linear_to_db(point.snr_max_linear),
         linear_to_db(point.ibo_linear), linear_to_db(point.sinr_linear), point.alpha,
         p_max / point.ibo_linear, *down._values(), watts_to_dbm(down.total_w),
     )
@@ -550,23 +551,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_backoff_list(argv: Sequence[str]) -> List[str]:
-    """Join ``--ibo-db -3,0`` (or an abbreviation such as ``--ibo -3,0``)
-    into ``--ibo-db=-3,0``.
+def _attach_numbers(argv: Sequence[str]) -> List[str]:
+    """Join ``--db-from -1e1`` (or an abbreviation such as ``--db-f -1e1``)
+    into ``--db-from=-1e1`` for any long option, when the value is a number
+    or a comma-separated list led by one.
 
     argparse reads a separate value that starts with '-' as an option unless
-    it is a single number, so a back-off list led by a negative entry would
-    exit 2 with "expected one argument".
+    it matches its negative-number pattern, which has no exponent and no
+    list, so ``-1e1`` or ``-3,0`` would exit 2 with "expected one argument".
     """
+    options = [flag for _, _, flags, _ in _COMMANDS for flag, _ in flags]  # all take values
     joined: List[str] = []
     for arg in argv:
-        if joined and len(joined[-1]) > 2 and "--ibo-db".startswith(joined[-1]):
+        option = joined[-1] if joined else ""
+        if len(option) > 2 and any(flag.startswith(option) for flag in options):
             try:
                 float(arg.split(",")[0])
             except ValueError:
                 pass
             else:
-                joined[-1] = f"--ibo-db={arg}"
+                joined[-1] = f"{option}={arg}"
                 continue
         joined.append(arg)
     return joined
@@ -575,7 +579,7 @@ def _attach_backoff_list(argv: Sequence[str]) -> List[str]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_attach_backoff_list(argv))
+    args = build_parser().parse_args(_attach_numbers(argv))
     try:
         if args.command == "print-defaults":
             _emit(dump_defaults() + "\n", args.out)

@@ -13,12 +13,10 @@ at a fixed ceiling it grows as ``distance_km ** PATH_LOSS_EXPONENT``.
 import math
 
 from . import pa
-from .errors import DomainError, InfeasibleLinkError, require_int, require_positive
-from .record import Record
+from .errors import DomainError, InfeasibleLinkError
 from .units import db_to_linear, dbm_to_watts, linear_to_db
 
 __all__ = [
-    "LinkGeometry",
     "MIN_DISTANCE_KM",
     "PATH_LOSS_EXPONENT",
     "path_gain_db",
@@ -40,49 +38,19 @@ PATH_LOSS_EXPONENT = 37.6 / 10
 _MAX_RATE_EXPONENT = 60.0
 
 
-class LinkGeometry(Record):
-    """Scenario geometry and rate demand for one TDMA uplink.
-
-    ``cameras`` devices share the band in time, each delivering
-    ``rate_bps`` on average, so a device bursts at ``cameras * rate_bps``
-    during its slot.  ``beta`` is the Shannon-gap scaling of the rate
-    relation (0.4 for a fading uplink, 0.55 for AWGN SISO).
-    """
-
-    distance_km: float
-    carrier_hz: float
-    bandwidth_hz: float
-    cameras: int
-    rate_bps: float
-    beta: float
-
-    def __post_init__(self):
-        require_positive(
-            distance_km=self.distance_km,
-            carrier_hz=self.carrier_hz,
-            bandwidth_hz=self.bandwidth_hz,
-        )
-        require_int("cameras", self.cameras)
-        if self.rate_bps < 0.0:
-            raise DomainError(f"rate_bps must be non-negative, got {self.rate_bps!r}")
-        if not 0.0 < self.beta <= 1.0:
-            raise DomainError(f"beta must lie in (0, 1], got {self.beta!r}")
-
-
 def path_gain_db(distance_km: float, carrier_hz: float) -> float:
     """Net channel power gain 10*log10(|h|^2) in dB.
 
     Computes 15 - (128.1 + 37.6*log10(d_km) + 21*log10(f / 2 GHz)), which
     is negative in the model's validity region; a carrier so low that the
-    fit turns into a gain raises DomainError.
+    fit turns into a gain, a zero or negative one included, raises
+    DomainError.
     """
     if not distance_km >= MIN_DISTANCE_KM:
         raise DomainError(
             f"distance_km = {distance_km!r} is below the {MIN_DISTANCE_KM} km "
             f"path-loss validity floor"
         )
-    if not carrier_hz > 0.0:
-        raise DomainError(f"carrier_hz must be positive, got {carrier_hz!r}")
     ratio = carrier_hz / 2e9  # rounds to 0 for a subnormal carrier
     carrier_term = 21.0 * math.log10(ratio) if ratio > 0.0 else -math.inf
     gain = 15.0 - (128.1 + 10.0 * PATH_LOSS_EXPONENT * math.log10(distance_km) + carrier_term)
@@ -101,35 +69,45 @@ def noise_dbm(bandwidth_hz: float) -> float:
     return -174.0 + 10.0 * math.log10(bandwidth_hz) + 5.0
 
 
-def required_sinr(geometry: LinkGeometry) -> float:
+def required_sinr(bandwidth_hz: float, cameras: int, rate_bps: float, beta: float) -> float:
     """Linear SINR needed to carry the aggregate rate, 2^(M*R/(beta*B)) - 1.
 
-    Raises InfeasibleLinkError once the exponent exceeds 60, where the
-    implied SINR requirement is numerically astronomical, and DomainError
-    when a positive rate demand rounds to a zero SINR.
+    ``cameras`` devices share the band in time, each delivering ``rate_bps``
+    on average, so a device bursts at ``cameras * rate_bps`` during its
+    slot; ``beta`` is the Shannon-gap scaling of the rate relation (0.4 for
+    a fading uplink, 0.55 for AWGN SISO).  Raises InfeasibleLinkError once
+    the exponent exceeds 60, where the implied SINR requirement is
+    numerically astronomical, and DomainError when a positive rate demand
+    rounds to a zero SINR.
     """
-    shannon_hz = geometry.beta * geometry.bandwidth_hz
-    exponent = geometry.cameras * geometry.rate_bps / shannon_hz if shannon_hz else math.inf
+    shannon_hz = beta * bandwidth_hz
+    exponent = cameras * rate_bps / shannon_hz if shannon_hz else math.inf
     if exponent > _MAX_RATE_EXPONENT:
         raise InfeasibleLinkError(
             f"rate exponent M*R/(beta*B) = {exponent:.3f} exceeds "
             f"{_MAX_RATE_EXPONENT:g}; required SINR would overflow "
-            f"(cameras = {geometry.cameras}, rate_bps = {geometry.rate_bps!r}, "
-            f"beta = {geometry.beta!r}, bandwidth_hz = {geometry.bandwidth_hz!r})"
+            f"(cameras = {cameras}, rate_bps = {rate_bps!r}, "
+            f"beta = {beta!r}, bandwidth_hz = {bandwidth_hz!r})"
         )
     sinr = 2.0 ** exponent - 1.0
     if sinr == 0.0 < exponent:
-        raise DomainError(f"required SINR rounds to 0 for {geometry}")
+        raise DomainError(
+            f"required SINR rounds to 0 for bandwidth_hz={bandwidth_hz!r}, "
+            f"cameras={cameras!r}, rate_bps={rate_bps!r}, beta={beta!r}"
+        )
     return sinr
 
 
-def operating_point(geometry: LinkGeometry) -> pa.PaOperatingPoint:
+def operating_point(
+    bandwidth_hz: float, cameras: int, rate_bps: float, beta: float
+) -> pa.PaOperatingPoint:
     """SINR-optimal amplifier operating point for the rate a link must carry.
 
-    The affine SINR fit, inverted at the required SINR, gives the SNR
-    ceiling and the optimal back-off is solved there, so the point depends on
-    the rate demand alone.  A zero rate has no ceiling (DomainError); one
-    above ``pa.MAX_SNR_CEILING`` cannot be solved (InfeasibleLinkError).
+    The affine SINR fit, inverted at the ``required_sinr`` of the rate
+    demand, gives the SNR ceiling and the optimal back-off is solved there,
+    so the point depends on the rate demand alone.  A zero rate has no
+    ceiling (DomainError); one above ``pa.MAX_SNR_CEILING`` cannot be solved
+    (InfeasibleLinkError).
 
     The achieved SINR misses the required one by the fit's error, rated at
     0.5 dB for ceilings of -10 to 50 dB only.  At d = 0.02 km, achieved minus
@@ -137,34 +115,39 @@ def operating_point(geometry: LinkGeometry) -> pa.PaOperatingPoint:
     latter at a 62.4 dB ceiling, outside the rating), and +0.49 and -0.33 dB
     at 18 MHz: with 10 cameras there the link falls short of its rate.
     """
-    sinr = required_sinr(geometry)
+    sinr = required_sinr(bandwidth_hz, cameras, rate_bps, beta)
     if sinr == 0.0:
         raise DomainError(
-            f"rate_bps = {geometry.rate_bps!r} needs no SINR, so there is no SNR "
-            f"ceiling to size the clipping power at in {geometry}"
+            f"rate_bps = {rate_bps!r} with cameras = {cameras}, beta = {beta!r} and "
+            f"bandwidth_hz = {bandwidth_hz!r} needs no SINR, so there is no SNR "
+            f"ceiling to size the clipping power at"
         )
     snr_max = db_to_linear(pa.snr_max_for_sinr_db(linear_to_db(sinr)))
     if snr_max > pa.MAX_SNR_CEILING:
         raise InfeasibleLinkError(
-            f"rate_bps = {geometry.rate_bps!r} with cameras = {geometry.cameras}, "
-            f"beta = {geometry.beta!r} and bandwidth_hz = {geometry.bandwidth_hz!r} "
-            f"needs an SNR ceiling of {linear_to_db(snr_max):.6g} dB, above the "
+            f"rate_bps = {rate_bps!r} with cameras = {cameras}, beta = {beta!r} and "
+            f"bandwidth_hz = {bandwidth_hz!r} needs an SNR ceiling of "
+            f"{linear_to_db(snr_max):.6g} dB, above the "
             f"{linear_to_db(pa.MAX_SNR_CEILING):.6g} dB the back-off solve accepts"
         )
     return pa.optimal_ibo(snr_max)
 
 
-def clip_power(geometry: LinkGeometry, snr_max_linear: float) -> float:
+def clip_power(
+    distance_km: float, carrier_hz: float, bandwidth_hz: float, snr_max_linear: float
+) -> float:
     """Clipping power P_MAX = SNR_max * N / |h|^2 in watts that puts the link
     at SNR ceiling ``snr_max_linear``; InfeasibleLinkError if 0 or not finite."""
-    gain_db = path_gain_db(geometry.distance_km, geometry.carrier_hz)
+    gain_db = path_gain_db(distance_km, carrier_hz)
     gain_linear = db_to_linear(gain_db)
-    noise_level_dbm = noise_dbm(geometry.bandwidth_hz)
+    noise_level_dbm = noise_dbm(bandwidth_hz)
     p_max = (dbm_to_watts(noise_level_dbm) / gain_linear * snr_max_linear
              if gain_linear > 0.0 else math.inf)
     if not 0.0 < p_max < math.inf:
         raise InfeasibleLinkError(
             f"clipping power {p_max!r} W is not representable for path gain "
-            f"{gain_db:.6g} dB and noise {noise_level_dbm:.6g} dBm in {geometry}"
+            f"{gain_db:.6g} dB and noise {noise_level_dbm:.6g} dBm at "
+            f"distance_km={distance_km!r}, carrier_hz={carrier_hz!r}, "
+            f"bandwidth_hz={bandwidth_hz!r}"
         )
     return p_max

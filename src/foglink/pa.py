@@ -69,17 +69,6 @@ class PaOperatingPoint(Record):
     sinr_linear: float
     snr_max_linear: float
 
-    def __post_init__(self):
-        if not self.ibo_linear > 0.0:
-            raise DomainError(f"ibo_linear must be positive, got {self.ibo_linear!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if not 0.0 < self.sinr_linear < self.snr_max_linear:
-            raise DomainError(
-                f"sinr_linear must lie in (0, snr_max_linear), got "
-                f"{self.sinr_linear!r} with ceiling {self.snr_max_linear!r}"
-            )
-
 
 def bussgang_alpha(ibo_linear: float) -> float:
     """Bussgang gain of the soft limiter for complex-Gaussian input.
@@ -120,11 +109,7 @@ def sinr_of_ibo(ibo_linear: float, snr_max_linear: float) -> float:
         raise DomainError(
             f"snr_max_linear must be positive and finite, got {snr_max_linear!r}"
         )
-    return _sinr(bussgang_alpha(ibo_linear), ibo_linear, snr_max_linear)
-
-
-def _sinr(alpha: float, ibo_linear: float, snr_max_linear: float) -> float:
-    """``sinr_of_ibo`` from the Bussgang gain at ``ibo_linear``."""
+    alpha = bussgang_alpha(ibo_linear)
     sinr = alpha * alpha / (_distortion(alpha, ibo_linear) + ibo_linear / snr_max_linear)
     if not (math.isfinite(sinr) and sinr > 0.0):
         raise DomainError(
@@ -149,7 +134,8 @@ def optimal_ibos(ceilings: Iterable[float]) -> Iterator[Tuple[float, float, floa
     Raises DomainError for a ceiling outside [MIN_SNR_CEILING,
     MAX_SNR_CEILING], ConvergenceError when the gap is not within 1e-13
     after 200 steps or once a step makes no progress, and DomainError when
-    the solved point is not a valid :class:`PaOperatingPoint`.
+    the solved SINR is not finite and positive, or else the Bussgang gain
+    lies outside (0, 1) or the SINR outside (0, s).
     """
     erfc, exp, sqrt, log, isfinite = math.erfc, math.exp, math.sqrt, math.log, math.isfinite
     half_sqrt_pi = _HALF_SQRT_PI
@@ -171,9 +157,9 @@ def optimal_ibos(ceilings: Iterable[float]) -> Iterator[Tuple[float, float, floa
         inv_s = 1.0 / s
         lo, hi = z_lo, z_hi
         # d(gap)/dz at the root flattens toward -1/s for large s, so start near
-        # the asymptotic root location to keep the iteration count low.
-        z = max(0.5, sqrt(log(s))) if s > math.e else 0.5
-        z = min(max(z, lo), hi)
+        # the asymptotic root location to keep the iteration count low; for
+        # s in (e, MAX_SNR_CEILING] it lies in (1, 6.01), inside the bracket.
+        z = sqrt(log(s)) if s > math.e else 0.5
         # the stationarity gap (sqrt(pi)/2) * erfc(z) - z / s, in z = sqrt(IBO)
         g = half_sqrt_pi * erfc(z) - z / s
         for _ in range(200):
@@ -204,12 +190,14 @@ def optimal_ibos(ceilings: Iterable[float]) -> Iterator[Tuple[float, float, floa
         alpha = 1.0 - e + half_sqrt_pi * root * erfc(root)
         sinr = alpha * alpha / (1.0 - alpha * alpha - e + ibo / s)
         if not (0.0 < alpha < 1.0 and 0.0 < sinr < s):
-            # some check fails: _sinr raises "SINR degenerated", or else the
-            # record raises its first failing check
-            PaOperatingPoint(
-                ibo_linear=ibo, alpha=alpha, sinr_linear=_sinr(alpha, ibo, s),
-                snr_max_linear=s,
-            )
+            if not 0.0 < sinr < math.inf:
+                raise DomainError(
+                    f"SINR degenerated to {sinr!r} at ibo = {ibo!r}, snr_max = {s!r}"
+                )
+            if not 0.0 < alpha < 1.0:
+                raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+            raise DomainError(f"sinr_linear must lie in (0, snr_max_linear), got "
+                              f"{sinr!r} with ceiling {s!r}")
         yield ibo, alpha, sinr
 
 
@@ -238,16 +226,12 @@ def sinr_approx_db(snr_max_db: float) -> float:
     0.1 dB grid is 0.510856 dB, at the -10 dB edge, which rounds to that
     rating but is not strictly below 0.5 dB.
     """
-    if not math.isfinite(snr_max_db):
-        raise DomainError(f"snr_max_db must be finite, got {snr_max_db!r}")
     return SINR_APPROX_SLOPE * snr_max_db + SINR_APPROX_OFFSET_DB
 
 
 def snr_max_for_sinr_db(sinr_db: float) -> float:
     """Inverse of :func:`sinr_approx_db`: the dB SNR ceiling that makes the
     affine approximation deliver ``sinr_db``."""
-    if not math.isfinite(sinr_db):
-        raise DomainError(f"sinr_db must be finite, got {sinr_db!r}")
     return (sinr_db - SINR_APPROX_OFFSET_DB) / SINR_APPROX_SLOPE
 
 

@@ -17,7 +17,6 @@ import time
 import numpy as np
 
 from foglink import (
-    LinkGeometry,
     McConfig,
     breakeven_at,
     bussgang_alpha,
@@ -117,15 +116,8 @@ def test_criterion_2_optimal_backoff_solver():
 
 def test_criterion_3_backoff_sign_vs_bandwidth():
     def backoff_db(bandwidth_hz):
-        geometry = LinkGeometry(
-            distance_km=0.02,
-            carrier_hz=3.5e9,
-            bandwidth_hz=bandwidth_hz,
-            cameras=1,
-            rate_bps=6e6,
-            beta=0.4,
-        )
-        return linear_to_db(operating_point(geometry).ibo_linear)
+        point = operating_point(bandwidth_hz=bandwidth_hz, cameras=1, rate_bps=6e6, beta=0.4)
+        return linear_to_db(point.ibo_linear)
 
     negative = [backoff_db(b * 1e6) for b in range(8, 19)]
     positive = [backoff_db(b * 1e6) for b in range(1, 7)]

@@ -9,7 +9,6 @@ import pytest
 from foglink import (
     DomainError,
     InfeasibleLinkError,
-    PowerBreakdown,
     RadioParams,
     load_params,
     local_power,
@@ -22,7 +21,6 @@ from foglink.chain import (
     breakdown_at,
     breakeven_at,
     clip_independent_parts,
-    link_geometry,
 )
 from foglink.config import BANDWIDTH_PROFILES
 from foglink.link import PATH_LOSS_EXPONENT, clip_power, operating_point
@@ -42,9 +40,9 @@ def theta_star(radio, deploy):
 
 # an amplifier point of the baseline link; the draws other than the
 # amplifier's do not depend on it
-GEOMETRY = link_geometry(RADIO, DEPLOY)
-POINT = operating_point(GEOMETRY)
-P_MAX = clip_power(GEOMETRY, POINT.snr_max_linear)
+POINT = operating_point(RADIO.bandwidth_hz, DEPLOY.cameras, DEPLOY.rate_bps, RADIO.beta)
+P_MAX = clip_power(DEPLOY.distance_km, DEPLOY.carrier_hz, RADIO.bandwidth_hz,
+                   POINT.snr_max_linear)
 
 
 def one_camera(radio=RADIO, **deploy_fields):
@@ -189,9 +187,8 @@ class TestOffloadPower:
 
     def test_is_the_breakdown_at_the_solved_link(self):
         radio, deploy = scenario("9mhz", 10, 0.5)
-        geometry = link_geometry(radio, deploy)
-        point = operating_point(geometry)
-        p_max = clip_power(geometry, point.snr_max_linear)
+        point = operating_point(9e6, 10, 6e6, 0.4)
+        p_max = clip_power(0.5, 3.5e9, 9e6, point.snr_max_linear)
         assert offload_power(radio, deploy) == breakdown_at(radio, deploy, point, p_max)
 
     def test_huge_fleet_is_infeasible(self):
@@ -283,27 +280,41 @@ class TestParamValidation:
         with pytest.raises(DomainError):
             replace(DEPLOY, rate_bps=0.0)
 
+    # A PowerBreakdown holds what breakdown_at computed from checked records,
+    # so the records refuse what could make a part negative or not finite,
+    # and breakdown_at refuses a draw that overflows.
+
     def test_breakdown_rejects_negative_component(self):
-        with pytest.raises(DomainError):
-            PowerBreakdown(video_w=-0.1, cod_w=0.0, ofdm_w=0.0, dac_w=0.0,
-                           lo_w=0.0, mix_w=0.0, pa_w=0.0, total_w=-0.1)
+        with pytest.raises(DomainError, match="p_video_w must be positive"):
+            replace(DEPLOY, p_video_w=-0.1)
+        with pytest.raises(DomainError, match="c_p_f must be non-negative"):
+            replace(RADIO, c_p_f=-1e-12)
+        assert min(breakdown_at(RADIO, DEPLOY, POINT, P_MAX)._values()) > 0.0
 
     def test_breakdown_rejects_wrong_total(self):
-        with pytest.raises(DomainError):
-            PowerBreakdown(video_w=0.1, cod_w=0.1, ofdm_w=0.0, dac_w=0.0,
-                           lo_w=0.0, mix_w=0.0, pa_w=0.0, total_w=0.3)
+        # the total is the left-to-right sum of the parts, so it cannot be wrong
+        for radio, deploy in (scenario(), scenario("9mhz", 10, 1.0)):
+            down = offload_power(radio, deploy)
+            assert down.total_w == sum(down._values()[:-1])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_breakdown_rejects_a_non_finite_component(self, bad):
-        # NaN compares False with 0.0, so a sign check alone lets it through
-        with pytest.raises(DomainError, match="component powers must be finite"):
-            PowerBreakdown(bad, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(DomainError, match="component powers must be finite"):
-            PowerBreakdown(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, bad, bad)
-        with pytest.raises(DomainError, match="must be non-negative"):
-            PowerBreakdown(-1.0, 0.0, 0.0, 0.0, 0.0, 0.0, bad, bad)
+        # NaN compares False with 0.0, so the record refuses it as not
+        # positive; an infinite DAC supply is refused by the part it makes
+        with pytest.raises(DomainError, match="v_dd must be positive|dac_w = inf W"):
+            breakdown_at(replace(RADIO, v_dd=bad), DEPLOY, POINT, P_MAX)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_breakdown_rejects_a_non_finite_total(self, bad):
-        with pytest.raises(DomainError, match="does not match component sum 1.0"):
-            PowerBreakdown(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, bad)
+        with pytest.raises(DomainError, match="p_max_w must be non-negative"):
+            breakdown_at(RADIO, DEPLOY, POINT, bad)
+        # a finite clipping power whose amplifier draw overflows
+        with pytest.raises(DomainError) as refused:
+            breakdown_at(RADIO, DEPLOY, POINT, 1.7e308)
+        assert str(refused.value) == (
+            "amplifier draw pa_w = inf W at clipping power 1.7e+308 W makes the "
+            "offload power inf W, which is not finite"
+        )
+        # a finite amplifier draw whose sum with the other parts overflows
+        with pytest.raises(DomainError, match="makes the offload power inf W"):
+            breakdown_at(RADIO, replace(DEPLOY, p_video_w=1.7e308), POINT, 1e308)

@@ -17,7 +17,7 @@ from foglink import (
 )
 from foglink.chain import breakeven_at, clip_independent_parts, offload_power
 from foglink.config import BANDWIDTH_PROFILES
-from foglink.link import PATH_LOSS_EXPONENT, LinkGeometry, required_sinr
+from foglink.link import PATH_LOSS_EXPONENT, required_sinr
 from foglink.pa import MAX_SNR_CEILING, snr_max_for_sinr_db
 from foglink.units import db_to_linear, linear_to_db
 
@@ -547,8 +547,8 @@ class TestErrorExits:
         # every curve is checked as a link at the first distance before any row
         (["--d-from-km", "1e82", "--d-to-km", "1e83", "--steps", "2"],
          "error: clipping power inf W is not representable for path gain -3201.4 dB and "
-         "noise -99.4576 dBm in LinkGeometry(distance_km=1e+82, carrier_hz=3500000000.0, "
-         "bandwidth_hz=9000000.0, cameras=10, rate_bps=6000000.0, beta=0.4) [scenario: "
+         "noise -99.4576 dBm at distance_km=1e+82, carrier_hz=3500000000.0, "
+         "bandwidth_hz=9000000.0 [scenario: "
          "distance_km=1e+82, bandwidth_profile='9mhz', cameras=10]"),
     ], ids=["below-floor", "unrepresentable", "later-curve", "first-unrepresentable"])
     @pytest.mark.parametrize("command", ["fig5", "fig6"])
@@ -661,6 +661,31 @@ class TestErrorExits:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert named in err
 
+    @pytest.mark.parametrize("command, args, entry, named", [
+        # the swept band enters at fig4's grid, not through a scenario record
+        ("fig4", ["--b-from-hz", "0"], None, "bandwidth_hz must be positive, got 0.0"),
+        # a finite clipping power whose amplifier draw overflows
+        ("link-power", ["--distance-km", "1.4410110442132077e+82"], None,
+         "amplifier draw pa_w = inf W at clipping power "),
+        # a positive rate whose required SINR is exactly 0
+        ("link-power", [], '"rate_bps": 5e-324', "rate_bps = 5e-324"),
+        ("fig4", [], '"rate_bps": 5e-324', "rate_bps = 5e-324"),
+    ], ids=["fig4-zero-band", "link-power-amplifier-overflow", "link-power-zero-sinr",
+            "fig4-zero-sinr"])
+    def test_refusal_is_one_line_naming_its_input(
+        self, capsys, tmp_path, command, args, entry, named
+    ):
+        if entry is not None:
+            path = tmp_path / "params.json"
+            path.write_text("{" + entry + "}", encoding="utf-8")
+            args = [*args, "--config", str(path)]
+        code, out, err = run_cli([command, *args], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert named in err
+        if "rate_bps" in named:
+            assert "needs no SINR" in err
+
     def test_too_low_snr_ceiling_names_the_limit(self, capsys):
         # the same input as the -45 dB case above
         code, _, err = run_cli(
@@ -735,9 +760,8 @@ class TestErrorExits:
         solvable = set()
         for b in cli._grid("bandwidth_hz", 1e6, 20e6, 39):
             for cameras in cli.FIGURE_CAMERA_COUNTS:
-                geometry = LinkGeometry(0.02, 3.5e9, b, cameras, 2e7, 0.4)
                 try:
-                    sinr_db = linear_to_db(required_sinr(geometry))
+                    sinr_db = linear_to_db(required_sinr(b, cameras, 2e7, 0.4))
                 except InfeasibleLinkError:  # the rate exponent overflows
                     continue
                 if db_to_linear(snr_max_for_sinr_db(sinr_db)) <= MAX_SNR_CEILING:
@@ -849,6 +873,21 @@ def test_main_calls_what_is_set_on_the_module_after_import(capsys, monkeypatch, 
         monkeypatch.setattr(cli, name, counted)
     assert run_cli(argv, capsys)[0] == 0
     assert sorted(calls) == sorted(sites)
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (["mc-verify", "--snr-max-db", "-1.5e1"], ["mc-verify", "--snr-max-db=-1.5e1"]),
+    (["fig3", "--db-from", "-1e1"], ["fig3", "--db-from=-1e1"]),
+    (["fig3", "--db-f", "-1e1", "--db-to", "-5e0"], ["fig3", "--db-from=-10", "--db-to=-5"]),
+    (["fig5", "--d-to-km", "2e0"], ["fig5", "--d-to-km=2"]),
+])
+def test_space_separated_negative_exponent(capsys, spaced, joined):
+    # argparse's negative-number pattern has no exponent, so alone it
+    # reads "-1e1" as an unknown option and exits 2
+    samples = ["--samples", "1000"] if spaced[0] == "mc-verify" else []
+    spaced = run_cli([*spaced, *samples], capsys)
+    assert spaced == run_cli([*joined, *samples], capsys)
+    assert spaced[1].count("\n") > 1
 
 
 @pytest.mark.parametrize("steps", [40, 400, 781, 1561])

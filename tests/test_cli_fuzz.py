@@ -7,9 +7,10 @@ starts with ``error:``.  mc-verify has one more outcome, its verdict: exit
 ``mc-verify:`` line per disagreeing estimate.
 
 Float flags and config keys draw from all floats (NaN, +-inf, subnormals
-and +-1e+-300 included); config keys also draw integers and JSON number
-literals beyond the float range.  Integer flags draw integers, since a
-float there is an argparse usage error.  ``--steps`` stays <= 64 and
+and +-1e+-300 included), a flag given as ``--flag=value`` or as two
+arguments; config keys also draw integers and JSON number literals beyond
+the float range.  Integer flags draw integers, since a float there is an
+argparse usage error.  ``--steps`` stays <= 64 and
 ``--samples`` <= 1000 so the module runs in seconds; the examples are
 derandomized, so the suite is deterministic.
 """
@@ -135,7 +136,9 @@ def flag_argvs(draw):
     argv = [command]
     for flag in FLOAT_FLAGS[command]:
         if draw(st.booleans()):
-            argv.append(f"{flag}={draw(FLOATS)!r}")
+            value = repr(draw(FLOATS))
+            # as one token or two: "-1e+300" alone looks like an option
+            argv.extend([flag, value] if draw(st.booleans()) else [f"{flag}={value}"])
     for flag, values in INT_FLAGS[command].items():
         if draw(st.booleans()):
             argv.append(f"{flag}={draw(values)}")

@@ -27,7 +27,7 @@ EXPORTS = [
     "__version__",
     "PaOperatingPoint", "bussgang_alpha", "sinr_of_ibo", "optimal_ibo",
     "sinr_approx_db", "snr_max_for_sinr_db", "pa_consumed_power",
-    "LinkGeometry", "MIN_DISTANCE_KM", "path_gain_db", "noise_dbm",
+    "MIN_DISTANCE_KM", "path_gain_db", "noise_dbm",
     "required_sinr", "operating_point", "clip_power",
     "RadioParams", "DeploymentParams", "PowerBreakdown", "local_power",
     "offload_power", "breakeven_at",

@@ -8,7 +8,6 @@ import pytest
 from foglink import (
     DomainError,
     InfeasibleLinkError,
-    LinkGeometry,
     MIN_DISTANCE_KM,
     clip_power,
     db_to_linear,
@@ -23,26 +22,23 @@ from foglink import (
     snr_max_for_sinr_db,
     watts_to_dbm,
 )
-from foglink.chain import link_geometry
+from foglink.chain import breakdown_at, offload_power
 from foglink.cli import FIGURE_COMBOS
 from foglink.pa import MAX_SNR_CEILING
 
-
-def geometry(distance_km=0.02, carrier_hz=3.5e9, bandwidth_hz=18e6, cameras=1,
-             rate_bps=6e6, beta=0.4):
-    return LinkGeometry(
-        distance_km=distance_km,
-        carrier_hz=carrier_hz,
-        bandwidth_hz=bandwidth_hz,
-        cameras=cameras,
-        rate_bps=rate_bps,
-        beta=beta,
-    )
+RADIO, DEPLOY = load_params()
 
 
-def p_max_of(geo):
-    """The clipping power of ``geo`` at the ceiling its rate demand fixes."""
-    return clip_power(geo, operating_point(geo).snr_max_linear)
+def demand(bandwidth_hz=18e6, cameras=1, rate_bps=6e6, beta=0.4):
+    """The rate demand that ``required_sinr`` and ``operating_point`` take;
+    the defaults are the default scenario's."""
+    return bandwidth_hz, cameras, rate_bps, beta
+
+
+def p_max_of(distance_km=0.02, carrier_hz=3.5e9, bandwidth_hz=18e6, **rate):
+    """The clipping power of a link at the ceiling its rate demand fixes."""
+    point = operating_point(*demand(bandwidth_hz, **rate))
+    return clip_power(distance_km, carrier_hz, bandwidth_hz, point.snr_max_linear)
 
 
 class TestPathGain:
@@ -67,8 +63,10 @@ class TestPathGain:
             path_gain_db(0.005, 3.5e9)
 
     def test_bad_carrier(self):
-        with pytest.raises(DomainError):
-            path_gain_db(1.0, 0.0)
+        # the not-a-loss check refuses a carrier with no logarithm
+        for carrier_hz in (0.0, -3.5e9, math.nan):
+            with pytest.raises(DomainError, match="is not a loss"):
+                path_gain_db(1.0, carrier_hz)
 
     @pytest.mark.parametrize("carrier_hz", [1e-300, 5e-324])
     def test_carrier_that_turns_loss_into_gain_rejected(self, carrier_hz):
@@ -92,43 +90,46 @@ class TestNoise:
 
 class TestRequiredSinr:
     def test_zero_rate(self):
-        assert required_sinr(geometry(rate_bps=0.0)) == 0.0
+        assert required_sinr(*demand(rate_bps=0.0)) == 0.0
 
     def test_single_camera_wideband(self):
         oracle = 2.0 ** (6e6 / (0.4 * 18e6)) - 1.0
-        value = required_sinr(geometry())
+        value = required_sinr(*demand())
         assert abs(value - oracle) <= 1e-12 * oracle
         assert abs(linear_to_db(value) - (-1.0690575806721505)) <= 1e-9
 
     def test_ten_cameras_narrowband(self):
         oracle = 2.0 ** (10.0 * 6e6 / (0.4 * 9e6)) - 1.0
-        value = required_sinr(geometry(bandwidth_hz=9e6, cameras=10))
+        value = required_sinr(*demand(bandwidth_hz=9e6, cameras=10))
         assert abs(value - oracle) <= 1e-12 * oracle
         assert linear_to_db(value) > 50.0
 
     def test_monotone_in_cameras_rate_bandwidth(self):
-        base = required_sinr(geometry())
-        assert required_sinr(geometry(cameras=2)) > base
-        assert required_sinr(geometry(rate_bps=7e6)) > base
-        assert required_sinr(geometry(bandwidth_hz=20e6)) < base
+        base = required_sinr(*demand())
+        assert required_sinr(*demand(cameras=2)) > base
+        assert required_sinr(*demand(rate_bps=7e6)) > base
+        assert required_sinr(*demand(bandwidth_hz=20e6)) < base
         previous = 0.0
         for m in range(1, 11):
-            value = required_sinr(geometry(cameras=m))
+            value = required_sinr(*demand(cameras=m))
             assert value > previous
             previous = value
 
     def test_infeasibility_guard_names_parameters(self):
-        bad = geometry(bandwidth_hz=1e6, cameras=10)
         with pytest.raises(InfeasibleLinkError, match="cameras = 10"):
-            required_sinr(bad)
+            required_sinr(*demand(bandwidth_hz=1e6, cameras=10))
 
     def test_vanishing_band_is_infeasible(self):
         with pytest.raises(InfeasibleLinkError):
-            required_sinr(geometry(bandwidth_hz=5e-324))
+            required_sinr(*demand(bandwidth_hz=5e-324))
 
     def test_unresolvable_demand_names_parameters(self):
-        with pytest.raises(DomainError, match="rate_bps=1e-300"):
-            required_sinr(geometry(rate_bps=1e-300))
+        with pytest.raises(DomainError) as refused:
+            required_sinr(*demand(rate_bps=1e-300))
+        assert str(refused.value) == (
+            "required SINR rounds to 0 for bandwidth_hz=18000000.0, cameras=1, "
+            "rate_bps=1e-300, beta=0.4"
+        )
 
 
 class TestRequiredPMax:
@@ -145,37 +146,41 @@ class TestRequiredPMax:
             / 10.0 ** (gain / 10.0)
             * 10.0 ** (math.log10(sinr) / 0.84 + 2.23 / 8.4)
         )
-        value = p_max_of(geometry(distance_km=d))
+        value = p_max_of(distance_km=d)
         assert abs(value - oracle) <= 1e-12 * oracle
         # frozen output of the same chain
         assert abs(value - 0.20599649843480475) <= 1e-12
 
     @pytest.mark.parametrize("distance_km, carrier_hz", [(1e300, 3.5e9), (0.02, 1e300)])
     def test_unrepresentable_power_names_geometry(self, distance_km, carrier_hz):
-        geo = geometry(distance_km=distance_km, carrier_hz=carrier_hz)
-        with pytest.raises(InfeasibleLinkError, match="distance_km=.*carrier_hz="):
-            p_max_of(geo)
+        with pytest.raises(InfeasibleLinkError) as refused:
+            p_max_of(distance_km=distance_km, carrier_hz=carrier_hz)
+        assert str(refused.value).endswith(
+            f"at distance_km={distance_km!r}, carrier_hz={carrier_hz!r}, "
+            f"bandwidth_hz=18000000.0"
+        )
 
     def test_zero_rate_has_no_operating_point(self):
         # a zero rate needs no SINR, so there is no ceiling to solve at
-        link = geometry(rate_bps=0.0)
         with pytest.raises(DomainError) as refused:
-            operating_point(link)
-        message = str(refused.value)
-        assert "rate_bps = 0.0" in message and repr(link) in message
+            operating_point(*demand(rate_bps=0.0))
+        assert str(refused.value) == (
+            "rate_bps = 0.0 with cameras = 1, beta = 0.4 and bandwidth_hz = 18000000.0 "
+            "needs no SINR, so there is no SNR ceiling to size the clipping power at"
+        )
 
     def test_linear_in_inverse_gain(self):
         # 0.1 km -> 1 km lowers the path gain by exactly 37.6 dB
-        near = p_max_of(geometry(distance_km=0.1))
-        far = p_max_of(geometry(distance_km=1.0))
+        near = p_max_of(distance_km=0.1)
+        far = p_max_of(distance_km=1.0)
         assert abs(far - near * 10.0 ** 3.76) <= 1e-12 * far
 
     def test_monotonicities(self):
         def p_max(**kwargs):
-            return p_max_of(geometry(distance_km=0.1, **kwargs))
+            return p_max_of(distance_km=0.1, **kwargs)
 
         base = p_max()
-        assert p_max_of(geometry(distance_km=0.2)) > base  # farther
+        assert p_max_of(distance_km=0.2) > base  # farther
         assert p_max(cameras=2) > base
         assert p_max(rate_bps=8e6) > base
         assert p_max(bandwidth_hz=9e6) > base  # narrower band
@@ -183,57 +188,51 @@ class TestRequiredPMax:
 
 class TestOperatingPoint:
     def test_short_wideband_scenario(self):
-        geo = geometry()
-        point = operating_point(geo)
+        point = operating_point(*demand())
         # frozen from the sizing chain at d = 0.02 km, B = 18 MHz, M = 1
-        assert abs(clip_power(geo, point.snr_max_linear) - 8.428157094110426e-08) <= 1e-20
+        assert abs(p_max_of() - 8.428157094110426e-08) <= 1e-20
         assert abs(point.ibo_linear - 0.2927818127313304) <= 1e-10
         assert abs(point.snr_max_linear - 1.3746984116346934) <= 1e-12
         assert point.ibo_linear < 1.0  # below 0 dB in this regime
 
     def test_narrowband_below_unity_backoff(self):
-        point = operating_point(geometry(bandwidth_hz=9e6))
+        point = operating_point(*demand(bandwidth_hz=9e6))
         assert point.ibo_linear < 1.0
 
     def test_megahertz_band_above_unity_backoff(self):
-        point = operating_point(geometry(bandwidth_hz=1e6))
+        point = operating_point(*demand(bandwidth_hz=1e6))
         assert point.ibo_linear > 1.0
 
     def test_snr_ceiling_definition_is_exact(self):
         # P_MAX = N / |h|^2 * SNR_max, the ceiling the fit gives the rate
-        geo = geometry()
-        point = operating_point(geo)
+        point = operating_point(*demand())
         assert point.snr_max_linear == db_to_linear(
-            snr_max_for_sinr_db(linear_to_db(required_sinr(geo)))
+            snr_max_for_sinr_db(linear_to_db(required_sinr(*demand())))
         )
-        assert clip_power(geo, point.snr_max_linear) == (
-            dbm_to_watts(noise_dbm(geo.bandwidth_hz))
-            / db_to_linear(path_gain_db(geo.distance_km, geo.carrier_hz))
+        assert clip_power(0.02, 3.5e9, 18e6, point.snr_max_linear) == (
+            dbm_to_watts(noise_dbm(18e6))
+            / db_to_linear(path_gain_db(0.02, 3.5e9))
             * point.snr_max_linear
         )
 
     @pytest.mark.parametrize("profile, cameras", FIGURE_COMBOS)
     def test_ceiling_does_not_depend_on_distance(self, profile, cameras):
-        # the rate demand alone fixes the ceiling and the back-off solved at it
+        # the rate demand alone fixes the ceiling and the back-off solved at
+        # it: a scenario at any distance is sized at the one point
         radio, deploy = load_params(profile=profile)
-        points = {
-            (p.snr_max_linear, p.ibo_linear, p.alpha, p.sinr_linear)
-            for p in (
-                operating_point(link_geometry(
-                    radio, replace(deploy, cameras=cameras, distance_km=float(d))
-                ))
-                for d in np.geomspace(0.01, 2.0, 10)
-            )
-        }
-        assert len(points) == 1
+        point = operating_point(radio.bandwidth_hz, cameras, deploy.rate_bps, radio.beta)
+        for d in np.geomspace(0.01, 2.0, 10):
+            scenario = replace(deploy, cameras=cameras, distance_km=float(d))
+            p_max = clip_power(float(d), deploy.carrier_hz, radio.bandwidth_hz,
+                               point.snr_max_linear)
+            assert offload_power(radio, scenario) == breakdown_at(radio, scenario, point, p_max)
 
     @pytest.mark.parametrize("cameras, rate_bps", [(1, 3.6e8), (10, 3.6e7)])
     def test_ceiling_above_the_solvable_range_names_the_rate(self, cameras, rate_bps):
         # rate exponent 50 (and 50 again for ten cameras): the SINR is
         # representable, but the 181.8 dB ceiling is above MAX_SNR_CEILING
-        geo = geometry(cameras=cameras, rate_bps=rate_bps)
         with pytest.raises(InfeasibleLinkError) as refused:
-            operating_point(geo)
+            operating_point(*demand(cameras=cameras, rate_bps=rate_bps))
         message = str(refused.value)
         assert f"rate_bps = {rate_bps!r} with cameras = {cameras}," in message
         assert "181.839 dB, above the 156.5 dB" in message
@@ -241,64 +240,65 @@ class TestOperatingPoint:
 
     def test_ceiling_at_the_cap_is_solved(self):
         # a link sized just below the cap solves; just above it is refused
-        below = geometry(bandwidth_hz=3.5e6, cameras=10)
-        assert operating_point(below).snr_max_linear <= MAX_SNR_CEILING
+        below = operating_point(*demand(bandwidth_hz=3.5e6, cameras=10))
+        assert below.snr_max_linear <= MAX_SNR_CEILING
         with pytest.raises(InfeasibleLinkError):
-            operating_point(geometry(bandwidth_hz=3.4e6, cameras=10))
+            operating_point(*demand(bandwidth_hz=3.4e6, cameras=10))
 
     def test_clip_power_does_not_depend_on_the_rate(self):
-        # path gain and noise only: the same ceiling gives the same power
-        snr_max = 123.0
-        powers = {
-            clip_power(geometry(distance_km=0.3, rate_bps=r, cameras=m), snr_max)
-            for r in (1e5, 6e6, 2e7) for m in (1, 10)
-        }
-        assert len(powers) == 1
+        # path gain and noise only: clip_power takes the ceiling, not the
+        # rate demand that fixed it, and is linear in it
+        snr_max = operating_point(*demand()).snr_max_linear
+        p_max = clip_power(0.3, 3.5e9, 18e6, snr_max)
+        assert clip_power(0.3, 3.5e9, 18e6, 2.0 * snr_max) == 2.0 * p_max
 
     @pytest.mark.parametrize("bandwidth,cameras", [(9e6, 1), (9e6, 10), (18e6, 1), (18e6, 10)])
     @pytest.mark.parametrize("distance", [0.02, 1.0])
     def test_rate_round_trip_within_approximation_slack(self, bandwidth, cameras, distance):
-        geo = geometry(distance_km=distance, bandwidth_hz=bandwidth, cameras=cameras)
-        point = operating_point(geo)
+        # the distance moves the clipping power, not the SINR it delivers
+        assert p_max_of(distance_km=distance, bandwidth_hz=bandwidth, cameras=cameras) > 0.0
+        point = operating_point(*demand(bandwidth_hz=bandwidth, cameras=cameras))
         # within the fitted [-10, 50] dB ceiling range the achieved SINR sits
         # within the affine fit's error of the requirement (just over 0.5 dB);
         # the 10-camera 9 MHz combo extrapolates to a 62 dB ceiling where the
         # fit over-delivers by a measured +1.37 dB
-        req_db = linear_to_db(required_sinr(geo))
+        req_db = linear_to_db(required_sinr(*demand(bandwidth_hz=bandwidth, cameras=cameras)))
         slack = 0.52 if linear_to_db(point.snr_max_linear) <= 50.0 else 1.5
 
         def rate_at(sinr_db):
-            return geo.beta * geo.bandwidth_hz / geo.cameras * math.log2(
-                1.0 + db_to_linear(sinr_db)
-            )
+            return 0.4 * bandwidth / cameras * math.log2(1.0 + db_to_linear(sinr_db))
 
-        recovered = geo.beta * geo.bandwidth_hz / geo.cameras * math.log2(
-            1.0 + point.sinr_linear
-        )
+        recovered = 0.4 * bandwidth / cameras * math.log2(1.0 + point.sinr_linear)
         assert rate_at(req_db - slack) <= recovered <= rate_at(req_db + slack)
 
 
 class TestGeometryValidation:
+    """A link's distance, fleet, rate and Shannon gap are checked once, where
+    they enter: in the scenario records the link functions read them from."""
+
     def test_rejects_zero_distance(self):
-        with pytest.raises(DomainError):
-            geometry(distance_km=0.0)
+        with pytest.raises(DomainError, match="distance_km must be positive"):
+            replace(DEPLOY, distance_km=0.0)
 
     def test_rejects_fractional_cameras(self):
-        with pytest.raises(DomainError):
-            geometry(cameras=1.5)
+        with pytest.raises(DomainError, match="cameras must be an integer"):
+            replace(DEPLOY, cameras=1.5)
 
     def test_rejects_zero_cameras(self):
-        with pytest.raises(DomainError):
-            geometry(cameras=0)
+        with pytest.raises(DomainError, match="cameras must be an integer"):
+            replace(DEPLOY, cameras=0)
 
     def test_rejects_bad_beta(self):
-        with pytest.raises(DomainError):
-            geometry(beta=0.0)
-        with pytest.raises(DomainError):
-            geometry(beta=1.2)
+        for beta in (0.0, 1.2):
+            with pytest.raises(DomainError, match=r"beta must lie in \(0, 1\]"):
+                replace(RADIO, beta=beta)
 
     def test_allows_zero_rate(self):
-        assert geometry(rate_bps=0.0).rate_bps == 0.0
+        # a scenario refuses a zero rate; the link layer takes one, and
+        # operating_point refuses it by name (test_zero_rate_has_no_operating_point)
+        with pytest.raises(DomainError, match="rate_bps must be positive"):
+            replace(DEPLOY, rate_bps=0.0)
+        assert required_sinr(*demand(rate_bps=0.0)) == 0.0
 
 
 def test_conversions_reject_unrepresentable_levels():

@@ -329,7 +329,9 @@ class TestPaOperatingPoint:
         assert list(PaOperatingPoint._fields) == ["ibo_linear", "alpha", "sinr_linear", "snr_max_linear"]
 
     def test_sinr_below_ceiling_enforced(self):
-        with pytest.raises(DomainError):
-            PaOperatingPoint(
-                ibo_linear=2.0, alpha=0.9, sinr_linear=101.0, snr_max_linear=100.0
-            )
+        # the record holds what the solve checked, and the solve refuses a
+        # point outside (test_a_solved_point_that_fails_its_checks_raises_the_first)
+        for k in range(-39, 157):
+            point = optimal_ibo(10.0 ** (k / 10.0))
+            assert 0.0 < point.alpha < 1.0
+            assert 0.0 < point.sinr_linear < point.snr_max_linear

@@ -5,7 +5,6 @@ import pytest
 from foglink import (
     DeploymentParams,
     DomainError,
-    LinkGeometry,
     McConfig,
     McEstimate,
     PaOperatingPoint,
@@ -16,22 +15,18 @@ from foglink import (
     operating_point,
     replace,
 )
-from foglink.chain import link_geometry
 from foglink.record import Record
 
 RADIO, DEPLOY = load_params()
-GEOMETRY = link_geometry(RADIO, DEPLOY)
 
 
 def records(radio=RADIO, deploy=DEPLOY, seed=7, stderr_pa=3e-3):
     """One record of each type, built afresh; the defaults give the
     records of the default scenario."""
-    geometry = link_geometry(radio, deploy)
     return [
         radio,
         deploy,
-        geometry,
-        operating_point(geometry),
+        operating_point(radio.bandwidth_hz, deploy.cameras, deploy.rate_bps, radio.beta),
         offload_power(radio, deploy),
         McConfig(clip_powers_w=[0.5, 1.0, 2.0], n_samples=1000, seed=seed,
                  snr_max_linear=100.0),
@@ -58,8 +53,6 @@ DEFAULT_REPRS = [
     "DeploymentParams(cameras=1, distance_km=0.02, carrier_hz=3500000000.0, "
     "rate_bps=6000000.0, p_video_w=0.242, gamma_flops_per_w=5000000000.0, "
     "theta_flop_per_bit=320.0)",
-    "LinkGeometry(distance_km=0.02, carrier_hz=3500000000.0, bandwidth_hz=18000000.0, "
-    "cameras=1, rate_bps=6000000.0, beta=0.4)",
     "PaOperatingPoint(ibo_linear=0.2927818127313295, alpha=0.4667940106123736, "
     "sinr_linear=0.8754478004804034, snr_max_linear=1.3746984116346934)",
     "PowerBreakdown(video_w=0.242, cod_w=0.0006000000000000001, ofdm_w=0.009729, "
@@ -71,7 +64,7 @@ DEFAULT_REPRS = [
 ]
 
 RECORD_TYPES = [
-    RadioParams, DeploymentParams, LinkGeometry, PaOperatingPoint, PowerBreakdown,
+    RadioParams, DeploymentParams, PaOperatingPoint, PowerBreakdown,
     McConfig, McEstimate,
 ]
 
@@ -145,7 +138,7 @@ def test_different_record_types_are_never_equal():
     assert repr(twin) == Twin.__qualname__ + repr(point)[len("PaOperatingPoint"):]
     assert point != twin and twin != point
     assert point != tuple(point.__dict__.values())
-    assert GEOMETRY != DEPLOY
+    assert RADIO != DEPLOY
 
 
 def test_replace_revalidates():
@@ -158,13 +151,14 @@ def test_replace_revalidates():
 
 
 def test_positional_construction():
-    geometry = LinkGeometry(0.02, 3.5e9, 9e6, 10, 2e7, 0.4)
-    assert geometry == LinkGeometry(
-        distance_km=0.02, carrier_hz=3.5e9, bandwidth_hz=9e6, cameras=10, rate_bps=2e7,
-        beta=0.4,
+    values = (10, 0.02, 3.5e9, 2e7, 0.242, 5e9, 320.0)
+    deploy = DeploymentParams(*values)
+    assert deploy == DeploymentParams(
+        cameras=10, distance_km=0.02, carrier_hz=3.5e9, rate_bps=2e7, p_video_w=0.242,
+        gamma_flops_per_w=5e9, theta_flop_per_bit=320.0,
     )
-    with pytest.raises(DomainError, match="beta"):
-        LinkGeometry(0.02, 3.5e9, 9e6, 10, 2e7, 1.5)
+    with pytest.raises(DomainError, match="cameras"):
+        DeploymentParams(1.5, *values[1:])
 
 
 def test_mc_config_normalises_clip_powers_to_a_tuple():
