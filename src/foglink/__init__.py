@@ -27,14 +27,11 @@ from .link import (
     MIN_DISTANCE_KM,
     clip_power,
     noise_dbm,
-    operating_point,
     path_gain_db,
     required_sinr,
 )
 from .pa import (
-    PaOperatingPoint,
     bussgang_alpha,
-    optimal_ibo,
     pa_consumed_power,
     sinr_approx_db,
     sinr_of_ibo,
@@ -48,11 +45,11 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # pa
-    "PaOperatingPoint", "bussgang_alpha", "sinr_of_ibo", "optimal_ibo",
-    "sinr_approx_db", "snr_max_for_sinr_db", "pa_consumed_power",
+    "bussgang_alpha", "sinr_of_ibo", "sinr_approx_db", "snr_max_for_sinr_db",
+    "pa_consumed_power",
     # link
     "MIN_DISTANCE_KM", "path_gain_db", "noise_dbm",
-    "required_sinr", "operating_point", "clip_power",
+    "required_sinr", "clip_power",
     # chain
     "RadioParams", "DeploymentParams", "PowerBreakdown", "local_power",
     "offload_power", "breakeven_at",

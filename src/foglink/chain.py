@@ -12,8 +12,8 @@ import math
 from typing import Dict, Tuple
 
 from .errors import DomainError, require_int, require_positive
-from .link import clip_power, operating_point
-from .pa import PaOperatingPoint, pa_consumed_power
+from .link import clip_power, snr_ceiling
+from .pa import optimal_ibos, pa_consumed_power
 from .record import Record
 
 __all__ = [
@@ -197,14 +197,15 @@ def clip_independent_parts(
 
 
 def breakdown_at(
-    radio: RadioParams, deploy: DeploymentParams, point: PaOperatingPoint, p_max_w: float
+    radio: RadioParams, deploy: DeploymentParams, ibo_linear: float, p_max_w: float
 ) -> PowerBreakdown:
-    """``clip_independent_parts`` and the amplifier at ``point`` clipping at
-    ``p_max_w``: its class B supply power, linear in ``p_max_w``, divided by M
-    as it is active only during the camera's 1/M slot.  An amplifier draw
-    that overflows, or that makes the total overflow, raises DomainError."""
+    """``clip_independent_parts`` and the amplifier at back-off ``ibo_linear``
+    clipping at ``p_max_w``: its class B supply power, linear in ``p_max_w``,
+    divided by M as it is active only during the camera's 1/M slot.  An
+    amplifier draw that overflows, or that makes the total overflow, raises
+    DomainError."""
     parts, head = clip_independent_parts(radio, deploy)
-    pa_w = pa_consumed_power(p_max_w, point.ibo_linear) / float(deploy.cameras)
+    pa_w = pa_consumed_power(p_max_w, ibo_linear) / float(deploy.cameras)
     total_w = head + pa_w
     if not total_w < math.inf:
         raise DomainError(
@@ -220,10 +221,10 @@ def offload_power(radio: RadioParams, deploy: DeploymentParams) -> PowerBreakdow
     Sizes the amplifier for the rate and the link, evaluates every
     component model and applies the duty-cycle accounting.
     """
-    point = operating_point(radio.bandwidth_hz, deploy.cameras, deploy.rate_bps, radio.beta)
-    p_max = clip_power(deploy.distance_km, deploy.carrier_hz, radio.bandwidth_hz,
-                       point.snr_max_linear)
-    return breakdown_at(radio, deploy, point, p_max)
+    _, snr_max = snr_ceiling(radio.bandwidth_hz, deploy.cameras, deploy.rate_bps, radio.beta)
+    [(ibo, _, _)] = optimal_ibos([snr_max])
+    p_max = clip_power(deploy.distance_km, deploy.carrier_hz, radio.bandwidth_hz, snr_max)
+    return breakdown_at(radio, deploy, ibo, p_max)
 
 
 def breakeven_at(offload_w: float, deploy: DeploymentParams) -> float:

@@ -25,9 +25,7 @@ from .chain import (
 )
 from .config import BANDWIDTH_PROFILES, dump_defaults, load_params
 from .errors import DomainError, FoglinkError, InfeasibleLinkError, NumericError
-from .link import (
-    PATH_LOSS_EXPONENT, clip_power, noise_dbm, operating_point, path_gain_db, required_sinr
-)
+from .link import PATH_LOSS_EXPONENT, clip_power, noise_dbm, path_gain_db, snr_ceiling
 from .record import replace
 from .units import db_to_linear, linear_to_db, watts_to_dbm
 
@@ -157,13 +155,13 @@ def sweep_fig4(
     for b in bandwidths:
         for cameras in FIGURE_CAMERA_COUNTS:
             try:
-                point = operating_point(b, cameras, deploy.rate_bps, radio.beta)
-                sinr_db = linear_to_db(required_sinr(b, cameras, deploy.rate_bps, radio.beta))
+                sinr, snr_max = snr_ceiling(b, cameras, deploy.rate_bps, radio.beta)
+                [(ibo, _, _)] = pa.optimal_ibos([snr_max])
             except InfeasibleLinkError:
                 continue
             except FoglinkError as exc:
                 raise _scenario_context(exc, bandwidth_hz=b, cameras=cameras) from exc
-            rows.append((b, cameras, sinr_db, linear_to_db(point.ibo_linear)))
+            rows.append((b, cameras, linear_to_db(sinr), linear_to_db(ibo)))
     return ["bandwidth_hz", "cameras", "sinr_db", "ibo_db"], rows
 
 
@@ -191,15 +189,15 @@ def _distance_sweep(
         try:
             curve_radio = replace(radio, **BANDWIDTH_PROFILES[profile])
             curve_deploy = replace(deploy, cameras=cameras, distance_km=d0)
-            point = operating_point(curve_radio.bandwidth_hz, cameras, deploy.rate_bps,
-                                    curve_radio.beta)
+            _, snr_max = snr_ceiling(curve_radio.bandwidth_hz, cameras, deploy.rate_bps,
+                                     curve_radio.beta)
+            [(ibo, _, _)] = pa.optimal_ibos([snr_max])
             head_w = clip_independent_parts(curve_radio, curve_deploy)[1]
         except FoglinkError as exc:
             raise _scenario_context(exc, **scenario) from exc
         try:  # the path gain falls with distance: d0 checks the grid
-            p_max = clip_power(d0, deploy.carrier_hz, curve_radio.bandwidth_hz,
-                               point.snr_max_linear)
-            at_d0 = breakdown_at(curve_radio, curve_deploy, point, p_max)
+            p_max = clip_power(d0, deploy.carrier_hz, curve_radio.bandwidth_hz, snr_max)
+            at_d0 = breakdown_at(curve_radio, curve_deploy, ibo, p_max)
         except FoglinkError as exc:
             raise _scenario_context(exc, distance_km=d0, **scenario) from exc
         curves.append((scenario, curve_radio.bandwidth_hz, cameras, head_w, at_d0.pa_w,
@@ -256,10 +254,10 @@ def sweep_fig6(
 
 def link_power_row(radio: RadioParams, deploy: DeploymentParams) -> Tuple[List[str], tuple]:
     """Full diagnostic row for one scenario: channel, operating point, powers."""
-    point = operating_point(radio.bandwidth_hz, deploy.cameras, deploy.rate_bps, radio.beta)
-    p_max = clip_power(deploy.distance_km, deploy.carrier_hz, radio.bandwidth_hz,
-                       point.snr_max_linear)
-    down = breakdown_at(radio, deploy, point, p_max)
+    _, snr_max = snr_ceiling(radio.bandwidth_hz, deploy.cameras, deploy.rate_bps, radio.beta)
+    [(ibo, alpha, sinr)] = pa.optimal_ibos([snr_max])
+    p_max = clip_power(deploy.distance_km, deploy.carrier_hz, radio.bandwidth_hz, snr_max)
+    down = breakdown_at(radio, deploy, ibo, p_max)
     columns = [
         "distance_km", "carrier_hz", "bandwidth_hz", "cameras", "rate_bps",
         "path_gain_db", "noise_dbm", "p_max_w", "snr_max_db", "ibo_db", "sinr_db",
@@ -268,9 +266,8 @@ def link_power_row(radio: RadioParams, deploy: DeploymentParams) -> Tuple[List[s
     row = (
         deploy.distance_km, deploy.carrier_hz, radio.bandwidth_hz, deploy.cameras,
         deploy.rate_bps, path_gain_db(deploy.distance_km, deploy.carrier_hz),
-        noise_dbm(radio.bandwidth_hz), p_max, linear_to_db(point.snr_max_linear),
-        linear_to_db(point.ibo_linear), linear_to_db(point.sinr_linear), point.alpha,
-        p_max / point.ibo_linear, *down._values(), watts_to_dbm(down.total_w),
+        noise_dbm(radio.bandwidth_hz), p_max, linear_to_db(snr_max), linear_to_db(ibo),
+        linear_to_db(sinr), alpha, p_max / ibo, *down._values(), watts_to_dbm(down.total_w),
     )
     return columns, row
 
@@ -308,30 +305,34 @@ def mc_verify(
     back-off on the same samples in one Monte-Carlo run.  The SNR ceiling,
     each back-off's closed forms, then the run's configuration (which
     refuses an empty back-off list) are checked before any sampling, so a
-    bad entry or flag is refused at once.  A row passes when alpha,
-    distortion power, amplifier power and SINR each land within max(3
-    standard errors, 1 percent) of the analytic value.  Returns the
+    bad entry or flag is refused at once, by its own name.  A row passes
+    when alpha, distortion power, amplifier power and SINR each land within
+    max(3 standard errors, 1 percent) of the analytic value.  Returns the
     columns, the rows and the human-readable failure descriptions.
     """
     from .mc import McConfig, run_mc  # numpy loads here, on the Monte-Carlo path only
 
     try:
         snr_max = db_to_linear(snr_max_db)
+        if snr_max == 0.0:
+            raise DomainError(f"{snr_max_db!r} dB has no positive power ratio")
     except FoglinkError as exc:
-        raise _scenario_context(
-            exc, ibo_db=list(ibo_db_values), snr_max_db=snr_max_db
-        ) from exc
+        raise _scenario_context(exc, snr_max_db=snr_max_db) from exc
     analytic = []
     clip_powers = []
     for ibo_db in ibo_db_values:
         try:
             ibo = db_to_linear(ibo_db)
-            alpha = pa.bussgang_alpha(ibo)
+            alpha, distortion = pa.clipping(ibo)
             pa_w = pa.pa_consumed_power(ibo, ibo)
-            sinr = pa.sinr_of_ibo(ibo, snr_max)
+            denominator = distortion + ibo / snr_max  # as sinr_of_ibo forms the SINR
+            sinr = alpha * alpha / denominator if denominator else math.nan
+            if not 0.0 < sinr < math.inf:
+                raise DomainError(f"SINR degenerated to {sinr!r} at ibo = {ibo!r}, "
+                                  f"snr_max = {snr_max!r}")
         except FoglinkError as exc:
             raise _scenario_context(exc, ibo_db=ibo_db, snr_max_db=snr_max_db) from exc
-        analytic.append((ibo_db, ibo, alpha, pa_w, sinr))
+        analytic.append((ibo_db, ibo, alpha, distortion, pa_w, sinr))
         clip_powers.append(ibo)
     try:
         estimates = run_mc(McConfig(
@@ -344,8 +345,7 @@ def mc_verify(
 
     rows = []
     failures = []
-    for (ibo_db, ibo, alpha, pa_w, sinr), estimate in zip(analytic, estimates):
-        distortion = pa.distortion_power(ibo)
+    for (ibo_db, ibo, alpha, distortion, pa_w, sinr), estimate in zip(analytic, estimates):
         noise_w = ibo / snr_max
         # first-order spread of the SINR estimate from its ingredients
         sinr_spread = sinr * math.hypot(

@@ -4,13 +4,15 @@ The propagation model is the urban-macro path loss with a 15 dBi net
 antenna-gain term folded in, valid from 10 m outward; the noise floor is
 thermal noise plus a 5 dB receiver noise figure.  A scaled Shannon relation
 maps the stream rate to the SINR the link must deliver.  Sizing has two
-parts: ``operating_point`` solves the amplifier at the SNR ceiling that the
-rate demand alone fixes, and ``clip_power`` turns that ceiling into the
-clipping power through the distance- and band-dependent path gain and noise;
-at a fixed ceiling it grows as ``distance_km ** PATH_LOSS_EXPONENT``.
+parts: ``snr_ceiling`` gives the SNR ceiling that the rate demand alone
+fixes, at which ``pa.optimal_ibos`` solves the amplifier, and ``clip_power``
+turns that ceiling into the clipping power through the distance- and
+band-dependent path gain and noise; at a fixed ceiling it grows as
+``distance_km ** PATH_LOSS_EXPONENT``.
 """
 
 import math
+from typing import Tuple
 
 from . import pa
 from .errors import DomainError, InfeasibleLinkError
@@ -22,7 +24,7 @@ __all__ = [
     "path_gain_db",
     "noise_dbm",
     "required_sinr",
-    "operating_point",
+    "snr_ceiling",
     "clip_power",
 ]
 
@@ -98,16 +100,18 @@ def required_sinr(bandwidth_hz: float, cameras: int, rate_bps: float, beta: floa
     return sinr
 
 
-def operating_point(
+def snr_ceiling(
     bandwidth_hz: float, cameras: int, rate_bps: float, beta: float
-) -> pa.PaOperatingPoint:
-    """SINR-optimal amplifier operating point for the rate a link must carry.
+) -> Tuple[float, float]:
+    """The ``required_sinr`` of a rate demand and the SNR ceiling that sizes
+    its link, ``(required_sinr_linear, snr_max_linear)``.
 
-    The affine SINR fit, inverted at the ``required_sinr`` of the rate
-    demand, gives the SNR ceiling and the optimal back-off is solved there,
-    so the point depends on the rate demand alone.  A zero rate has no
-    ceiling (DomainError); one above ``pa.MAX_SNR_CEILING`` cannot be solved
-    (InfeasibleLinkError).
+    The ceiling is the affine SINR fit inverted at the required SINR, so it
+    depends on the rate demand alone; the SINR-optimal amplifier operating
+    point is ``pa.optimal_ibos`` at it.  A zero rate has no ceiling
+    (DomainError); one below ``pa.MIN_SNR_CEILING`` has no optimal back-off
+    in the searched range (DomainError), and one above
+    ``pa.MAX_SNR_CEILING`` cannot be solved (InfeasibleLinkError).
 
     The achieved SINR misses the required one by the fit's error, rated at
     0.5 dB for ceilings of -10 to 50 dB only.  At d = 0.02 km, achieved minus
@@ -116,21 +120,23 @@ def operating_point(
     at 18 MHz: with 10 cameras there the link falls short of its rate.
     """
     sinr = required_sinr(bandwidth_hz, cameras, rate_bps, beta)
+    demand = (f"rate_bps = {rate_bps!r} with cameras = {cameras}, beta = {beta!r} and "
+              f"bandwidth_hz = {bandwidth_hz!r}")
     if sinr == 0.0:
-        raise DomainError(
-            f"rate_bps = {rate_bps!r} with cameras = {cameras}, beta = {beta!r} and "
-            f"bandwidth_hz = {bandwidth_hz!r} needs no SINR, so there is no SNR "
-            f"ceiling to size the clipping power at"
-        )
+        raise DomainError(f"{demand} needs no SINR, so there is no SNR ceiling to size "
+                          f"the clipping power at")
     snr_max = db_to_linear(pa.snr_max_for_sinr_db(linear_to_db(sinr)))
+    if snr_max < pa.MIN_SNR_CEILING:
+        raise DomainError(
+            f"{demand} needs an SNR ceiling of {linear_to_db(snr_max):.6g} dB, below "
+            f"the {linear_to_db(pa.MIN_SNR_CEILING):.6g} dB the back-off solve accepts"
+        )
     if snr_max > pa.MAX_SNR_CEILING:
         raise InfeasibleLinkError(
-            f"rate_bps = {rate_bps!r} with cameras = {cameras}, beta = {beta!r} and "
-            f"bandwidth_hz = {bandwidth_hz!r} needs an SNR ceiling of "
-            f"{linear_to_db(snr_max):.6g} dB, above the "
-            f"{linear_to_db(pa.MAX_SNR_CEILING):.6g} dB the back-off solve accepts"
+            f"{demand} needs an SNR ceiling of {linear_to_db(snr_max):.6g} dB, above "
+            f"the {linear_to_db(pa.MAX_SNR_CEILING):.6g} dB the back-off solve accepts"
         )
-    return pa.optimal_ibo(snr_max)
+    return sinr, snr_max
 
 
 def clip_power(

@@ -14,14 +14,11 @@ import math
 from typing import Iterable, Iterator, Tuple
 
 from .errors import ConvergenceError, DomainError
-from .record import Record
 
 __all__ = [
-    "PaOperatingPoint",
     "bussgang_alpha",
-    "distortion_power",
+    "clipping",
     "sinr_of_ibo",
-    "optimal_ibo",
     "optimal_ibos",
     "sinr_approx_db",
     "snr_max_for_sinr_db",
@@ -54,53 +51,41 @@ SINR_APPROX_SLOPE = 0.84
 SINR_APPROX_OFFSET_DB = -2.23
 
 
-class PaOperatingPoint(Record):
-    """A solved amplifier operating point, in ratios only.
-
-    ``ibo_linear`` is the ratio of clipping power to mean input power,
-    ``alpha`` the Bussgang gain, ``sinr_linear`` the achieved SINR and
-    ``snr_max_linear`` the no-distortion SNR ceiling.  The absolute power
-    levels follow from a link budget: ``link.clip_power`` gives the clipping
-    power, and the mean input power is that over ``ibo_linear``.
-    """
-
-    ibo_linear: float
-    alpha: float
-    sinr_linear: float
-    snr_max_linear: float
+def _clipping(ibo_linear: float) -> Tuple[float, float]:
+    """The Bussgang gain and the distortion power at a back-off, unchecked:
+    the one place both closed forms are written."""
+    root = math.sqrt(ibo_linear)
+    e = math.exp(-ibo_linear)
+    alpha = 1.0 - e + _HALF_SQRT_PI * root * math.erfc(root)
+    return alpha, 1.0 - alpha * alpha - e
 
 
-def bussgang_alpha(ibo_linear: float) -> float:
-    """Bussgang gain of the soft limiter for complex-Gaussian input.
+def clipping(ibo_linear: float) -> Tuple[float, float]:
+    """Bussgang gain and clipping-distortion power at unit mean input power.
 
         alpha = 1 - exp(-IBO) + 0.5 * sqrt(pi * IBO) * erfc(sqrt(IBO))
+        D     = 1 - alpha^2 - exp(-IBO)
 
-    Strictly increasing in the back-off; tends to 1 as clipping vanishes
-    (saturating to exactly 1.0 in floats once IBO exceeds the mid-thirties)
-    and falls off like 0.5 * sqrt(pi * IBO) under heavy clipping.
+    alpha is strictly increasing in the back-off; it tends to 1 as clipping
+    vanishes (saturating to exactly 1.0 in floats once IBO exceeds the
+    mid-thirties) and falls off like 0.5 * sqrt(pi * IBO) under heavy
+    clipping.
     """
     if not (math.isfinite(ibo_linear) and ibo_linear > 0.0):
         raise DomainError(f"ibo_linear must be positive and finite, got {ibo_linear!r}")
-    root = math.sqrt(ibo_linear)
-    return 1.0 - math.exp(-ibo_linear) + _HALF_SQRT_PI * root * math.erfc(root)
+    return _clipping(ibo_linear)
 
 
-def distortion_power(ibo_linear: float) -> float:
-    """Clipping-distortion power at unit mean input power.
-
-        D = 1 - alpha^2 - exp(-IBO)
-    """
-    return _distortion(bussgang_alpha(ibo_linear), ibo_linear)
-
-
-def _distortion(alpha: float, ibo_linear: float) -> float:
-    return 1.0 - alpha * alpha - math.exp(-ibo_linear)
+def bussgang_alpha(ibo_linear: float) -> float:
+    """Bussgang gain of the soft limiter for complex-Gaussian input, the
+    first value of :func:`clipping`."""
+    return clipping(ibo_linear)[0]
 
 
 def sinr_of_ibo(ibo_linear: float, snr_max_linear: float) -> float:
     """Receiver SINR at a given back-off and SNR ceiling.
 
-        SINR = alpha^2 / (1 - alpha^2 - exp(-IBO) + IBO / SNR_MAX)
+        SINR = alpha^2 / (D + IBO / SNR_MAX)
 
     The denominator is the normalized clipping-distortion power plus the
     thermal-noise share; the numerator is the surviving useful power.
@@ -109,8 +94,9 @@ def sinr_of_ibo(ibo_linear: float, snr_max_linear: float) -> float:
         raise DomainError(
             f"snr_max_linear must be positive and finite, got {snr_max_linear!r}"
         )
-    alpha = bussgang_alpha(ibo_linear)
-    sinr = alpha * alpha / (_distortion(alpha, ibo_linear) + ibo_linear / snr_max_linear)
+    alpha, distortion = clipping(ibo_linear)
+    denominator = distortion + ibo_linear / snr_max_linear  # 0.0 once both underflow
+    sinr = alpha * alpha / denominator if denominator else math.nan
     if not (math.isfinite(sinr) and sinr > 0.0):
         raise DomainError(
             f"SINR degenerated to {sinr!r} at ibo = {ibo_linear!r}, "
@@ -124,7 +110,7 @@ def optimal_ibos(ceilings: Iterable[float]) -> Iterator[Tuple[float, float, floa
 
     Yields ``(ibo_linear, alpha, sinr_linear)`` for each ceiling, the bits of
     ``bussgang_alpha(ibo_linear)`` and ``sinr_of_ibo(ibo_linear, s)``, and
-    raises at the first ceiling that fails, as :func:`optimal_ibo` does.
+    raises at the first ceiling that fails.
 
     Solves the stationarity condition in z = sqrt(IBO) by Newton steps kept
     inside a shrinking sign-change bracket, with a bisection step whenever
@@ -183,12 +169,10 @@ def optimal_ibos(ceilings: Iterable[float]) -> Iterator[Tuple[float, float, floa
                 f"back-off solve did not converge: |gap| = {abs(g)!r} at z = {z!r}, "
                 f"snr_max_linear = {s!r}"
             )
-        # bussgang_alpha and sinr_of_ibo at the root, operation for operation
+        # the closed forms at the root, with sinr_of_ibo's operations
         ibo = z * z
-        root = sqrt(ibo)
-        e = exp(-ibo)
-        alpha = 1.0 - e + half_sqrt_pi * root * erfc(root)
-        sinr = alpha * alpha / (1.0 - alpha * alpha - e + ibo / s)
+        alpha, distortion = _clipping(ibo)
+        sinr = alpha * alpha / (distortion + ibo / s)
         if not (0.0 < alpha < 1.0 and 0.0 < sinr < s):
             if not 0.0 < sinr < math.inf:
                 raise DomainError(
@@ -201,25 +185,12 @@ def optimal_ibos(ceilings: Iterable[float]) -> Iterator[Tuple[float, float, floa
         yield ibo, alpha, sinr
 
 
-def optimal_ibo(snr_max_linear: float) -> PaOperatingPoint:
-    """Back-off that maximizes SINR for a given SNR ceiling.
-
-    The batch of one of :func:`optimal_ibos`, with its errors: the returned
-    operating point carries the optimal back-off, the Bussgang gain and the
-    achieved SINR.
-    """
-    ibo, alpha, sinr = next(optimal_ibos((snr_max_linear,)))
-    return PaOperatingPoint(
-        ibo_linear=ibo, alpha=alpha, sinr_linear=sinr, snr_max_linear=snr_max_linear
-    )
-
-
 def sinr_approx_db(snr_max_db: float) -> float:
     """Affine dB approximation of the maximum achievable SINR.
 
     Returns 0.84 * snr_max_db - 2.23.  Used when sizing the clipping
     power from a rate requirement; the exact solve stays available via
-    :func:`optimal_ibo` for verification.
+    :func:`optimal_ibos` for verification.
 
     The fit's error against the exact optimum is rated at 0.5 dB, to one
     decimal, for snr_max_db in [-10, 50] dB.  The measured maximum on a

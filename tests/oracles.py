@@ -1,6 +1,6 @@
 """References the tests hold the package's own computations to.
 
-The bisection here shares no code with ``foglink.pa.optimal_ibo``: it uses
+The bisection here shares no code with ``foglink.pa.optimal_ibos``: it uses
 only the sign of ``f`` and halves the bracket until it is ``tol`` wide.
 ``soft_limit`` is the complex-sample soft limiter, and
 ``moment_sums_reference`` the whole-row moment kernel that

@@ -25,8 +25,6 @@ from foglink import (
     load_params,
     local_power,
     offload_power,
-    operating_point,
-    optimal_ibo,
     pa_consumed_power,
     replace,
     run_mc,
@@ -37,7 +35,8 @@ from foglink import (
 import foglink.cli as cli
 from foglink.chain import clip_independent_parts
 from foglink.config import BANDWIDTH_PROFILES
-from foglink.link import PATH_LOSS_EXPONENT
+from foglink.link import PATH_LOSS_EXPONENT, snr_ceiling
+from foglink.pa import optimal_ibos
 from oracles import solve_bisection
 
 GRID_DB = [round(-10.0 + 0.1 * k, 10) for k in range(601)]
@@ -62,8 +61,8 @@ def test_criterion_1_approximation_quality():
     max_gap = 0.0
     worst_at = None
     for x in GRID_DB:
-        point = optimal_ibo(db_to_linear(x))
-        gap = abs(sinr_approx_db(x) - linear_to_db(point.sinr_linear))
+        _, _, sinr = next(optimal_ibos([db_to_linear(x)]))
+        gap = abs(sinr_approx_db(x) - linear_to_db(sinr))
         if gap > max_gap:
             max_gap, worst_at = gap, x
     elapsed = time.perf_counter() - started
@@ -90,17 +89,17 @@ def test_criterion_2_optimal_backoff_solver():
     stationary = True
     for x in GRID_DB:
         s = db_to_linear(x)
-        point = optimal_ibo(s)
+        ibo, _, sinr = next(optimal_ibos([s]))
 
         def gap(z):  # the stationarity condition in z = sqrt(IBO)
             return 0.5 * math.sqrt(math.pi) * math.erfc(z) - z / s
 
-        worst_residual = max(worst_residual, abs(gap(math.sqrt(point.ibo_linear))))
+        worst_residual = max(worst_residual, abs(gap(math.sqrt(ibo))))
         oracle = solve_bisection(gap, z_lo, z_hi, tol=1e-11)
-        worst_gap = max(worst_gap, abs(point.ibo_linear - oracle ** 2))
+        worst_gap = max(worst_gap, abs(ibo - oracle ** 2))
         for factor in (0.99, 1.01):
-            perturbed = sinr_of_ibo(point.ibo_linear * factor, s)
-            if perturbed > point.sinr_linear * (1.0 + 1e-12):
+            perturbed = sinr_of_ibo(ibo * factor, s)
+            if perturbed > sinr * (1.0 + 1e-12):
                 stationary = False
     ok = worst_residual <= 1e-10 and worst_gap <= 1e-8 and stationary
     report(
@@ -116,8 +115,9 @@ def test_criterion_2_optimal_backoff_solver():
 
 def test_criterion_3_backoff_sign_vs_bandwidth():
     def backoff_db(bandwidth_hz):
-        point = operating_point(bandwidth_hz=bandwidth_hz, cameras=1, rate_bps=6e6, beta=0.4)
-        return linear_to_db(point.ibo_linear)
+        _, snr_max = snr_ceiling(bandwidth_hz=bandwidth_hz, cameras=1, rate_bps=6e6, beta=0.4)
+        ibo, _, _ = next(optimal_ibos([snr_max]))
+        return linear_to_db(ibo)
 
     negative = [backoff_db(b * 1e6) for b in range(8, 19)]
     positive = [backoff_db(b * 1e6) for b in range(1, 7)]

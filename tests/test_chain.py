@@ -23,7 +23,8 @@ from foglink.chain import (
     clip_independent_parts,
 )
 from foglink.config import BANDWIDTH_PROFILES
-from foglink.link import PATH_LOSS_EXPONENT, clip_power, operating_point
+from foglink.link import PATH_LOSS_EXPONENT, clip_power, snr_ceiling
+from foglink.pa import optimal_ibos
 
 RADIO, DEPLOY = load_params()
 
@@ -40,14 +41,14 @@ def theta_star(radio, deploy):
 
 # an amplifier point of the baseline link; the draws other than the
 # amplifier's do not depend on it
-POINT = operating_point(RADIO.bandwidth_hz, DEPLOY.cameras, DEPLOY.rate_bps, RADIO.beta)
-P_MAX = clip_power(DEPLOY.distance_km, DEPLOY.carrier_hz, RADIO.bandwidth_hz,
-                   POINT.snr_max_linear)
+_, SNR_MAX = snr_ceiling(RADIO.bandwidth_hz, DEPLOY.cameras, DEPLOY.rate_bps, RADIO.beta)
+[(IBO, _, _)] = optimal_ibos([SNR_MAX])
+P_MAX = clip_power(DEPLOY.distance_km, DEPLOY.carrier_hz, RADIO.bandwidth_hz, SNR_MAX)
 
 
 def one_camera(radio=RADIO, **deploy_fields):
     """The breakdown of a single camera, whose draws are not duty cycled."""
-    return breakdown_at(radio, replace(DEPLOY, cameras=1, **deploy_fields), POINT, P_MAX)
+    return breakdown_at(radio, replace(DEPLOY, cameras=1, **deploy_fields), IBO, P_MAX)
 
 
 class TestLocalPower:
@@ -74,7 +75,7 @@ class TestCodingPower:
     def test_zero_rate(self):
         # DeploymentParams refuses a zero rate; breakdown_at still evaluates R * psi
         deploy = SimpleNamespace(cameras=1, rate_bps=0.0, p_video_w=0.242)
-        assert breakdown_at(RADIO, deploy, POINT, P_MAX).cod_w == 0.0
+        assert breakdown_at(RADIO, deploy, IBO, P_MAX).cod_w == 0.0
 
     def test_video_rate(self):
         assert abs(one_camera(rate_bps=6e6).cod_w - 6e-4) <= 1e-18
@@ -187,9 +188,10 @@ class TestOffloadPower:
 
     def test_is_the_breakdown_at_the_solved_link(self):
         radio, deploy = scenario("9mhz", 10, 0.5)
-        point = operating_point(9e6, 10, 6e6, 0.4)
-        p_max = clip_power(0.5, 3.5e9, 9e6, point.snr_max_linear)
-        assert offload_power(radio, deploy) == breakdown_at(radio, deploy, point, p_max)
+        _, snr_max = snr_ceiling(9e6, 10, 6e6, 0.4)
+        [(ibo, _, _)] = optimal_ibos([snr_max])
+        p_max = clip_power(0.5, 3.5e9, 9e6, snr_max)
+        assert offload_power(radio, deploy) == breakdown_at(radio, deploy, ibo, p_max)
 
     def test_huge_fleet_is_infeasible(self):
         # a million cameras sharing 18 MHz would need SINR 2^833333; the
@@ -201,7 +203,7 @@ class TestOffloadPower:
     def test_duty_cycle_limit_keeps_constant_terms(self):
         # with the amplifier point fixed, an enormous fleet leaves only the
         # always-on components: video coder, redundancy coding, oscillator
-        down = breakdown_at(RADIO, replace(DEPLOY, cameras=10 ** 6), POINT, P_MAX)
+        down = breakdown_at(RADIO, replace(DEPLOY, cameras=10 ** 6), IBO, P_MAX)
         constant = 0.242 + 6e-4 + 0.0675
         assert abs(down.total_w - constant) <= 1e-5 * constant
 
@@ -289,7 +291,7 @@ class TestParamValidation:
             replace(DEPLOY, p_video_w=-0.1)
         with pytest.raises(DomainError, match="c_p_f must be non-negative"):
             replace(RADIO, c_p_f=-1e-12)
-        assert min(breakdown_at(RADIO, DEPLOY, POINT, P_MAX)._values()) > 0.0
+        assert min(breakdown_at(RADIO, DEPLOY, IBO, P_MAX)._values()) > 0.0
 
     def test_breakdown_rejects_wrong_total(self):
         # the total is the left-to-right sum of the parts, so it cannot be wrong
@@ -302,19 +304,19 @@ class TestParamValidation:
         # NaN compares False with 0.0, so the record refuses it as not
         # positive; an infinite DAC supply is refused by the part it makes
         with pytest.raises(DomainError, match="v_dd must be positive|dac_w = inf W"):
-            breakdown_at(replace(RADIO, v_dd=bad), DEPLOY, POINT, P_MAX)
+            breakdown_at(replace(RADIO, v_dd=bad), DEPLOY, IBO, P_MAX)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_breakdown_rejects_a_non_finite_total(self, bad):
         with pytest.raises(DomainError, match="p_max_w must be non-negative"):
-            breakdown_at(RADIO, DEPLOY, POINT, bad)
+            breakdown_at(RADIO, DEPLOY, IBO, bad)
         # a finite clipping power whose amplifier draw overflows
         with pytest.raises(DomainError) as refused:
-            breakdown_at(RADIO, DEPLOY, POINT, 1.7e308)
+            breakdown_at(RADIO, DEPLOY, IBO, 1.7e308)
         assert str(refused.value) == (
             "amplifier draw pa_w = inf W at clipping power 1.7e+308 W makes the "
             "offload power inf W, which is not finite"
         )
         # a finite amplifier draw whose sum with the other parts overflows
         with pytest.raises(DomainError, match="makes the offload power inf W"):
-            breakdown_at(RADIO, replace(DEPLOY, p_video_w=1.7e308), POINT, 1e308)
+            breakdown_at(RADIO, replace(DEPLOY, p_video_w=1.7e308), IBO, 1e308)

@@ -486,13 +486,35 @@ class TestMcVerify:
             cli.mc_verify([], 10, 1, 20.0)
 
     def test_unrepresentable_ceiling_names_the_whole_run(self, capsys):
-        # the SNR ceiling belongs to the run, not to the first back-off
+        # the SNR ceiling belongs to the run, not to the first back-off: it
+        # is checked once, before any back-off, and the line names it alone
         code, out, err = run_cli(["mc-verify", "--snr-max-db", "1e5", "--samples", "10"], capsys)
         assert code == 1 and out == ""
         assert err.splitlines() == [
-            "error: 100000.0 dB has no finite power ratio "
-            "[scenario: ibo_db=[-3.0, 0.0, 3.0, 6.0], snr_max_db=100000.0]"
+            "error: 100000.0 dB has no finite power ratio [scenario: snr_max_db=100000.0]"
         ]
+
+    def test_zero_ceiling_names_the_whole_run(self, capsys):
+        code, out, err = run_cli(["mc-verify", "--snr-max-db=-1e5", "--samples", "10"], capsys)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: -100000.0 dB has no positive power ratio [scenario: snr_max_db=-100000.0]"
+        ]
+
+    def test_closed_forms_are_evaluated_once_per_backoff(self, capsys, monkeypatch):
+        import foglink.pa
+
+        calls = []
+        original = foglink.pa._clipping
+
+        def counted(ibo):
+            calls.append(ibo)
+            return original(ibo)
+
+        monkeypatch.setattr(foglink.pa, "_clipping", counted)
+        code, out, _ = run_cli(["mc-verify", "--samples", "100000"], capsys)
+        assert code == 0 and out.count("\n") == 5
+        assert calls == [10.0 ** (x / 10.0) for x in (-3.0, 0.0, 3.0, 6.0)]
 
     def test_bad_seed_names_the_whole_run(self, capsys):
         # the seed belongs to the run, not to the first back-off
@@ -654,6 +676,8 @@ class TestErrorExits:
         # a ceiling past MAX_SNR_CEILING mid-grid, and as the last point
         (["fig3", "--db-from", "150", "--db-to", "160", "--steps", "11"], "snr_max_db=157.0"),
         (["fig3", "--db-from", "150", "--db-to", "157", "--steps", "8"], "snr_max_db=157.0"),
+        # a subnormal back-off, whose SINR denominator underflows to 0.0
+        (["mc-verify", "--ibo-db=-3233", "--samples", "1000"], "ibo_db=-3233.0"),
     ])
     def test_unrepresentable_flag_is_one_error_line(self, capsys, args, named):
         code, _, err = run_cli(args, capsys)
@@ -670,8 +694,11 @@ class TestErrorExits:
         # a positive rate whose required SINR is exactly 0
         ("link-power", [], '"rate_bps": 5e-324', "rate_bps = 5e-324"),
         ("fig4", [], '"rate_bps": 5e-324', "rate_bps = 5e-324"),
+        # a rate so low that its SNR ceiling lies below the solvable range
+        ("link-power", [], '"rate_bps": 1', "rate_bps = 1.0 with cameras = 1, beta = 0.4"),
+        ("fig4", [], '"rate_bps": 1', "rate_bps = 1.0 with cameras = 1, beta = 0.4"),
     ], ids=["fig4-zero-band", "link-power-amplifier-overflow", "link-power-zero-sinr",
-            "fig4-zero-sinr"])
+            "fig4-zero-sinr", "link-power-ceiling-too-low", "fig4-ceiling-too-low"])
     def test_refusal_is_one_line_naming_its_input(
         self, capsys, tmp_path, command, args, entry, named
     ):
@@ -683,8 +710,10 @@ class TestErrorExits:
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert named in err
-        if "rate_bps" in named:
+        if "5e-324" in named:
             assert "needs no SINR" in err
+        if "rate_bps = 1.0 " in named:
+            assert "dB, below the -39.475 dB the back-off solve accepts" in err
 
     def test_too_low_snr_ceiling_names_the_limit(self, capsys):
         # the same input as the -45 dB case above
@@ -783,45 +812,48 @@ class TestErrorExits:
 class TestSolveCounts:
     @staticmethod
     def solves(args, capsys, monkeypatch):
+        """The calls of ``pa.optimal_ibos`` a command makes, each as the list
+        of SNR ceilings it solved, and the command's CSV rows."""
         import foglink.pa
 
         calls = []
-        original = foglink.pa.optimal_ibo
+        original = foglink.pa.optimal_ibos
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def counted(ceilings):
+            seen = []
+            calls.append(seen)
 
-        monkeypatch.setattr(foglink.pa, "optimal_ibo", counted)
-        code, _, _ = run_cli(args, capsys)
+            def passed_on():
+                for s in ceilings:
+                    seen.append(s)
+                    yield s
+
+            return original(passed_on())
+
+        monkeypatch.setattr(foglink.pa, "optimal_ibos", counted)
+        code, out, _ = run_cli(args, capsys)
         assert code == 0
-        return len(calls)
+        return calls, parse_csv(out)[1]
 
     def test_link_power_solves_the_operating_point_once(self, capsys, monkeypatch):
-        assert self.solves(["link-power"], capsys, monkeypatch) == 1
+        calls, _ = self.solves(["link-power"], capsys, monkeypatch)
+        assert list(map(len, calls)) == [1]
 
     @pytest.mark.parametrize("steps", [50, 1961])
     @pytest.mark.parametrize("command", ["fig5", "fig6"])
     def test_distance_sweeps_solve_once_per_curve(self, capsys, monkeypatch, command, steps):
-        args = [command, "--steps", str(steps)]
-        assert self.solves(args, capsys, monkeypatch) == len(cli.FIGURE_COMBOS) == 4
+        calls, _ = self.solves([command, "--steps", str(steps)], capsys, monkeypatch)
+        assert list(map(len, calls)) == [1] * len(cli.FIGURE_COMBOS) == [1] * 4
 
-    def test_fig3_streams_through_the_batch_without_records(self, capsys, monkeypatch):
-        import foglink.pa
+    def test_fig3_solves_its_grid_in_one_batch(self, capsys, monkeypatch):
+        calls, rows = self.solves(["fig3", "--steps", "601"], capsys, monkeypatch)
+        assert list(map(len, calls)) == [601] == [len(rows)]
 
-        built = []
-        original = foglink.pa.PaOperatingPoint.__post_init__
-
-        def counted(point):
-            built.append(point)
-            original(point)
-
-        monkeypatch.setattr(foglink.pa.PaOperatingPoint, "__post_init__", counted)
-        assert self.solves(["fig3", "--steps", "601"], capsys, monkeypatch) == 0
-        assert built == []
-        # the count sees the records a scalar command builds
-        assert self.solves(["link-power"], capsys, monkeypatch) == 1
-        assert len(built) >= 1
+    def test_fig4_solves_one_ceiling_per_row(self, capsys, monkeypatch):
+        # the rows a camera count cannot meet are dropped before any solve
+        calls, rows = self.solves(["fig4"], capsys, monkeypatch)
+        assert list(map(len, calls)) == [1] * len(rows)
+        assert 0 < len(rows) < 2 * 39
 
     @pytest.mark.parametrize("command", ["fig5", "fig6"])
     def test_distance_sweeps_take_one_path_gain_per_distance(

@@ -25,10 +25,10 @@ SCALAR_COMMANDS = ("fig3", "fig4", "fig5", "fig6", "link-power", "breakeven", "p
 # the package's exports, the lazily loaded Monte-Carlo names among them
 EXPORTS = [
     "__version__",
-    "PaOperatingPoint", "bussgang_alpha", "sinr_of_ibo", "optimal_ibo",
-    "sinr_approx_db", "snr_max_for_sinr_db", "pa_consumed_power",
+    "bussgang_alpha", "sinr_of_ibo", "sinr_approx_db", "snr_max_for_sinr_db",
+    "pa_consumed_power",
     "MIN_DISTANCE_KM", "path_gain_db", "noise_dbm",
-    "required_sinr", "operating_point", "clip_power",
+    "required_sinr", "clip_power",
     "RadioParams", "DeploymentParams", "PowerBreakdown", "local_power",
     "offload_power", "breakeven_at",
     "McConfig", "McEstimate", "CHUNK_SAMPLES", "run_mc",

@@ -15,7 +15,6 @@ from foglink import (
     linear_to_db,
     load_params,
     noise_dbm,
-    operating_point,
     path_gain_db,
     replace,
     required_sinr,
@@ -24,21 +23,33 @@ from foglink import (
 )
 from foglink.chain import breakdown_at, offload_power
 from foglink.cli import FIGURE_COMBOS
-from foglink.pa import MAX_SNR_CEILING
+from foglink.link import snr_ceiling
+from foglink.pa import MAX_SNR_CEILING, MIN_SNR_CEILING, optimal_ibos
 
 RADIO, DEPLOY = load_params()
 
 
 def demand(bandwidth_hz=18e6, cameras=1, rate_bps=6e6, beta=0.4):
-    """The rate demand that ``required_sinr`` and ``operating_point`` take;
+    """The rate demand that ``required_sinr`` and ``snr_ceiling`` take;
     the defaults are the default scenario's."""
     return bandwidth_hz, cameras, rate_bps, beta
 
 
+def ceiling(*args, **kwargs):
+    """The SNR ceiling of ``demand(*args, **kwargs)``."""
+    return snr_ceiling(*demand(*args, **kwargs))[1]
+
+
+def sized_point(*args, **kwargs):
+    """``(ibo_linear, alpha, sinr_linear, snr_max_linear)`` of the amplifier
+    sized for ``demand(*args, **kwargs)``."""
+    snr_max = ceiling(*args, **kwargs)
+    return (*next(optimal_ibos([snr_max])), snr_max)
+
+
 def p_max_of(distance_km=0.02, carrier_hz=3.5e9, bandwidth_hz=18e6, **rate):
     """The clipping power of a link at the ceiling its rate demand fixes."""
-    point = operating_point(*demand(bandwidth_hz, **rate))
-    return clip_power(distance_km, carrier_hz, bandwidth_hz, point.snr_max_linear)
+    return clip_power(distance_km, carrier_hz, bandwidth_hz, ceiling(bandwidth_hz, **rate))
 
 
 class TestPathGain:
@@ -163,11 +174,24 @@ class TestRequiredPMax:
     def test_zero_rate_has_no_operating_point(self):
         # a zero rate needs no SINR, so there is no ceiling to solve at
         with pytest.raises(DomainError) as refused:
-            operating_point(*demand(rate_bps=0.0))
+            snr_ceiling(*demand(rate_bps=0.0))
         assert str(refused.value) == (
             "rate_bps = 0.0 with cameras = 1, beta = 0.4 and bandwidth_hz = 18000000.0 "
             "needs no SINR, so there is no SNR ceiling to size the clipping power at"
         )
+
+    def test_ceiling_below_the_solvable_range_names_the_demand(self):
+        # 1 bit/s over 1 MHz needs a -65.93 dB ceiling, below MIN_SNR_CEILING;
+        # a DomainError, so fig4 reports it instead of dropping the point
+        with pytest.raises(DomainError) as refused:
+            snr_ceiling(*demand(bandwidth_hz=1e6, rate_bps=1.0))
+        assert not isinstance(refused.value, InfeasibleLinkError)
+        assert str(refused.value) == (
+            "rate_bps = 1.0 with cameras = 1, beta = 0.4 and bandwidth_hz = 1000000.0 "
+            "needs an SNR ceiling of -65.9314 dB, below the -39.475 dB the back-off "
+            "solve accepts"
+        )
+        assert snr_ceiling(*demand(rate_bps=1e5))[1] >= MIN_SNR_CEILING
 
     def test_linear_in_inverse_gain(self):
         # 0.1 km -> 1 km lowers the path gain by exactly 37.6 dB
@@ -188,31 +212,28 @@ class TestRequiredPMax:
 
 class TestOperatingPoint:
     def test_short_wideband_scenario(self):
-        point = operating_point(*demand())
+        ibo, _, _, snr_max = sized_point()
         # frozen from the sizing chain at d = 0.02 km, B = 18 MHz, M = 1
         assert abs(p_max_of() - 8.428157094110426e-08) <= 1e-20
-        assert abs(point.ibo_linear - 0.2927818127313304) <= 1e-10
-        assert abs(point.snr_max_linear - 1.3746984116346934) <= 1e-12
-        assert point.ibo_linear < 1.0  # below 0 dB in this regime
+        assert abs(ibo - 0.2927818127313304) <= 1e-10
+        assert abs(snr_max - 1.3746984116346934) <= 1e-12
+        assert ibo < 1.0  # below 0 dB in this regime
 
     def test_narrowband_below_unity_backoff(self):
-        point = operating_point(*demand(bandwidth_hz=9e6))
-        assert point.ibo_linear < 1.0
+        assert sized_point(bandwidth_hz=9e6)[0] < 1.0
 
     def test_megahertz_band_above_unity_backoff(self):
-        point = operating_point(*demand(bandwidth_hz=1e6))
-        assert point.ibo_linear > 1.0
+        assert sized_point(bandwidth_hz=1e6)[0] > 1.0
 
     def test_snr_ceiling_definition_is_exact(self):
         # P_MAX = N / |h|^2 * SNR_max, the ceiling the fit gives the rate
-        point = operating_point(*demand())
-        assert point.snr_max_linear == db_to_linear(
-            snr_max_for_sinr_db(linear_to_db(required_sinr(*demand())))
-        )
-        assert clip_power(0.02, 3.5e9, 18e6, point.snr_max_linear) == (
+        sinr, snr_max = snr_ceiling(*demand())
+        assert sinr == required_sinr(*demand())
+        assert snr_max == db_to_linear(snr_max_for_sinr_db(linear_to_db(sinr)))
+        assert clip_power(0.02, 3.5e9, 18e6, snr_max) == (
             dbm_to_watts(noise_dbm(18e6))
             / db_to_linear(path_gain_db(0.02, 3.5e9))
-            * point.snr_max_linear
+            * snr_max
         )
 
     @pytest.mark.parametrize("profile, cameras", FIGURE_COMBOS)
@@ -220,19 +241,18 @@ class TestOperatingPoint:
         # the rate demand alone fixes the ceiling and the back-off solved at
         # it: a scenario at any distance is sized at the one point
         radio, deploy = load_params(profile=profile)
-        point = operating_point(radio.bandwidth_hz, cameras, deploy.rate_bps, radio.beta)
+        ibo, _, _, snr_max = sized_point(radio.bandwidth_hz, cameras, deploy.rate_bps)
         for d in np.geomspace(0.01, 2.0, 10):
             scenario = replace(deploy, cameras=cameras, distance_km=float(d))
-            p_max = clip_power(float(d), deploy.carrier_hz, radio.bandwidth_hz,
-                               point.snr_max_linear)
-            assert offload_power(radio, scenario) == breakdown_at(radio, scenario, point, p_max)
+            p_max = clip_power(float(d), deploy.carrier_hz, radio.bandwidth_hz, snr_max)
+            assert offload_power(radio, scenario) == breakdown_at(radio, scenario, ibo, p_max)
 
     @pytest.mark.parametrize("cameras, rate_bps", [(1, 3.6e8), (10, 3.6e7)])
     def test_ceiling_above_the_solvable_range_names_the_rate(self, cameras, rate_bps):
         # rate exponent 50 (and 50 again for ten cameras): the SINR is
         # representable, but the 181.8 dB ceiling is above MAX_SNR_CEILING
         with pytest.raises(InfeasibleLinkError) as refused:
-            operating_point(*demand(cameras=cameras, rate_bps=rate_bps))
+            snr_ceiling(*demand(cameras=cameras, rate_bps=rate_bps))
         message = str(refused.value)
         assert f"rate_bps = {rate_bps!r} with cameras = {cameras}," in message
         assert "181.839 dB, above the 156.5 dB" in message
@@ -240,15 +260,15 @@ class TestOperatingPoint:
 
     def test_ceiling_at_the_cap_is_solved(self):
         # a link sized just below the cap solves; just above it is refused
-        below = operating_point(*demand(bandwidth_hz=3.5e6, cameras=10))
-        assert below.snr_max_linear <= MAX_SNR_CEILING
+        _, alpha, _, snr_max = sized_point(bandwidth_hz=3.5e6, cameras=10)
+        assert snr_max <= MAX_SNR_CEILING and 0.0 < alpha < 1.0
         with pytest.raises(InfeasibleLinkError):
-            operating_point(*demand(bandwidth_hz=3.4e6, cameras=10))
+            snr_ceiling(*demand(bandwidth_hz=3.4e6, cameras=10))
 
     def test_clip_power_does_not_depend_on_the_rate(self):
         # path gain and noise only: clip_power takes the ceiling, not the
         # rate demand that fixed it, and is linear in it
-        snr_max = operating_point(*demand()).snr_max_linear
+        snr_max = ceiling()
         p_max = clip_power(0.3, 3.5e9, 18e6, snr_max)
         assert clip_power(0.3, 3.5e9, 18e6, 2.0 * snr_max) == 2.0 * p_max
 
@@ -257,18 +277,18 @@ class TestOperatingPoint:
     def test_rate_round_trip_within_approximation_slack(self, bandwidth, cameras, distance):
         # the distance moves the clipping power, not the SINR it delivers
         assert p_max_of(distance_km=distance, bandwidth_hz=bandwidth, cameras=cameras) > 0.0
-        point = operating_point(*demand(bandwidth_hz=bandwidth, cameras=cameras))
+        _, _, sinr, snr_max = sized_point(bandwidth_hz=bandwidth, cameras=cameras)
         # within the fitted [-10, 50] dB ceiling range the achieved SINR sits
         # within the affine fit's error of the requirement (just over 0.5 dB);
         # the 10-camera 9 MHz combo extrapolates to a 62 dB ceiling where the
         # fit over-delivers by a measured +1.37 dB
         req_db = linear_to_db(required_sinr(*demand(bandwidth_hz=bandwidth, cameras=cameras)))
-        slack = 0.52 if linear_to_db(point.snr_max_linear) <= 50.0 else 1.5
+        slack = 0.52 if linear_to_db(snr_max) <= 50.0 else 1.5
 
         def rate_at(sinr_db):
             return 0.4 * bandwidth / cameras * math.log2(1.0 + db_to_linear(sinr_db))
 
-        recovered = 0.4 * bandwidth / cameras * math.log2(1.0 + point.sinr_linear)
+        recovered = 0.4 * bandwidth / cameras * math.log2(1.0 + sinr)
         assert rate_at(req_db - slack) <= recovered <= rate_at(req_db + slack)
 
 
@@ -295,7 +315,7 @@ class TestGeometryValidation:
 
     def test_allows_zero_rate(self):
         # a scenario refuses a zero rate; the link layer takes one, and
-        # operating_point refuses it by name (test_zero_rate_has_no_operating_point)
+        # snr_ceiling refuses it by name (test_zero_rate_has_no_operating_point)
         with pytest.raises(DomainError, match="rate_bps must be positive"):
             replace(DEPLOY, rate_bps=0.0)
         assert required_sinr(*demand(rate_bps=0.0)) == 0.0

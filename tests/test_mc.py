@@ -14,12 +14,12 @@ from foglink import (
     McConfig,
     NumericError,
     bussgang_alpha,
-    optimal_ibo,
     pa_consumed_power,
     run_mc,
 )
 from foglink import _kernels, mc
 from foglink.mc import CHUNK_SAMPLES, _chunk_layout, _chunk_sums, _summed_chunks
+from foglink.pa import optimal_ibos
 from oracles import moment_sums_reference, soft_limit
 
 
@@ -317,7 +317,7 @@ class TestEstimators:
 
     def test_empirical_sinr_peaks_at_analytic_optimum(self):
         snr_max = 100.0
-        best = optimal_ibo(snr_max).ibo_linear
+        best, _, _ = next(optimal_ibos([snr_max]))
         estimates = {
             factor: run_one(ibo=best * factor, n=1_000_000, snr_max=snr_max)
             for factor in (0.5, 1.0, 2.0)

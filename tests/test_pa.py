@@ -10,17 +10,13 @@ from foglink import (
     ConvergenceError,
     DomainError,
     FoglinkError,
-    PaOperatingPoint,
     bussgang_alpha,
-    optimal_ibo,
     pa_consumed_power,
     sinr_approx_db,
     sinr_of_ibo,
     snr_max_for_sinr_db,
 )
-from foglink.pa import (
-    IBO_BRACKET, MAX_SNR_CEILING, MIN_SNR_CEILING, distortion_power, optimal_ibos
-)
+from foglink.pa import IBO_BRACKET, MAX_SNR_CEILING, MIN_SNR_CEILING, clipping, optimal_ibos
 from oracles import solve_bisection
 
 SQRT_PI = math.sqrt(math.pi)
@@ -33,11 +29,17 @@ SQRT_PI = math.sqrt(math.pi)
 SOLVER_GRID_SHA256 = "e00070646ded4d85ed58502b1975996c28e475f4426d167174e6e8f939ef61f6"
 
 
-def gap_at(point):
+def solved(snr_max):
+    """The ``(ibo_linear, alpha, sinr_linear)`` the batch solve yields for
+    one SNR ceiling."""
+    return next(optimal_ibos([snr_max]))
+
+
+def gap_at(ibo, snr_max):
     """The solve's stationarity gap (sqrt(pi)/2) * erfc(z) - z / SNR_MAX at a
-    solved operating point, in z = sqrt(IBO)."""
-    z = math.sqrt(point.ibo_linear)
-    return 0.5 * SQRT_PI * math.erfc(z) - z / point.snr_max_linear
+    back-off, in z = sqrt(IBO)."""
+    z = math.sqrt(ibo)
+    return 0.5 * SQRT_PI * math.erfc(z) - z / snr_max
 
 
 def bisect_optimal_ibo(snr_max, tol=1e-11):
@@ -90,20 +92,22 @@ class TestBussgangAlpha:
 
 class TestDistortionPower:
     def test_closed_form(self):
+        # clipping gives the Bussgang gain and D = 1 - alpha^2 - e^-IBO
         for ibo in (1e-6, 0.1, 1.0, 10.0):
-            alpha = bussgang_alpha(ibo)
-            assert distortion_power(ibo) == 1.0 - alpha * alpha - math.exp(-ibo)
+            alpha, distortion = clipping(ibo)
+            assert alpha == bussgang_alpha(ibo)
+            assert distortion == 1.0 - alpha * alpha - math.exp(-ibo)
 
     def test_sinr_denominator_is_distortion_plus_noise(self):
         ibo, snr_max = 1.0, 100.0
-        alpha = bussgang_alpha(ibo)
-        expected = alpha * alpha / (distortion_power(ibo) + ibo / snr_max)
+        alpha, distortion = clipping(ibo)
+        expected = alpha * alpha / (distortion + ibo / snr_max)
         assert sinr_of_ibo(ibo, snr_max) == expected
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_domain(self, bad):
-        with pytest.raises(DomainError):
-            distortion_power(bad)
+        with pytest.raises(DomainError, match="ibo_linear must be positive and finite"):
+            clipping(bad)
 
 
 class TestSinrOfIbo:
@@ -136,26 +140,32 @@ class TestSinrOfIbo:
         with pytest.raises(DomainError):
             sinr_of_ibo(1.0, 0.0)
 
+    def test_denominator_that_underflows_is_refused(self):
+        # at the smallest subnormal back-off D and IBO / SNR_MAX both round
+        # to 0.0; the SINR is refused, not divided by zero
+        with pytest.raises(DomainError, match="^SINR degenerated to nan at ibo = 5e-324"):
+            sinr_of_ibo(5e-324, 100.0)
+
 
 class TestOptimalIbo:
     def test_matches_bisection_oracle_at_unity(self):
-        point = optimal_ibo(1.0)
+        ibo, _, _ = solved(1.0)
         # frozen from the bisection oracle at tol 1e-15
-        assert abs(point.ibo_linear - 0.2099321545908347) <= 1e-8
-        assert abs(point.ibo_linear - bisect_optimal_ibo(1.0)) <= 1e-8
+        assert abs(ibo - 0.2099321545908347) <= 1e-8
+        assert abs(ibo - bisect_optimal_ibo(1.0)) <= 1e-8
 
     def test_backoff_condition_agrees_with_bisection(self):
         # at an SNR ceiling of 100 (20 dB); frozen from a converged
         # bisection scan of the same condition
-        ibo = optimal_ibo(100.0).ibo_linear
+        ibo, _, _ = solved(100.0)
         assert abs(ibo - bisect_optimal_ibo(100.0)) <= 1e-8
         assert abs(ibo - 2.7621807077544887) <= 1e-8
 
     def test_residual_small_everywhere(self):
         for snr_db in np.linspace(-10.0, 50.0, 61):
-            point = optimal_ibo(10.0 ** (snr_db / 10.0))
-            residual = abs(gap_at(point))
-            assert residual <= 1e-10
+            s = 10.0 ** (snr_db / 10.0)
+            ibo, _, _ = solved(s)
+            assert abs(gap_at(ibo, s)) <= 1e-10
 
     def test_point_carries_the_closed_forms_at_its_backoff(self):
         # the solve computes alpha once and forms the SINR from it; the
@@ -163,50 +173,50 @@ class TestOptimalIbo:
         # default grid, plus ceilings where the back-off is large
         for snr_db in [*map(float, np.linspace(-10.0, 50.0, 601)), 100.0, 137.0, 156.0]:
             s = 10.0 ** (snr_db / 10.0)
-            point = optimal_ibo(s)
-            assert point.alpha == bussgang_alpha(point.ibo_linear)
-            assert point.sinr_linear == sinr_of_ibo(point.ibo_linear, s)
+            ibo, alpha, sinr = solved(s)
+            assert alpha == bussgang_alpha(ibo)
+            assert sinr == sinr_of_ibo(ibo, s)
 
     def test_huge_ceiling(self):
-        point = optimal_ibo(1e10)
-        assert abs(gap_at(point)) <= 1e-10
-        assert point.ibo_linear > 10.0
+        ibo, _, _ = solved(1e10)
+        assert abs(gap_at(ibo, 1e10)) <= 1e-10
+        assert ibo > 10.0
 
     def test_monotone_in_ceiling(self):
         previous = 0.0
         for snr_db in np.linspace(-10.0, 50.0, 121):
-            ibo = optimal_ibo(10.0 ** (snr_db / 10.0)).ibo_linear
+            ibo, _, _ = solved(10.0 ** (snr_db / 10.0))
             assert ibo > previous
             previous = ibo
 
     def test_is_local_maximum(self):
         for snr_db in (-10.0, 0.0, 10.0, 25.0, 50.0):
-            point = optimal_ibo(10.0 ** (snr_db / 10.0))
-            best = point.sinr_linear
+            s = 10.0 ** (snr_db / 10.0)
+            ibo, _, best = solved(s)
             for factor in (0.9, 0.99, 1.01, 1.1):
-                perturbed = sinr_of_ibo(point.ibo_linear * factor, point.snr_max_linear)
+                perturbed = sinr_of_ibo(ibo * factor, s)
                 assert perturbed <= best * (1.0 + 1e-12)
 
     def test_ceiling_cap(self):
         with pytest.raises(DomainError):
-            optimal_ibo(MAX_SNR_CEILING * 10.0)
+            solved(MAX_SNR_CEILING * 10.0)
 
     def test_solvable_on_a_fine_grid_up_to_the_cap(self):
         # the solve failed from 157.79 dB on; every ceiling it accepts solves
         cap_db = 10.0 * math.log10(MAX_SNR_CEILING)
         assert 156.25 < cap_db < 157.78
         for k in range(int((cap_db - 100.0) * 100.0) + 1):
-            point = optimal_ibo(10.0 ** ((100.0 + 0.01 * k) / 10.0))
-            assert 0.0 < point.alpha < 1.0
+            _, alpha, _ = solved(10.0 ** ((100.0 + 0.01 * k) / 10.0))
+            assert 0.0 < alpha < 1.0
 
     def test_bracket_holds_down_to_its_edge(self):
         # IBO_BRACKET holds a sign change from -39.475 dB up
-        point = optimal_ibo(10.0 ** -3.9)
-        assert abs(gap_at(point)) <= 1e-13
+        ibo, _, _ = solved(10.0 ** -3.9)
+        assert abs(gap_at(ibo, 10.0 ** -3.9)) <= 1e-13
         with pytest.raises(DomainError, match="is below -39.475 dB"):
-            optimal_ibo(10.0 ** -4.0)
-        point = optimal_ibo(MIN_SNR_CEILING)
-        assert abs(point.ibo_linear - IBO_BRACKET[0]) <= 1e-15
+            solved(10.0 ** -4.0)
+        ibo, _, _ = solved(MIN_SNR_CEILING)
+        assert abs(ibo - IBO_BRACKET[0]) <= 1e-15
 
     def test_gap_without_a_root_stops_when_steps_make_no_progress(self, monkeypatch):
         # a sign change with no zero: bisection shrinks the bracket to
@@ -219,24 +229,24 @@ class TestOptimalIbo:
 
         monkeypatch.setattr(math, "erfc", step_erfc)
         with pytest.raises(ConvergenceError, match="did not converge"):
-            optimal_ibo(100.0)
+            solved(100.0)
         assert len(calls) < 100
         assert abs(calls[-1] - 2.0) <= math.ulp(2.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            optimal_ibo(0.0)
+            solved(0.0)
 
     def test_a_solved_point_that_fails_its_checks_raises_the_first(self, monkeypatch):
-        # the batch builds no record, so it checks each point itself: the
-        # SINR first, then the record's checks in order.  Past the cap the
-        # root solves, but alpha rounds to 1.0
+        # the batch checks each solved point itself: the SINR first, then
+        # alpha, then the SINR against the ceiling.  Past the cap the root
+        # solves, but alpha rounds to 1.0
         monkeypatch.setattr("foglink.pa.MAX_SNR_CEILING", math.inf)
         with pytest.raises(DomainError, match=r"^alpha must lie in \(0, 1\), got 1\.0$"):
             next(optimal_ibos([10.0 ** 15.8]))
         # exp held just above (sqrt(pi)/2) z erfc(z) at the root leaves alpha
         # just below 1 and almost no distortion: the SINR tops the ceiling
-        z = math.sqrt(optimal_ibo(1.0).ibo_linear)
+        z = math.sqrt(solved(1.0)[0])
         c = 0.5 * SQRT_PI * z * math.erfc(z) + 0.01
         monkeypatch.setattr(math, "exp", lambda x: c)
         with pytest.raises(DomainError, match=r"^sinr_linear must lie in .*, got 98\.99"):
@@ -249,23 +259,22 @@ class TestOptimalIbo:
 
     def test_bits_are_pinned_on_a_fine_grid(self):
         digest = hashlib.sha256()
-        solved, points = [], []
+        ceilings, points = [], []
         for k in range(-4000, 15701):
             s = 10.0 ** (k / 1000.0)
             try:
-                point = optimal_ibo(s)
+                ibo, alpha, sinr = solved(s)
             except FoglinkError as exc:
                 line = f"{type(exc).__name__}: {exc}"
             else:
-                ibo, alpha, sinr = point.ibo_linear, point.alpha, point.sinr_linear
                 assert alpha == bussgang_alpha(ibo)
                 assert sinr == sinr_of_ibo(ibo, s)
-                solved.append(s)
+                ceilings.append(s)
                 points.append((ibo, alpha, sinr))
                 line = repr((ibo.hex(), alpha.hex(), sinr.hex()))
             digest.update(line.encode() + b"\n")
         # one batch over every ceiling that solves gives the same tuples
-        assert list(optimal_ibos(solved)) == points
+        assert list(optimal_ibos(ceilings)) == points
         assert digest.hexdigest() == SOLVER_GRID_SHA256, (
             f"solver bits moved; new digest {digest.hexdigest()}"
         )
@@ -290,8 +299,8 @@ class TestSinrApproxDb:
         max_gap = 0.0
         for k in range(601):
             x = -10.0 + 0.1 * k
-            point = optimal_ibo(10.0 ** (x / 10.0))
-            exact_db = 10.0 * math.log10(point.sinr_linear)
+            _, _, sinr = solved(10.0 ** (x / 10.0))
+            exact_db = 10.0 * math.log10(sinr)
             max_gap = max(max_gap, abs(sinr_approx_db(x) - exact_db))
         assert abs(max_gap - 0.5108560931682808) <= 1e-9
         assert max_gap < 0.52
@@ -324,14 +333,14 @@ class TestPaConsumedPower:
 
 
 class TestPaOperatingPoint:
-    def test_carries_ratios_only(self):
-        # absolute powers come from the link budget, not from the point
-        assert list(PaOperatingPoint._fields) == ["ibo_linear", "alpha", "sinr_linear", "snr_max_linear"]
+    """The amplifier operating point, the ``(ibo_linear, alpha,
+    sinr_linear)`` the solve yields per SNR ceiling."""
 
     def test_sinr_below_ceiling_enforced(self):
-        # the record holds what the solve checked, and the solve refuses a
-        # point outside (test_a_solved_point_that_fails_its_checks_raises_the_first)
+        # every solved point lies inside the ranges the solve checks
+        # (test_a_solved_point_that_fails_its_checks_raises_the_first)
         for k in range(-39, 157):
-            point = optimal_ibo(10.0 ** (k / 10.0))
-            assert 0.0 < point.alpha < 1.0
-            assert 0.0 < point.sinr_linear < point.snr_max_linear
+            s = 10.0 ** (k / 10.0)
+            _, alpha, sinr = solved(s)
+            assert 0.0 < alpha < 1.0
+            assert 0.0 < sinr < s

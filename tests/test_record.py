@@ -7,12 +7,10 @@ from foglink import (
     DomainError,
     McConfig,
     McEstimate,
-    PaOperatingPoint,
     PowerBreakdown,
     RadioParams,
     load_params,
     offload_power,
-    operating_point,
     replace,
 )
 from foglink.record import Record
@@ -26,7 +24,6 @@ def records(radio=RADIO, deploy=DEPLOY, seed=7, stderr_pa=3e-3):
     return [
         radio,
         deploy,
-        operating_point(radio.bandwidth_hz, deploy.cameras, deploy.rate_bps, radio.beta),
         offload_power(radio, deploy),
         McConfig(clip_powers_w=[0.5, 1.0, 2.0], n_samples=1000, seed=seed,
                  snr_max_linear=100.0),
@@ -53,8 +50,6 @@ DEFAULT_REPRS = [
     "DeploymentParams(cameras=1, distance_km=0.02, carrier_hz=3500000000.0, "
     "rate_bps=6000000.0, p_video_w=0.242, gamma_flops_per_w=5000000000.0, "
     "theta_flop_per_bit=320.0)",
-    "PaOperatingPoint(ibo_linear=0.2927818127313295, alpha=0.4667940106123736, "
-    "sinr_linear=0.8754478004804034, snr_max_linear=1.3746984116346934)",
     "PowerBreakdown(video_w=0.242, cod_w=0.0006000000000000001, ofdm_w=0.009729, "
     "dac_w=0.03345480000000001, lo_w=0.0675, mix_w=0.042, pa_w=9.769699958572122e-08, "
     "total_w=0.39528389769699956)",
@@ -64,8 +59,7 @@ DEFAULT_REPRS = [
 ]
 
 RECORD_TYPES = [
-    RadioParams, DeploymentParams, PaOperatingPoint, PowerBreakdown,
-    McConfig, McEstimate,
+    RadioParams, DeploymentParams, PowerBreakdown, McConfig, McEstimate,
 ]
 
 
@@ -127,15 +121,17 @@ class TestEachRecord:
 
 def test_different_record_types_are_never_equal():
     # same field names and values in the same order, different types
+    class Point(Record):
+        ibo_linear: float
+        alpha: float
+
     class Twin(Record):
         ibo_linear: float
         alpha: float
-        sinr_linear: float
-        snr_max_linear: float
 
-    point = PaOperatingPoint(ibo_linear=2.0, alpha=0.9, sinr_linear=10.0, snr_max_linear=100.0)
+    point = Point(ibo_linear=2.0, alpha=0.9)
     twin = Twin(**point.__dict__)
-    assert repr(twin) == Twin.__qualname__ + repr(point)[len("PaOperatingPoint"):]
+    assert repr(twin) == Twin.__qualname__ + repr(point)[len(Point.__qualname__):]
     assert point != twin and twin != point
     assert point != tuple(point.__dict__.values())
     assert RADIO != DEPLOY
