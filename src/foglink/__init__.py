@@ -4,6 +4,8 @@ Answers "at what workload complexity does offloading beat local compute?"
 with a link budget, a clipping-aware class B amplifier model solved at its
 SINR-optimal operating point, per-component transmitter power models, and
 a seeded Monte-Carlo verifier for the amplifier closed forms.
+
+Import the verifier from :mod:`foglink.mc`; ``import foglink`` loads no numpy.
 """
 
 from .chain import (
@@ -53,8 +55,6 @@ __all__ = [
     # chain
     "RadioParams", "DeploymentParams", "PowerBreakdown", "local_power",
     "offload_power", "breakeven_at",
-    # mc
-    "McConfig", "McEstimate", "CHUNK_SAMPLES", "run_mc",
     # config
     "load_params", "dump_defaults",
     # records
@@ -66,13 +66,3 @@ __all__ = [
     "InfeasibleLinkError", "ConfigError", "NumericError",
 ]
 
-# The Monte-Carlo names load ``.mc``, and with it numpy, on first use, so
-# the scalar pipeline starts without numpy.
-_MC_NAMES = frozenset({"McConfig", "McEstimate", "CHUNK_SAMPLES", "run_mc"})
-
-
-def __getattr__(name):
-    if name in _MC_NAMES:
-        from . import mc
-        return getattr(mc, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -302,16 +302,19 @@ def mc_verify(
     """Compare Monte-Carlo estimates against the closed forms per back-off.
 
     Runs at unit mean input power (sigma2 = 1 W, p_max = IBO), every
-    back-off on the same samples in one Monte-Carlo run.  The SNR ceiling,
-    each back-off's closed forms, then the run's configuration (which
-    refuses an empty back-off list) are checked before any sampling, so a
-    bad entry or flag is refused at once, by its own name.  A row passes
-    when alpha, distortion power, amplifier power and SINR each land within
-    max(3 standard errors, 1 percent) of the analytic value.  Returns the
+    back-off on the same samples in one Monte-Carlo run.  Each input is
+    checked here only, before any sampling, and refused by its own name: a
+    non-empty back-off list, at least 2 samples, the SNR ceiling, each
+    back-off's closed forms, then the seed.  The ceiling enters only the
+    two SINR columns, formed here side by side.  A row passes when alpha,
+    distortion power, amplifier power and SINR each land within max(3
+    standard errors, 1 percent) of the analytic value.  Returns the
     columns, the rows and the human-readable failure descriptions.
     """
-    from .mc import McConfig, run_mc  # numpy loads here, on the Monte-Carlo path only
-
+    if not ibo_db_values:
+        raise DomainError("--ibo-db produced an empty back-off list")
+    if n_samples < 2:  # one sample has no standard error
+        raise DomainError(f"--samples must be at least 2, got {n_samples}")
     try:
         snr_max = db_to_linear(snr_max_db)
         if snr_max == 0.0:
@@ -325,19 +328,18 @@ def mc_verify(
             ibo = db_to_linear(ibo_db)
             alpha, distortion = pa.clipping(ibo)
             pa_w = pa.pa_consumed_power(ibo, ibo)
-            denominator = distortion + ibo / snr_max  # as sinr_of_ibo forms the SINR
-            sinr = alpha * alpha / denominator if denominator else math.nan
-            if not 0.0 < sinr < math.inf:
-                raise DomainError(f"SINR degenerated to {sinr!r} at ibo = {ibo!r}, "
-                                  f"snr_max = {snr_max!r}")
+            sinr = pa.checked_sinr(alpha, distortion, ibo, snr_max)
         except FoglinkError as exc:
             raise _scenario_context(exc, ibo_db=ibo_db, snr_max_db=snr_max_db) from exc
         analytic.append((ibo_db, ibo, alpha, distortion, pa_w, sinr))
         clip_powers.append(ibo)
+
+    from .mc import run_mc  # numpy loads here, on the Monte-Carlo path only
+
     try:
-        estimates = run_mc(McConfig(
-            clip_powers_w=clip_powers, n_samples=n_samples, seed=seed, snr_max_linear=snr_max
-        ))
+        if not (isinstance(seed, int) and 0 <= seed < 2 ** 64):
+            raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+        estimates = run_mc(clip_powers, n_samples, seed)
     except FoglinkError as exc:
         raise _scenario_context(
             exc, ibo_db=list(ibo_db_values), snr_max_db=snr_max_db
@@ -346,38 +348,36 @@ def mc_verify(
     rows = []
     failures = []
     for (ibo_db, ibo, alpha, distortion, pa_w, sinr), estimate in zip(analytic, estimates):
+        a_hat, stderr_alpha, d_hat, stderr_distortion, pa_hat, stderr_pa = estimate
         noise_w = ibo / snr_max
+        sinr_hat = a_hat * a_hat / (d_hat + noise_w)
         # first-order spread of the SINR estimate from its ingredients
         sinr_spread = sinr * math.hypot(
-            2.0 * estimate.stderr_alpha / alpha,
-            estimate.stderr_distortion / (distortion + noise_w),
+            2.0 * stderr_alpha / alpha, stderr_distortion / (distortion + noise_w)
         )
         checks = (
-            ("alpha", alpha, estimate.alpha_hat, estimate.stderr_alpha),
-            ("distortion_w", distortion, estimate.distortion_power_hat,
-             estimate.stderr_distortion),
-            ("pa_w", pa_w, estimate.pa_power_hat, estimate.stderr_pa),
-            ("sinr", sinr, estimate.sinr_hat, sinr_spread),
+            ("alpha", alpha, a_hat, stderr_alpha),
+            ("distortion_w", distortion, d_hat, stderr_distortion),
+            ("pa_w", pa_w, pa_hat, stderr_pa),
+            ("sinr", sinr, sinr_hat, sinr_spread),
         )
         row_ok = True
-        for name, analytic, measured, stderr in checks:
-            tolerance = max(3.0 * stderr, 0.01 * abs(analytic))
+        for name, analytic_value, measured, stderr in checks:
+            tolerance = max(3.0 * stderr, 0.01 * abs(analytic_value))
             agrees = (
                 math.isfinite(measured)
                 and math.isfinite(tolerance)
-                and abs(measured - analytic) <= tolerance
+                and abs(measured - analytic_value) <= tolerance
             )
             if not agrees:
                 row_ok = False
                 failures.append(
                     f"ibo_db={ibo_db:g}: {name} estimate {measured!r} deviates "
-                    f"from analytic {analytic!r} by more than {tolerance!r}"
+                    f"from analytic {analytic_value!r} by more than {tolerance!r}"
                 )
         rows.append((
-            ibo_db, alpha, estimate.alpha_hat, estimate.stderr_alpha,
-            distortion, estimate.distortion_power_hat, estimate.stderr_distortion,
-            pa_w, estimate.pa_power_hat, estimate.stderr_pa,
-            sinr, estimate.sinr_hat, "pass" if row_ok else "fail",
+            ibo_db, alpha, a_hat, stderr_alpha, distortion, d_hat, stderr_distortion,
+            pa_w, pa_hat, stderr_pa, sinr, sinr_hat, "pass" if row_ok else "fail",
         ))
     columns = [
         "ibo_db", "alpha_analytic", "alpha_hat", "stderr_alpha",
@@ -469,10 +469,6 @@ def _run_mc_verify(args):
     except ValueError:
         raise DomainError(f"--ibo-db must be a comma-separated float list, "
                           f"got {args.ibo_db!r}") from None
-    if not ibo_list:
-        raise DomainError("--ibo-db produced an empty back-off list")
-    if args.samples < 2:  # one sample has no standard error
-        raise DomainError(f"--samples must be at least 2, got {args.samples}")
     columns, rows, failures = mc_verify(ibo_list, args.samples, args.seed, args.snr_max_db)
     return columns, rows, (), failures
 

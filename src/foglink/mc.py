@@ -3,14 +3,14 @@
 Draws complex-Gaussian samples of unit mean power, pushes them through
 the soft limiter at each of several clipping powers and estimates the
 Bussgang gain, the clipping-distortion power and the mean class B supply
-power, each with a standard error, and the empirical SINR, for direct
-comparison against the closed forms in :mod:`foglink.pa`, which are stated
-at unit input power too.
+power, each with a standard error, for direct comparison against the
+closed forms in :mod:`foglink.pa`, which are stated at unit input power
+too.  The SNR ceiling plays no part here: it enters only the SINR
+columns that ``foglink.cli.mc_verify`` forms from these estimates.
 
 Determinism contract: at unit input power, each clip power's estimate is
-a pure function of (seed, n_samples, snr_max_linear, that clip power),
-whatever other clip powers share the run and in whatever order they are
-given.
+a pure function of (seed, n_samples, that clip power), whatever other
+clip powers share the run and in whatever order they are given.
 Samples are generated in fixed-size chunks, each from its own jump-ahead
 Philox substream (``Philox(key=seed).jumped(chunk_index)``).  A run
 computes its chunks on one worker thread per CPU it may use (at most one
@@ -36,68 +36,19 @@ import contextvars
 import math
 import os
 import threading
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, NumericError
-from .record import Record
+from .errors import NumericError
 
-__all__ = ["CHUNK_SAMPLES", "McConfig", "McEstimate", "run_mc"]
+__all__ = ["CHUNK_SAMPLES", "run_mc"]
 
 # Fixed chunk size; part of the reproducibility contract, not a tuning knob.
 CHUNK_SAMPLES = 1 << 20
 
 _FOUR_OVER_PI = 4.0 / math.pi
-
-
-class McConfig(Record):
-    """Inputs of one Monte-Carlo run at unit mean input power.
-
-    ``clip_powers_w`` are the clipping powers, each applied to the same
-    samples (stored as a tuple).  ``snr_max_linear`` sets the receiver
-    noise implied at each clipping power, from which the empirical SINR is
-    formed.
-    """
-
-    clip_powers_w: Tuple[float, ...]
-    n_samples: int
-    seed: int
-    snr_max_linear: float
-
-    def __post_init__(self):
-        clip_powers = tuple(self.clip_powers_w)
-        if not clip_powers:
-            raise DomainError("clip_powers_w must hold at least one clipping power")
-        for p_max in clip_powers:
-            if not 0.0 < p_max < math.inf:
-                raise DomainError(f"clip_powers_w must be positive and finite, got {p_max!r}")
-        object.__setattr__(self, "clip_powers_w", clip_powers)
-        if not (isinstance(self.n_samples, int) and self.n_samples >= 2):
-            # one sample has no standard error
-            raise DomainError(f"n_samples must be an integer >= 2, got {self.n_samples!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
-            raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not 0.0 < self.snr_max_linear < math.inf:
-            raise DomainError(f"snr_max_linear must be positive and finite, "
-                              f"got {self.snr_max_linear!r}")
-
-
-class McEstimate(Record):
-    """Estimates with standard errors at one clipping power of a run.
-
-    Standard errors are first-order (sample standard deviation over
-    sqrt(n)).
-    """
-
-    alpha_hat: float
-    distortion_power_hat: float
-    pa_power_hat: float
-    sinr_hat: float
-    stderr_alpha: float
-    stderr_distortion: float
-    stderr_pa: float
 
 
 def _chunk_layout(n_samples: int):
@@ -126,7 +77,9 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _summed_chunks(config: McConfig, workers: int) -> np.ndarray:
+def _summed_chunks(
+    clip_powers: Tuple[float, ...], n_samples: int, seed: int, workers: int
+) -> np.ndarray:
     """Moment sums of the whole run, one row per clip power.
 
     ``workers`` threads, at most one per chunk, take chunks in turn, each
@@ -136,7 +89,7 @@ def _summed_chunks(config: McConfig, workers: int) -> np.ndarray:
     ``workers``.  The first exception a worker raises is raised here, once
     every worker has stopped.
     """
-    layout = list(_chunk_layout(config.n_samples))
+    layout = list(_chunk_layout(n_samples))
     partials: List[Optional[np.ndarray]] = [None] * len(layout)
     pending = iter(layout)
     lock = threading.Lock()
@@ -149,7 +102,7 @@ def _summed_chunks(config: McConfig, workers: int) -> np.ndarray:
                     index, count = next(pending, (None, 0))
                 if index is None:
                     return
-                partials[index] = _chunk_sums(config.seed, index, count, config.clip_powers_w)
+                partials[index] = _chunk_sums(seed, index, count, clip_powers)
         except BaseException as exc:  # re-raised in the calling thread
             errors.append(exc)
 
@@ -164,7 +117,7 @@ def _summed_chunks(config: McConfig, workers: int) -> np.ndarray:
         thread.join()
     if errors:
         raise errors[0]
-    sums = np.zeros((len(config.clip_powers_w), _kernels.N_SUMS))
+    sums = np.zeros((len(clip_powers), _kernels.N_SUMS))
     for partial in partials:
         sums += partial
     return sums
@@ -177,34 +130,40 @@ def _mean_and_stderr(total: float, total_sq: float, n: int):
     return mean, math.sqrt(var / n)
 
 
-def run_mc(config: McConfig) -> List[McEstimate]:
-    """Run the Monte-Carlo estimators at every clip power of ``config``.
+def run_mc(clip_powers: Iterable[float], n_samples: int, seed: int) -> List[Tuple[float, ...]]:
+    """Monte-Carlo estimates at every clip power, all from one draw.
 
-    Returns one estimate per entry of ``config.clip_powers_w``, in that
-    order.  Estimators (x input sample, y clipped sample, n sample count):
+    Returns one ``(alpha_hat, stderr_alpha, distortion_hat,
+    stderr_distortion, pa_hat, stderr_pa)`` tuple per clip power, in the
+    order given.  With x the input sample and y the clipped one:
       alpha_hat       = mean(Re(y * conj(x)))
-      distortion      = mean(|y - alpha_hat * x|^2), expanded in moments so
+      distortion_hat  = mean(|y - alpha_hat * x|^2), expanded in moments so
                         a single pass suffices
-      pa_power_hat    = mean((4/pi) * sqrt(|y|^2 * p_max))
-      sinr_hat        = alpha_hat^2 / (distortion + p_max/snr_max)
+      pa_hat          = mean((4/pi) * sqrt(|y|^2 * p_max))
+    each with a first-order standard error (sample standard deviation over
+    sqrt(n_samples)).
 
-    Raises NumericError, naming the clip powers concerned, if accumulations
-    go non-finite.
+    Preconditions, checked by the caller (``foglink.cli.mc_verify``): at
+    least one clip power, each positive and finite; ``n_samples`` an
+    integer >= 2, as one sample has no standard error; ``seed`` an integer
+    in [0, 2**64).  Raises NumericError, naming the clip powers concerned,
+    if accumulations go non-finite.
     """
-    clip_powers = config.clip_powers_w
-    sums = _summed_chunks(config, _cpu_count())
+    clip_powers = tuple(clip_powers)
+    sums = _summed_chunks(clip_powers, n_samples, seed, _cpu_count())
     finite = np.all(np.isfinite(sums), axis=1)
     if not finite.all():
         concerned = [p_max for p_max, ok in zip(clip_powers, finite) if not ok]
         raise NumericError(
-            f"non-finite accumulation at clip power(s) {concerned!r} W for config {config!r}"
+            f"non-finite accumulation at clip power(s) {concerned!r} W for "
+            f"n_samples = {n_samples!r}, seed = {seed!r}"
         )
-    return [_estimate(config, p_max, row) for p_max, row in zip(clip_powers, sums)]
+    return [_estimate(p_max, n_samples, row) for p_max, row in zip(clip_powers, sums)]
 
 
-def _estimate(config: McConfig, p_max: float, sums: np.ndarray) -> McEstimate:
-    """Estimates at clip power ``p_max`` from its row of moment sums."""
-    n = config.n_samples
+def _estimate(p_max: float, n: int, sums: np.ndarray) -> Tuple[float, ...]:
+    """Estimates at clip power ``p_max`` from its row of moment sums over
+    ``n`` samples, in :func:`run_mc`'s order."""
     s_cre, s_a, s_b, s_ampy, s_cre2, s_a2, s_b2, s_ac, s_ab, s_bc = sums
 
     # the Bussgang gain mean(Re(c)) / sigma2, at sigma2 = 1
@@ -226,18 +185,9 @@ def _estimate(config: McConfig, p_max: float, sums: np.ndarray) -> McEstimate:
 
     pa_scale = _FOUR_OVER_PI * math.sqrt(p_max)
     mean_ampy, stderr_ampy = _mean_and_stderr(s_ampy, s_a, n)
-    pa_power_hat = pa_scale * mean_ampy
-    stderr_pa = pa_scale * stderr_ampy
-
-    sinr_hat = a_hat * a_hat / (distortion + p_max / config.snr_max_linear)
 
     # Python floats, not numpy scalars, so messages print plain numbers
-    return McEstimate(
-        alpha_hat=float(a_hat),
-        distortion_power_hat=float(distortion),
-        pa_power_hat=float(pa_power_hat),
-        sinr_hat=float(sinr_hat),
-        stderr_alpha=float(stderr_alpha),
-        stderr_distortion=float(stderr_distortion),
-        stderr_pa=float(stderr_pa),
+    return (
+        float(a_hat), float(stderr_alpha), float(distortion), float(stderr_distortion),
+        float(pa_scale * mean_ampy), float(pa_scale * stderr_ampy),
     )

@@ -18,6 +18,7 @@ from .errors import ConvergenceError, DomainError
 __all__ = [
     "bussgang_alpha",
     "clipping",
+    "checked_sinr",
     "sinr_of_ibo",
     "optimal_ibos",
     "sinr_approx_db",
@@ -82,6 +83,19 @@ def bussgang_alpha(ibo_linear: float) -> float:
     return clipping(ibo_linear)[0]
 
 
+def checked_sinr(
+    alpha: float, distortion: float, ibo_linear: float, snr_max_linear: float
+) -> float:
+    """alpha^2 / (D + IBO / SNR_MAX) from the closed forms at a back-off, the
+    one place the SINR is formed; DomainError unless finite and positive."""
+    denominator = distortion + ibo_linear / snr_max_linear  # 0.0 once both underflow
+    sinr = alpha * alpha / denominator if denominator else math.nan
+    if not 0.0 < sinr < math.inf:
+        raise DomainError(f"SINR degenerated to {sinr!r} at ibo = {ibo_linear!r}, "
+                          f"snr_max = {snr_max_linear!r}")
+    return sinr
+
+
 def sinr_of_ibo(ibo_linear: float, snr_max_linear: float) -> float:
     """Receiver SINR at a given back-off and SNR ceiling.
 
@@ -94,15 +108,7 @@ def sinr_of_ibo(ibo_linear: float, snr_max_linear: float) -> float:
         raise DomainError(
             f"snr_max_linear must be positive and finite, got {snr_max_linear!r}"
         )
-    alpha, distortion = clipping(ibo_linear)
-    denominator = distortion + ibo_linear / snr_max_linear  # 0.0 once both underflow
-    sinr = alpha * alpha / denominator if denominator else math.nan
-    if not (math.isfinite(sinr) and sinr > 0.0):
-        raise DomainError(
-            f"SINR degenerated to {sinr!r} at ibo = {ibo_linear!r}, "
-            f"snr_max = {snr_max_linear!r}"
-        )
-    return sinr
+    return checked_sinr(*clipping(ibo_linear), ibo_linear, snr_max_linear)
 
 
 def optimal_ibos(ceilings: Iterable[float]) -> Iterator[Tuple[float, float, float]]:
@@ -169,15 +175,10 @@ def optimal_ibos(ceilings: Iterable[float]) -> Iterator[Tuple[float, float, floa
                 f"back-off solve did not converge: |gap| = {abs(g)!r} at z = {z!r}, "
                 f"snr_max_linear = {s!r}"
             )
-        # the closed forms at the root, with sinr_of_ibo's operations
         ibo = z * z
         alpha, distortion = _clipping(ibo)
-        sinr = alpha * alpha / (distortion + ibo / s)
-        if not (0.0 < alpha < 1.0 and 0.0 < sinr < s):
-            if not 0.0 < sinr < math.inf:
-                raise DomainError(
-                    f"SINR degenerated to {sinr!r} at ibo = {ibo!r}, snr_max = {s!r}"
-                )
+        sinr = checked_sinr(alpha, distortion, ibo, s)
+        if not (0.0 < alpha < 1.0 and sinr < s):
             if not 0.0 < alpha < 1.0:
                 raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
             raise DomainError(f"sinr_linear must lie in (0, snr_max_linear), got "

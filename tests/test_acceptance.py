@@ -17,7 +17,6 @@ import time
 import numpy as np
 
 from foglink import (
-    McConfig,
     breakeven_at,
     bussgang_alpha,
     db_to_linear,
@@ -27,7 +26,6 @@ from foglink import (
     offload_power,
     pa_consumed_power,
     replace,
-    run_mc,
     sinr_approx_db,
     sinr_of_ibo,
     watts_to_dbm,
@@ -36,6 +34,7 @@ import foglink.cli as cli
 from foglink.chain import clip_independent_parts
 from foglink.config import BANDWIDTH_PROFILES
 from foglink.link import PATH_LOSS_EXPONENT, snr_ceiling
+from foglink.mc import run_mc
 from foglink.pa import optimal_ibos
 from oracles import solve_bisection
 
@@ -197,30 +196,24 @@ def test_criterion_6_monte_carlo_equivalence():
     started = time.perf_counter()
     failures = []
     backoffs_db = (-3.0, 0.0, 3.0, 6.0)
-    estimates = run_mc(
-        McConfig(clip_powers_w=[db_to_linear(x) for x in backoffs_db],
-                 n_samples=10_000_000, seed=42, snr_max_linear=100.0)
-    )
+    estimates = run_mc([db_to_linear(x) for x in backoffs_db], 10_000_000, 42)
     first_estimate = estimates[0]
     for ibo_db, estimate in zip(backoffs_db, estimates):
+        a_hat, stderr_alpha, d_hat, stderr_distortion, pa_hat, stderr_pa = estimate
         ibo = db_to_linear(ibo_db)
         alpha = bussgang_alpha(ibo)
         distortion = 1.0 - alpha * alpha - math.exp(-ibo)
         pa_w = pa_consumed_power(ibo, ibo)
         checks = [
-            ("alpha", alpha, estimate.alpha_hat, estimate.stderr_alpha),
-            ("distortion", distortion, estimate.distortion_power_hat,
-             estimate.stderr_distortion),
-            ("pa", pa_w, estimate.pa_power_hat, estimate.stderr_pa),
+            ("alpha", alpha, a_hat, stderr_alpha),
+            ("distortion", distortion, d_hat, stderr_distortion),
+            ("pa", pa_w, pa_hat, stderr_pa),
         ]
         for name, analytic, measured, stderr in checks:
             if abs(measured - analytic) > max(3.0 * stderr, 0.01 * abs(analytic)):
                 failures.append((ibo_db, name, analytic, measured))
     # run alone, the -3 dB back-off must not depend on the other rows
-    [repeat] = run_mc(
-        McConfig(clip_powers_w=[db_to_linear(-3.0)], n_samples=10_000_000, seed=42,
-                 snr_max_linear=100.0)
-    )
+    [repeat] = run_mc([db_to_linear(-3.0)], 10_000_000, 42)
     deterministic = repeat == first_estimate
     elapsed = time.perf_counter() - started
     ok = not failures and deterministic and elapsed < 30.0

@@ -422,11 +422,8 @@ class TestMcVerify:
 
         run_mc = foglink.mc.run_mc
 
-        def biased_run_mc(cfg):
-            estimates = run_mc(cfg)
-            for est in estimates:
-                object.__setattr__(est, "alpha_hat", est.alpha_hat * 1.5)
-            return estimates
+        def biased_run_mc(*args):
+            return [(alpha_hat * 1.5, *rest) for alpha_hat, *rest in run_mc(*args)]
 
         # mc_verify imports run_mc from foglink.mc when it is called
         monkeypatch.setattr(foglink.mc, "run_mc", biased_run_mc)
@@ -468,8 +465,8 @@ class TestMcVerify:
     def test_bad_backoff_is_refused_before_sampling(self, capsys, monkeypatch):
         import foglink.mc
 
-        def no_sampling(cfg):
-            raise AssertionError(f"sampled {cfg!r} before refusing a back-off")
+        def no_sampling(*args):
+            raise AssertionError(f"sampled {args!r} before refusing a back-off")
 
         monkeypatch.setattr(foglink.mc, "run_mc", no_sampling)
         code, out, err = run_cli(["mc-verify", "--ibo-db=0,1e5"], capsys)
@@ -479,11 +476,15 @@ class TestMcVerify:
             "[scenario: ibo_db=100000.0, snr_max_db=20.0]"
         ]
 
-    def test_empty_backoff_list_is_refused(self):
-        # main refuses an empty --ibo-db first; a Python caller gets
-        # McConfig's refusal of an empty clip list
-        with pytest.raises(DomainError, match="clip_powers_w must hold at least one"):
-            cli.mc_verify([], 10, 1, 20.0)
+    def test_empty_backoff_list_is_refused(self, capsys):
+        # mc_verify refuses it, for main and a Python caller alike, before
+        # it checks any other input
+        message = "--ibo-db produced an empty back-off list"
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            cli.mc_verify([], 1, -1, math.nan)
+        assert run_cli(["mc-verify", "--ibo-db=,", "--samples", "1"], capsys) == (
+            1, "", f"error: {message}\n"
+        )
 
     def test_unrepresentable_ceiling_names_the_whole_run(self, capsys):
         # the SNR ceiling belongs to the run, not to the first back-off: it
@@ -524,6 +525,34 @@ class TestMcVerify:
             "error: seed must be a 64-bit unsigned integer, got -1 "
             "[scenario: ibo_db=[-3.0, 0.0, 3.0, 6.0], snr_max_db=20.0]"
         ]
+
+    @pytest.mark.parametrize("args, line", [
+        (["--seed", "18446744073709551616"],
+         "seed must be a 64-bit unsigned integer, got 18446744073709551616 "
+         "[scenario: ibo_db=[-3.0, 0.0, 3.0, 6.0], snr_max_db=20.0]"),
+        (["--ibo-db=nan"], "nan dB has no finite power ratio "
+         "[scenario: ibo_db=nan, snr_max_db=20.0]"),
+        (["--ibo-db=-inf"], "ibo_linear must be positive and finite, got 0.0 "
+         "[scenario: ibo_db=-inf, snr_max_db=20.0]"),
+        (["--ibo-db=-3233"], "SINR degenerated to nan at ibo = 5e-324, snr_max = 100.0 "
+         "[scenario: ibo_db=-3233.0, snr_max_db=20.0]"),
+        (["--snr-max-db=nan"], "nan dB has no finite power ratio [scenario: snr_max_db=nan]"),
+        # the first bad input in mc_verify's order is the one named
+        (["--samples", "1", "--seed", "-1"], "--samples must be at least 2, got 1"),
+        (["--snr-max-db=1e5", "--ibo-db=nan"],
+         "100000.0 dB has no finite power ratio [scenario: snr_max_db=100000.0]"),
+        (["--ibo-db=0,nan", "--seed", "-1"], "nan dB has no finite power ratio "
+         "[scenario: ibo_db=nan, snr_max_db=20.0]"),
+    ], ids=["seed-2**64", "ibo-nan", "ibo-minus-inf", "ibo-subnormal", "ceiling-nan",
+            "samples-before-seed", "ceiling-before-backoff", "backoff-before-seed"])
+    def test_refusal_is_one_named_line(self, capsys, monkeypatch, args, line):
+        import foglink.mc
+
+        def no_sampling(*args):
+            raise AssertionError(f"sampled {args!r} before a refusal")
+
+        monkeypatch.setattr(foglink.mc, "run_mc", no_sampling)
+        assert run_cli(["mc-verify", *args], capsys) == (1, "", f"error: {line}\n")
 
     @pytest.mark.parametrize("samples", [-2, 0, 1])
     def test_too_few_samples_names_the_flag(self, capsys, samples):

@@ -2,7 +2,9 @@
 
 The scalar pipeline (link budget, back-off solve, component powers,
 breakeven) needs no arrays, so every command but ``mc-verify`` runs
-without importing numpy.  No command loads ``concurrent.futures``: the
+without importing numpy.  The top-level package exports no Monte-Carlo
+name: ``run_mc`` and ``CHUNK_SAMPLES`` come from ``foglink.mc``, whose
+import loads numpy.  No command loads ``concurrent.futures``: the
 Monte-Carlo workers are plain ``threading`` threads, which numpy loads
 anyway.  Each check runs in a fresh interpreter, because this test
 process has numpy loaded already.  Likewise ``json`` loads only when a
@@ -22,7 +24,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 SCALAR_COMMANDS = ("fig3", "fig4", "fig5", "fig6", "link-power", "breakeven", "print-defaults")
 
-# the package's exports, the lazily loaded Monte-Carlo names among them
+# the package's exports; the Monte-Carlo names are foglink.mc's alone
 EXPORTS = [
     "__version__",
     "bussgang_alpha", "sinr_of_ibo", "sinr_approx_db", "snr_max_for_sinr_db",
@@ -31,7 +33,6 @@ EXPORTS = [
     "required_sinr", "clip_power",
     "RadioParams", "DeploymentParams", "PowerBreakdown", "local_power",
     "offload_power", "breakeven_at",
-    "McConfig", "McEstimate", "CHUNK_SAMPLES", "run_mc",
     "load_params", "dump_defaults",
     "replace",
     "db_to_linear", "linear_to_db", "dbm_to_watts", "watts_to_dbm",
@@ -112,27 +113,29 @@ def test_mc_verify_loads_numpy(tmp_path):
     assert out == "True False\n"
 
 
-def test_monte_carlo_exports_load_on_first_use():
+def test_monte_carlo_names_come_from_foglink_mc():
     out = run_fresh(
         "import sys\n"
         "import foglink\n"
-        "print('numpy' in sys.modules)\n"
-        "from foglink import run_mc, McConfig\n"
-        "import foglink.mc\n"
-        "assert run_mc is foglink.mc.run_mc and McConfig is foglink.mc.McConfig\n"
         "print('numpy' in sys.modules)\n"
         "print(foglink.__all__)\n"
         "namespace = {}\n"
         "exec('from foglink import *', namespace)\n"
         "assert set(foglink.__all__) <= set(namespace)\n"
-        "try:\n"
-        "    foglink.no_such_name\n"
-        "except AttributeError as exc:\n"
-        "    print(exc)\n"
+        "for name in ('run_mc', 'CHUNK_SAMPLES', 'McConfig', 'McEstimate', 'no_such_name'):\n"
+        "    try:\n"
+        "        getattr(foglink, name)\n"
+        "    except AttributeError as exc:\n"
+        "        print(exc)\n"
+        "print('numpy' in sys.modules)\n"
+        "from foglink.mc import CHUNK_SAMPLES, run_mc\n"
+        "print('numpy' in sys.modules, CHUNK_SAMPLES)\n"
     )
     assert out.splitlines() == [
         "False",
-        "True",
         repr(EXPORTS),
-        "module 'foglink' has no attribute 'no_such_name'",
+        *(f"module 'foglink' has no attribute {name!r}"
+          for name in ("run_mc", "CHUNK_SAMPLES", "McConfig", "McEstimate", "no_such_name")),
+        "False",
+        "True 1048576",
     ]

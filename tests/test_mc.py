@@ -9,16 +9,10 @@ import warnings
 import numpy as np
 import pytest
 
-from foglink import (
-    DomainError,
-    McConfig,
-    NumericError,
-    bussgang_alpha,
-    pa_consumed_power,
-    run_mc,
-)
+import foglink.cli as cli
+from foglink import DomainError, NumericError, bussgang_alpha, linear_to_db, pa_consumed_power
 from foglink import _kernels, mc
-from foglink.mc import CHUNK_SAMPLES, _chunk_layout, _chunk_sums, _summed_chunks
+from foglink.mc import CHUNK_SAMPLES, _chunk_layout, _chunk_sums, _summed_chunks, run_mc
 from foglink.pa import optimal_ibos
 from oracles import moment_sums_reference, soft_limit
 
@@ -34,17 +28,10 @@ TREE_COUNTS = (
 )
 
 
-def config(ibo=1.0, n=1_000_000, seed=42, snr_max=100.0, clips=None):
-    return McConfig(
-        clip_powers_w=(ibo,) if clips is None else clips,
-        n_samples=n,
-        seed=seed,
-        snr_max_linear=snr_max,
-    )
-
-
-def run_one(**kwargs):
-    [estimate] = run_mc(config(**kwargs))
+def run_one(ibo=1.0, n=1_000_000, seed=42):
+    """The estimate tuple of a one-clip run: (alpha_hat, stderr_alpha,
+    distortion_hat, stderr_distortion, pa_hat, stderr_pa)."""
+    [estimate] = run_mc([ibo], n, seed)
     return estimate
 
 
@@ -84,25 +71,24 @@ class TestSoftLimit:
 class TestDeterminism:
     def test_bit_identical_reruns(self):
         # spans multiple chunks to exercise the jump-ahead layout
-        cfg = config(n=CHUNK_SAMPLES + 12345, snr_max=100.0, clips=CLIP_POWERS)
-        assert run_mc(cfg) == run_mc(cfg)
+        args = (CLIP_POWERS, CHUNK_SAMPLES + 12345, 42)
+        assert run_mc(*args) == run_mc(*args)
 
     def test_seed_changes_results(self):
         a = run_one(n=100_000, seed=1)
         b = run_one(n=100_000, seed=2)
-        assert a.alpha_hat != b.alpha_hat
+        assert a[0] != b[0]
 
     def test_chunk_combination_order_is_fixed(self):
         # simulate out-of-order workers: evaluate chunk partials in reverse,
         # then combine by chunk index; the sums must match bit for bit
-        cfg = config(n=2 * CHUNK_SAMPLES + 999, clips=CLIP_POWERS)
-        layout = list(_chunk_layout(cfg.n_samples))
+        layout = list(_chunk_layout(2 * CHUNK_SAMPLES + 999))
         shape = (len(CLIP_POWERS), _kernels.N_SUMS)
         forward = np.zeros(shape)
         for index, count in layout:
-            forward += _chunk_sums(cfg.seed, index, count, cfg.clip_powers_w)
+            forward += _chunk_sums(42, index, count, CLIP_POWERS)
         partials = {
-            index: _chunk_sums(cfg.seed, index, count, cfg.clip_powers_w)
+            index: _chunk_sums(42, index, count, CLIP_POWERS)
             for index, count in reversed(layout)
         }
         unordered = np.zeros(shape)
@@ -117,11 +103,12 @@ class TestDeterminism:
     ])
     def test_sums_do_not_depend_on_the_worker_count(self, n, workers):
         # the estimates are a pure function of these sums
-        cfg = config(n=n, clips=CLIP_POWERS)
-        first, *others = [_summed_chunks(cfg, count) for count in workers]
+        first, *others = [_summed_chunks(CLIP_POWERS, n, 42, count) for count in workers]
         for sums in others:
             assert np.array_equal(sums, first)
-        assert run_mc(cfg) == [mc._estimate(cfg, p, row) for p, row in zip(CLIP_POWERS, first)]
+        assert run_mc(CLIP_POWERS, n, 42) == [
+            mc._estimate(p, n, row) for p, row in zip(CLIP_POWERS, first)
+        ]
 
     @pytest.mark.parametrize("clips", [
         CLIP_POWERS,
@@ -129,11 +116,11 @@ class TestDeterminism:
         (CLIP_POWERS[3], 1e6, CLIP_POWERS[0], CLIP_POWERS[3], CLIP_POWERS[1]),
     ])
     def test_shared_draw_equals_one_clip_runs(self, clips):
-        # each clip's estimate is a function of (seed, n, snr_max, that clip)
-        # alone: sharing a run changes none of its bits
+        # each clip's estimate is a function of (seed, n, that clip) alone:
+        # sharing a run changes none of its bits
         n = 2 * CHUNK_SAMPLES + 999
-        shared = run_mc(config(n=n, snr_max=100.0, clips=clips))
-        alone = [run_one(n=n, snr_max=100.0, ibo=p_max) for p_max in clips]
+        shared = run_mc(clips, n, 42)
+        alone = [run_one(n=n, ibo=p_max) for p_max in clips]
         assert shared == alone
 
     def test_non_finite_accumulation_names_the_clip_powers(self, monkeypatch):
@@ -151,12 +138,14 @@ class TestDeterminism:
 
         monkeypatch.setattr(mc, "_cpu_count", lambda: 3)
         monkeypatch.setattr(mc, "_chunk_sums", chunk_sums)
-        cfg = config(n=2 * CHUNK_SAMPLES + 1, clips=(2.5, 0.5, 7.5))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(over="ignore"), pytest.raises(NumericError) as refused:
-                run_mc(cfg)
-        assert "[2.5, 7.5]" in str(refused.value)
+                run_mc([2.5, 0.5, 7.5], 2 * CHUNK_SAMPLES + 1, 42)
+        assert str(refused.value) == (
+            "non-finite accumulation at clip power(s) [2.5, 7.5] W for "
+            f"n_samples = {2 * CHUNK_SAMPLES + 1}, seed = 42"
+        )
         assert len(threads) == 3
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
@@ -169,7 +158,7 @@ class TestDeterminism:
         monkeypatch.setattr(mc, "_chunk_sums", chunk_sums)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="chunk 2 failed"):
-            run_mc(config(n=3 * CHUNK_SAMPLES + 7))
+            run_mc([1.0], 3 * CHUNK_SAMPLES + 7, 42)
         assert threading.active_count() == threads  # every worker joined
 
     def test_every_chunk_runs_once_under_contention(self, monkeypatch):
@@ -186,7 +175,7 @@ class TestDeterminism:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            sums = _summed_chunks(config(n=chunks * CHUNK_SAMPLES), 8)
+            sums = _summed_chunks((1.0,), chunks * CHUNK_SAMPLES, 42, 8)
         finally:
             sys.setswitchinterval(interval)
         assert sorted(calls) == list(range(chunks))
@@ -277,7 +266,7 @@ class TestRadialKernel:
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            run_mc(config(n=3 * CHUNK_SAMPLES + 7, clips=CLIP_POWERS))
+            run_mc(CLIP_POWERS, 3 * CHUNK_SAMPLES + 7, 42)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -287,96 +276,140 @@ class TestRadialKernel:
 class TestEstimators:
     @pytest.mark.parametrize("ibo", [0.5, 1.0, 4.0])
     def test_agree_with_closed_forms(self, ibo):
-        est = run_one(ibo=ibo, n=1_000_000, snr_max=100.0)
+        a_hat, stderr_alpha, d_hat, stderr_distortion, pa_hat, stderr_pa = run_one(ibo=ibo)
         alpha = bussgang_alpha(ibo)
-        assert abs(est.alpha_hat - alpha) <= max(3 * est.stderr_alpha, 0.01 * alpha)
+        assert abs(a_hat - alpha) <= max(3 * stderr_alpha, 0.01 * alpha)
         distortion = analytic_distortion(ibo)
-        assert abs(est.distortion_power_hat - distortion) <= max(
-            3 * est.stderr_distortion, 0.01 * distortion
-        )
+        assert abs(d_hat - distortion) <= max(3 * stderr_distortion, 0.01 * distortion)
         pa_w = pa_consumed_power(ibo, ibo)
-        assert abs(est.pa_power_hat - pa_w) <= max(3 * est.stderr_pa, 0.01 * pa_w)
+        assert abs(pa_hat - pa_w) <= max(3 * stderr_pa, 0.01 * pa_w)
 
     def test_no_clipping_leaves_no_distortion(self):
         # clip amplitude 1000 sigma: the limiter never engages, and the
         # residual distortion estimate is the plug-in quadratic in the
         # alpha estimation error, a chi-square of scale 1/n
         n = 1_000_000
-        est = run_one(ibo=1e6, n=n)
+        a_hat, stderr_alpha, d_hat, stderr_distortion, _, _ = run_one(ibo=1e6, n=n)
         floor = 13.0 * 1.0 / n
-        assert est.distortion_power_hat <= max(3 * est.stderr_distortion, floor)
-        assert abs(est.alpha_hat - 1.0) <= 3 * est.stderr_alpha + 1e-6
+        assert d_hat <= max(3 * stderr_distortion, floor)
+        assert abs(a_hat - 1.0) <= 3 * stderr_alpha + 1e-6
 
     def test_stderr_scales_with_sample_count(self):
         small = run_one(n=10_000)
         large = run_one(n=1_000_000)
-        ratio = small.stderr_alpha / large.stderr_alpha
+        ratio = small[1] / large[1]  # alpha
         assert 8.5 < ratio < 11.5
-        ratio_pa = small.stderr_pa / large.stderr_pa
+        ratio_pa = small[5] / large[5]
         assert 8.5 < ratio_pa < 11.5
 
     def test_empirical_sinr_peaks_at_analytic_optimum(self):
-        snr_max = 100.0
-        best, _, _ = next(optimal_ibos([snr_max]))
-        estimates = {
-            factor: run_one(ibo=best * factor, n=1_000_000, snr_max=snr_max)
-            for factor in (0.5, 1.0, 2.0)
-        }
+        # at a 20 dB ceiling; mc_verify forms the empirical SINR
+        best, _, _ = next(optimal_ibos([100.0]))
+        factors = (0.5, 1.0, 2.0)
+        _, rows, _ = cli.mc_verify(
+            [linear_to_db(best * factor) for factor in factors], 1_000_000, 42, 20.0
+        )
+        sinr_hat = dict(zip(factors, (row[11] for row in rows)))
         # the SINR drop at a factor-two detuning dwarfs the Monte-Carlo
         # noise at this sample count
-        assert estimates[1.0].sinr_hat > estimates[0.5].sinr_hat
-        assert estimates[1.0].sinr_hat > estimates[2.0].sinr_hat
+        assert sinr_hat[1.0] > sinr_hat[0.5]
+        assert sinr_hat[1.0] > sinr_hat[2.0]
+
+
+def refusal(monkeypatch, ibo_db=(0.0,), n=10, seed=0, snr_max_db=20.0):
+    """The message with which ``cli.mc_verify`` refuses these inputs, which
+    it must do before any sampling."""
+    def no_sampling(*args):
+        raise AssertionError(f"sampled {args!r} before refusing an input")
+
+    # mc_verify imports run_mc from foglink.mc when it is called
+    monkeypatch.setattr(mc, "run_mc", no_sampling)
+    with pytest.raises(DomainError) as refused:
+        cli.mc_verify(list(ibo_db), n, seed, snr_max_db)
+    return str(refused.value)
 
 
 class TestConfigValidation:
+    """``cli.mc_verify`` checks each input of a run once; ``run_mc`` trusts
+    what it is given."""
+
     def test_has_no_defaults(self):
         # every input of a run is stated by its caller
-        names = ("clip_powers_w", "n_samples", "seed", "snr_max_linear")
-        assert McConfig._fields == names
-        full = dict(clip_powers_w=(1.0,), n_samples=10, seed=0, snr_max_linear=100.0)
-        McConfig(**full)
-        for name in names:
-            with pytest.raises(TypeError, match=name):
-                McConfig(**{key: value for key, value in full.items() if key != name})
+        run_args = {"clip_powers": (1.0,), "n_samples": 10, "seed": 0}
+        verify_args = {"ibo_db_values": [0.0], "n_samples": 10, "seed": 0, "snr_max_db": 20.0}
+        for call, full in ((run_mc, run_args), (cli.mc_verify, verify_args)):
+            call(**full)
+            for name in full:
+                with pytest.raises(TypeError, match=name):
+                    call(**{key: value for key, value in full.items() if key != name})
 
-    def test_rejects_bad_counts(self):
-        with pytest.raises(DomainError):
-            config(n=0)
-        with pytest.raises(DomainError):
-            config(n=10.5)
+    def test_rejects_bad_counts(self, monkeypatch, capsys):
+        for n in (0, -2):
+            assert refusal(monkeypatch, n=n) == f"--samples must be at least 2, got {n}"
+        # the command line takes whole sample counts only
+        with pytest.raises(SystemExit) as usage:
+            cli.main(["mc-verify", "--samples", "10.5"])
+        assert usage.value.code == 2
+        assert "invalid int value: '10.5'" in capsys.readouterr().err
 
-    def test_rejects_a_single_sample(self):
+    def test_rejects_a_single_sample(self, monkeypatch):
         # one sample has no standard error
-        with pytest.raises(DomainError, match="^n_samples must be an integer >= 2, got 1$"):
-            config(n=1)
-        assert config(n=2).n_samples == 2
+        assert refusal(monkeypatch, n=1) == "--samples must be at least 2, got 1"
+        monkeypatch.undo()
+        _, [row], _ = cli.mc_verify([0.0], 2, 0, 20.0)
+        assert all(math.isfinite(cell) for cell in row[:-1])
 
-    def test_rejects_bad_powers(self):
-        for clips in ((0.0,), (1.0, 0.0), (1.0, math.nan), ()):
-            with pytest.raises(DomainError):
-                config(n=10, clips=clips)
+    def test_rejects_bad_powers(self, monkeypatch):
+        assert refusal(monkeypatch, ibo_db=()) == "--ibo-db produced an empty back-off list"
+        # -inf dB is a zero clip power, and nan dB none
+        for ibo_db in ((-math.inf,), (0.0, -math.inf), (0.0, math.nan)):
+            assert refusal(monkeypatch, ibo_db=ibo_db).endswith(
+                f" [scenario: ibo_db={ibo_db[-1]!r}, snr_max_db=20.0]"
+            )
 
     def test_keeps_clip_powers_as_a_tuple(self):
+        # run_mc reads its clip powers once, so any iterable gives the same run
         clips = [2.0, 1.0, 2.0]
-        cfg = config(n=10, clips=clips)
-        clips.append(3.0)
-        assert cfg.clip_powers_w == (2.0, 1.0, 2.0)
+        expected = run_mc(tuple(clips), 10, 0)
+        assert run_mc(clips, 10, 0) == expected
+        assert run_mc(iter(clips), 10, 0) == expected
 
-    def test_rejects_bad_seed(self):
-        with pytest.raises(DomainError):
-            config(n=10, seed=-1)
-        with pytest.raises(DomainError):
-            config(n=10, seed=2 ** 64)
+    def test_rejects_bad_seed(self, monkeypatch):
+        for seed in (-1, 2 ** 64):
+            assert refusal(monkeypatch, seed=seed) == (
+                f"seed must be a 64-bit unsigned integer, got {seed} "
+                "[scenario: ibo_db=[0.0], snr_max_db=20.0]"
+            )
+        assert len(run_mc([1.0], 10, 2 ** 64 - 1)) == 1
 
-    @pytest.mark.parametrize("field, fields", [
-        ("clip_powers_w", {"clips": [1.0, math.inf]}),
-        ("snr_max_linear", {"snr_max": math.inf}),
+    @pytest.mark.parametrize("field, inputs", [
+        ("ibo_db", {"ibo_db": (1.0, math.inf)}),
+        ("snr_max_db", {"snr_max_db": math.inf}),
     ])
-    def test_rejects_infinite_inputs_naming_the_field(self, field, fields):
+    def test_rejects_infinite_inputs_naming_the_field(self, monkeypatch, field, inputs):
         # refused before any sampling, not after a whole run
-        with pytest.raises(DomainError, match=f"^{field} must be positive and finite"):
-            config(n=10, **fields)
+        assert refusal(monkeypatch, **inputs).startswith(
+            f"inf dB has no finite power ratio [scenario: {field}=inf"
+        )
 
-    def test_rejects_bad_ceiling(self):
-        with pytest.raises(DomainError):
-            config(n=10, snr_max=0.0)
+    def test_rejects_bad_ceiling(self, monkeypatch):
+        assert refusal(monkeypatch, snr_max_db=-1e5) == (
+            "-100000.0 dB has no positive power ratio [scenario: snr_max_db=-100000.0]"
+        )
+
+    def test_checks_inputs_in_order(self, monkeypatch):
+        # with every input bad, the first in mc_verify's order is refused;
+        # mending it moves the refusal on to the next
+        inputs = {"ibo_db": (), "n": 1, "snr_max_db": math.inf, "seed": -1}
+        steps = (
+            ("ibo_db", (math.nan,), "--ibo-db produced an empty back-off list"),
+            ("n", 10, "--samples must be at least 2, got 1"),
+            ("snr_max_db", 20.0, "inf dB has no finite power ratio [scenario: snr_max_db=inf]"),
+            ("ibo_db", (0.0,), "nan dB has no finite power ratio "
+             "[scenario: ibo_db=nan, snr_max_db=20.0]"),
+            ("seed", 0, "seed must be a 64-bit unsigned integer, got -1 "
+             "[scenario: ibo_db=[0.0], snr_max_db=20.0]"),
+        )
+        for name, mended, message in steps:
+            assert refusal(monkeypatch, **inputs) == message
+            inputs[name] = mended

@@ -5,8 +5,6 @@ import pytest
 from foglink import (
     DeploymentParams,
     DomainError,
-    McConfig,
-    McEstimate,
     PowerBreakdown,
     RadioParams,
     load_params,
@@ -18,17 +16,10 @@ from foglink.record import Record
 RADIO, DEPLOY = load_params()
 
 
-def records(radio=RADIO, deploy=DEPLOY, seed=7, stderr_pa=3e-3):
+def records(radio=RADIO, deploy=DEPLOY):
     """One record of each type, built afresh; the defaults give the
     records of the default scenario."""
-    return [
-        radio,
-        deploy,
-        offload_power(radio, deploy),
-        McConfig(clip_powers_w=[0.5, 1.0, 2.0], n_samples=1000, seed=seed,
-                 snr_max_linear=100.0),
-        McEstimate(0.5, 0.25, 0.125, 10.0, 1e-3, 2e-3, stderr_pa),
-    ]
+    return [radio, deploy, offload_power(radio, deploy)]
 
 
 def default_records():
@@ -36,8 +27,7 @@ def default_records():
 
 
 def other_records():
-    return records(replace(RADIO, beta=0.5), replace(DEPLOY, cameras=2, distance_km=0.5),
-                   seed=8, stderr_pa=4e-3)
+    return records(replace(RADIO, beta=0.5), replace(DEPLOY, cameras=2, distance_km=0.5))
 
 
 # as printed by the frozen dataclasses these records were before; error
@@ -53,14 +43,9 @@ DEFAULT_REPRS = [
     "PowerBreakdown(video_w=0.242, cod_w=0.0006000000000000001, ofdm_w=0.009729, "
     "dac_w=0.03345480000000001, lo_w=0.0675, mix_w=0.042, pa_w=9.769699958572122e-08, "
     "total_w=0.39528389769699956)",
-    "McConfig(clip_powers_w=(0.5, 1.0, 2.0), n_samples=1000, seed=7, snr_max_linear=100.0)",
-    "McEstimate(alpha_hat=0.5, distortion_power_hat=0.25, pa_power_hat=0.125, "
-    "sinr_hat=10.0, stderr_alpha=0.001, stderr_distortion=0.002, stderr_pa=0.003)",
 ]
 
-RECORD_TYPES = [
-    RadioParams, DeploymentParams, PowerBreakdown, McConfig, McEstimate,
-]
+RECORD_TYPES = [RadioParams, DeploymentParams, PowerBreakdown]
 
 
 @pytest.mark.parametrize("index", range(len(RECORD_TYPES)),
@@ -156,9 +141,3 @@ def test_positional_construction():
     with pytest.raises(DomainError, match="cameras"):
         DeploymentParams(1.5, *values[1:])
 
-
-def test_mc_config_normalises_clip_powers_to_a_tuple():
-    config = McConfig(clip_powers_w=[1.0, 2.0], n_samples=10, seed=0, snr_max_linear=100.0)
-    assert config.clip_powers_w == (1.0, 2.0)
-    assert config == replace(config, clip_powers_w=(1.0, 2.0))
-    assert hash(config) == hash(replace(config, clip_powers_w=[1.0, 2.0]))
