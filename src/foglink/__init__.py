@@ -32,13 +32,7 @@ from .link import (
     path_gain_db,
     required_sinr,
 )
-from .pa import (
-    bussgang_alpha,
-    pa_consumed_power,
-    sinr_approx_db,
-    sinr_of_ibo,
-    snr_max_for_sinr_db,
-)
+from .pa import pa_consumed_power, sinr_approx_db, snr_max_for_sinr_db
 from .record import replace
 from .units import db_to_linear, dbm_to_watts, linear_to_db, watts_to_dbm
 
@@ -47,8 +41,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # pa
-    "bussgang_alpha", "sinr_of_ibo", "sinr_approx_db", "snr_max_for_sinr_db",
-    "pa_consumed_power",
+    "sinr_approx_db", "snr_max_for_sinr_db", "pa_consumed_power",
     # link
     "MIN_DISTANCE_KM", "path_gain_db", "noise_dbm",
     "required_sinr", "clip_power",

@@ -16,10 +16,8 @@ from typing import Iterable, Iterator, Tuple
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "bussgang_alpha",
     "clipping",
     "checked_sinr",
-    "sinr_of_ibo",
     "optimal_ibos",
     "sinr_approx_db",
     "snr_max_for_sinr_db",
@@ -77,17 +75,20 @@ def clipping(ibo_linear: float) -> Tuple[float, float]:
     return _clipping(ibo_linear)
 
 
-def bussgang_alpha(ibo_linear: float) -> float:
-    """Bussgang gain of the soft limiter for complex-Gaussian input, the
-    first value of :func:`clipping`."""
-    return clipping(ibo_linear)[0]
-
-
 def checked_sinr(
     alpha: float, distortion: float, ibo_linear: float, snr_max_linear: float
 ) -> float:
-    """alpha^2 / (D + IBO / SNR_MAX) from the closed forms at a back-off, the
-    one place the SINR is formed; DomainError unless finite and positive."""
+    """Receiver SINR from the closed forms at a back-off and SNR ceiling.
+
+        SINR = alpha^2 / (D + IBO / SNR_MAX)
+
+    The denominator is the normalized clipping-distortion power plus the
+    thermal-noise share; the numerator is the surviving useful power.  The
+    one place the SINR is formed.  DomainError unless the ceiling is
+    positive and finite, then unless the SINR is finite and positive.
+    """
+    if not 0.0 < snr_max_linear < math.inf:
+        raise DomainError(f"snr_max_linear must be positive and finite, got {snr_max_linear!r}")
     denominator = distortion + ibo_linear / snr_max_linear  # 0.0 once both underflow
     sinr = alpha * alpha / denominator if denominator else math.nan
     if not 0.0 < sinr < math.inf:
@@ -96,26 +97,11 @@ def checked_sinr(
     return sinr
 
 
-def sinr_of_ibo(ibo_linear: float, snr_max_linear: float) -> float:
-    """Receiver SINR at a given back-off and SNR ceiling.
-
-        SINR = alpha^2 / (D + IBO / SNR_MAX)
-
-    The denominator is the normalized clipping-distortion power plus the
-    thermal-noise share; the numerator is the surviving useful power.
-    """
-    if not (math.isfinite(snr_max_linear) and snr_max_linear > 0.0):
-        raise DomainError(
-            f"snr_max_linear must be positive and finite, got {snr_max_linear!r}"
-        )
-    return checked_sinr(*clipping(ibo_linear), ibo_linear, snr_max_linear)
-
-
 def optimal_ibos(ceilings: Iterable[float]) -> Iterator[Tuple[float, float, float]]:
     """Back-offs that maximize SINR, one per SNR ceiling, in order.
 
     Yields ``(ibo_linear, alpha, sinr_linear)`` for each ceiling, the bits of
-    ``bussgang_alpha(ibo_linear)`` and ``sinr_of_ibo(ibo_linear, s)``, and
+    ``clipping(ibo_linear)`` and ``checked_sinr(alpha, D, ibo_linear, s)``, and
     raises at the first ceiling that fails.
 
     Solves the stationarity condition in z = sqrt(IBO) by Newton steps kept

@@ -1,9 +1,10 @@
 """Immutable value records.
 
 A ``Record`` subclass lists its fields as class annotations, in order, and
-may check them in ``__post_init__``.  Instances compare, hash and print by
-their field values, and no field can be assigned or deleted once built.
-``replace`` makes a validated copy with some fields changed.
+may check them in ``__post_init__``.  Records are built from keywords only.
+Instances compare, hash and print by their field values, and no field can
+be assigned or deleted once built.  ``replace`` makes a validated copy with
+some fields changed.
 """
 
 __all__ = ["Record", "replace"]
@@ -16,11 +17,16 @@ class Record:
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._field_set = frozenset(cls._fields)
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, **fields):
         cls = type(self)
-        if args or kwargs.keys() != cls._field_set:
-            kwargs = _bind(cls, args, kwargs)
-        self.__dict__.update(kwargs)
+        if fields.keys() != cls._field_set:
+            for key in fields:
+                if key not in cls._field_set:
+                    raise TypeError(
+                        f"{cls.__name__}() got an unexpected keyword argument {key!r}")
+            missing = ", ".join([key for key in cls._fields if key not in fields])
+            raise TypeError(f"{cls.__name__}() missing required arguments: {missing}")
+        self.__dict__.update(fields)
         self.__post_init__()
 
     def __post_init__(self):
@@ -48,24 +54,6 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
-
-
-def _bind(cls, args, kwargs):
-    """The keyword form of a call with positional or wrong arguments."""
-    name = cls.__name__
-    if len(args) > len(cls._fields):
-        raise TypeError(f"{name}() takes {len(cls._fields)} arguments, got {len(args)}")
-    bound = dict(zip(cls._fields, args))
-    for key in kwargs:
-        if key in bound:
-            raise TypeError(f"{name}() got multiple values for argument {key!r}")
-        if key not in cls._field_set:
-            raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
-    bound.update(kwargs)
-    missing = [key for key in cls._fields if key not in bound]
-    if missing:
-        raise TypeError(f"{name}() missing required arguments: {', '.join(missing)}")
-    return bound
 
 
 def replace(record, **changes):

@@ -18,7 +18,6 @@ import numpy as np
 
 from foglink import (
     breakeven_at,
-    bussgang_alpha,
     db_to_linear,
     linear_to_db,
     load_params,
@@ -27,7 +26,6 @@ from foglink import (
     pa_consumed_power,
     replace,
     sinr_approx_db,
-    sinr_of_ibo,
     watts_to_dbm,
 )
 import foglink.cli as cli
@@ -35,7 +33,7 @@ from foglink.chain import clip_independent_parts
 from foglink.config import BANDWIDTH_PROFILES
 from foglink.link import PATH_LOSS_EXPONENT, snr_ceiling
 from foglink.mc import run_mc
-from foglink.pa import optimal_ibos
+from foglink.pa import checked_sinr, clipping, optimal_ibos
 from oracles import solve_bisection
 
 GRID_DB = [round(-10.0 + 0.1 * k, 10) for k in range(601)]
@@ -97,7 +95,7 @@ def test_criterion_2_optimal_backoff_solver():
         oracle = solve_bisection(gap, z_lo, z_hi, tol=1e-11)
         worst_gap = max(worst_gap, abs(ibo - oracle ** 2))
         for factor in (0.99, 1.01):
-            perturbed = sinr_of_ibo(ibo * factor, s)
+            perturbed = checked_sinr(*clipping(ibo * factor), ibo * factor, s)
             if perturbed > sinr * (1.0 + 1e-12):
                 stationary = False
     ok = worst_residual <= 1e-10 and worst_gap <= 1e-8 and stationary
@@ -201,7 +199,7 @@ def test_criterion_6_monte_carlo_equivalence():
     for ibo_db, estimate in zip(backoffs_db, estimates):
         a_hat, stderr_alpha, d_hat, stderr_distortion, pa_hat, stderr_pa = estimate
         ibo = db_to_linear(ibo_db)
-        alpha = bussgang_alpha(ibo)
+        alpha = clipping(ibo)[0]
         distortion = 1.0 - alpha * alpha - math.exp(-ibo)
         pa_w = pa_consumed_power(ibo, ibo)
         checks = [

@@ -27,8 +27,7 @@ SCALAR_COMMANDS = ("fig3", "fig4", "fig5", "fig6", "link-power", "breakeven", "p
 # the package's exports; the Monte-Carlo names are foglink.mc's alone
 EXPORTS = [
     "__version__",
-    "bussgang_alpha", "sinr_of_ibo", "sinr_approx_db", "snr_max_for_sinr_db",
-    "pa_consumed_power",
+    "sinr_approx_db", "snr_max_for_sinr_db", "pa_consumed_power",
     "MIN_DISTANCE_KM", "path_gain_db", "noise_dbm",
     "required_sinr", "clip_power",
     "RadioParams", "DeploymentParams", "PowerBreakdown", "local_power",

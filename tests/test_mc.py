@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import foglink.cli as cli
-from foglink import DomainError, NumericError, bussgang_alpha, linear_to_db, pa_consumed_power
+from foglink import DomainError, NumericError, linear_to_db, pa_consumed_power
 from foglink import _kernels, mc
 from foglink.mc import CHUNK_SAMPLES, _chunk_layout, _chunk_sums, _summed_chunks, run_mc
-from foglink.pa import optimal_ibos
+from foglink.pa import clipping, optimal_ibos
 from oracles import moment_sums_reference, soft_limit
 
 
@@ -36,7 +36,7 @@ def run_one(ibo=1.0, n=1_000_000, seed=42):
 
 
 def analytic_distortion(ibo):
-    alpha = bussgang_alpha(ibo)
+    alpha = clipping(ibo)[0]
     return 1.0 - alpha * alpha - math.exp(-ibo)
 
 
@@ -277,7 +277,7 @@ class TestEstimators:
     @pytest.mark.parametrize("ibo", [0.5, 1.0, 4.0])
     def test_agree_with_closed_forms(self, ibo):
         a_hat, stderr_alpha, d_hat, stderr_distortion, pa_hat, stderr_pa = run_one(ibo=ibo)
-        alpha = bussgang_alpha(ibo)
+        alpha = clipping(ibo)[0]
         assert abs(a_hat - alpha) <= max(3 * stderr_alpha, 0.01 * alpha)
         distortion = analytic_distortion(ibo)
         assert abs(d_hat - distortion) <= max(3 * stderr_distortion, 0.01 * distortion)

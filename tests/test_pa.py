@@ -10,13 +10,18 @@ from foglink import (
     ConvergenceError,
     DomainError,
     FoglinkError,
-    bussgang_alpha,
     pa_consumed_power,
     sinr_approx_db,
-    sinr_of_ibo,
     snr_max_for_sinr_db,
 )
-from foglink.pa import IBO_BRACKET, MAX_SNR_CEILING, MIN_SNR_CEILING, clipping, optimal_ibos
+from foglink.pa import (
+    IBO_BRACKET,
+    MAX_SNR_CEILING,
+    MIN_SNR_CEILING,
+    checked_sinr,
+    clipping,
+    optimal_ibos,
+)
 from oracles import solve_bisection
 
 SQRT_PI = math.sqrt(math.pi)
@@ -42,6 +47,11 @@ def gap_at(ibo, snr_max):
     return 0.5 * SQRT_PI * math.erfc(z) - z / snr_max
 
 
+def sinr_at(ibo, snr_max):
+    """The SINR at a back-off and SNR ceiling, from the closed forms."""
+    return checked_sinr(*clipping(ibo), ibo, snr_max)
+
+
 def bisect_optimal_ibo(snr_max, tol=1e-11):
     """Independent bisection oracle for the SINR-optimal back-off."""
     return solve_bisection(
@@ -53,41 +63,43 @@ def bisect_optimal_ibo(snr_max, tol=1e-11):
 
 
 class TestBussgangAlpha:
+    """The first value of ``clipping``."""
+
     def test_no_clipping_limit(self):
-        assert abs(bussgang_alpha(50.0) - 1.0) <= 1e-9
+        assert abs(clipping(50.0)[0] - 1.0) <= 1e-9
 
     def test_unit_backoff(self):
         # frozen from direct evaluation 1 - e^-1 + 0.5*sqrt(pi)*erfc(1);
         # cross-checked empirically in the Monte-Carlo suite
-        assert abs(bussgang_alpha(1.0) - 0.7715233514688886) < 1e-15
+        assert abs(clipping(1.0)[0] - 0.7715233514688886) < 1e-15
 
     def test_heavy_clipping_series(self):
         # series oracle: alpha = 0.5*sqrt(pi*I) - I^2/6 + O(I^(5/2));
         # frozen value of the truncated series at I = 0.001
         series = 0.02802478941532298
         assert abs(0.5 * math.sqrt(math.pi * 0.001) - 0.001 ** 2 / 6.0 - series) < 1e-17
-        assert abs(bussgang_alpha(0.001) - series) <= 1e-9
+        assert abs(clipping(0.001)[0] - series) <= 1e-9
 
     def test_strictly_increasing(self):
         # strict up to 30, where 1 - alpha ~ 5e-14 still resolves in floats;
         # beyond that consecutive values land on the same double
         grid = np.geomspace(1e-6, 30.0, 300)
-        values = [bussgang_alpha(float(i)) for i in grid]
+        values = [clipping(float(i))[0] for i in grid]
         assert all(b > a for a, b in zip(values[:-1], values[1:]))
         # past 30 the values sit within one ulp of 1.0 and may wobble by
         # a single rounding step
-        tail = [bussgang_alpha(float(i)) for i in np.linspace(30.0, 50.0, 50)]
+        tail = [clipping(float(i))[0] for i in np.linspace(30.0, 50.0, 50)]
         assert all(b >= a - 2.0 ** -52 for a, b in zip(tail[:-1], tail[1:]))
         assert all(abs(v - 1.0) <= 1e-13 for v in tail)
 
     def test_open_interval(self):
         for i in (1e-9, 1e-3, 0.5, 1.0, 10.0, 30.0):
-            assert 0.0 < bussgang_alpha(i) < 1.0
+            assert 0.0 < clipping(i)[0] < 1.0
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_domain(self, bad):
         with pytest.raises(DomainError):
-            bussgang_alpha(bad)
+            clipping(bad)
 
 
 class TestDistortionPower:
@@ -95,14 +107,15 @@ class TestDistortionPower:
         # clipping gives the Bussgang gain and D = 1 - alpha^2 - e^-IBO
         for ibo in (1e-6, 0.1, 1.0, 10.0):
             alpha, distortion = clipping(ibo)
-            assert alpha == bussgang_alpha(ibo)
+            root = math.sqrt(ibo)
+            assert alpha == 1.0 - math.exp(-ibo) + 0.5 * SQRT_PI * root * math.erfc(root)
             assert distortion == 1.0 - alpha * alpha - math.exp(-ibo)
 
     def test_sinr_denominator_is_distortion_plus_noise(self):
         ibo, snr_max = 1.0, 100.0
         alpha, distortion = clipping(ibo)
         expected = alpha * alpha / (distortion + ibo / snr_max)
-        assert sinr_of_ibo(ibo, snr_max) == expected
+        assert checked_sinr(alpha, distortion, ibo, snr_max) == expected
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_domain(self, bad):
@@ -111,17 +124,20 @@ class TestDistortionPower:
 
 
 class TestSinrOfIbo:
+    """The SINR as a function of the back-off, ``checked_sinr`` of the
+    closed forms."""
+
     def test_noise_free_reduction(self):
         # at a huge ceiling the noise share vanishes and the closed form
         # alpha^2 / (1 - alpha^2 - e^-IBO) remains
-        alpha = bussgang_alpha(1.0)
+        alpha = clipping(1.0)[0]
         noise_free = alpha * alpha / (1.0 - alpha * alpha - math.exp(-1.0))
-        assert abs(sinr_of_ibo(1.0, 1e12) - noise_free) / noise_free <= 1e-9
+        assert abs(sinr_at(1.0, 1e12) - noise_free) / noise_free <= 1e-9
 
     def test_moderate_point(self):
         # frozen from direct evaluation; Monte-Carlo agreement covered in
         # the mc suite and the acceptance run
-        assert abs(sinr_of_ibo(1.0, 100.0) - 12.699367736791796) < 1e-12
+        assert abs(sinr_at(1.0, 100.0) - 12.699367736791796) < 1e-12
 
     def test_heavy_clipping_limit(self):
         # as IBO -> 0 both the useful power (alpha^2 ~ pi*I/4) and the
@@ -130,21 +146,29 @@ class TestSinrOfIbo:
         # 3.4968 at a ceiling of 100; the value is small only relative to
         # the ceiling, it does not drop below 1
         limit = (math.pi / 4.0) / (1.0 - math.pi / 4.0 + 1.0 / 100.0)
-        value = sinr_of_ibo(1e-6, 100.0)
+        value = sinr_at(1e-6, 100.0)
         assert abs(value - limit) / limit <= 1e-4
         assert 0.0 < value < 100.0
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            sinr_of_ibo(-1.0, 100.0)
+            sinr_at(-1.0, 100.0)
         with pytest.raises(DomainError):
-            sinr_of_ibo(1.0, 0.0)
+            sinr_at(1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1e10, float("inf"), float("nan")])
+    def test_ceiling_must_be_positive_and_finite(self, bad):
+        # refused by name before the division: 0.0 and -0.0 would divide by
+        # zero, and -1e10 and inf would give a SINR of 16.14
+        with pytest.raises(DomainError, match=r"^snr_max_linear must be positive and finite, "
+                                              rf"got {bad!r}$"):
+            sinr_at(1.0, bad)
 
     def test_denominator_that_underflows_is_refused(self):
         # at the smallest subnormal back-off D and IBO / SNR_MAX both round
         # to 0.0; the SINR is refused, not divided by zero
         with pytest.raises(DomainError, match="^SINR degenerated to nan at ibo = 5e-324"):
-            sinr_of_ibo(5e-324, 100.0)
+            sinr_at(5e-324, 100.0)
 
 
 class TestOptimalIbo:
@@ -174,8 +198,27 @@ class TestOptimalIbo:
         for snr_db in [*map(float, np.linspace(-10.0, 50.0, 601)), 100.0, 137.0, 156.0]:
             s = 10.0 ** (snr_db / 10.0)
             ibo, alpha, sinr = solved(s)
-            assert alpha == bussgang_alpha(ibo)
-            assert sinr == sinr_of_ibo(ibo, s)
+            assert alpha == clipping(ibo)[0]
+            assert sinr == sinr_at(ibo, s)
+
+    def test_relative_error_against_a_converged_bisection(self):
+        # every 0.1 dB over the fit's rated range down to the bracket's edge,
+        # against a float bisection of the same gap run until its bracket is
+        # 4e-16 * IBO wide.  The solve stops at |gap| <= 1e-13, which leaves
+        # the worst relative IBO error at 1.79e-10 (47.2 dB) and 2.18e-13
+        # below -10 dB; a 40-digit bisection on a 1 dB grid agrees (1.1e-10
+        # at 47 dB).  Solving the back-off to its own precision takes both
+        # to <= 1e-15.  Above 50 dB the error grows to 0.14 at 140 dB.
+        worst, worst_below_10 = 0.0, 0.0
+        ceilings = [10.0 ** (k / 100.0) for k in range(-394, 501)]
+        for k, s, (ibo, _, _) in zip(range(-394, 501), ceilings, optimal_ibos(ceilings)):
+            oracle = bisect_optimal_ibo(s, tol=4e-16 * ibo)
+            error = abs(ibo - oracle) / oracle
+            worst = max(worst, error)
+            if k < -100:
+                worst_below_10 = max(worst_below_10, error)
+        assert worst <= 1.8e-10
+        assert worst_below_10 <= 2.2e-13
 
     def test_huge_ceiling(self):
         ibo, _, _ = solved(1e10)
@@ -194,7 +237,7 @@ class TestOptimalIbo:
             s = 10.0 ** (snr_db / 10.0)
             ibo, _, best = solved(s)
             for factor in (0.9, 0.99, 1.01, 1.1):
-                perturbed = sinr_of_ibo(ibo * factor, s)
+                perturbed = sinr_at(ibo * factor, s)
                 assert perturbed <= best * (1.0 + 1e-12)
 
     def test_ceiling_cap(self):
@@ -267,8 +310,8 @@ class TestOptimalIbo:
             except FoglinkError as exc:
                 line = f"{type(exc).__name__}: {exc}"
             else:
-                assert alpha == bussgang_alpha(ibo)
-                assert sinr == sinr_of_ibo(ibo, s)
+                assert alpha == clipping(ibo)[0]
+                assert sinr == sinr_at(ibo, s)
                 ceilings.append(s)
                 points.append((ibo, alpha, sinr))
                 line = repr((ibo.hex(), alpha.hex(), sinr.hex()))

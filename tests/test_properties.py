@@ -7,6 +7,9 @@ no oracle:
 * the offload total of fig5 rises strictly with distance along each curve;
 * each fig6 breakeven theta* is Gamma * P / R of the matching fig5 total,
   to the 9 significant digits the CSV prints;
+* the SINR a rate demand requires rises strictly with one more camera and
+  with a rate at least 0.1 % higher, and falls strictly with a bandwidth at
+  least 0.1 % wider;
 * an mc-verify row does not depend on which other back-offs share the run,
   or on their order (the determinism contract).
 
@@ -19,7 +22,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 import foglink.cli as cli
-from foglink import dbm_to_watts, load_params, replace
+from foglink import dbm_to_watts, load_params, replace, required_sinr
 from foglink.pa import MAX_SNR_CEILING, MIN_SNR_CEILING
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=200)
@@ -90,6 +93,29 @@ def test_fig6_theta_is_the_breakeven_of_the_fig5_total(sweep):
     for row5, row6 in zip(fig5, fig6):
         theta = deploy.gamma_flops_per_w * dbm_to_watts(row5[total]) / deploy.rate_bps
         assert f"{row6[3]:.9g}" == f"{theta:.9g}", (row5, row6)
+
+
+@st.composite
+def rate_demands(draw):
+    """(bandwidth_hz, cameras, rate_bps, beta, step) of a demand that stays
+    feasible with one more camera and its rate raised by ``step``: the rate
+    is drawn as a share of the largest such rate, at an exponent of 59."""
+    bandwidth = draw(st.floats(1e5, 1e8))
+    cameras = draw(st.integers(1, 100))
+    beta = draw(st.floats(0.1, 1.0))
+    step = draw(st.floats(1.001, 2.0))
+    largest = 59.0 * beta * bandwidth / ((cameras + 1) * step)
+    return bandwidth, cameras, largest * draw(st.floats(1e-6, 1.0)), beta, step
+
+
+@PROPERTY
+@given(rate_demands())
+def test_required_sinr_rises_with_the_demand_and_falls_with_the_bandwidth(demand):
+    bandwidth, cameras, rate, beta, step = demand
+    sinr = required_sinr(bandwidth, cameras, rate, beta)
+    assert required_sinr(bandwidth, cameras + 1, rate, beta) > sinr
+    assert required_sinr(bandwidth, cameras, rate * step, beta) > sinr
+    assert required_sinr(bandwidth * step, cameras, rate, beta) < sinr
 
 
 # duplicates are likely: the benchmark's back-offs are drawn often
