@@ -2,79 +2,52 @@
 
 The verifier runs at unit mean input power.  The soft limiter keeps the
 phase of its input, so every moment the verifier needs depends only on
-the input radius.  The kernel draws Philox uniforms u1, maps them to
-|x|^2 = -log(1 - u1) (the radial half of the Box-Muller transform) and
-r = |x|, and takes their two clip-independent sums.  For each clip power
-p_max it then clips the radius at sqrt(p_max) to get rho = |y| and
-accumulates the eight clip-dependent sums.  With c = y * conj(x),
-Re(c) = r * rho and Im(c) is exactly zero.
+the input radius.  The kernel draws Philox uniforms u1 and maps them to
+b = |x|^2 = -log(1 - u1) (the radial half of the Box-Muller transform)
+and r = |x| = sqrt(b).  At clip amplitude c = sqrt(p_max) the clipped
+radius is rho = |y| = min(r, c), and with c' = y * conj(x), Re(c') =
+r * rho and Im(c') is exactly zero.
 
-Leaf tree.  ``ndarray.sum`` over a contiguous float64 row of n values is
-numpy's pairwise summation: it splits the row at n//2 - (n//2) % 8,
-recurses, and adds the halves' sums left + right.  The kernel follows that
-tree down to leaves of at most ``LEAF_SAMPLES`` values (``leaf_sizes``)
-and does all its work one leaf at a time, in row order, while the leaf's
-rows sit in L2 cache: it draws the leaf's uniforms, which are the next
-doubles of the generator's stream whatever the leaf size, computes |x|^2
-and r, and runs every clip.  Each element comes from the same ufuncs on
-the same operands as in a whole-row pass, each leaf row is summed with
-``ndarray.sum``, and ``tree_join`` adds the leaf sums up the same tree, so
-every sum equals the whole-row ``ndarray.sum`` bit for bit.
+Sorted leaves.  The kernel works one leaf of at most ``LEAF_SAMPLES``
+samples at a time, while the leaf's rows sit in L2 cache.  It draws the
+leaf's uniforms, which are the next doubles of the generator's stream
+whatever the leaf size, maps them to b and sorts b, so r is sorted too,
+and forms the rows b*b, b, r and b*r.  A clip amplitude c splits the
+sorted leaf at j = searchsorted(r, c): below j a sample is unclipped
+(rho = r, and r*r is b to rounding), from j on it is clipped (rho = c).
+So each clip takes two reductions per leaf, of the rows b*b, b and r over
+the unclipped slice (lo_bb, lo_b, lo_r) and of the rows b, r and b*r over
+the clipped slice (hi_b, hi_r, hi_br); the leaf's work before them does
+not depend on the clip count.  The leaf sums are added across leaves in
+order, and with n_A the clipped count the ten sums are:
+  0 = lo_b + c*hi_r       1 = lo_b + c^2*n_A       2 = sum b
+  3 = lo_r + c*n_A        4 = 8 = lo_bb + c^2*hi_b  5 = lo_bb + c^4*n_A
+  6 = sum b*b             7 = lo_bb + c^3*hi_r     9 = lo_bb + c*hi_br
 
-Shortcut.  On a leaf whose largest radius lies below sqrt(p_max), rho is
-exactly r, so Re(c) = |y|^2 = r*r and the eight sums are Sum r (sum 3),
-Sum r*r (sums 0 and 1), Sum (r*r)^2 (sums 4, 5 and 7) and
-Sum (r*r)*|x|^2 (sums 8 and 9; IEEE multiplication commutes).  These are
-computed once per leaf and shared by every clip that does not reach it.
+Determinism.  Each clip's sums are a pure function of (generator state,
+count, clip power): its two reductions per leaf read only the leaf rows
+and its own cut, and no sum uses BLAS, so its bits are reproducible and
+do not depend on the thread count or on the other clips of the call.
+They are not equal to a whole-row ``ndarray.sum``, as the samples are
+summed in sorted order; they lie within a few rounding errors of the
+exactly rounded sums.  A call holds four leaf rows (1 MiB) and nothing as
+long as the chunk, so concurrent calls in separate threads each need only
+their own leaf rows.
 
-Workspace.  A call allocates its result, the leaf partials and five leaf
-rows (1.25 MiB at most), and nothing as long as the chunk, so concurrent
-calls in separate threads each need only their own leaf rows.  No sum
-uses BLAS, so the bits do not depend on the thread count, and a clip's
-row applies the same ufuncs to the same values whatever other clips share
-the call, so its bits equal those of a call with that clip alone.
-
-Sum layout (x = input sample, y = clipped sample, c = y * conj(x));
+Sum layout (x = input sample, y = clipped sample, c' = y * conj(x));
 2 and 6 do not depend on the clip power:
-  0: sum Re(c)        1: sum |y|^2        2: sum |x|^2      3: sum |y|
-  4: sum Re(c)^2      5: sum |y|^4        6: sum |x|^4      7: sum |y|^2 Re(c)
-  8: sum |y|^2|x|^2   9: sum |x|^2 Re(c)
+  0: sum Re(c')       1: sum |y|^2        2: sum |x|^2      3: sum |y|
+  4: sum Re(c')^2     5: sum |y|^4        6: sum |x|^4      7: sum |y|^2 Re(c')
+  8: sum |y|^2|x|^2   9: sum |x|^2 Re(c')
 """
 
-import math
-from typing import Iterator, List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 N_SUMS = 10
-# Largest leaf of the summation tree: its five leaf rows (1.25 MiB) stay
-# in a 2 MiB L2 cache.
+# Samples per leaf: its four rows (1 MiB) stay in a 2 MiB L2 cache.
 LEAF_SAMPLES = 1 << 15
-# Columns of the clip-dependent sums, in the order the shortcut lists them.
-_CLIP_SUMS = [3, 0, 1, 4, 5, 7, 8, 9]
-
-
-def _half(n: int) -> int:
-    """Length of the left half where numpy's pairwise sum splits n values."""
-    return n // 2 - (n // 2) % 8
-
-
-def leaf_sizes(n: int) -> List[int]:
-    """Lengths, in row order, of the leaves of numpy's pairwise summation
-    tree over n values, cut at LEAF_SAMPLES."""
-    if n <= LEAF_SAMPLES:
-        return [n]
-    half = _half(n)
-    return leaf_sizes(half) + leaf_sizes(n - half)
-
-
-def tree_join(partials: Iterator, n: int):
-    """Add per-leaf partial sums, taken in row order from ``partials``, up
-    the pairwise tree over n values, as ``ndarray.sum`` adds them."""
-    if n <= LEAF_SAMPLES:
-        return next(partials)
-    half = _half(n)
-    return tree_join(partials, half) + tree_join(partials, n - half)
 
 
 def moment_sums(
@@ -83,47 +56,43 @@ def moment_sums(
     """Moment sums of ``count`` samples drawn from ``generator``.
 
     Returns a (len(clip_powers), N_SUMS) array, one row per clip power in
-    the order given.  The uniforms are drawn one leaf at a time, in row
-    order, as ``count`` consecutive doubles of ``generator``.
+    the order given.  The uniforms are drawn one leaf at a time, as
+    ``count`` consecutive doubles of ``generator``.
     """
-    clips = [math.sqrt(p_max) for p_max in clip_powers]
-    sizes = leaf_sizes(count)
-    partials = np.empty((len(sizes), len(clips), N_SUMS))
-    rows = np.empty((5, min(count, LEAF_SAMPLES)))
-    for part, size in zip(partials, sizes):
-        b, r, rho, cre, tmp = rows[:, :size]
+    c = np.sqrt(np.array(clip_powers, dtype=float))  # clip amplitudes
+    # per clip: sums of b*b, b, r below its cut and of b, r, b*r above it
+    below, above, leaf_below, leaf_above = np.zeros((4, len(c), 3))
+    unclipped = np.zeros(len(c), dtype=np.intp)
+    totals = np.zeros(2)  # sums of b*b and b
+    rows = np.empty((4, min(count, LEAF_SAMPLES)))
+    for start in range(0, count, LEAF_SAMPLES):
+        leaf = rows[:, : min(LEAF_SAMPLES, count - start)]
+        bb, b, r, br = leaf
         generator.random(out=b)  # u1
         np.negative(b, out=b)
         np.log1p(b, out=b)
         np.negative(b, out=b)  # |x|^2
-        np.sqrt(b, out=r)  # r = |x|
-        part[:, 2] = b.sum()
-        np.multiply(b, b, out=tmp)
-        part[:, 6] = tmp.sum()
-        peak = r.max()
-        unclipped = None
-        for row, clip in zip(part, clips):
-            if peak < clip:  # rho == r on the whole leaf
-                if unclipped is None:
-                    s_r = r.sum()
-                    np.multiply(r, r, out=rho)  # r*r = Re(c) = |y|^2
-                    s_rr = rho.sum()
-                    np.multiply(rho, rho, out=tmp)
-                    s_rr2 = tmp.sum()
-                    np.multiply(rho, b, out=tmp)
-                    s_rrb = tmp.sum()
-                    unclipped = (s_r, s_rr, s_rr, s_rr2, s_rr2, s_rr2, s_rrb, s_rrb)
-                row[_CLIP_SUMS] = unclipped
-                continue
-            np.minimum(r, clip, out=rho)  # rho = |y|
-            row[3] = rho.sum()
-            np.multiply(r, rho, out=cre)  # Re(c) = r * rho
-            np.multiply(rho, rho, out=rho)  # |y|^2
-            row[0] = cre.sum()
-            row[1] = rho.sum()
-            for index, (left, right) in zip(
-                (4, 5, 7, 8, 9), ((cre, cre), (rho, rho), (rho, cre), (rho, b), (b, cre))
-            ):
-                np.multiply(left, right, out=tmp)
-                row[index] = tmp.sum()
-    return tree_join(iter(partials), count)
+        b.sort()
+        np.sqrt(b, out=r)  # r = |x|, sorted as b is
+        np.multiply(b, r, out=br)
+        np.multiply(b, b, out=bb)
+        totals += np.add.reduce(leaf[:2], axis=1)
+        cuts = np.searchsorted(r, c)  # r[cut:] >= c: clipped
+        for cut, lo, hi in zip(cuts.tolist(), leaf_below, leaf_above):
+            np.add.reduce(leaf[:3, :cut], axis=1, out=lo)
+            np.add.reduce(leaf[1:, cut:], axis=1, out=hi)
+        below += leaf_below
+        above += leaf_above
+        unclipped += cuts
+    lo_bb, lo_b, lo_r = below.T
+    hi_b, hi_r, hi_br = above.T
+    n_a = count - unclipped
+    sum_bb, sum_b = totals
+    c2 = c * c
+    # each power of c multiplies its clipped sum last: an empty clipped
+    # slice then gives 0, not inf * 0, at any finite clip power
+    return np.stack(np.broadcast_arrays(
+        lo_b + c * hi_r, lo_b + c2 * n_a, sum_b, lo_r + c * n_a,
+        lo_bb + c2 * hi_b, lo_bb + c2 * (c2 * n_a), sum_bb, lo_bb + c2 * (c * hi_r),
+        lo_bb + c2 * hi_b, lo_bb + c * hi_br,
+    ), axis=1)

@@ -14,22 +14,21 @@ clip powers share the run and in whatever order they are given.
 Samples are generated in fixed-size chunks, each from its own jump-ahead
 Philox substream (``Philox(key=seed).jumped(chunk_index)``).  A run
 computes its chunks on one worker thread per CPU it may use (at most one
-per chunk); each worker needs memory only for the cache-sized rows of the
-chunk it is on, not for the chunk.  The chunk partial sums are stored by
-chunk index and added in chunk order, and the chunk layout does not
-depend on the worker count, so the bits do not either.  A sample is
+per chunk); each worker needs memory only for the four cache-sized leaf
+rows (1 MiB) of the chunk it is on, not for the chunk.  The chunk partial
+sums are stored by chunk index and added in chunk order, and the chunk
+layout does not depend on the worker count, so the bits do not either.  A sample is
 ``x = sqrt(-log(1 - u1)) * exp(2j * pi * u2)`` (Box-Muller), but
 only u1, the first ``count`` uniforms of each substream, is drawn: the
 soft limiter keeps the phase, so no estimator depends on u2.  Every clip
-power is applied to the same draw of each chunk, and the kernel computes
-each clip's ten moment sums with the same operations as it would for that
-clip alone.  The kernel draws and works in cache-sized leaves of numpy's
-pairwise summation tree and adds the leaf sums up that tree, which
-reproduces a whole-row ``ndarray.sum`` bit for bit, and its shortcut for
-a leaf that a clip does not reach gives the same bits as clipping it.
-So a clip's bits are the same whether it runs alone or shares the run
-with other clips.  This choice is fixed because reproducibility per seed
-is promised within a build.
+power is applied to the same draw of each chunk.  The kernel sorts each
+cache-sized leaf of the draw once and takes a clip's ten moment sums from
+two reductions, over the leaf's samples below and above that clip, which
+read nothing of the other clips.  So a clip's bits are the same whether
+it runs alone or shares the run with other clips.  The sums lie within a
+few roundings of the exactly rounded sums, but are not equal to a
+whole-row ``ndarray.sum``.  This choice is fixed because reproducibility
+per seed is promised within a build.
 """
 
 import contextvars

@@ -14,7 +14,7 @@ from foglink import DomainError, NumericError, linear_to_db, pa_consumed_power
 from foglink import _kernels, mc
 from foglink.mc import CHUNK_SAMPLES, _chunk_layout, _chunk_sums, _summed_chunks, run_mc
 from foglink.pa import clipping, optimal_ibos
-from oracles import moment_sums_reference, soft_limit
+from oracles import exact_sum, moment_sums_exact, soft_limit
 
 
 # five back-offs (dB) as in the benchmark, and their clip powers at unit input power
@@ -22,8 +22,9 @@ BACKOFFS_DB = (-3.0, 0.0, 3.0, 6.0, 12.0)
 CLIP_POWERS = tuple(10.0 ** (x / 10.0) for x in BACKOFFS_DB)
 
 LEAF = _kernels.LEAF_SAMPLES
-# around the leaf size, odd tails, and the chunk lengths of real runs
-TREE_COUNTS = (
+# around the leaf size (LEAF + 1 ends in a one-sample leaf), odd tails, and
+# the chunk lengths of real runs
+LEAF_COUNTS = (
     1, 7, 8, 9, LEAF - 1, LEAF, LEAF + 1, 3 * LEAF + 5, 100_003, 562_816, CHUNK_SAMPLES,
 )
 
@@ -223,41 +224,43 @@ class TestRadialKernel:
             expected = self.box_muller_sums(u1, u2, p_max)
             assert np.allclose(row, expected, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("count", TREE_COUNTS)
-    def test_matches_whole_row_reference(self, count):
-        # summing in leaves and adding them up numpy's pairwise tree gives
-        # the whole-row sums bit for bit, on the clipping path and on the
-        # shortcut for leaves a clip does not reach
+    def test_exact_reference_is_fsum(self):
+        # the reference the next test holds the kernel to: integer sums of
+        # mantissas give math.fsum's exactly rounded sum, at any spread of
+        # magnitudes and signs
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(10_000) * 10.0 ** rng.uniform(-300.0, 300.0, 10_000)
+        for part in (values[:0], values[:1], values[:7], np.abs(values), values):
+            assert exact_sum(part) == math.fsum(part.tolist())
+
+    @pytest.mark.parametrize("count", LEAF_COUNTS)
+    def test_matches_exact_sums(self, count):
+        # every sum lies within a few roundings of the exactly rounded sum
+        # of its per-sample terms, whatever the split into clipped and
+        # unclipped samples: either side empty, one sample on a side, or a
+        # sample exactly at the clip amplitude
         def generator():
             return np.random.Generator(np.random.Philox(key=11))
 
         u1 = generator().random(count)
-        smallest = -math.log1p(-u1.min())  # the least |x|^2
-        largest = -math.log1p(-u1.max())
-        assert 0.0 < 1e-20 < smallest
-        clip_sets = {
-            "unsorted with a duplicate": (4.0, 0.5, 1e6, 4.0, 1.3),
-            "above every sample": (1e6,),
-            "below every sample": (1e-20,),
-            "only the largest sample clipped": (largest * (1.0 - 1e-9),),
-            "-3..12 dB": CLIP_POWERS,
-        }
+        b = -np.log1p(-u1)  # |x|^2
+        assert 0.0 < 1e-20 < b.min()
+        clip_sets = {"-3..12 dB": CLIP_POWERS}
+        if count < CHUNK_SAMPLES:  # exact sums over a whole chunk take seconds
+            clip_sets.update({
+                "unsorted with a duplicate": (4.0, 0.5, 1e6, 4.0, 1.3),
+                # the largest: c**4 overflows, but no sample reaches c
+                "above every sample": (1e6, 1e300),
+                "below every sample": (1e-20,),
+                "only the largest sample clipped": (b.max() * (1.0 - 1e-9),),
+                # sqrt of it is that sample's radius: r == c at the cut
+                "a sample's own power": (b[count // 2],),
+            })
         for name, clips in clip_sets.items():
-            expected = moment_sums_reference(u1, clips)
+            exact = moment_sums_exact(u1, clips)
             got = _kernels.moment_sums(generator(), count, clips)
-            assert np.array_equal(got, expected), name
-
-    @pytest.mark.parametrize("count", TREE_COUNTS)
-    def test_leaf_tree_equals_ndarray_sum(self, count):
-        # the kernel's bits rest on this: if numpy changes its pairwise
-        # summation, this fails rather than the results drifting
-        rng = np.random.default_rng(count)
-        values = rng.standard_normal(count) * 10.0 ** rng.uniform(-8.0, 8.0, count)
-        sizes = _kernels.leaf_sizes(count)
-        assert sum(sizes) == count and max(sizes) <= LEAF
-        bounds = np.cumsum([0] + sizes)
-        leaves = (values[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:]))
-        assert _kernels.tree_join(leaves, count) == values.sum()
+            assert got.shape == exact.shape, name
+            assert np.all(np.abs(got - exact) <= 2e-15 * exact), name
 
     def test_run_mc_peak_stays_below_one_chunk_array(self):
         # each worker holds only leaf rows, never a chunk-length row: the
