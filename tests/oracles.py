@@ -4,7 +4,8 @@ The bisection here shares no code with ``foglink.pa.optimal_ibos``: it uses
 only the sign of ``f`` and halves the bracket until it is ``tol`` wide.
 ``soft_limit`` is the complex-sample soft limiter, and
 ``moment_sums_exact`` the exactly rounded moment sums that
-``foglink._kernels.moment_sums`` must come within a few roundings of.
+``foglink._kernels.moment_sums`` must come within a few roundings of, and
+``moment_sums_reference`` the same sums taken whole-row by ``ndarray.sum``.
 """
 
 import math
@@ -113,4 +114,35 @@ def moment_sums_exact(u1, clip_powers):
         terms = (cre, a, rho, cre * cre, a * a, a * cre, a * b, b * cre)
         for index, term in zip((0, 1, 3, 4, 5, 7, 8, 9), terms):
             row[index] = exact_sum(term)
+    return out
+
+
+def moment_sums_reference(u1, clip_powers):
+    """The (len(clip_powers), 10) moment sums of ``foglink._kernels``, each
+    one ufunc pass and one ``ndarray.sum`` over the whole row.
+
+    Leaves ``u1`` unchanged.
+    """
+    n = u1.shape[0]
+    b, r, a, cre, tmp = np.empty((5, n))
+    out = np.empty((len(clip_powers), 10))
+    np.negative(u1, out=b)
+    np.log1p(b, out=b)
+    np.negative(b, out=b)  # |x|^2
+    np.sqrt(b, out=r)  # r = |x|
+    out[:, 2] = b.sum()
+    np.multiply(b, b, out=tmp)
+    out[:, 6] = tmp.sum()
+    for row, p_max in zip(out, clip_powers):
+        np.minimum(r, math.sqrt(p_max), out=a)  # rho = |y|
+        row[3] = a.sum()
+        np.multiply(r, a, out=cre)  # Re(c) = r * rho
+        np.multiply(a, a, out=a)  # |y|^2
+        row[0] = cre.sum()
+        row[1] = a.sum()
+        for index, (left, right) in zip(
+            (4, 5, 7, 8, 9), ((cre, cre), (a, a), (a, cre), (a, b), (b, cre))
+        ):
+            np.multiply(left, right, out=tmp)
+            row[index] = tmp.sum()
     return out

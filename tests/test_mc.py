@@ -14,7 +14,7 @@ from foglink import DomainError, NumericError, linear_to_db, pa_consumed_power
 from foglink import _kernels, mc
 from foglink.mc import CHUNK_SAMPLES, _chunk_layout, _chunk_sums, _summed_chunks, run_mc
 from foglink.pa import clipping, optimal_ibos
-from oracles import exact_sum, moment_sums_exact, soft_limit
+from oracles import exact_sum, moment_sums_exact, moment_sums_reference, soft_limit
 
 
 # five back-offs (dB) as in the benchmark, and their clip powers at unit input power
@@ -261,6 +261,33 @@ class TestRadialKernel:
             got = _kernels.moment_sums(generator(), count, clips)
             assert got.shape == exact.shape, name
             assert np.all(np.abs(got - exact) <= 2e-15 * exact), name
+
+    @pytest.mark.parametrize("count", LEAF_COUNTS)
+    def test_matches_whole_row_reference(self, count):
+        # the sorted-slice sums against one ndarray.sum over the whole row of
+        # each per-sample term: cheap enough for every clip set at every
+        # count, the whole chunk included. The kernel lies within 2e-15 of
+        # the exact sums (above), and numpy's pairwise sums of these
+        # nonnegative terms within 2e-15 of them too, so the two agree
+        # within 4e-15
+        def generator():
+            return np.random.Generator(np.random.Philox(key=11))
+
+        u1 = generator().random(count)
+        b = -np.log1p(-u1)  # |x|^2
+        clip_sets = {
+            "-3..12 dB": CLIP_POWERS,
+            "unsorted with a duplicate": (4.0, 0.5, 1e6, 4.0, 1.3),
+            "above every sample": (1e6, 1e300),
+            "below every sample": (1e-20,),
+            "only the largest sample clipped": (b.max() * (1.0 - 1e-9),),
+            "a sample's own power": (b[count // 2],),
+        }
+        for name, clips in clip_sets.items():
+            expected = moment_sums_reference(u1, clips)
+            got = _kernels.moment_sums(generator(), count, clips)
+            assert got.shape == expected.shape, name
+            assert np.all(np.abs(got - expected) <= 4e-15 * expected), name
 
     def test_run_mc_peak_stays_below_one_chunk_array(self):
         # each worker holds only leaf rows, never a chunk-length row: the
