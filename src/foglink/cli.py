@@ -9,6 +9,7 @@ names a file.
 import argparse
 import itertools
 import math
+import operator
 import sys
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -172,14 +173,17 @@ def _distance_sweep(
     stop_km: float,
     steps: int,
     columns: Sequence[str],
-    curve_cells: Callable[[PowerBreakdown], Callable[[float, float], tuple]],
+    curve_columns: Callable[[PowerBreakdown], Callable[[List[float], List[float]], tuple]],
 ) -> Tuple[List[str], List[tuple]]:
     """Rows over log-spaced distances and the FIGURE_COMBOS, each curve solved
     once at the first distance d0 as H + pa_w * (d / d0) ** PATH_LOSS_EXPONENT.
 
-    ``curve_cells(at_d0)`` returns the cells named by ``columns`` as a
-    function of a row's total and amplifier powers.  An error names its
-    curve, and its distance if it depends on one.
+    ``curve_columns(at_d0)`` returns the columns named by ``columns`` as a
+    function of a curve's total and amplifier powers over the distances;
+    a column that varies is a list, built before any row.  Rows are
+    distance-major, the curves of a distance in FIGURE_COMBOS order.  An
+    error names its curve, and its distance if it depends on one: that of
+    the first bad row.
     """
     distances = _grid("distance_km", start_km, stop_km, steps, log_spaced=True)
     d0 = distances[0]
@@ -201,25 +205,38 @@ def _distance_sweep(
         except FoglinkError as exc:
             raise _scenario_context(exc, distance_km=d0, **scenario) from exc
         curves.append((scenario, curve_radio.bandwidth_hz, cameras, head_w, at_d0.pa_w,
-                       curve_cells(at_d0)))
-    rows = []
+                       curve_columns(at_d0)))
+    scales = []
+    for d in distances:
+        try:
+            scales.append((d / d0) ** PATH_LOSS_EXPONENT)
+        except OverflowError:
+            scales.append(math.inf)
+
+    def curve_rows(curve, scales):
+        _, bandwidth_hz, cameras, head_w, pa_d0_w, columns_of = curve
+        pa_w = [pa_d0_w * scale for scale in scales]
+        total_w = [head_w + p for p in pa_w]
+        if not all(map(math.inf.__gt__, total_w)):
+            raise InfeasibleLinkError(
+                f"offload power {head_w!r} W + {pa_d0_w!r} W * (distance_km / "
+                f"{d0!r}) ** {PATH_LOSS_EXPONENT:g} is not finite"
+            )
+        return zip(distances, itertools.repeat(bandwidth_hz), itertools.repeat(cameras),
+                   *columns_of(total_w, pa_w))
+
     try:
-        for d in distances:
-            try:
-                scale = (d / d0) ** PATH_LOSS_EXPONENT
-            except OverflowError:
-                scale = math.inf
-            for scenario, bandwidth_hz, cameras, head_w, pa_d0_w, cells in curves:
-                pa_w = pa_d0_w * scale
-                total_w = head_w + pa_w
-                if not total_w < math.inf:
-                    raise InfeasibleLinkError(
-                        f"offload power {head_w!r} W + {pa_d0_w!r} W * (distance_km / "
-                        f"{d0!r}) ** {PATH_LOSS_EXPONENT:g} is not finite"
-                    )
-                rows.append((d, bandwidth_hz, cameras, *cells(total_w, pa_w)))
-    except FoglinkError as exc:
-        raise _scenario_context(exc, distance_km=d, **scenario) from exc
+        rows_by_curve = [curve_rows(curve, scales) for curve in curves]
+    except FoglinkError:
+        # a curve failed: the rows one by one, in order, name the first bad one
+        for d, scale in zip(distances, scales):
+            for curve in curves:
+                try:
+                    curve_rows(curve, [scale])
+                except FoglinkError as exc:
+                    raise _scenario_context(exc, distance_km=d, **curve[0]) from exc
+        raise  # not reached: a row repeats its curve's float operations
+    rows = [*itertools.chain.from_iterable(zip(*rows_by_curve))]
     return ["distance_km", "bandwidth_hz", "cameras", *columns], rows
 
 
@@ -228,17 +245,27 @@ _POWER_FIELDS = list(PowerBreakdown._fields)
 _FIG5_FIELDS = ["total_w", *(name for name in _POWER_FIELDS if name != "total_w")]
 
 
+def _dbm(powers_w: List[float]) -> List[float]:
+    """``watts_to_dbm`` of each power: its float operations inline while the
+    milliwatts are positive and finite, the call itself otherwise."""
+    log10, inf = math.log10, math.inf
+    return [10.0 * log10(w * 1e3) if 0.0 < w * 1e3 < inf else watts_to_dbm(w)
+            for w in powers_w]
+
+
 def sweep_fig5(
     radio: RadioParams, deploy: DeploymentParams, start_km: float, stop_km: float, steps: int
 ) -> Tuple[List[str], List[tuple]]:
     """Offload power and its per-component shares versus distance."""
-    def curve_cells(at_d0):  # the parts but the amplifier's do not vary along a curve
+    def curve_columns(at_d0):  # the parts but the amplifier's do not vary along a curve
         fixed = [watts_to_dbm(getattr(at_d0, f)) for f in _FIG5_FIELDS[1:-1]]
-        return lambda total_w, pa_w: (watts_to_dbm(total_w), *fixed, watts_to_dbm(pa_w))
+        return lambda total_w, pa_w: (
+            _dbm(total_w), *map(itertools.repeat, fixed), _dbm(pa_w)
+        )
 
     return _distance_sweep(
         radio, deploy, start_km, stop_km, steps,
-        [f"{name[:-2]}_dbm" for name in _FIG5_FIELDS], curve_cells,
+        [f"{name[:-2]}_dbm" for name in _FIG5_FIELDS], curve_columns,
     )
 
 
@@ -248,7 +275,7 @@ def sweep_fig6(
     """Breakeven workload complexity versus distance."""
     return _distance_sweep(
         radio, deploy, start_km, stop_km, steps, ["theta_star"],
-        lambda at_d0: lambda total_w, pa_w: (breakeven_at(total_w, deploy),),
+        lambda at_d0: lambda total_w, pa_w: ([breakeven_at(t, deploy) for t in total_w],),
     )
 
 
@@ -404,19 +431,65 @@ def _format_cell(value) -> str:
     return f"{number:.9g}"
 
 
+_PROBE_ROWS = 64  # rows read to find the repeated columns
+_MAX_REPEATS = 8  # distinct values a repeated column has in them
+
+
+def _cells_of(columns: List[int]) -> Callable[[Sequence], tuple]:
+    """The row's cells in ``columns``, as a tuple even for one column."""
+    if len(columns) == 1:
+        return operator.itemgetter(slice(columns[0], columns[0] + 1))
+    return operator.itemgetter(*columns)
+
+
+def _number_lines(rows: List[Sequence], width: int) -> List[str]:
+    """Each row formatted as ``width`` ``%.9g`` cells.
+
+    In a table of more than ``_PROBE_ROWS`` rows, a column with at most
+    ``_MAX_REPEATS`` distinct values in the first ``_PROBE_ROWS`` counts as
+    repeated, and each combination of repeated cells seen there gets a row
+    template with those cells formatted.  Every row takes the one template
+    of ``%.9g`` cells instead when no column or every column is repeated,
+    when a row has another width, when a combination holds a zero (0.0,
+    -0.0 and 0 compare equal but print apart), or when a later row brings a
+    new one.  A cell ``%`` refuses raises TypeError or OverflowError.
+    """
+    probe = rows[:_PROBE_ROWS] if len(rows) > _PROBE_ROWS else []
+    repeated = [i for i, cells in enumerate(zip(*probe)) if len(set(cells)) <= _MAX_REPEATS]
+    varying = [i for i in range(width) if i not in repeated]
+    if repeated and varying and set(map(len, rows)) == {width}:
+        key_of = _cells_of(repeated)
+        templates = dict.fromkeys(map(key_of, probe))
+        if not any(0 in key for key in templates):
+            for key in templates:
+                cells = ["%.9g"] * width
+                for column, value in zip(repeated, key):
+                    cells[column] = "%.9g" % (value,)
+                templates[key] = ",".join(cells)
+            try:
+                return [*map(
+                    operator.mod,
+                    map(templates.__getitem__, map(key_of, rows)),
+                    map(_cells_of(varying), rows),
+                )]
+            except KeyError:  # a combination the probe did not see
+                pass
+    return [*map(",".join(["%.9g"] * width).__mod__, rows)]
+
+
 def render_csv(columns: Sequence[str], rows: Iterable, trailer: Sequence[str] = ()) -> str:
     """The header, one line per row (cells in column order), then the trailer.
 
-    A row of numbers is one ``%.9g`` template format, the bytes of
-    ``_format_cell``.  A finite number prints no 'n', so an 'n' in the body
-    means an inf or a nan: such a table, or one with a boolean or a cell
-    ``%`` refuses (a str), goes cell by cell, which names the first bad cell.
+    A row of numbers is formatted by ``%.9g`` templates (``_number_lines``),
+    the bytes of ``_format_cell``.  A finite number prints no 'n', so an 'n'
+    in the body means an inf or a nan: such a table, or one with a boolean or
+    a cell ``%`` refuses (a str), goes cell by cell, which names the first
+    bad cell.
     """
     rows = list(rows)
     header = ",".join(columns)
-    template = ",".join(["%.9g"] * len(columns))
     try:
-        lines = [*map(template.__mod__, rows)]
+        lines = _number_lines(rows, len(columns))
     except (TypeError, OverflowError):  # a str, a huge int or a row of another length
         pass
     else:

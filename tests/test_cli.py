@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import random
 import re
 import struct
 from pathlib import Path
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import foglink.cli as cli
 from foglink import (
-    DomainError, FoglinkError, InfeasibleLinkError, load_params, replace, watts_to_dbm
+    DomainError, FoglinkError, InfeasibleLinkError, NumericError, load_params, replace,
+    watts_to_dbm,
 )
 from foglink.chain import breakeven_at, clip_independent_parts, offload_power
 from foglink.config import BANDWIDTH_PROFILES
@@ -327,6 +329,33 @@ def test_dense_snr_grid_keeps_its_bytes(capsys):
     assert (code, err) == (0, "")
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == DENSE_FIG3_SHA256, f"fig3 bytes moved; new digest {digest}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig4", "--steps", "1561"],
+    ["fig5", "--steps", "1961"],
+    ["fig6", "--steps", "1961"],
+    # amplifier draws past 1.8e305 W, whose milliwatts overflow a float
+    ["fig5", "--d-from-km", "1e80", "--d-to-km", "1.7e80"],
+], ids=["fig4", "fig5", "fig6", "fig5-beyond-1.8e305-w"])
+def test_dense_figures_print_their_rows_cell_by_cell(capsys, argv):
+    # these tables take row templates; the reference files hold only the
+    # default grids, and the benchmark reads dense rows to 1e-7 only
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    args = cli.build_parser().parse_args(argv)
+    columns, rows, _, _ = args.run(args, *load_params())
+    assert out == cell_by_cell(columns, rows)
+
+
+def test_distance_sweep_dbm_cells_are_watts_to_dbm():
+    powers = [5e-324, 1e-3, 0.3, 1.7e305, 1.8e305, 1.7976931348623157e308, math.inf]
+    assert cli._dbm(powers) == [watts_to_dbm(w) for w in powers]
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError) as refused:
+            watts_to_dbm(bad)
+        with pytest.raises(DomainError, match=f"^{re.escape(str(refused.value))}$"):
+            cli._dbm([1.0, bad])
 
 
 class TestBreakeven:
@@ -979,6 +1008,102 @@ NUMBERS = st.one_of(
 )
 
 
+def cell_by_cell(columns, rows):
+    """The CSV ``render_csv`` prints, one ``_format_cell`` per cell."""
+    lines = [",".join(map(cli._format_cell, row)) for row in rows]
+    return "\n".join([",".join(columns), *lines, ""])
+
+
+def assert_renders_cell_by_cell(columns, rows):
+    """render_csv prints the cell-by-cell bytes, or both refuse the same cell."""
+    try:
+        expected = cell_by_cell(columns, rows)
+    except NumericError as exc:
+        with pytest.raises(NumericError, match=f"^{re.escape(str(exc))}$"):
+            cli.render_csv(columns, rows)
+    else:
+        assert cli.render_csv(columns, rows) == expected
+
+
+# values of a repeated column: zeros of both signs and of both types, and
+# ints and floats of one value, which compare equal but may print apart
+REPEATED_VALUES = st.sampled_from(
+    [0.0, -0.0, 0, 1, 1.0, np.float64(1.0), 10, 10.0, 9e6, -2.5, 1e300, 5e-324]
+)
+BAD_CELLS = st.sampled_from([math.nan, math.inf, -math.inf, True, False, "pass"])
+COLUMN_KINDS = st.sampled_from(["constant", "few", "distinct", "later"])
+
+
+@st.composite
+def long_tables(draw):
+    """Tables of 65..400 rows, past render_csv's 64-row probe, whose columns
+    are constant, take a few values, are all distinct, or take a few values
+    in the first 64 rows and vary later, one column at least all distinct;
+    some hold a bad cell or a row of another width after row 64."""
+    n = draw(st.integers(65, 400))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def distinct():
+        return [rng.uniform(-1e9, 1e9) if rng.random() < 0.8
+                else rng.randint(-10**15, 10**15) for _ in range(n)]
+
+    kinds = ["distinct", *draw(st.lists(COLUMN_KINDS, min_size=1, max_size=5))]
+    rng.shuffle(kinds)
+    columns = []
+    for kind in kinds:
+        pool = draw(st.lists(REPEATED_VALUES, min_size=1, max_size=8))
+        if kind == "constant":
+            columns.append([pool[0]] * n)
+        elif kind == "few":
+            columns.append([rng.choice(pool) for _ in range(n)])
+        elif kind == "distinct":
+            columns.append(distinct())
+        else:
+            columns.append([rng.choice(pool) for _ in range(64)] + distinct()[64:])
+    rows = list(zip(*columns))
+    row = draw(st.integers(64, n - 1))
+    change = draw(st.sampled_from(["none", "bad", "longer", "shorter"]))
+    if change == "bad":
+        column = draw(st.integers(0, len(columns) - 1))
+        cells = list(rows[row])
+        cells[column] = draw(BAD_CELLS)
+        rows[row] = tuple(cells)
+    elif change == "longer":
+        rows[row] += (1.5,)
+    elif change == "shorter":
+        rows[row] = rows[row][:-1]
+    return [f"c{i}" for i in range(len(columns))], rows
+
+
+def table_of(*columns, bad=None):
+    """The columns and rows of a table given by its columns; ``bad`` is a
+    (row, column, value) put in after the table is built."""
+    rows = list(zip(*columns))
+    if bad is not None:
+        row, column, value = bad
+        rows[row] = rows[row][:column] + (value,) + rows[row][column + 1:]
+    return [f"c{i}" for i in range(len(columns))], rows
+
+
+STEPS_100 = [k / 7 for k in range(100)]  # an all-distinct column
+PAIRS_100 = [2.5, 3.5] * 50  # a repeated column
+PINNED_TABLES = [
+    table_of([0.0, -0.0, 0] * 33 + [-0.0], STEPS_100),
+    table_of([1.0] * 64 + [0.0, -0.0, 0] * 12, STEPS_100),
+    table_of([1, 1.0, 10, 10.0, np.float64(10.0)] * 20, STEPS_100),
+    table_of([2.5] * 64 + STEPS_100[64:], STEPS_100),
+    table_of([float(k % 8) + 1.0 for k in range(64)] + STEPS_100[64:], STEPS_100),
+    *(table_of(PAIRS_100, STEPS_100, bad=(80, column, value))
+      for column in (0, 1) for value in (math.nan, math.inf, True, "pass")),
+]
+PINNED_IDS = [
+    "signed-zeros", "late-signed-zeros", "equal-ints-and-floats", "repeated-then-varying",
+    "eight-then-varying",
+    *(f"{value!r}-in-{column}-column"
+      for column in ("repeated", "varying") for value in (math.nan, math.inf, True, "pass")),
+]
+
+
 class TestCsvRendering:
     def test_nine_significant_digits(self):
         text = cli.render_csv(["x"], [(math.pi,)])
@@ -1049,6 +1174,15 @@ class TestCsvRendering:
     def test_str_cells_render_as_text(self):
         text = cli.render_csv(["x", "label"], [(1.0, "nan"), (2.5, "inf"), (3.0, "pass")])
         assert text == "x,label\n1,nan\n2.5,inf\n3,pass\n"
+
+    @pytest.mark.parametrize("table", PINNED_TABLES, ids=PINNED_IDS)
+    def test_a_long_table_renders_cell_by_cell(self, table):
+        assert_renders_cell_by_cell(*table)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(long_tables())
+    def test_long_tables_render_cell_by_cell(self, table):
+        assert_renders_cell_by_cell(*table)
 
     def test_sweep_spec_validation(self):
         with pytest.raises(DomainError, match="increasing"):

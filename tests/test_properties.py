@@ -3,7 +3,8 @@
 Each property states a shape the model promises of valid output and needs
 no oracle:
 
-* the optimal back-off of fig3 rises strictly with the SNR ceiling;
+* the optimal back-off of fig3 rises strictly with the SNR ceiling, also
+  at every 0.01 dB of the solvable range;
 * the offload total of fig5 rises strictly with distance along each curve;
 * each fig6 breakeven theta* is Gamma * P / R of the matching fig5 total,
   to the 9 significant digits the CSV prints;
@@ -19,7 +20,7 @@ suite is deterministic.
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import foglink.cli as cli
 from foglink import dbm_to_watts, load_params, replace, required_sinr
@@ -66,10 +67,11 @@ def distance_sweeps(draw):
 
 @PROPERTY
 @given(ceiling_grids())
+@example((LOWEST_DB, HIGHEST_DB, 19_598))  # every 0.01 dB of the solvable range
 def test_fig3_optimal_backoff_rises_with_the_ceiling(grid):
     _, rows, _ = cli.sweep_fig3(*grid)
-    backoffs = [row[1] for row in rows]
-    assert all(b > a for a, b in zip(backoffs, backoffs[1:])), rows
+    flat = [(a, b) for a, b in zip(rows, rows[1:]) if not b[1] > a[1]]
+    assert not flat, flat[:5]
 
 
 @PROPERTY
