@@ -245,14 +245,6 @@ _POWER_FIELDS = list(PowerBreakdown._fields)
 _FIG5_FIELDS = ["total_w", *(name for name in _POWER_FIELDS if name != "total_w")]
 
 
-def _dbm(powers_w: List[float]) -> List[float]:
-    """``watts_to_dbm`` of each power: its float operations inline while the
-    milliwatts are positive and finite, the call itself otherwise."""
-    log10, inf = math.log10, math.inf
-    return [10.0 * log10(w * 1e3) if 0.0 < w * 1e3 < inf else watts_to_dbm(w)
-            for w in powers_w]
-
-
 def sweep_fig5(
     radio: RadioParams, deploy: DeploymentParams, start_km: float, stop_km: float, steps: int
 ) -> Tuple[List[str], List[tuple]]:
@@ -260,7 +252,8 @@ def sweep_fig5(
     def curve_columns(at_d0):  # the parts but the amplifier's do not vary along a curve
         fixed = [watts_to_dbm(getattr(at_d0, f)) for f in _FIG5_FIELDS[1:-1]]
         return lambda total_w, pa_w: (
-            _dbm(total_w), *map(itertools.repeat, fixed), _dbm(pa_w)
+            [*map(watts_to_dbm, total_w)], *map(itertools.repeat, fixed),
+            [*map(watts_to_dbm, pa_w)],
         )
 
     return _distance_sweep(

@@ -348,16 +348,6 @@ def test_dense_figures_print_their_rows_cell_by_cell(capsys, argv):
     assert out == cell_by_cell(columns, rows)
 
 
-def test_distance_sweep_dbm_cells_are_watts_to_dbm():
-    powers = [5e-324, 1e-3, 0.3, 1.7e305, 1.8e305, 1.7976931348623157e308, math.inf]
-    assert cli._dbm(powers) == [watts_to_dbm(w) for w in powers]
-    for bad in (0.0, -1.0, math.nan):
-        with pytest.raises(DomainError) as refused:
-            watts_to_dbm(bad)
-        with pytest.raises(DomainError, match=f"^{re.escape(str(refused.value))}$"):
-            cli._dbm([1.0, bad])
-
-
 class TestBreakeven:
     def test_single_row(self, capsys):
         code, out, _ = run_cli(["breakeven"], capsys)
