@@ -109,8 +109,8 @@ def snr_ceiling(
     The ceiling is the affine SINR fit inverted at the required SINR, so it
     depends on the rate demand alone; the SINR-optimal amplifier operating
     point is ``pa.optimal_ibos`` at it.  A zero rate has no ceiling
-    (DomainError); one below ``pa.MIN_SNR_CEILING`` has no optimal back-off
-    in the searched range (DomainError), and one above
+    (DomainError); one below ``pa.MIN_SNR_CEILING``, the lowest ceiling the
+    back-off solve accepts, is refused (DomainError), and one above
     ``pa.MAX_SNR_CEILING`` cannot be solved (InfeasibleLinkError).
 
     The achieved SINR misses the required one by the fit's error, rated at

@@ -15,9 +15,9 @@ Samples are generated in fixed-size chunks, each from its own jump-ahead
 Philox substream (``Philox(key=seed).jumped(chunk_index)``).  A run
 computes its chunks on one worker thread per CPU it may use (at most one
 per chunk); each worker needs memory only for the four cache-sized leaf
-rows (1 MiB) of the chunk it is on, not for the chunk.  The chunk partial
-sums are stored by chunk index and added in chunk order, and the chunk
-layout does not depend on the worker count, so the bits do not either.  A sample is
+rows (1 MiB) of the chunk it is on, not for the chunk.  Each chunk's
+partial sums join the running sums in chunk order, and the chunk layout
+does not depend on the worker count, so the bits do not either.  A sample is
 ``x = sqrt(-log(1 - u1)) * exp(2j * pi * u2)`` (Box-Muller), but
 only u1, the first ``count`` uniforms of each substream, is drawn: the
 soft limiter keeps the phase, so no estimator depends on u2.  Every clip
@@ -35,7 +35,7 @@ import contextvars
 import math
 import os
 import threading
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -83,31 +83,39 @@ def _summed_chunks(
 
     ``workers`` threads, at most one per chunk, take chunks in turn, each
     in a copy of the caller's context, so the caller's ``np.errstate``
-    holds in every one; the calling thread is one of them.  The chunk
-    partials are added in chunk order, so the sums do not depend on
-    ``workers``.  The first exception a worker raises is raised here, once
-    every worker has stopped.
+    holds in every one; the calling thread is one of them.  Each chunk's
+    partial is added to the sums once every earlier chunk's has been, so
+    the sums do not depend on ``workers``, and only the partials that
+    finish out of order are held.  The first exception a worker raises is
+    raised here, once every worker has stopped.
     """
-    layout = list(_chunk_layout(n_samples))
-    partials: List[Optional[np.ndarray]] = [None] * len(layout)
-    pending = iter(layout)
+    pending = _chunk_layout(n_samples)
     lock = threading.Lock()
     errors: List[BaseException] = []
+    sums = np.zeros((len(clip_powers), _kernels.N_SUMS))
+    early: Dict[int, np.ndarray] = {}  # finished partials awaiting an earlier chunk
+    next_index = 0
 
     def work():
+        nonlocal next_index
         try:
             while not errors:
                 with lock:
                     index, count = next(pending, (None, 0))
                 if index is None:
                     return
-                partials[index] = _chunk_sums(seed, index, count, clip_powers)
+                partial = _chunk_sums(seed, index, count, clip_powers)
+                with lock:
+                    early[index] = partial
+                    while next_index in early:
+                        np.add(sums, early.pop(next_index), out=sums)
+                        next_index += 1
         except BaseException as exc:  # re-raised in the calling thread
             errors.append(exc)
 
     threads = [
         threading.Thread(target=contextvars.copy_context().run, args=(work,))
-        for _ in range(min(workers, len(layout)) - 1)
+        for _ in range(min(workers, -(-n_samples // CHUNK_SAMPLES)) - 1)
     ]
     for thread in threads:
         thread.start()
@@ -116,9 +124,6 @@ def _summed_chunks(
         thread.join()
     if errors:
         raise errors[0]
-    sums = np.zeros((len(clip_powers), _kernels.N_SUMS))
-    for partial in partials:
-        sums += partial
     return sums
 
 

@@ -27,13 +27,9 @@ __all__ = [
 _SQRT_PI = math.sqrt(math.pi)
 _HALF_SQRT_PI = 0.5 * _SQRT_PI
 
-# Search bracket for the optimal back-off, in linear IBO.  It holds a sign
-# change of the stationarity gap for every SNR ceiling from MIN_SNR_CEILING,
-# -39.475 dB, below which the gap at its lower end z = sqrt(1e-8) = 1e-4 is
-# negative, up to MAX_SNR_CEILING; at its upper end erfc(sqrt(1e3)) is 0.0,
-# so the gap is -sqrt(1e3) / SNR_MAX < 0 for every finite ceiling.
-IBO_BRACKET = (1e-8, 1e3)
-_Z_BRACKET = (math.sqrt(IBO_BRACKET[0]), math.sqrt(IBO_BRACKET[1]))
+# Smallest SNR ceiling the back-off solve accepts, -39.475 dB: the one
+# whose optimal back-off is 1e-8, where the stationarity gap
+# (sqrt(pi)/2) * erfc(z) - z / SNR_MAX has its root at z = 1e-4.
 MIN_SNR_CEILING = 1e-4 / (_HALF_SQRT_PI * math.erfc(1e-4))
 
 # Largest SNR ceiling the back-off solve accepts, 156.5 dB.  Near 160 dB
@@ -104,10 +100,10 @@ def optimal_ibos(ceilings: Iterable[float]) -> Iterator[Tuple[float, float, floa
     ``clipping(ibo_linear)`` and ``checked_sinr(alpha, D, ibo_linear, s)``, and
     raises at the first ceiling that fails.
 
-    Solves the stationarity condition in z = sqrt(IBO) by Newton steps kept
-    inside a shrinking sign-change bracket, with a bisection step whenever
-    a Newton step would leave it (the condition is strictly decreasing in
-    z, so the root is unique).
+    Solves the stationarity condition in z = sqrt(IBO) by Newton steps.
+    On z > 0 its gap is strictly decreasing and convex, so the root is
+    unique and Newton from any positive start overshoots at most once,
+    to a positive z below the root, and then rises to it.
 
     Raises DomainError for a ceiling outside [MIN_SNR_CEILING,
     MAX_SNR_CEILING], ConvergenceError when the gap is not within 1e-13
@@ -117,7 +113,6 @@ def optimal_ibos(ceilings: Iterable[float]) -> Iterator[Tuple[float, float, floa
     """
     erfc, exp, sqrt, log, isfinite = math.erfc, math.exp, math.sqrt, math.log, math.isfinite
     half_sqrt_pi = _HALF_SQRT_PI
-    z_lo, z_hi = _Z_BRACKET
     for s in ceilings:
         if not (isfinite(s) and s > 0.0):
             raise DomainError(f"snr_max_linear must be positive and finite, got {s!r}")
@@ -125,7 +120,7 @@ def optimal_ibos(ceilings: Iterable[float]) -> Iterator[Tuple[float, float, floa
             raise DomainError(
                 f"snr_max_linear = {s!r} is below "
                 f"{10.0 * math.log10(MIN_SNR_CEILING):.3f} dB, the lowest SNR ceiling "
-                f"whose optimal back-off lies in the searched range {IBO_BRACKET}"
+                "the back-off solve accepts"
             )
         if s > MAX_SNR_CEILING:
             raise DomainError(
@@ -133,10 +128,9 @@ def optimal_ibos(ceilings: Iterable[float]) -> Iterator[Tuple[float, float, floa
                 f"where the Bussgang gain saturates to 1.0 in double precision"
             )
         inv_s = 1.0 / s
-        lo, hi = z_lo, z_hi
         # d(gap)/dz at the root flattens toward -1/s for large s, so start near
         # the asymptotic root location to keep the iteration count low; for
-        # s in (e, MAX_SNR_CEILING] it lies in (1, 6.01), inside the bracket.
+        # s in (e, MAX_SNR_CEILING] it lies in (1, 6.01).
         z = sqrt(log(s)) if s > math.e else 0.5
         # the stationarity gap (sqrt(pi)/2) * erfc(z) - z / s, in z = sqrt(IBO)
         g = half_sqrt_pi * erfc(z) - z / s
@@ -145,13 +139,6 @@ def optimal_ibos(ceilings: Iterable[float]) -> Iterator[Tuple[float, float, floa
                 break
             slope = -exp(-z * z) - inv_s
             z_next = z - g / slope
-            # the gap falls with z: the root lies above z while g > 0
-            if g > 0.0:
-                lo = z
-            else:
-                hi = z
-            if not lo < z_next < hi:
-                z_next = 0.5 * (lo + hi)
             if z_next == z:
                 break
             z = z_next

@@ -719,7 +719,7 @@ class TestErrorExits:
         (["mc-verify", "--ibo-db", "1e5", "--samples", "1000"], "ibo_db=100000.0"),
         (["mc-verify", "--snr-max-db", "1e5", "--samples", "1000"], "snr_max_db=100000.0"),
         (["breakeven", "--theta-from", "100", "--theta-to", "1e400"], "theta"),
-        # below -39.475 dB the optimal back-off leaves the searched range
+        # below -39.475 dB, the lowest SNR ceiling the back-off solve accepts
         (["fig3", "--db-from", "-45", "--db-to", "0", "--steps", "4"], "snr_max_db=-45.0"),
         # a ceiling past MAX_SNR_CEILING mid-grid, and as the last point
         (["fig3", "--db-from", "150", "--db-to", "160", "--steps", "11"], "snr_max_db=157.0"),

@@ -162,6 +162,19 @@ class TestDeterminism:
             run_mc([1.0], 3 * CHUNK_SAMPLES + 7, 42)
         assert threading.active_count() == threads  # every worker joined
 
+    def test_huge_sample_count_takes_chunks_as_it_goes(self, monkeypatch):
+        # 10**400 samples are ~1e394 chunks: a run that listed its chunk
+        # layout, or a partial per chunk, before working would never reach
+        # chunk 6
+        def chunk_sums(seed, chunk_index, count, clip_powers):
+            if chunk_index == 6:
+                raise RuntimeError("chunk 6 failed")
+            return np.zeros((len(clip_powers), _kernels.N_SUMS))
+
+        monkeypatch.setattr(mc, "_chunk_sums", chunk_sums)
+        with pytest.raises(RuntimeError, match="chunk 6 failed"):
+            run_mc([1.0], 10 ** 400, 42)
+
     def test_every_chunk_runs_once_under_contention(self, monkeypatch):
         # eight workers, switching threads as often as the interpreter
         # allows: no chunk is lost or run twice

@@ -15,7 +15,6 @@ from foglink import (
     snr_max_for_sinr_db,
 )
 from foglink.pa import (
-    IBO_BRACKET,
     MAX_SNR_CEILING,
     MIN_SNR_CEILING,
     checked_sinr,
@@ -31,7 +30,7 @@ SQRT_PI = math.sqrt(math.pi)
 # ceiling, the repr of (ibo, alpha, sinr) in float.hex, or the exception's
 # type name and message.  A change that moves the solver's bits on purpose
 # re-pins it with the digest the failing test prints.
-SOLVER_GRID_SHA256 = "e00070646ded4d85ed58502b1975996c28e475f4426d167174e6e8f939ef61f6"
+SOLVER_GRID_SHA256 = "a670f443fe9718d209fe275f4237be0ac2bba011297711417f883406a4e95181"
 
 
 def solved(snr_max):
@@ -56,8 +55,8 @@ def bisect_optimal_ibo(snr_max, tol=1e-11):
     """Independent bisection oracle for the SINR-optimal back-off."""
     return solve_bisection(
         lambda i: 0.5 * SQRT_PI * math.erfc(math.sqrt(i)) - math.sqrt(i) / snr_max,
-        IBO_BRACKET[0],
-        IBO_BRACKET[1],
+        1e-8,
+        1e3,
         tol=tol,
     )
 
@@ -202,16 +201,19 @@ class TestOptimalIbo:
             assert sinr == sinr_at(ibo, s)
 
     def test_relative_error_against_a_converged_bisection(self):
-        # every 0.1 dB over the fit's rated range down to the bracket's edge,
-        # against a float bisection of the same gap run until its bracket is
-        # 4e-16 * IBO wide.  The solve stops at |gap| <= 1e-13, which leaves
+        # every 0.1 dB from -39.4 dB over the fit's rated range, against a
+        # float bisection of the same gap run until its bracket is 4e-16 *
+        # IBO wide.  The solve stops at |gap| <= 1e-13, which leaves
         # the worst relative IBO error at 1.79e-10 (47.2 dB) and 2.18e-13
         # below -10 dB; a 40-digit bisection on a 1 dB grid agrees (1.1e-10
         # at 47 dB).  Solving the back-off to its own precision takes both
         # to <= 1e-15.  Above 50 dB the error grows to 0.14 at 140 dB.
+        # -39.47 and -39.11 dB end the span where plain Newton steps and a
+        # bisection fallback part by up to 1.8e-14 (1.4e-14 and 1.8e-14 there)
         worst, worst_below_10 = 0.0, 0.0
-        ceilings = [10.0 ** (k / 100.0) for k in range(-394, 501)]
-        for k, s, (ibo, _, _) in zip(range(-394, 501), ceilings, optimal_ibos(ceilings)):
+        grid = [-394.7, *range(-394, 501), -391.1]
+        ceilings = [10.0 ** (k / 100.0) for k in grid]
+        for k, s, (ibo, _, _) in zip(grid, ceilings, optimal_ibos(ceilings)):
             oracle = bisect_optimal_ibo(s, tol=4e-16 * ibo)
             error = abs(ibo - oracle) / oracle
             worst = max(worst, error)
@@ -252,18 +254,20 @@ class TestOptimalIbo:
             _, alpha, _ = solved(10.0 ** ((100.0 + 0.01 * k) / 10.0))
             assert 0.0 < alpha < 1.0
 
-    def test_bracket_holds_down_to_its_edge(self):
-        # IBO_BRACKET holds a sign change from -39.475 dB up
+    def test_solves_down_to_the_lowest_ceiling(self):
+        # MIN_SNR_CEILING, -39.475 dB, is the ceiling whose optimal back-off
+        # is 1e-8; below it the solve refuses
         ibo, _, _ = solved(10.0 ** -3.9)
         assert abs(gap_at(ibo, 10.0 ** -3.9)) <= 1e-13
         with pytest.raises(DomainError, match="is below -39.475 dB"):
             solved(10.0 ** -4.0)
         ibo, _, _ = solved(MIN_SNR_CEILING)
-        assert abs(ibo - IBO_BRACKET[0]) <= 1e-15
+        assert abs(ibo - 1e-8) <= 1e-15
 
-    def test_gap_without_a_root_stops_when_steps_make_no_progress(self, monkeypatch):
-        # a sign change with no zero: bisection shrinks the bracket to
-        # adjacent floats in ~55 steps, well inside the 200-step limit
+    def test_gap_without_a_root_stops_at_the_step_cap(self, monkeypatch):
+        # a sign change with no zero: Newton steps cycle across the jump
+        # and the solve gives up after its 200 steps, one gap evaluation
+        # each after the start's
         calls = []
 
         def step_erfc(z):  # at s = 100 the gap is > 0 below z = 2 and < 0 above
@@ -273,8 +277,28 @@ class TestOptimalIbo:
         monkeypatch.setattr(math, "erfc", step_erfc)
         with pytest.raises(ConvergenceError, match="did not converge"):
             solved(100.0)
-        assert len(calls) < 100
-        assert abs(calls[-1] - 2.0) <= math.ulp(2.0)
+        assert len(calls) == 201
+
+    def test_gap_evaluations_on_a_fine_grid(self, monkeypatch):
+        # the solve's work at every 0.01 dB of [MIN_SNR_CEILING,
+        # MAX_SNR_CEILING]: math.erfc calls less the one in _clipping.
+        # 1907 ceilings take one evaluation; the worst take 22, from
+        # 126.09 dB up, where the gap's slope flattens to -1/s.  Solving
+        # the back-off to its own precision (ROADMAP item 1) lowers both pins
+        erfc, calls = math.erfc, []
+
+        def counted_erfc(z):
+            calls.append(z)
+            return erfc(z)
+
+        monkeypatch.setattr(math, "erfc", counted_erfc)
+        evaluations = []
+        for k in range(-3947, 15651):
+            del calls[:]
+            solved(10.0 ** (k / 1000.0))
+            evaluations.append(len(calls) - 1)
+        assert max(evaluations) <= 22
+        assert sum(evaluations) == 214129
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -287,16 +311,15 @@ class TestOptimalIbo:
         monkeypatch.setattr("foglink.pa.MAX_SNR_CEILING", math.inf)
         with pytest.raises(DomainError, match=r"^alpha must lie in \(0, 1\), got 1\.0$"):
             next(optimal_ibos([10.0 ** 15.8]))
-        # exp held just above (sqrt(pi)/2) z erfc(z) at the root leaves alpha
-        # just below 1 and almost no distortion: the SINR tops the ceiling
-        z = math.sqrt(solved(1.0)[0])
-        c = 0.5 * SQRT_PI * z * math.erfc(z) + 0.01
-        monkeypatch.setattr(math, "exp", lambda x: c)
-        with pytest.raises(DomainError, match=r"^sinr_linear must lie in .*, got 98\.99"):
+        # alpha just below 1 and almost no distortion: the SINR tops the
+        # ceiling
+        monkeypatch.setattr("foglink.pa._clipping", lambda ibo: (0.99, 0.0099 - ibo))
+        with pytest.raises(DomainError, match=r"^sinr_linear must lie in .*, got 99\.0000"):
             next(optimal_ibos([1.0]))
-        # exp = 0 leaves alpha above 1 and the SINR negative: the SINR
-        # check is the one that raises
-        monkeypatch.setattr(math, "exp", lambda x: 0.0)
+        # alpha above 1 and D = 1 - alpha^2 leave the SINR negative: the
+        # SINR check is the one that raises
+        monkeypatch.setattr("foglink.pa._clipping", lambda ibo: (1.0 + ibo / 100.0,
+                                                                  1.0 - (1.0 + ibo / 100.0) ** 2))
         with pytest.raises(DomainError, match=r"^SINR degenerated to -37\.2"):
             next(optimal_ibos([100.0]))
 
