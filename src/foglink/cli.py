@@ -7,9 +7,11 @@ names a file.
 """
 
 import argparse
+import gc
 import itertools
 import math
 import operator
+import os
 import sys
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -324,7 +326,7 @@ def mc_verify(
     Runs at unit mean input power (sigma2 = 1 W, p_max = IBO), every
     back-off on the same samples in one Monte-Carlo run.  Each input is
     checked here only, before any sampling, and refused by its own name: a
-    non-empty back-off list, at least 2 samples, the SNR ceiling, each
+    non-empty back-off list, 2 to 2**53 samples, the SNR ceiling, each
     back-off's closed forms, then the seed.  The ceiling enters only the
     two SINR columns, formed here side by side.  A row passes when alpha,
     distortion power, amplifier power and SINR each land within max(3
@@ -335,6 +337,8 @@ def mc_verify(
         raise DomainError("--ibo-db produced an empty back-off list")
     if n_samples < 2:  # one sample has no standard error
         raise DomainError(f"--samples must be at least 2, got {n_samples}")
+    if n_samples > 2 ** 53:  # beyond it n is not exact as a float
+        raise DomainError(f"--samples must be at most {2 ** 53}, got {n_samples}")
     try:
         snr_max = db_to_linear(snr_max_db)
         if snr_max == 0.0:
@@ -666,5 +670,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 1 if verdicts else 0
 
 
+def run() -> None:
+    """The ``foglink`` program: ``main()`` in a process of its own, then exit.
+
+    numpy's OpenBLAS gets one thread unless the environment names a count,
+    since nothing here calls BLAS.  After the run the heap is frozen, so
+    the interpreter's exit-time collection has nothing to scan.  Library
+    callers use ``main``, which does neither.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -580,6 +580,20 @@ class TestMcVerify:
         assert code == 1 and out == ""
         assert err.splitlines() == [f"error: --samples must be at least 2, got {samples}"]
 
+    @pytest.mark.parametrize("samples", [2 ** 53 + 1, 10 ** 400], ids=["2**53+1", "10**400"])
+    def test_too_many_samples_are_refused_before_sampling(self, capsys, monkeypatch, samples):
+        # beyond 2**53 the estimators' n is not exact as a float, and 10**400
+        # samples would run for ever before total / n overflowed
+        import foglink.mc
+
+        def no_sampling(*args):
+            raise AssertionError(f"sampled {args!r} before refusing --samples")
+
+        monkeypatch.setattr(foglink.mc, "run_mc", no_sampling)
+        assert run_cli(["mc-verify", "--samples", str(samples)], capsys) == (
+            1, "", f"error: --samples must be at most 9007199254740992, got {samples}\n"
+        )
+
 
 class TestErrorExits:
     def test_distance_below_floor(self, capsys):
