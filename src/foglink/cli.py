@@ -13,10 +13,11 @@ import math
 import operator
 import os
 import sys
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import pa
 from .chain import (
+    _PART_KEYS,
     DeploymentParams,
     PowerBreakdown,
     RadioParams,
@@ -175,17 +176,17 @@ def _distance_sweep(
     stop_km: float,
     steps: int,
     columns: Sequence[str],
-    curve_columns: Callable[[PowerBreakdown], Callable[[List[float], List[float]], tuple]],
+    curve_columns: Callable[[Dict[str, float]], Callable[[List[float], List[float]], tuple]],
 ) -> Tuple[List[str], List[tuple]]:
     """Rows over log-spaced distances and the FIGURE_COMBOS, each curve solved
     once at the first distance d0 as H + pa_w * (d / d0) ** PATH_LOSS_EXPONENT.
 
-    ``curve_columns(at_d0)`` returns the columns named by ``columns`` as a
-    function of a curve's total and amplifier powers over the distances;
-    a column that varies is a list, built before any row.  Rows are
-    distance-major, the curves of a distance in FIGURE_COMBOS order.  An
-    error names its curve, and its distance if it depends on one: that of
-    the first bad row.
+    ``curve_columns(parts)``, given a curve's ``clip_independent_parts``,
+    returns the columns named by ``columns`` as a function of its total and
+    amplifier powers over the distances; a column that varies is a list,
+    built before any row.  Rows are distance-major, the curves of a
+    distance in FIGURE_COMBOS order.  An error names its curve, and its
+    distance if it depends on one: that of the first bad row.
     """
     distances = _grid("distance_km", start_km, stop_km, steps, log_spaced=True)
     d0 = distances[0]
@@ -198,7 +199,8 @@ def _distance_sweep(
             _, snr_max = snr_ceiling(curve_radio.bandwidth_hz, cameras, deploy.rate_bps,
                                      curve_radio.beta)
             [(ibo, _, _)] = pa.optimal_ibos([snr_max])
-            head_w = clip_independent_parts(curve_radio, curve_deploy)[1]
+            parts, head_w = clip_independent_parts(curve_radio, curve_deploy)
+            columns_of = curve_columns(parts)
         except FoglinkError as exc:
             raise _scenario_context(exc, **scenario) from exc
         try:  # the path gain falls with distance: d0 checks the grid
@@ -207,7 +209,7 @@ def _distance_sweep(
         except FoglinkError as exc:
             raise _scenario_context(exc, distance_km=d0, **scenario) from exc
         curves.append((scenario, curve_radio.bandwidth_hz, cameras, head_w, at_d0.pa_w,
-                       curve_columns(at_d0)))
+                       columns_of))
     scales = []
     for d in distances:
         try:
@@ -251,8 +253,13 @@ def sweep_fig5(
     radio: RadioParams, deploy: DeploymentParams, start_km: float, stop_km: float, steps: int
 ) -> Tuple[List[str], List[tuple]]:
     """Offload power and its per-component shares versus distance."""
-    def curve_columns(at_d0):  # the parts but the amplifier's do not vary along a curve
-        fixed = [watts_to_dbm(getattr(at_d0, f)) for f in _FIG5_FIELDS[1:-1]]
+    def curve_columns(parts):  # the parts but the amplifier's do not vary along a curve
+        fixed = []
+        for name, part_w in parts.items():
+            if not part_w > 0.0:
+                raise DomainError(f"{name} = {part_w!r} W has no dBm value; it is computed "
+                                  f"from {_PART_KEYS[name]}")
+            fixed.append(watts_to_dbm(part_w))
         return lambda total_w, pa_w: (
             [*map(watts_to_dbm, total_w)], *map(itertools.repeat, fixed),
             [*map(watts_to_dbm, pa_w)],
@@ -270,7 +277,7 @@ def sweep_fig6(
     """Breakeven workload complexity versus distance."""
     return _distance_sweep(
         radio, deploy, start_km, stop_km, steps, ["theta_star"],
-        lambda at_d0: lambda total_w, pa_w: ([breakeven_at(t, deploy) for t in total_w],),
+        lambda parts: lambda total_w, pa_w: ([breakeven_at(t, deploy) for t in total_w],),
     )
 
 
@@ -416,18 +423,6 @@ def mc_verify(
 # CSV rendering
 
 
-def _format_cell(value) -> str:
-    """A str as is, a number at 9 significant digits; bool and inf/nan raise."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        raise NumericError(f"boolean cell {value!r} has no CSV rendering")
-    number = float(value)
-    if not math.isfinite(number):
-        raise NumericError(f"non-finite value {value!r} in CSV output")
-    return f"{number:.9g}"
-
-
 _PROBE_ROWS = 64  # rows read to find the repeated columns
 _MAX_REPEATS = 8  # distinct values a repeated column has in them
 
@@ -439,29 +434,32 @@ def _cells_of(columns: List[int]) -> Callable[[Sequence], tuple]:
     return operator.itemgetter(*columns)
 
 
-def _number_lines(rows: List[Sequence], width: int) -> List[str]:
-    """Each row formatted as ``width`` ``%.9g`` cells.
+def _row_lines(rows: List[Sequence]) -> List[str]:
+    """Each row formatted by the cell formats of the first: ``%s`` for a
+    str, ``%.9g`` for a number.
 
     In a table of more than ``_PROBE_ROWS`` rows, a column with at most
     ``_MAX_REPEATS`` distinct values in the first ``_PROBE_ROWS`` counts as
     repeated, and each combination of repeated cells seen there gets a row
     template with those cells formatted.  Every row takes the one template
-    of ``%.9g`` cells instead when no column or every column is repeated,
-    when a row has another width, when a combination holds a zero (0.0,
-    -0.0 and 0 compare equal but print apart), or when a later row brings a
-    new one.  A cell ``%`` refuses raises TypeError or OverflowError.
+    of the first row's formats instead when no column or every column is
+    repeated, when a combination holds a zero (0.0, -0.0 and 0 compare
+    equal but print apart), or when a later row brings a new one.
     """
+    if not rows:
+        return []
+    formats = ["%s" if isinstance(cell, str) else "%.9g" for cell in rows[0]]
     probe = rows[:_PROBE_ROWS] if len(rows) > _PROBE_ROWS else []
     repeated = [i for i, cells in enumerate(zip(*probe)) if len(set(cells)) <= _MAX_REPEATS]
-    varying = [i for i in range(width) if i not in repeated]
-    if repeated and varying and set(map(len, rows)) == {width}:
+    varying = [i for i in range(len(formats)) if i not in repeated]
+    if repeated and varying:
         key_of = _cells_of(repeated)
         templates = dict.fromkeys(map(key_of, probe))
         if not any(0 in key for key in templates):
             for key in templates:
-                cells = ["%.9g"] * width
+                cells = formats.copy()
                 for column, value in zip(repeated, key):
-                    cells[column] = "%.9g" % (value,)
+                    cells[column] = formats[column] % (value,)
                 templates[key] = ",".join(cells)
             try:
                 return [*map(
@@ -471,32 +469,26 @@ def _number_lines(rows: List[Sequence], width: int) -> List[str]:
                 )]
             except KeyError:  # a combination the probe did not see
                 pass
-    return [*map(",".join(["%.9g"] * width).__mod__, rows)]
+    return [*map(",".join(formats).__mod__, rows)]
 
 
 def render_csv(columns: Sequence[str], rows: Iterable, trailer: Sequence[str] = ()) -> str:
     """The header, one line per row (cells in column order), then the trailer.
 
-    A row of numbers is formatted by ``%.9g`` templates (``_number_lines``),
-    the bytes of ``_format_cell``.  A finite number prints no 'n', so an 'n'
-    in the body means an inf or a nan: such a table, or one with a boolean or
-    a cell ``%`` refuses (a str), goes cell by cell, which names the first
-    bad cell.
+    Rows are formatted by ``_row_lines``.  A finite number prints no 'n', so
+    when the body holds one, the rows are searched in order for the first
+    number that is not finite, which raises NumericError; a str cell such
+    as "nan" prints as text.
     """
     rows = list(rows)
     header = ",".join(columns)
-    try:
-        lines = _number_lines(rows, len(columns))
-    except (TypeError, OverflowError):  # a str, a huge int or a row of another length
-        pass
-    else:
-        text = "\n".join([header, *lines, *trailer, ""])
-        body_end = len(text) - len(trailer) - sum(map(len, trailer))
-        cell_types = map(type, itertools.chain.from_iterable(rows))
-        if text.find("n", len(header) + 1, body_end) < 0 and bool not in cell_types:
-            return text
-    lines = [",".join(map(_format_cell, row)) for row in rows]
-    return "\n".join([header, *lines, *trailer, ""])
+    text = "\n".join([header, *_row_lines(rows), *trailer, ""])
+    body_end = len(text) - len(trailer) - sum(map(len, trailer))
+    if text.find("n", len(header) + 1, body_end) >= 0:
+        for cell in itertools.chain.from_iterable(rows):
+            if not (isinstance(cell, str) or math.isfinite(cell)):
+                raise NumericError(f"non-finite value {cell!r} in CSV output")
+    return text
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:

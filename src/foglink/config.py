@@ -52,7 +52,12 @@ DEPLOY_DEFAULTS = {
     "theta_flop_per_bit": 320.0,
 }
 
-_INT_KEYS = {"n_ofdm", "dac_bits", "cameras"}
+_INT_KEYS = {
+    name
+    for record in (RadioParams, DeploymentParams)
+    for name, kind in record.__annotations__.items()
+    if kind is int
+}
 
 
 def _build(values: dict) -> Tuple[RadioParams, DeploymentParams]:

@@ -79,8 +79,8 @@ def required_sinr(bandwidth_hz: float, cameras: int, rate_bps: float, beta: floa
     slot; ``beta`` is the Shannon-gap scaling of the rate relation (0.4 for
     a fading uplink, 0.55 for AWGN SISO).  Raises InfeasibleLinkError once
     the exponent exceeds 60, where the implied SINR requirement is
-    numerically astronomical, and DomainError when a positive rate demand
-    rounds to a zero SINR.
+    numerically astronomical.  ``expm1`` keeps every digit of a small
+    exponent, so a positive one gives a positive SINR.
     """
     shannon_hz = beta * bandwidth_hz
     exponent = cameras * rate_bps / shannon_hz if shannon_hz else math.inf
@@ -91,13 +91,7 @@ def required_sinr(bandwidth_hz: float, cameras: int, rate_bps: float, beta: floa
             f"(cameras = {cameras}, rate_bps = {rate_bps!r}, "
             f"beta = {beta!r}, bandwidth_hz = {bandwidth_hz!r})"
         )
-    sinr = 2.0 ** exponent - 1.0
-    if sinr == 0.0 < exponent:
-        raise DomainError(
-            f"required SINR rounds to 0 for bandwidth_hz={bandwidth_hz!r}, "
-            f"cameras={cameras!r}, rate_bps={rate_bps!r}, beta={beta!r}"
-        )
-    return sinr
+    return math.expm1(exponent * math.log(2.0))
 
 
 def snr_ceiling(
@@ -125,15 +119,16 @@ def snr_ceiling(
     if sinr == 0.0:
         raise DomainError(f"{demand} needs no SINR, so there is no SNR ceiling to size "
                           f"the clipping power at")
-    snr_max = db_to_linear(pa.snr_max_for_sinr_db(linear_to_db(sinr)))
+    snr_max_db = pa.snr_max_for_sinr_db(linear_to_db(sinr))
+    snr_max = db_to_linear(snr_max_db)
     if snr_max < pa.MIN_SNR_CEILING:
         raise DomainError(
-            f"{demand} needs an SNR ceiling of {linear_to_db(snr_max):.6g} dB, below "
+            f"{demand} needs an SNR ceiling of {snr_max_db:.6g} dB, below "
             f"the {linear_to_db(pa.MIN_SNR_CEILING):.6g} dB the back-off solve accepts"
         )
     if snr_max > pa.MAX_SNR_CEILING:
         raise InfeasibleLinkError(
-            f"{demand} needs an SNR ceiling of {linear_to_db(snr_max):.6g} dB, above "
+            f"{demand} needs an SNR ceiling of {snr_max_db:.6g} dB, above "
             f"the {linear_to_db(pa.MAX_SNR_CEILING):.6g} dB the back-off solve accepts"
         )
     return sinr, snr_max

@@ -6,13 +6,15 @@ only the sign of ``f`` and halves the bracket until it is ``tol`` wide.
 ``moment_sums_exact`` the exactly rounded moment sums that
 ``foglink._kernels.moment_sums`` must come within a few roundings of, and
 ``moment_sums_reference`` the same sums taken whole-row by ``ndarray.sum``.
+``format_cell`` prints one CSV cell on its own, as ``cli.render_csv``'s row
+templates must print it.
 """
 
 import math
 
 import numpy as np
 
-from foglink import ConvergenceError, DomainError
+from foglink import ConvergenceError, DomainError, NumericError
 
 
 def solve_bisection(f, lo, hi, *, tol=1e-12, max_iter=200):
@@ -49,6 +51,17 @@ def solve_bisection(f, lo, hi, *, tol=1e-12, max_iter=200):
     raise ConvergenceError(
         f"bisection interval still {hi - lo!r} wide after {max_iter} iterations"
     )
+
+
+def format_cell(value):
+    """A str as is, a number at 9 significant digits (a bool as its int, as
+    ``%`` prints it); inf and nan raise NumericError."""
+    if isinstance(value, str):
+        return value
+    number = float(value)
+    if not math.isfinite(number):
+        raise NumericError(f"non-finite value {value!r} in CSV output")
+    return f"{number:.9g}"
 
 
 def soft_limit(sample, p_max_w):

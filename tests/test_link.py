@@ -135,12 +135,25 @@ class TestRequiredSinr:
             required_sinr(*demand(bandwidth_hz=5e-324))
 
     def test_unresolvable_demand_names_parameters(self):
+        # the SINR is positive, but its ceiling underflows to 0.0: the message
+        # gives the ceiling in dB from before the conversion
+        assert required_sinr(*demand(rate_bps=1e-300)) > 0.0
         with pytest.raises(DomainError) as refused:
-            required_sinr(*demand(rate_bps=1e-300))
+            snr_ceiling(*demand(rate_bps=1e-300))
         assert str(refused.value) == (
-            "required SINR rounds to 0 for bandwidth_hz=18000000.0, cameras=1, "
-            "rate_bps=1e-300, beta=0.4"
+            "rate_bps = 1e-300 with cameras = 1, beta = 0.4 and bandwidth_hz = 18000000.0 "
+            "needs an SNR ceiling of -3652.3 dB, below the -39.475 dB the back-off "
+            "solve accepts"
         )
+
+    def test_small_exponent_keeps_its_digits(self):
+        # exponent e = M*R/(beta*B) = 1e-9: 2**e - 1 loses half its digits
+        # to cancellation, expm1(e*ln 2) none
+        exponent = 1 * 7.2e-3 / (0.4 * 18e6)
+        x = exponent * math.log(2.0)
+        series = x + x * x / 2.0 + x * x * x / 6.0
+        value = required_sinr(*demand(rate_bps=7.2e-3))
+        assert abs(value - series) <= 1e-15 * series
 
 
 class TestRequiredPMax:
