@@ -35,7 +35,7 @@ from .units import db_to_linear, linear_to_db, watts_to_dbm
 
 # Four curves shown in the distance sweeps: both channelizations at one
 # and at ten cameras.
-FIGURE_PROFILES = ("9mhz", "18mhz")
+FIGURE_PROFILES = tuple(BANDWIDTH_PROFILES)
 FIGURE_CAMERA_COUNTS = (1, 10)
 FIGURE_COMBOS = tuple(
     (profile, cameras) for profile in FIGURE_PROFILES for cameras in FIGURE_CAMERA_COUNTS

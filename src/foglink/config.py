@@ -27,9 +27,7 @@ BANDWIDTH_PROFILES = {
 }
 
 RADIO_DEFAULTS = {
-    "sample_rate_hz": 30.72e6,
-    "bandwidth_hz": 18e6,
-    "n_ofdm": 2048,
+    **BANDWIDTH_PROFILES["18mhz"],
     "delta_f_hz": 15e3,
     "gamma_mod_flops_per_w": 120e9,
     "dac_bits": 10,

@@ -29,15 +29,16 @@ _HALF_SQRT_PI = 0.5 * _SQRT_PI
 
 # Smallest SNR ceiling the back-off solve accepts, -39.475 dB: the one
 # whose optimal back-off is 1e-8, where the stationarity gap
-# (sqrt(pi)/2) * erfc(z) - z / SNR_MAX has its root at z = 1e-4.
+# (sqrt(pi)/2) * erfc(z) - z / SNR_MAX has its root at z = 1e-4.  Only a
+# refusal: lifting it waits for a start accurate below -40 dB.
 MIN_SNR_CEILING = 1e-4 / (_HALF_SQRT_PI * math.erfc(1e-4))
 
 # Largest SNR ceiling the back-off solve accepts, 156.5 dB.  Near 160 dB
-# the optimal back-off approaches ~36 (linear), where the Bussgang gain is
-# no longer distinguishable from 1.0 in double precision: measured on a
-# 0.01 dB grid, the solve fails from 157.79 dB through 159.48 dB, so the
-# cap sits below that band and above the 156.24 dB that fig4's default
-# grid reaches.
+# the optimal back-off approaches ~36 (linear), where the Bussgang gain
+# rounds to 1.0 in double precision: with the cap lifted, on a 0.01 dB
+# grid to 164.99 dB, the solve refuses from 157.79 through 159.48 dB and
+# from 162.56 dB on, so the cap sits below the first refusal and above
+# the 156.24 dB that fig4's default grid reaches.
 MAX_SNR_CEILING = 10.0 ** 15.65
 
 # Approximation of the maximum achievable SINR in dB as an affine function
@@ -103,13 +104,15 @@ def optimal_ibos(ceilings: Iterable[float]) -> Iterator[Tuple[float, float, floa
     Solves the stationarity condition in z = sqrt(IBO) by Newton steps.
     On z > 0 its gap is strictly decreasing and convex, so the root is
     unique and Newton from any positive start overshoots at most once,
-    to a positive z below the root, and then rises to it.
+    to a positive z below the root, and then rises to it.  The 1e-13 stop
+    fires before a step can round to nothing: that needs z within half an
+    ulp of the root, where every accepted ceiling's gap is below 1e-16.
 
     Raises DomainError for a ceiling outside [MIN_SNR_CEILING,
     MAX_SNR_CEILING], ConvergenceError when the gap is not within 1e-13
-    after 200 steps or once a step makes no progress, and DomainError when
-    the solved SINR is not finite and positive, or else the Bussgang gain
-    lies outside (0, 1) or the SINR outside (0, s).
+    by the 200th step, and DomainError when the solved SINR is not finite
+    and positive, or else the Bussgang gain lies outside (0, 1) or the
+    SINR outside (0, s).
     """
     erfc, exp, sqrt, log, isfinite = math.erfc, math.exp, math.sqrt, math.log, math.isfinite
     half_sqrt_pi = _HALF_SQRT_PI
@@ -137,13 +140,9 @@ def optimal_ibos(ceilings: Iterable[float]) -> Iterator[Tuple[float, float, floa
         for _ in range(200):
             if -1e-13 <= g <= 1e-13:
                 break
-            slope = -exp(-z * z) - inv_s
-            z_next = z - g / slope
-            if z_next == z:
-                break
-            z = z_next
+            z -= g / (-exp(-z * z) - inv_s)
             g = half_sqrt_pi * erfc(z) - z / s
-        if abs(g) > 1e-13:
+        else:
             raise ConvergenceError(
                 f"back-off solve did not converge: |gap| = {abs(g)!r} at z = {z!r}, "
                 f"snr_max_linear = {s!r}"
@@ -151,9 +150,9 @@ def optimal_ibos(ceilings: Iterable[float]) -> Iterator[Tuple[float, float, floa
         ibo = z * z
         alpha, distortion = _clipping(ibo)
         sinr = checked_sinr(alpha, distortion, ibo, s)
-        if not (0.0 < alpha < 1.0 and sinr < s):
-            if not 0.0 < alpha < 1.0:
-                raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+        if not 0.0 < alpha < 1.0:
+            raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+        if not sinr < s:
             raise DomainError(f"sinr_linear must lie in (0, snr_max_linear), got "
                               f"{sinr!r} with ceiling {s!r}")
         yield ibo, alpha, sinr

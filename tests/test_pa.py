@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -279,12 +280,25 @@ class TestOptimalIbo:
             solved(100.0)
         assert len(calls) == 201
 
+    def test_a_step_that_rounds_to_nothing_stops_at_the_step_cap(self, monkeypatch):
+        # the gap is 1 and its slope -1e300 at the start z = 0.5, so no step
+        # moves z: the solve still gives up at the step cap, reporting the
+        # start's gap and z
+        monkeypatch.setattr(math, "exp", lambda x: 1e300)
+        monkeypatch.setattr(math, "erfc", lambda z: 2.0 / (0.5 * SQRT_PI))
+        message = ("back-off solve did not converge: |gap| = 0.9999999999999998 "
+                   "at z = 0.5, snr_max_linear = 0.5")
+        with pytest.raises(ConvergenceError, match=f"^{re.escape(message)}$"):
+            solved(0.5)
+
     def test_gap_evaluations_on_a_fine_grid(self, monkeypatch):
         # the solve's work at every 0.01 dB of [MIN_SNR_CEILING,
         # MAX_SNR_CEILING]: math.erfc calls less the one in _clipping.
         # 1907 ceilings take one evaluation; the worst take 22, from
         # 126.09 dB up, where the gap's slope flattens to -1/s.  Solving
-        # the back-off to its own precision (ROADMAP item 1) lowers both pins
+        # the back-off to its own precision (ROADMAP item 1) lowers both
+        # pins.  After the first step the iterates rise strictly to the
+        # root, as the gap's convexity has it, so no step rounds to nothing
         erfc, calls = math.erfc, []
 
         def counted_erfc(z):
@@ -297,6 +311,8 @@ class TestOptimalIbo:
             del calls[:]
             solved(10.0 ** (k / 1000.0))
             evaluations.append(len(calls) - 1)
+            stepped = calls[1:-1]  # the last call is _clipping's
+            assert all(a < b for a, b in zip(stepped, stepped[1:])), k
         assert max(evaluations) <= 22
         assert sum(evaluations) == 214129
 
