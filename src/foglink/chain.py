@@ -9,7 +9,7 @@ workload on the device itself.
 """
 
 import math
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import DomainError, require_int, require_positive
 from .link import clip_power, snr_ceiling
@@ -197,14 +197,16 @@ def clip_independent_parts(
 
 
 def breakdown_at(
-    radio: RadioParams, deploy: DeploymentParams, ibo_linear: float, p_max_w: float
+    radio: RadioParams, deploy: DeploymentParams, ibo_linear: float, p_max_w: float,
+    parts: Optional[Tuple[Dict[str, float], float]] = None,
 ) -> PowerBreakdown:
     """``clip_independent_parts`` and the amplifier at back-off ``ibo_linear``
     clipping at ``p_max_w``: its class B supply power, linear in ``p_max_w``,
     divided by M as it is active only during the camera's 1/M slot.  An
     amplifier draw that overflows, or that makes the total overflow, raises
-    DomainError."""
-    parts, head = clip_independent_parts(radio, deploy)
+    DomainError.  ``parts`` is what ``clip_independent_parts(radio, deploy)``
+    returned, for a caller that has it already."""
+    parts, head = parts or clip_independent_parts(radio, deploy)
     pa_w = pa_consumed_power(p_max_w, ibo_linear) / float(deploy.cameras)
     total_w = head + pa_w
     if not total_w < math.inf:

@@ -13,7 +13,7 @@ import math
 import operator
 import os
 import sys
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import pa
 from .chain import (
@@ -177,16 +177,19 @@ def _distance_sweep(
     steps: int,
     columns: Sequence[str],
     curve_columns: Callable[[Dict[str, float]], Callable[[List[float], List[float]], tuple]],
-) -> Tuple[List[str], List[tuple]]:
+) -> Tuple[List[str], List[tuple], List[Dict[int, float]]]:
     """Rows over log-spaced distances and the FIGURE_COMBOS, each curve solved
     once at the first distance d0 as H + pa_w * (d / d0) ** PATH_LOSS_EXPONENT.
 
     ``curve_columns(parts)``, given a curve's ``clip_independent_parts``,
     returns the columns named by ``columns`` as a function of its total and
-    amplifier powers over the distances; a column that varies is a list,
-    built before any row.  Rows are distance-major, the curves of a
-    distance in FIGURE_COMBOS order.  An error names its curve, and its
-    distance if it depends on one: that of the first bad row.
+    amplifier powers over the distances: a column that varies is a list,
+    built before any row, and a column fixed along the curve is its one
+    cell.  Rows are distance-major, the curves of a distance in
+    FIGURE_COMBOS order.  Returns the columns, the rows and, for
+    ``render_csv``, each curve's fixed cells by column index.  An error
+    names its curve, and its distance if it depends on one: that of the
+    first bad row.
     """
     distances = _grid("distance_km", start_km, stop_km, steps, log_spaced=True)
     d0 = distances[0]
@@ -199,16 +202,16 @@ def _distance_sweep(
             _, snr_max = snr_ceiling(curve_radio.bandwidth_hz, cameras, deploy.rate_bps,
                                      curve_radio.beta)
             [(ibo, _, _)] = pa.optimal_ibos([snr_max])
-            parts, head_w = clip_independent_parts(curve_radio, curve_deploy)
-            columns_of = curve_columns(parts)
+            parts = clip_independent_parts(curve_radio, curve_deploy)
+            columns_of = curve_columns(parts[0])
         except FoglinkError as exc:
             raise _scenario_context(exc, **scenario) from exc
         try:  # the path gain falls with distance: d0 checks the grid
             p_max = clip_power(d0, deploy.carrier_hz, curve_radio.bandwidth_hz, snr_max)
-            at_d0 = breakdown_at(curve_radio, curve_deploy, ibo, p_max)
+            at_d0 = breakdown_at(curve_radio, curve_deploy, ibo, p_max, parts)
         except FoglinkError as exc:
             raise _scenario_context(exc, distance_km=d0, **scenario) from exc
-        curves.append((scenario, curve_radio.bandwidth_hz, cameras, head_w, at_d0.pa_w,
+        curves.append((scenario, curve_radio.bandwidth_hz, cameras, parts[1], at_d0.pa_w,
                        columns_of))
     scales = []
     for d in distances:
@@ -217,7 +220,7 @@ def _distance_sweep(
         except OverflowError:
             scales.append(math.inf)
 
-    def curve_rows(curve, scales):
+    def curve_cells(curve, scales):
         _, bandwidth_hz, cameras, head_w, pa_d0_w, columns_of = curve
         pa_w = [pa_d0_w * scale for scale in scales]
         total_w = [head_w + p for p in pa_w]
@@ -226,22 +229,26 @@ def _distance_sweep(
                 f"offload power {head_w!r} W + {pa_d0_w!r} W * (distance_km / "
                 f"{d0!r}) ** {PATH_LOSS_EXPONENT:g} is not finite"
             )
-        return zip(distances, itertools.repeat(bandwidth_hz), itertools.repeat(cameras),
-                   *columns_of(total_w, pa_w))
+        return distances, bandwidth_hz, cameras, *columns_of(total_w, pa_w)
 
     try:
-        rows_by_curve = [curve_rows(curve, scales) for curve in curves]
+        cells_by_curve = [curve_cells(curve, scales) for curve in curves]
     except FoglinkError:
         # a curve failed: the rows one by one, in order, name the first bad one
         for d, scale in zip(distances, scales):
             for curve in curves:
                 try:
-                    curve_rows(curve, [scale])
+                    curve_cells(curve, [scale])
                 except FoglinkError as exc:
                     raise _scenario_context(exc, distance_km=d, **curve[0]) from exc
         raise  # not reached: a row repeats its curve's float operations
-    rows = [*itertools.chain.from_iterable(zip(*rows_by_curve))]
-    return ["distance_km", "bandwidth_hz", "cameras", *columns], rows
+    fixed = [{i: cell for i, cell in enumerate(cells) if not isinstance(cell, list)}
+             for cells in cells_by_curve]
+    rows = [*itertools.chain.from_iterable(zip(*(
+        zip(*(cell if isinstance(cell, list) else itertools.repeat(cell) for cell in cells))
+        for cells in cells_by_curve
+    )))]
+    return ["distance_km", "bandwidth_hz", "cameras", *columns], rows, fixed
 
 
 # PowerBreakdown's fields: link-power prints them in this order, fig5 total first
@@ -251,8 +258,8 @@ _FIG5_FIELDS = ["total_w", *(name for name in _POWER_FIELDS if name != "total_w"
 
 def sweep_fig5(
     radio: RadioParams, deploy: DeploymentParams, start_km: float, stop_km: float, steps: int
-) -> Tuple[List[str], List[tuple]]:
-    """Offload power and its per-component shares versus distance."""
+) -> Tuple[List[str], List[tuple], List[Dict[int, float]]]:
+    """Offload power and its per-component shares versus distance; see ``_distance_sweep``."""
     def curve_columns(parts):  # the parts but the amplifier's do not vary along a curve
         fixed = []
         for name, part_w in parts.items():
@@ -261,8 +268,7 @@ def sweep_fig5(
                                   f"from {_PART_KEYS[name]}")
             fixed.append(watts_to_dbm(part_w))
         return lambda total_w, pa_w: (
-            [*map(watts_to_dbm, total_w)], *map(itertools.repeat, fixed),
-            [*map(watts_to_dbm, pa_w)],
+            [*map(watts_to_dbm, total_w)], *fixed, [*map(watts_to_dbm, pa_w)],
         )
 
     return _distance_sweep(
@@ -273,8 +279,8 @@ def sweep_fig5(
 
 def sweep_fig6(
     radio: RadioParams, deploy: DeploymentParams, start_km: float, stop_km: float, steps: int
-) -> Tuple[List[str], List[tuple]]:
-    """Breakeven workload complexity versus distance."""
+) -> Tuple[List[str], List[tuple], List[Dict[int, float]]]:
+    """Breakeven workload complexity versus distance; see ``_distance_sweep``."""
     return _distance_sweep(
         radio, deploy, start_km, stop_km, steps, ["theta_star"],
         lambda parts: lambda total_w, pa_w: ([breakeven_at(t, deploy) for t in total_w],),
@@ -333,7 +339,7 @@ def mc_verify(
     Runs at unit mean input power (sigma2 = 1 W, p_max = IBO), every
     back-off on the same samples in one Monte-Carlo run.  Each input is
     checked here only, before any sampling, and refused by its own name: a
-    non-empty back-off list, 2 to 2**53 samples, the SNR ceiling, each
+    non-empty back-off list, 2 to 2**32 samples, the SNR ceiling, each
     back-off's closed forms, then the seed.  The ceiling enters only the
     two SINR columns, formed here side by side.  A row passes when alpha,
     distortion power, amplifier power and SINR each land within max(3
@@ -344,8 +350,8 @@ def mc_verify(
         raise DomainError("--ibo-db produced an empty back-off list")
     if n_samples < 2:  # one sample has no standard error
         raise DomainError(f"--samples must be at least 2, got {n_samples}")
-    if n_samples > 2 ** 53:  # beyond it n is not exact as a float
-        raise DomainError(f"--samples must be at most {2 ** 53}, got {n_samples}")
+    if n_samples > 2 ** 32:  # 4096 chunks: about a minute of sampling on 2 cores
+        raise DomainError(f"--samples must be at most {2 ** 32}, got {n_samples}")
     try:
         snr_max = db_to_linear(snr_max_db)
         if snr_max == 0.0:
@@ -423,66 +429,45 @@ def mc_verify(
 # CSV rendering
 
 
-_PROBE_ROWS = 64  # rows read to find the repeated columns
-_MAX_REPEATS = 8  # distinct values a repeated column has in them
+def _row_lines(rows: List[Sequence], curves: Sequence[Mapping[int, object]]) -> List[str]:
+    """Each row by its curve's template: row k by that of curve k % len(curves).
 
-
-def _cells_of(columns: List[int]) -> Callable[[Sequence], tuple]:
-    """The row's cells in ``columns``, as a tuple even for one column."""
-    if len(columns) == 1:
-        return operator.itemgetter(slice(columns[0], columns[0] + 1))
-    return operator.itemgetter(*columns)
-
-
-def _row_lines(rows: List[Sequence]) -> List[str]:
-    """Each row formatted by the cell formats of the first: ``%s`` for a
-    str, ``%.9g`` for a number.
-
-    In a table of more than ``_PROBE_ROWS`` rows, a column with at most
-    ``_MAX_REPEATS`` distinct values in the first ``_PROBE_ROWS`` counts as
-    repeated, and each combination of repeated cells seen there gets a row
-    template with those cells formatted.  Every row takes the one template
-    of the first row's formats instead when no column or every column is
-    repeated, when a combination holds a zero (0.0, -0.0 and 0 compare
-    equal but print apart), or when a later row brings a new one.
+    A template takes the cell formats of the first row, ``%s`` for a str
+    and ``%.9g`` for a number, with the cells its curve fixes formatted in
+    once; a row fills in its other cells.  Every curve fixes the same
+    columns, and not all of them.
     """
     if not rows:
         return []
     formats = ["%s" if isinstance(cell, str) else "%.9g" for cell in rows[0]]
-    probe = rows[:_PROBE_ROWS] if len(rows) > _PROBE_ROWS else []
-    repeated = [i for i, cells in enumerate(zip(*probe)) if len(set(cells)) <= _MAX_REPEATS]
-    varying = [i for i in range(len(formats)) if i not in repeated]
-    if repeated and varying:
-        key_of = _cells_of(repeated)
-        templates = dict.fromkeys(map(key_of, probe))
-        if not any(0 in key for key in templates):
-            for key in templates:
-                cells = formats.copy()
-                for column, value in zip(repeated, key):
-                    cells[column] = formats[column] % (value,)
-                templates[key] = ",".join(cells)
-            try:
-                return [*map(
-                    operator.mod,
-                    map(templates.__getitem__, map(key_of, rows)),
-                    map(_cells_of(varying), rows),
-                )]
-            except KeyError:  # a combination the probe did not see
-                pass
-    return [*map(",".join(formats).__mod__, rows)]
+    templates = []
+    for fixed in curves:
+        cells = formats.copy()
+        for column, cell in fixed.items():
+            cells[column] = formats[column] % (cell,)
+        templates.append(",".join(cells))
+    if curves[0]:
+        rows = map(operator.itemgetter(*(i for i in range(len(formats)) if i not in curves[0])),
+                   rows)
+    return [*map(operator.mod, itertools.cycle(templates), rows)]
 
 
-def render_csv(columns: Sequence[str], rows: Iterable, trailer: Sequence[str] = ()) -> str:
+def render_csv(
+    columns: Sequence[str], rows: Iterable, trailer: Sequence[str] = (),
+    curves: Sequence[Mapping[int, object]] = ({},),
+) -> str:
     """The header, one line per row (cells in column order), then the trailer.
 
-    Rows are formatted by ``_row_lines``.  A finite number prints no 'n', so
-    when the body holds one, the rows are searched in order for the first
-    number that is not finite, which raises NumericError; a str cell such
-    as "nan" prints as text.
+    The rows cycle through ``curves``, each the cells that stay fixed along
+    a curve, keyed by column index; the default is one curve that fixes
+    none.  Rows are formatted by ``_row_lines``.  A finite number prints no
+    'n', so when the body holds one, the rows are searched in order for the
+    first number that is not finite, which raises NumericError; a str cell
+    such as "nan" prints as text.
     """
     rows = list(rows)
     header = ",".join(columns)
-    text = "\n".join([header, *_row_lines(rows), *trailer, ""])
+    text = "\n".join([header, *_row_lines(rows, curves), *trailer, ""])
     body_end = len(text) - len(trailer) - sum(map(len, trailer))
     if text.find("n", len(header) + 1, body_end) >= 0:
         for cell in itertools.chain.from_iterable(rows):
@@ -508,7 +493,7 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 def _run_fig3(args):
     columns, rows, max_gap = sweep_fig3(args.db_from, args.db_to, args.steps)
-    return columns, rows, [f"# max_abs_approx_error_db,{max_gap:.9g}"], ()
+    return columns, rows, ([f"# max_abs_approx_error_db,{max_gap:.9g}"],), ()
 
 
 def _run_breakeven(args, radio, deploy):
@@ -535,6 +520,10 @@ def _run_mc_verify(args):
     return columns, rows, (), failures
 
 
+def _run_distance_sweep(columns, rows, curves):
+    return columns, rows, ((), curves), ()
+
+
 def _sweep_flags(from_flag, to_flag, start, stop, steps):
     return (
         (from_flag, {"type": float, "default": start}),
@@ -558,8 +547,9 @@ _DISTANCES = _sweep_flags("--d-from-km", "--d-to-km", 0.01, 2.0, 50)
 # (name, help, flags, run) of each CSV subcommand, in --help order.  A flag
 # is (option string, add_argument keywords); a command with --config
 # evaluates a scenario.  run(args, *scenario) returns the CSV columns, the
-# rows in column order, the trailer lines and the verdicts that fail the
-# run.  The runs call this module's functions through its globals, so a
+# rows in column order, render_csv's further arguments (fig3's trailer
+# lines, the distance sweeps' curves) and the verdicts that fail the run.
+# The runs call this module's functions through its globals, so a
 # wrapper put there after import (perfbench/tracer.py) is the one called.
 _COMMANDS = (
     ("fig3", "optimal back-off and SINR vs SNR ceiling",
@@ -569,11 +559,11 @@ _COMMANDS = (
      lambda args, radio, deploy: (*sweep_fig4(
          radio, deploy, args.b_from_hz, args.b_to_hz, args.steps), (), ())),
     ("fig5", "offload power and components vs distance", (_CONFIG, _OUT, *_DISTANCES),
-     lambda args, radio, deploy: (*sweep_fig5(
-         radio, deploy, args.d_from_km, args.d_to_km, args.steps), (), ())),
+     lambda args, radio, deploy: _run_distance_sweep(*sweep_fig5(
+         radio, deploy, args.d_from_km, args.d_to_km, args.steps))),
     ("fig6", "breakeven workload complexity vs distance", (_CONFIG, _OUT, *_DISTANCES),
-     lambda args, radio, deploy: (*sweep_fig6(
-         radio, deploy, args.d_from_km, args.d_to_km, args.steps), (), ())),
+     lambda args, radio, deploy: _run_distance_sweep(*sweep_fig6(
+         radio, deploy, args.d_from_km, args.d_to_km, args.steps))),
     ("breakeven", "breakeven complexity for one scenario", (
         *_SCENARIO,
         ("--theta-from", {"type": float, "help": "sweep workload complexity from here"}),
@@ -652,8 +642,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             scenario = load_params(
                 args.config, overrides, getattr(args, "bandwidth_profile", None)
             )
-        columns, rows, trailer, verdicts = args.run(args, *scenario)
-        _emit(render_csv(columns, rows, trailer), args.out)
+        columns, rows, render_args, verdicts = args.run(args, *scenario)
+        _emit(render_csv(columns, rows, *render_args), args.out)
     except FoglinkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -204,7 +204,7 @@ class TestFig5:
         path = tmp_path / "params.json"
         path.write_text('{"rate_bps": 1e7, "carrier_hz": 2.6e9}', encoding="utf-8")
         radio, deploy = load_params(str(path))
-        columns, rows = cli.sweep_fig5(radio, deploy, 0.01, 2.0, 50)
+        columns, rows, _ = cli.sweep_fig5(radio, deploy, 0.01, 2.0, 50)
         assert columns == FIG5_HEADER
         assert len(rows) == 4 * 50
         for distance_km, bandwidth, cameras, *cells in rows:
@@ -231,7 +231,7 @@ class TestFig5:
         with pytest.raises(FoglinkError):  # at 9 MHz with ten cameras
             offload_power(replace(radio, **BANDWIDTH_PROFILES["9mhz"]),
                           replace(deploy, cameras=10, distance_km=1.0))
-        columns, rows = cli.sweep_fig5(radio, deploy, start_km, stop_km, 3)
+        columns, rows, _ = cli.sweep_fig5(radio, deploy, start_km, stop_km, 3)
         assert len(rows) == 4 * 3
         for distance_km, bandwidth, cameras, total_dbm, *_ in rows:
             down = offload_power(
@@ -269,7 +269,7 @@ class TestFig6:
         path = tmp_path / "params.json"
         path.write_text('{"rate_bps": 1e7, "carrier_hz": 2.6e9}', encoding="utf-8")
         radio, deploy = load_params(str(path))
-        columns, rows = cli.sweep_fig6(radio, deploy, 0.01, 2.0, 50)
+        columns, rows, _ = cli.sweep_fig6(radio, deploy, 0.01, 2.0, 50)
         assert columns == ["distance_km", "bandwidth_hz", "cameras", "theta_star"]
         assert len(rows) == 4 * 50
         for distance_km, bandwidth, cameras, theta in rows:
@@ -581,10 +581,10 @@ class TestMcVerify:
         assert code == 1 and out == ""
         assert err.splitlines() == [f"error: --samples must be at least 2, got {samples}"]
 
-    @pytest.mark.parametrize("samples", [2 ** 53 + 1, 10 ** 400], ids=["2**53+1", "10**400"])
+    @pytest.mark.parametrize("samples", [2 ** 32 + 1, 10 ** 400], ids=["2**32+1", "10**400"])
     def test_too_many_samples_are_refused_before_sampling(self, capsys, monkeypatch, samples):
-        # beyond 2**53 the estimators' n is not exact as a float, and 10**400
-        # samples would run for ever before total / n overflowed
+        # 2**32 samples take about a minute of sampling, and 10**400 would
+        # run for ever before total / n overflowed
         import foglink.mc
 
         def no_sampling(*args):
@@ -592,7 +592,7 @@ class TestMcVerify:
 
         monkeypatch.setattr(foglink.mc, "run_mc", no_sampling)
         assert run_cli(["mc-verify", "--samples", str(samples)], capsys) == (
-            1, "", f"error: --samples must be at most 9007199254740992, got {samples}\n"
+            1, "", f"error: --samples must be at most 4294967296, got {samples}\n"
         )
 
 
@@ -931,13 +931,16 @@ class TestSolveCounts:
         self, capsys, monkeypatch, command
     ):
         # a curve is H + K * d ** 3.76, so the path gain and the amplifier
-        # draw are evaluated per curve and per sweep, never per row
+        # draw are evaluated per curve and per sweep, never per row, and the
+        # parts H sums once per curve
         import foglink.chain
         import foglink.link
 
         calls = []
         for module, name in [(foglink.link, "path_gain_db"), (cli, "path_gain_db"),
-                             (foglink.chain, "pa_consumed_power")]:
+                             (foglink.chain, "pa_consumed_power"),
+                             (foglink.chain, "clip_independent_parts"),
+                             (cli, "clip_independent_parts")]:
             def counted(*args, _name=name, _original=getattr(module, name)):
                 calls.append(_name)
                 return _original(*args)
@@ -950,6 +953,7 @@ class TestSolveCounts:
             counts.append(sorted(calls))
         assert counts[0] == counts[1]
         assert counts[0].count("pa_consumed_power") == len(cli.FIGURE_COMBOS)
+        assert counts[0].count("clip_independent_parts") == len(cli.FIGURE_COMBOS)
 
 
 @pytest.mark.parametrize("argv, sites", [
@@ -1027,15 +1031,15 @@ def cell_by_cell(columns, rows):
     return "\n".join([",".join(columns), *lines, ""])
 
 
-def assert_renders_cell_by_cell(columns, rows):
+def assert_renders_cell_by_cell(columns, rows, curves=({},)):
     """render_csv prints the cell-by-cell bytes, or both refuse the same cell."""
     try:
         expected = cell_by_cell(columns, rows)
     except NumericError as exc:
         with pytest.raises(NumericError, match=f"^{re.escape(str(exc))}$"):
-            cli.render_csv(columns, rows)
+            cli.render_csv(columns, rows, curves=curves)
     else:
-        assert cli.render_csv(columns, rows) == expected
+        assert cli.render_csv(columns, rows, curves=curves) == expected
 
 
 # values of a repeated column: zeros of both signs and of both types, and
@@ -1049,10 +1053,11 @@ COLUMN_KINDS = st.sampled_from(["constant", "few", "distinct", "later"])
 
 @st.composite
 def long_tables(draw):
-    """Tables of 65..400 rows, past render_csv's 64-row probe, whose columns
-    are constant, take a few values, are all distinct, or take a few values
-    in the first 64 rows and vary later, one column at least all distinct;
-    some hold a non-finite or a bool cell after row 64."""
+    """Tables of 65..400 rows, each printed by the one template its first row
+    gives, whose columns are constant, take a few values, are all distinct,
+    or take a few values in the first 64 rows and vary later, one column at
+    least all distinct; some hold a non-finite or a bool cell after row
+    64."""
     n = draw(st.integers(65, 400))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
 
@@ -1093,6 +1098,19 @@ def table_of(*columns, bad=None):
     return [f"c{i}" for i in range(len(columns))], rows
 
 
+def curve_table(curves, *columns):
+    """The columns, rows and curves of a table whose rows cycle through
+    ``curves``, each the cells it fixes by column index; the other columns,
+    in order, are given by ``columns``."""
+    width = len(curves[0]) + len(columns)
+    free = [i for i in range(width) if i not in curves[0]]
+    rows = []
+    for k, cells in enumerate(zip(*columns)):
+        row = {**curves[k % len(curves)], **dict(zip(free, cells))}
+        rows.append(tuple(row[i] for i in range(width)))
+    return [f"c{i}" for i in range(width)], rows, curves
+
+
 STEPS_100 = [k / 7 for k in range(100)]  # an all-distinct column
 PAIRS_100 = [2.5, 3.5] * 50  # a repeated column
 PINNED_TABLES = [
@@ -1103,10 +1121,18 @@ PINNED_TABLES = [
     table_of([float(k % 8) + 1.0 for k in range(64)] + STEPS_100[64:], STEPS_100),
     *(table_of(PAIRS_100, STEPS_100, bad=(80, column, value))
       for column in (0, 1) for value in (math.nan, math.inf, True)),
-    # str columns: one repeated, whose 'pass' first comes after the probe,
+    # str columns: one repeated, whose 'pass' first comes after row 64,
     # and one varying, whose cells hold an 'n'
     table_of(["fail"] * 64 + ["pass", "fail"] * 18, STEPS_100),
     table_of(PAIRS_100, [f"run {k}" for k in range(100)], bad=(80, 1, "pass")),
+    # curves whose fixed cells compare equal but may print apart, beside
+    # fixed str cells; four curves over two rows; a fixed nan
+    curve_table([{0: 0}, {0: 0.0}, {0: -0.0}], STEPS_100),
+    curve_table([{1: 1, 2: "pass"}, {1: 1.0, 2: "fail"}, {1: np.float64(1.0), 2: "pass"}],
+                STEPS_100, PAIRS_100),
+    curve_table([{0: 9e6, 1: 1}, {0: 9e6, 1: 10}, {0: 1.8e7, 1: 1}, {0: 1.8e7, 1: 10}],
+                [0.01, 0.02], [-70.5, -68.25]),
+    curve_table([{1: 2.5}, {1: math.nan}], STEPS_100),
 ]
 PINNED_IDS = [
     "signed-zeros", "late-signed-zeros", "equal-ints-and-floats", "repeated-then-varying",
@@ -1114,6 +1140,8 @@ PINNED_IDS = [
     *(f"{value!r}-in-{column}-column"
       for column in ("repeated", "varying") for value in (math.nan, math.inf, True)),
     "'pass'-in-repeated-column", "'pass'-in-varying-column",
+    "curves-of-signed-zeros", "curves-of-equal-ones", "fewer-rows-than-curves",
+    "nan-fixed-by-a-curve",
 ]
 
 

@@ -77,7 +77,7 @@ def test_fig3_optimal_backoff_rises_with_the_ceiling(grid):
 @PROPERTY
 @given(distance_sweeps())
 def test_fig5_total_rises_with_distance_along_each_curve(sweep):
-    columns, rows = cli.sweep_fig5(*sweep)
+    columns, rows, _ = cli.sweep_fig5(*sweep)
     total = columns.index("total_dbm")
     for curve in range(len(cli.FIGURE_COMBOS)):  # rows cycle through the curves
         totals = [row[total] for row in rows[curve::len(cli.FIGURE_COMBOS)]]
@@ -88,8 +88,8 @@ def test_fig5_total_rises_with_distance_along_each_curve(sweep):
 @given(distance_sweeps())
 def test_fig6_theta_is_the_breakeven_of_the_fig5_total(sweep):
     deploy = sweep[1]
-    columns, fig5 = cli.sweep_fig5(*sweep)
-    _, fig6 = cli.sweep_fig6(*sweep)
+    columns, fig5, _ = cli.sweep_fig5(*sweep)
+    _, fig6, _ = cli.sweep_fig6(*sweep)
     total = columns.index("total_dbm")
     assert [row[:3] for row in fig6] == [row[:3] for row in fig5]
     for row5, row6 in zip(fig5, fig6):
