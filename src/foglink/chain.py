@@ -2,14 +2,16 @@
 
 ``clip_independent_parts`` and ``breakdown_at`` hold the per-component
 draws (video coder, redundancy coding, OFDM modulator, DACs, local
-oscillator, mixers, power amplifier) and their TDMA duty cycling;
-``offload_power`` gives the mean offload power of one camera on a link.
-``breakeven_at`` compares it against the power of running the analytics
-workload on the device itself.
+oscillator, mixers, power amplifier) and their TDMA duty cycling.  A
+scenario is sized in two steps: ``size_link`` fixes all that its rate
+demand alone decides, and ``breakdown_at`` adds the distance.
+``offload_power`` chains the two into the mean offload power of one camera
+on a link; ``breakeven_at`` compares it against the power of running the
+analytics workload on the device itself.
 """
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .errors import DomainError, require_int, require_positive
 from .link import clip_power, snr_ceiling
@@ -20,8 +22,10 @@ __all__ = [
     "RadioParams",
     "DeploymentParams",
     "PowerBreakdown",
+    "SizedLink",
     "local_power",
     "clip_independent_parts",
+    "size_link",
     "breakdown_at",
     "offload_power",
     "breakeven_at",
@@ -138,6 +142,21 @@ class PowerBreakdown(Record):
     total_w: float
 
 
+class SizedLink(Record):
+    """A scenario sized for its rate demand, all that does not depend on the
+    distance: the required SINR, the SNR ceiling it fixes, the optimal
+    back-off there with its alpha and SINR (all linear), and
+    ``clip_independent_parts`` with their sum H."""
+
+    required_sinr: float
+    snr_max: float
+    ibo: float
+    alpha: float
+    sinr: float
+    parts: Dict[str, float]
+    head_w: float
+
+
 def local_power(theta_flop_per_bit: float, rate_bps: float, gamma_flops_per_w: float) -> float:
     """On-device analytics power: theta * R / Gamma watts."""
     if theta_flop_per_bit < 0.0:
@@ -196,37 +215,42 @@ def clip_independent_parts(
     return parts, head
 
 
+def size_link(radio: RadioParams, deploy: DeploymentParams) -> SizedLink:
+    """The one place the sizing chain is put together: ``snr_ceiling`` of
+    the rate demand, ``optimal_ibos`` at that ceiling, then
+    ``clip_independent_parts``, refused in that order.  ``distance_km`` is
+    not read; ``breakdown_at`` adds it."""
+    required, snr_max = snr_ceiling(radio.bandwidth_hz, deploy.cameras, deploy.rate_bps,
+                                    radio.beta)
+    [(ibo, alpha, sinr)] = optimal_ibos([snr_max])
+    parts, head_w = clip_independent_parts(radio, deploy)
+    return SizedLink(required_sinr=required, snr_max=snr_max, ibo=ibo, alpha=alpha,
+                     sinr=sinr, parts=parts, head_w=head_w)
+
+
 def breakdown_at(
-    radio: RadioParams, deploy: DeploymentParams, ibo_linear: float, p_max_w: float,
-    parts: Optional[Tuple[Dict[str, float], float]] = None,
-) -> PowerBreakdown:
-    """``clip_independent_parts`` and the amplifier at back-off ``ibo_linear``
-    clipping at ``p_max_w``: its class B supply power, linear in ``p_max_w``,
-    divided by M as it is active only during the camera's 1/M slot.  An
-    amplifier draw that overflows, or that makes the total overflow, raises
-    DomainError.  ``parts`` is what ``clip_independent_parts(radio, deploy)``
-    returned, for a caller that has it already."""
-    parts, head = parts or clip_independent_parts(radio, deploy)
-    pa_w = pa_consumed_power(p_max_w, ibo_linear) / float(deploy.cameras)
-    total_w = head + pa_w
+    sized: SizedLink, radio: RadioParams, deploy: DeploymentParams
+) -> Tuple[float, PowerBreakdown]:
+    """The clipping power that puts ``sized = size_link(radio, deploy)`` at
+    its SNR ceiling over ``deploy.distance_km``, and the ``PowerBreakdown``
+    there: the amplifier's class B supply power, divided by M as it is
+    active only during the camera's 1/M slot.  An amplifier draw that
+    overflows, or that makes the total overflow, raises DomainError."""
+    p_max = clip_power(deploy.distance_km, deploy.carrier_hz, radio.bandwidth_hz, sized.snr_max)
+    pa_w = pa_consumed_power(p_max, sized.ibo) / float(deploy.cameras)
+    total_w = sized.head_w + pa_w
     if not total_w < math.inf:
         raise DomainError(
-            f"amplifier draw pa_w = {pa_w!r} W at clipping power {p_max_w!r} W makes "
+            f"amplifier draw pa_w = {pa_w!r} W at clipping power {p_max!r} W makes "
             f"the offload power {total_w!r} W, which is not finite"
         )
-    return PowerBreakdown(**parts, pa_w=pa_w, total_w=total_w)
+    return p_max, PowerBreakdown(**sized.parts, pa_w=pa_w, total_w=total_w)
 
 
 def offload_power(radio: RadioParams, deploy: DeploymentParams) -> PowerBreakdown:
-    """Mean power one camera spends to offload its stream.
-
-    Sizes the amplifier for the rate and the link, evaluates every
-    component model and applies the duty-cycle accounting.
-    """
-    _, snr_max = snr_ceiling(radio.bandwidth_hz, deploy.cameras, deploy.rate_bps, radio.beta)
-    [(ibo, _, _)] = optimal_ibos([snr_max])
-    p_max = clip_power(deploy.distance_km, deploy.carrier_hz, radio.bandwidth_hz, snr_max)
-    return breakdown_at(radio, deploy, ibo, p_max)
+    """Mean power one camera spends to offload its stream: the breakdown of
+    the link that ``size_link`` sizes for the rate, at its distance."""
+    return breakdown_at(size_link(radio, deploy), radio, deploy)[1]
 
 
 def breakeven_at(offload_w: float, deploy: DeploymentParams) -> float:

@@ -23,13 +23,13 @@ from .chain import (
     RadioParams,
     breakdown_at,
     breakeven_at,
-    clip_independent_parts,
     local_power,
     offload_power,
+    size_link,
 )
 from .config import BANDWIDTH_PROFILES, dump_defaults, load_params
 from .errors import DomainError, FoglinkError, InfeasibleLinkError, NumericError
-from .link import PATH_LOSS_EXPONENT, clip_power, noise_dbm, path_gain_db, snr_ceiling
+from .link import PATH_LOSS_EXPONENT, noise_dbm, path_gain_db, snr_ceiling
 from .record import replace
 from .units import db_to_linear, linear_to_db, watts_to_dbm
 
@@ -40,6 +40,11 @@ FIGURE_CAMERA_COUNTS = (1, 10)
 FIGURE_COMBOS = tuple(
     (profile, cameras) for profile in FIGURE_PROFILES for cameras in FIGURE_CAMERA_COUNTS
 )
+
+
+# The most points a sweep takes: a 2**18-step fig5 holds about 0.5 GB at its
+# peak, and the memory grows linearly with the step count.
+_MAX_STEPS = 2 ** 18
 
 
 def _linspace(start: float, stop: float, steps: int) -> List[float]:
@@ -61,8 +66,8 @@ def _grid(
     """The points of a one-dimensional sweep of ``variable``.
 
     ``steps == 1`` with ``start == stop`` is the degenerate single-point
-    sweep; otherwise at least two points and an increasing range are
-    required.  Both bounds must be finite; ``variable`` only names the
+    sweep; otherwise two to ``_MAX_STEPS`` points and an increasing range
+    are required.  Both bounds must be finite; ``variable`` only names the
     sweep in error messages.  Linear points equal ``np.linspace``; log-spaced
     ones are 10**e over that grid of log10 bounds, with the bounds at both
     ends, as ``np.geomspace`` computes them but with libm's rounding.
@@ -78,6 +83,8 @@ def _grid(
                 f"{variable} single-step sweep needs start == stop, got "
                 f"[{start!r}, {stop!r}]"
             )
+    elif steps > _MAX_STEPS:
+        raise DomainError(f"{variable} sweep steps must be <= {_MAX_STEPS}, got {steps!r}")
     elif steps >= 2:
         if not start < stop:
             raise DomainError(
@@ -179,7 +186,9 @@ def _distance_sweep(
     curve_columns: Callable[[Dict[str, float]], Callable[[List[float], List[float]], tuple]],
 ) -> Tuple[List[str], List[tuple], List[Dict[int, float]]]:
     """Rows over log-spaced distances and the FIGURE_COMBOS, each curve solved
-    once at the first distance d0 as H + pa_w * (d / d0) ** PATH_LOSS_EXPONENT.
+    once at the first distance d0 as H + pa_w * (d / d0) ** PATH_LOSS_EXPONENT:
+    ``size_link``, where the sizing chain is put together, gives its H, and
+    ``breakdown_at`` its amplifier draw pa_w at d0.
 
     ``curve_columns(parts)``, given a curve's ``clip_independent_parts``,
     returns the columns named by ``columns`` as a function of its total and
@@ -199,19 +208,15 @@ def _distance_sweep(
         try:
             curve_radio = replace(radio, **BANDWIDTH_PROFILES[profile])
             curve_deploy = replace(deploy, cameras=cameras, distance_km=d0)
-            _, snr_max = snr_ceiling(curve_radio.bandwidth_hz, cameras, deploy.rate_bps,
-                                     curve_radio.beta)
-            [(ibo, _, _)] = pa.optimal_ibos([snr_max])
-            parts = clip_independent_parts(curve_radio, curve_deploy)
-            columns_of = curve_columns(parts[0])
+            sized = size_link(curve_radio, curve_deploy)
+            columns_of = curve_columns(sized.parts)
         except FoglinkError as exc:
             raise _scenario_context(exc, **scenario) from exc
         try:  # the path gain falls with distance: d0 checks the grid
-            p_max = clip_power(d0, deploy.carrier_hz, curve_radio.bandwidth_hz, snr_max)
-            at_d0 = breakdown_at(curve_radio, curve_deploy, ibo, p_max, parts)
+            _, at_d0 = breakdown_at(sized, curve_radio, curve_deploy)
         except FoglinkError as exc:
             raise _scenario_context(exc, distance_km=d0, **scenario) from exc
-        curves.append((scenario, curve_radio.bandwidth_hz, cameras, parts[1], at_d0.pa_w,
+        curves.append((scenario, curve_radio.bandwidth_hz, cameras, sized.head_w, at_d0.pa_w,
                        columns_of))
     scales = []
     for d in distances:
@@ -289,10 +294,8 @@ def sweep_fig6(
 
 def link_power_row(radio: RadioParams, deploy: DeploymentParams) -> Tuple[List[str], tuple]:
     """Full diagnostic row for one scenario: channel, operating point, powers."""
-    _, snr_max = snr_ceiling(radio.bandwidth_hz, deploy.cameras, deploy.rate_bps, radio.beta)
-    [(ibo, alpha, sinr)] = pa.optimal_ibos([snr_max])
-    p_max = clip_power(deploy.distance_km, deploy.carrier_hz, radio.bandwidth_hz, snr_max)
-    down = breakdown_at(radio, deploy, ibo, p_max)
+    sized = size_link(radio, deploy)
+    p_max, down = breakdown_at(sized, radio, deploy)
     columns = [
         "distance_km", "carrier_hz", "bandwidth_hz", "cameras", "rate_bps",
         "path_gain_db", "noise_dbm", "p_max_w", "snr_max_db", "ibo_db", "sinr_db",
@@ -301,8 +304,9 @@ def link_power_row(radio: RadioParams, deploy: DeploymentParams) -> Tuple[List[s
     row = (
         deploy.distance_km, deploy.carrier_hz, radio.bandwidth_hz, deploy.cameras,
         deploy.rate_bps, path_gain_db(deploy.distance_km, deploy.carrier_hz),
-        noise_dbm(radio.bandwidth_hz), p_max, linear_to_db(snr_max), linear_to_db(ibo),
-        linear_to_db(sinr), alpha, p_max / ibo, *down._values(), watts_to_dbm(down.total_w),
+        noise_dbm(radio.bandwidth_hz), p_max, linear_to_db(sized.snr_max),
+        linear_to_db(sized.ibo), linear_to_db(sized.sinr), sized.alpha, p_max / sized.ibo,
+        *down._values(), watts_to_dbm(down.total_w),
     )
     return columns, row
 

@@ -4,11 +4,12 @@ The propagation model is the urban-macro path loss with a 15 dBi net
 antenna-gain term folded in, valid from 10 m outward; the noise floor is
 thermal noise plus a 5 dB receiver noise figure.  A scaled Shannon relation
 maps the stream rate to the SINR the link must deliver.  Sizing has two
-parts: ``snr_ceiling`` gives the SNR ceiling that the rate demand alone
-fixes, at which ``pa.optimal_ibos`` solves the amplifier, and ``clip_power``
-turns that ceiling into the clipping power through the distance- and
-band-dependent path gain and noise; at a fixed ceiling it grows as
-``distance_km ** PATH_LOSS_EXPONENT``.
+parts, and ``chain.size_link`` is the one place they are put together
+(``chain.breakdown_at`` adds the distance): ``snr_ceiling`` gives the SNR
+ceiling that the rate demand alone fixes, at which ``pa.optimal_ibos``
+solves the amplifier, and ``clip_power`` turns that ceiling into the
+clipping power through the distance- and band-dependent path gain and
+noise; at a fixed ceiling it grows as ``distance_km ** PATH_LOSS_EXPONENT``.
 """
 
 import math

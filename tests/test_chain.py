@@ -21,10 +21,11 @@ from foglink.chain import (
     breakdown_at,
     breakeven_at,
     clip_independent_parts,
+    size_link,
 )
 from foglink.config import BANDWIDTH_PROFILES
 from foglink.link import PATH_LOSS_EXPONENT, clip_power, snr_ceiling
-from foglink.pa import optimal_ibos
+from foglink.pa import optimal_ibos, pa_consumed_power
 
 RADIO, DEPLOY = load_params()
 
@@ -39,16 +40,15 @@ def theta_star(radio, deploy):
     return breakeven_at(offload_power(radio, deploy).total_w, deploy)
 
 
-# an amplifier point of the baseline link; the draws other than the
-# amplifier's do not depend on it
-_, SNR_MAX = snr_ceiling(RADIO.bandwidth_hz, DEPLOY.cameras, DEPLOY.rate_bps, RADIO.beta)
-[(IBO, _, _)] = optimal_ibos([SNR_MAX])
-P_MAX = clip_power(DEPLOY.distance_km, DEPLOY.carrier_hz, RADIO.bandwidth_hz, SNR_MAX)
+# the baseline link, sized for its rate demand
+SIZED = size_link(RADIO, DEPLOY)
 
 
 def one_camera(radio=RADIO, **deploy_fields):
-    """The breakdown of a single camera, whose draws are not duty cycled."""
-    return breakdown_at(radio, replace(DEPLOY, cameras=1, **deploy_fields), IBO, P_MAX)
+    """The draws but the amplifier's of a single camera, whose draws are not
+    duty cycled, by their ``PowerBreakdown`` field name."""
+    parts, _ = clip_independent_parts(radio, replace(DEPLOY, cameras=1, **deploy_fields))
+    return SimpleNamespace(**parts)
 
 
 class TestLocalPower:
@@ -73,9 +73,9 @@ class TestLocalPower:
 
 class TestCodingPower:
     def test_zero_rate(self):
-        # DeploymentParams refuses a zero rate; breakdown_at still evaluates R * psi
+        # DeploymentParams refuses a zero rate; the parts still evaluate R * psi
         deploy = SimpleNamespace(cameras=1, rate_bps=0.0, p_video_w=0.242)
-        assert breakdown_at(RADIO, deploy, IBO, P_MAX).cod_w == 0.0
+        assert clip_independent_parts(RADIO, deploy)[0]["cod_w"] == 0.0
 
     def test_video_rate(self):
         assert abs(one_camera(rate_bps=6e6).cod_w - 6e-4) <= 1e-18
@@ -187,11 +187,19 @@ class TestOffloadPower:
             assert abs(law - total) <= 1e-13 * total
 
     def test_is_the_breakdown_at_the_solved_link(self):
+        # size_link chains the ceiling, the back-off solved there and the
+        # parts; breakdown_at adds the clipping power and the amplifier draw
         radio, deploy = scenario("9mhz", 10, 0.5)
-        _, snr_max = snr_ceiling(9e6, 10, 6e6, 0.4)
-        [(ibo, _, _)] = optimal_ibos([snr_max])
+        required, snr_max = snr_ceiling(9e6, 10, 6e6, 0.4)
+        [(ibo, alpha, sinr)] = optimal_ibos([snr_max])
+        parts, head_w = clip_independent_parts(radio, deploy)
+        sized = size_link(radio, deploy)
+        assert sized._values() == (required, snr_max, ibo, alpha, sinr, parts, head_w)
         p_max = clip_power(0.5, 3.5e9, 9e6, snr_max)
-        assert offload_power(radio, deploy) == breakdown_at(radio, deploy, ibo, p_max)
+        pa_w = pa_consumed_power(p_max, ibo) / 10.0
+        down = offload_power(radio, deploy)
+        assert breakdown_at(sized, radio, deploy) == (p_max, down)
+        assert down._values() == (*parts.values(), pa_w, head_w + pa_w)
 
     def test_huge_fleet_is_infeasible(self):
         # a million cameras sharing 18 MHz would need SINR 2^833333; the
@@ -203,9 +211,11 @@ class TestOffloadPower:
     def test_duty_cycle_limit_keeps_constant_terms(self):
         # with the amplifier point fixed, an enormous fleet leaves only the
         # always-on components: video coder, redundancy coding, oscillator
-        down = breakdown_at(RADIO, replace(DEPLOY, cameras=10 ** 6), IBO, P_MAX)
+        _, head_w = clip_independent_parts(RADIO, replace(DEPLOY, cameras=10 ** 6))
+        p_max, _ = breakdown_at(SIZED, RADIO, DEPLOY)
+        total_w = head_w + pa_consumed_power(p_max, SIZED.ibo) / 10 ** 6
         constant = 0.242 + 6e-4 + 0.0675
-        assert abs(down.total_w - constant) <= 1e-5 * constant
+        assert abs(total_w - constant) <= 1e-5 * constant
 
 
 class TestBreakevenTheta:
@@ -283,15 +293,15 @@ class TestParamValidation:
             replace(DEPLOY, rate_bps=0.0)
 
     # A PowerBreakdown holds what breakdown_at computed from checked records,
-    # so the records refuse what could make a part negative or not finite,
-    # and breakdown_at refuses a draw that overflows.
+    # so the records refuse what could make a part negative, size_link a part
+    # that is not finite, and breakdown_at a draw that overflows.
 
     def test_breakdown_rejects_negative_component(self):
         with pytest.raises(DomainError, match="p_video_w must be positive"):
             replace(DEPLOY, p_video_w=-0.1)
         with pytest.raises(DomainError, match="c_p_f must be non-negative"):
             replace(RADIO, c_p_f=-1e-12)
-        assert min(breakdown_at(RADIO, DEPLOY, IBO, P_MAX)._values()) > 0.0
+        assert min(breakdown_at(SIZED, RADIO, DEPLOY)[1]._values()) > 0.0
 
     def test_breakdown_rejects_wrong_total(self):
         # the total is the left-to-right sum of the parts, so it cannot be wrong
@@ -304,19 +314,23 @@ class TestParamValidation:
         # NaN compares False with 0.0, so the record refuses it as not
         # positive; an infinite DAC supply is refused by the part it makes
         with pytest.raises(DomainError, match="v_dd must be positive|dac_w = inf W"):
-            breakdown_at(replace(RADIO, v_dd=bad), DEPLOY, IBO, P_MAX)
+            size_link(replace(RADIO, v_dd=bad), DEPLOY)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_breakdown_rejects_a_non_finite_total(self, bad):
-        with pytest.raises(DomainError, match="p_max_w must be non-negative"):
-            breakdown_at(RADIO, DEPLOY, IBO, bad)
+        # a clipping power that is not finite never reaches the amplifier
+        with pytest.raises(InfeasibleLinkError, match=f"clipping power {bad!r} W is not rep"):
+            breakdown_at(replace(SIZED, snr_max=bad), RADIO, DEPLOY)
         # a finite clipping power whose amplifier draw overflows
+        far = replace(DEPLOY, distance_km=1.4410110442132077e+82)
         with pytest.raises(DomainError) as refused:
-            breakdown_at(RADIO, DEPLOY, IBO, 1.7e308)
+            breakdown_at(SIZED, RADIO, far)
         assert str(refused.value) == (
-            "amplifier draw pa_w = inf W at clipping power 1.7e+308 W makes the "
-            "offload power inf W, which is not finite"
+            "amplifier draw pa_w = inf W at clipping power 1.6995007848298944e+308 W "
+            "makes the offload power inf W, which is not finite"
         )
         # a finite amplifier draw whose sum with the other parts overflows
-        with pytest.raises(DomainError, match="makes the offload power inf W"):
-            breakdown_at(RADIO, replace(DEPLOY, p_video_w=1.7e308), IBO, 1e308)
+        heavy = replace(DEPLOY, p_video_w=1.7e308, distance_km=1e82)
+        with pytest.raises(DomainError, match="pa_w = 4.98891676925112.e[+]307 W .* makes "
+                                              "the offload power inf W"):
+            breakdown_at(size_link(RADIO, heavy), RADIO, heavy)

@@ -671,6 +671,41 @@ class TestErrorExits:
         assert err.startswith(f"error: {part} = inf W is not finite; it is computed from ")
         assert key in err
 
+    @pytest.mark.parametrize("command", ["link-power", "breakeven"])
+    def test_parts_are_refused_before_the_clipping_power(self, capsys, tmp_path, command):
+        # two faults, an overflowing DAC draw and an unrepresentable clipping
+        # power: the scenario is sized before its distance is added, as each
+        # curve of a distance sweep is
+        path = tmp_path / "params.json"
+        path.write_text('{"v_dd": 1e200}', encoding="utf-8")
+        code, out, err = run_cli(
+            [command, "--config", str(path), "--distance-km", "1e300"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: dac_w = inf W is not finite; it is computed from v_dd, i_0_a, dac_bits, "
+            "c_p_f and sample_rate_hz\n"
+        )
+
+    @pytest.mark.parametrize("steps", [0, 2 ** 18 + 1, 10 ** 8])
+    @pytest.mark.parametrize("command, variable, args", [
+        ("fig3", "snr_max_db", []),
+        ("fig5", "distance_km", []),
+        ("breakeven", "theta", ["--theta-from", "0", "--theta-to", "1"]),
+    ])
+    def test_step_count_out_of_range_is_refused_before_any_point(
+        self, capsys, monkeypatch, command, variable, args, steps
+    ):
+        def no_points(*args):
+            raise AssertionError("a point list was built")
+
+        monkeypatch.setattr(cli, "_linspace", no_points)
+        code, out, err = run_cli([command, *args, "--steps", str(steps)], capsys)
+        bound = ">= 1" if steps < 1 else "<= 262144"
+        assert (code, out, err) == (
+            1, "", f"error: {variable} sweep steps must be {bound}, got {steps}\n"
+        )
+
     @pytest.mark.parametrize("command", ["link-power", "breakeven", "fig5", "fig6"])
     def test_overflowing_sum_of_parts_names_its_keys(self, capsys, tmp_path, command):
         # each part is finite, but their sum is not
@@ -882,9 +917,29 @@ class TestErrorExits:
 
 class TestSolveCounts:
     @staticmethod
+    def counted(monkeypatch, names):
+        """The list that logs, by name, each call of ``names`` made through
+        any foglink module that binds one of them."""
+        import foglink.chain
+        import foglink.link
+        import foglink.pa
+
+        calls = []
+        for module in (foglink.pa, foglink.link, foglink.chain, cli):
+            for name in names:
+                if hasattr(module, name):
+                    def counted(*args, _name=name, _original=getattr(module, name)):
+                        calls.append(_name)
+                        return _original(*args)
+
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @staticmethod
     def solves(args, capsys, monkeypatch):
         """The calls of ``pa.optimal_ibos`` a command makes, each as the list
         of SNR ceilings it solved, and the command's CSV rows."""
+        import foglink.chain
         import foglink.pa
 
         calls = []
@@ -901,7 +956,8 @@ class TestSolveCounts:
 
             return original(passed_on())
 
-        monkeypatch.setattr(foglink.pa, "optimal_ibos", counted)
+        for module in (foglink.pa, foglink.chain):  # cli calls pa.optimal_ibos
+            monkeypatch.setattr(module, "optimal_ibos", counted)
         code, out, _ = run_cli(args, capsys)
         assert code == 0
         return calls, parse_csv(out)[1]
@@ -909,6 +965,20 @@ class TestSolveCounts:
     def test_link_power_solves_the_operating_point_once(self, capsys, monkeypatch):
         calls, _ = self.solves(["link-power"], capsys, monkeypatch)
         assert list(map(len, calls)) == [1]
+
+    @pytest.mark.parametrize("argv, scenarios", [
+        (["link-power"], 1),
+        (["breakeven"], 1),
+        (["fig5", "--steps", "1961"], 4),
+        (["fig6", "--steps", "1961"], 4),
+    ])
+    def test_each_scenario_is_sized_once(self, capsys, monkeypatch, argv, scenarios):
+        # the ceiling, the back-off solved at it, the parts and the clipping
+        # power: once per scenario, and once per curve of a distance sweep
+        names = ["snr_ceiling", "optimal_ibos", "clip_independent_parts", "clip_power"]
+        calls = self.counted(monkeypatch, names)
+        assert run_cli(argv, capsys)[0] == 0
+        assert sorted(calls) == sorted(names * scenarios)
 
     @pytest.mark.parametrize("steps", [50, 1961])
     @pytest.mark.parametrize("command", ["fig5", "fig6"])
@@ -931,21 +1001,8 @@ class TestSolveCounts:
         self, capsys, monkeypatch, command
     ):
         # a curve is H + K * d ** 3.76, so the path gain and the amplifier
-        # draw are evaluated per curve and per sweep, never per row, and the
-        # parts H sums once per curve
-        import foglink.chain
-        import foglink.link
-
-        calls = []
-        for module, name in [(foglink.link, "path_gain_db"), (cli, "path_gain_db"),
-                             (foglink.chain, "pa_consumed_power"),
-                             (foglink.chain, "clip_independent_parts"),
-                             (cli, "clip_independent_parts")]:
-            def counted(*args, _name=name, _original=getattr(module, name)):
-                calls.append(_name)
-                return _original(*args)
-
-            monkeypatch.setattr(module, name, counted)
+        # draw are evaluated per curve and per sweep, never per row
+        calls = self.counted(monkeypatch, ["path_gain_db", "pa_consumed_power"])
         counts = []
         for steps in (50, 1961):
             calls.clear()
@@ -953,7 +1010,6 @@ class TestSolveCounts:
             counts.append(sorted(calls))
         assert counts[0] == counts[1]
         assert counts[0].count("pa_consumed_power") == len(cli.FIGURE_COMBOS)
-        assert counts[0].count("clip_independent_parts") == len(cli.FIGURE_COMBOS)
 
 
 @pytest.mark.parametrize("argv, sites", [
@@ -1225,6 +1281,9 @@ class TestCsvRendering:
             cli._grid("distance_km", 2.0, 1.0, 10)
         with pytest.raises(DomainError, match="steps"):
             cli._grid("distance_km", 1.0, 2.0, 0)
+        assert len(cli._grid("distance_km", 1.0, 2.0, 2 ** 18)) == 2 ** 18
+        with pytest.raises(DomainError, match="steps must be <= 262144, got 262145"):
+            cli._grid("distance_km", 1.0, 2.0, 2 ** 18 + 1)
         with pytest.raises(DomainError, match="start == stop"):
             cli._grid("snr_max_db", 0.0, 1.0, 1)
         with pytest.raises(DomainError, match="start > 0"):

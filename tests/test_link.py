@@ -21,7 +21,7 @@ from foglink import (
     snr_max_for_sinr_db,
     watts_to_dbm,
 )
-from foglink.chain import breakdown_at, offload_power
+from foglink.chain import breakdown_at, offload_power, size_link
 from foglink.cli import FIGURE_COMBOS
 from foglink.link import snr_ceiling
 from foglink.pa import MAX_SNR_CEILING, MIN_SNR_CEILING, optimal_ibos
@@ -255,10 +255,13 @@ class TestOperatingPoint:
         # it: a scenario at any distance is sized at the one point
         radio, deploy = load_params(profile=profile)
         ibo, _, _, snr_max = sized_point(radio.bandwidth_hz, cameras, deploy.rate_bps)
+        sized = size_link(radio, replace(deploy, cameras=cameras))
+        assert (sized.ibo, sized.snr_max) == (ibo, snr_max)
         for d in np.geomspace(0.01, 2.0, 10):
             scenario = replace(deploy, cameras=cameras, distance_km=float(d))
+            assert size_link(radio, scenario) == sized
             p_max = clip_power(float(d), deploy.carrier_hz, radio.bandwidth_hz, snr_max)
-            assert offload_power(radio, scenario) == breakdown_at(radio, scenario, ibo, p_max)
+            assert breakdown_at(sized, radio, scenario) == (p_max, offload_power(radio, scenario))
 
     @pytest.mark.parametrize("cameras, rate_bps", [(1, 3.6e8), (10, 3.6e7)])
     def test_ceiling_above_the_solvable_range_names_the_rate(self, cameras, rate_bps):

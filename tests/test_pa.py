@@ -412,6 +412,9 @@ class TestPaConsumedPower:
             pa_consumed_power(-1.0, 1.0)
         with pytest.raises(DomainError):
             pa_consumed_power(1.0, 0.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="p_max_w must be non-negative"):
+                pa_consumed_power(bad, 1.0)
 
 
 class TestPaOperatingPoint:

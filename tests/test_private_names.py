@@ -1,10 +1,13 @@
-"""Every private module-level name is used by the package.
+"""Every private module-level name is used by the package, and every
+import by its module.
 
 A name that starts with an underscore is the package's own business, so
 only the package can be the reason it exists: each one a module binds at
 its top level must be loaded somewhere in ``src/foglink/``, by plain name
 or as an attribute, beyond the statement that binds it.  A helper left
-behind by a refactor, or kept only for the tests, fails here.
+behind by a refactor, or kept only for the tests, fails here.  A name a
+module imports at its top level must be loaded in that module or listed in
+its ``__all__``, so an import outliving its last use fails too.
 """
 
 import ast
@@ -67,3 +70,38 @@ def test_an_unused_private_name_is_found(tmp_path):
     )
     paths = sorted(tmp_path.glob("*.py"))
     assert unreferenced_private_names(paths) == ["first._tests_only"]
+
+
+def unused_imports(path):
+    """``module.name`` of each name a module's top-level imports bind that
+    the module neither loads nor lists in its ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported, exported = set(), set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    loaded = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    return sorted(f"{path.stem}.{name}" for name in imported - loaded - exported)
+
+
+def test_every_import_is_used_or_exported():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert [name for path in paths for name in unused_imports(path)] == []
+
+
+def test_an_unused_import_is_found(tmp_path):
+    path = tmp_path / "third.py"
+    path.write_text(
+        "import os.path\nimport math as m\nfrom .link import clip_power, noise_dbm\n"
+        "from .units import db_to_linear\n__all__ = ['db_to_linear']\n"
+        "def run(x):\n    return os.path.join(noise_dbm(x), m.pi)\n",
+        encoding="utf-8",
+    )
+    assert unused_imports(path) == ["third.clip_power"]
