@@ -41,7 +41,7 @@ Sum layout (x = input sample, y = clipped sample, c' = y * conj(x));
   8: sum |y|^2|x|^2   9: sum |x|^2 Re(c')
 """
 
-from typing import Sequence
+from collections.abc import Sequence
 
 import numpy as np
 

@@ -4,14 +4,14 @@
 draws (video coder, redundancy coding, OFDM modulator, DACs, local
 oscillator, mixers, power amplifier) and their TDMA duty cycling.  A
 scenario is sized in two steps: ``size_link`` fixes all that its rate
-demand alone decides, and ``breakdown_at`` adds the distance.
+demand alone decides in a ``SizedLink`` that carries its band, carrier and
+camera count, and ``breakdown_at(sized, distance_km)`` adds the distance.
 ``offload_power`` chains the two into the mean offload power of one camera
 on a link; ``breakeven_at`` compares it against the power of running the
 analytics workload on the device itself.
 """
 
 import math
-from typing import Dict, Tuple
 
 from .errors import DomainError, require_int, require_positive
 from .link import clip_power, snr_ceiling
@@ -145,16 +145,20 @@ class PowerBreakdown(Record):
 class SizedLink(Record):
     """A scenario sized for its rate demand, all that does not depend on the
     distance: the required SINR, the SNR ceiling it fixes, the optimal
-    back-off there with its alpha and SINR (all linear), and
-    ``clip_independent_parts`` with their sum H."""
+    back-off there with its alpha and SINR (all linear),
+    ``clip_independent_parts`` with their sum H, and the band, carrier and
+    camera count that ``breakdown_at`` reads to add a distance."""
 
     required_sinr: float
     snr_max: float
     ibo: float
     alpha: float
     sinr: float
-    parts: Dict[str, float]
+    parts: dict[str, float]
     head_w: float
+    bandwidth_hz: float
+    carrier_hz: float
+    cameras: int
 
 
 def local_power(theta_flop_per_bit: float, rate_bps: float, gamma_flops_per_w: float) -> float:
@@ -171,7 +175,7 @@ def local_power(theta_flop_per_bit: float, rate_bps: float, gamma_flops_per_w: f
 
 def clip_independent_parts(
     radio: RadioParams, deploy: DeploymentParams
-) -> Tuple[Dict[str, float], float]:
+) -> tuple[dict[str, float], float]:
     """The duty-cycled draws of every component but the amplifier, keyed by
     their ``PowerBreakdown`` field, and their sum H.
 
@@ -225,19 +229,18 @@ def size_link(radio: RadioParams, deploy: DeploymentParams) -> SizedLink:
     [(ibo, alpha, sinr)] = optimal_ibos([snr_max])
     parts, head_w = clip_independent_parts(radio, deploy)
     return SizedLink(required_sinr=required, snr_max=snr_max, ibo=ibo, alpha=alpha,
-                     sinr=sinr, parts=parts, head_w=head_w)
+                     sinr=sinr, parts=parts, head_w=head_w, bandwidth_hz=radio.bandwidth_hz,
+                     carrier_hz=deploy.carrier_hz, cameras=deploy.cameras)
 
 
-def breakdown_at(
-    sized: SizedLink, radio: RadioParams, deploy: DeploymentParams
-) -> Tuple[float, PowerBreakdown]:
-    """The clipping power that puts ``sized = size_link(radio, deploy)`` at
-    its SNR ceiling over ``deploy.distance_km``, and the ``PowerBreakdown``
-    there: the amplifier's class B supply power, divided by M as it is
-    active only during the camera's 1/M slot.  An amplifier draw that
-    overflows, or that makes the total overflow, raises DomainError."""
-    p_max = clip_power(deploy.distance_km, deploy.carrier_hz, radio.bandwidth_hz, sized.snr_max)
-    pa_w = pa_consumed_power(p_max, sized.ibo) / float(deploy.cameras)
+def breakdown_at(sized: SizedLink, distance_km: float) -> tuple[float, PowerBreakdown]:
+    """The clipping power that puts the ``sized`` link at its SNR ceiling
+    over ``distance_km``, and the ``PowerBreakdown`` there: the amplifier's
+    class B supply power, divided by M as it is active only during the
+    camera's 1/M slot.  An amplifier draw that overflows, or that makes the
+    total overflow, raises DomainError."""
+    p_max = clip_power(distance_km, sized.carrier_hz, sized.bandwidth_hz, sized.snr_max)
+    pa_w = pa_consumed_power(p_max, sized.ibo) / float(sized.cameras)
     total_w = sized.head_w + pa_w
     if not total_w < math.inf:
         raise DomainError(
@@ -250,7 +253,7 @@ def breakdown_at(
 def offload_power(radio: RadioParams, deploy: DeploymentParams) -> PowerBreakdown:
     """Mean power one camera spends to offload its stream: the breakdown of
     the link that ``size_link`` sizes for the rate, at its distance."""
-    return breakdown_at(size_link(radio, deploy), radio, deploy)[1]
+    return breakdown_at(size_link(radio, deploy), deploy.distance_km)[1]
 
 
 def breakeven_at(offload_w: float, deploy: DeploymentParams) -> float:

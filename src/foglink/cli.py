@@ -13,7 +13,7 @@ import math
 import operator
 import os
 import sys
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from . import pa
 from .chain import (
@@ -47,7 +47,7 @@ FIGURE_COMBOS = tuple(
 _MAX_STEPS = 2 ** 18
 
 
-def _linspace(start: float, stop: float, steps: int) -> List[float]:
+def _linspace(start: float, stop: float, steps: int) -> list[float]:
     """``np.linspace(start, stop, steps)`` bit for bit, in Python floats."""
     div, delta = max(steps - 1, 1), stop - start
     step = delta / div
@@ -62,7 +62,7 @@ def _linspace(start: float, stop: float, steps: int) -> List[float]:
 
 def _grid(
     variable: str, start: float, stop: float, steps: int, log_spaced: bool = False
-) -> List[float]:
+) -> list[float]:
     """The points of a one-dimensional sweep of ``variable``.
 
     ``steps == 1`` with ``start == stop`` is the degenerate single-point
@@ -122,7 +122,7 @@ def _scenario_context(exc: FoglinkError, **scenario) -> FoglinkError:
 
 def sweep_fig3(
     start_db: float, stop_db: float, steps: int
-) -> Tuple[List[str], List[tuple], float]:
+) -> tuple[list[str], list[tuple], float]:
     """Optimal back-off and SINR versus the SNR ceiling, exact and approximate.
 
     Returns the columns, the rows and the maximum absolute gap between the
@@ -151,7 +151,7 @@ def sweep_fig3(
 
 def sweep_fig4(
     radio: RadioParams, deploy: DeploymentParams, start_hz: float, stop_hz: float, steps: int
-) -> Tuple[List[str], List[tuple]]:
+) -> tuple[list[str], list[tuple]]:
     """Required SINR and the resulting optimal back-off versus bandwidth.
 
     Grid points where a camera count cannot meet the rate at all (rate
@@ -183,12 +183,13 @@ def _distance_sweep(
     stop_km: float,
     steps: int,
     columns: Sequence[str],
-    curve_columns: Callable[[Dict[str, float]], Callable[[List[float], List[float]], tuple]],
-) -> Tuple[List[str], List[tuple], List[Dict[int, float]]]:
+    curve_columns: Callable[[dict[str, float]], Callable[[list[float], list[float]], tuple]],
+) -> tuple[list[str], list[tuple], list[dict[int, float]]]:
     """Rows over log-spaced distances and the FIGURE_COMBOS, each curve solved
     once at the first distance d0 as H + pa_w * (d / d0) ** PATH_LOSS_EXPONENT:
-    ``size_link``, where the sizing chain is put together, gives its H, and
-    ``breakdown_at`` its amplifier draw pa_w at d0.
+    ``size_link``, where the sizing chain is put together, gives the curve's
+    record with its H, band and camera count, and ``breakdown_at(sized, d0)``
+    its amplifier draw pa_w at d0.
 
     ``curve_columns(parts)``, given a curve's ``clip_independent_parts``,
     returns the columns named by ``columns`` as a function of its total and
@@ -206,18 +207,16 @@ def _distance_sweep(
     for profile, cameras in FIGURE_COMBOS:
         scenario = {"bandwidth_profile": profile, "cameras": cameras}
         try:
-            curve_radio = replace(radio, **BANDWIDTH_PROFILES[profile])
-            curve_deploy = replace(deploy, cameras=cameras, distance_km=d0)
-            sized = size_link(curve_radio, curve_deploy)
+            sized = size_link(replace(radio, **BANDWIDTH_PROFILES[profile]),
+                              replace(deploy, cameras=cameras))
             columns_of = curve_columns(sized.parts)
         except FoglinkError as exc:
             raise _scenario_context(exc, **scenario) from exc
         try:  # the path gain falls with distance: d0 checks the grid
-            _, at_d0 = breakdown_at(sized, curve_radio, curve_deploy)
+            _, at_d0 = breakdown_at(sized, d0)
         except FoglinkError as exc:
             raise _scenario_context(exc, distance_km=d0, **scenario) from exc
-        curves.append((scenario, curve_radio.bandwidth_hz, cameras, sized.head_w, at_d0.pa_w,
-                       columns_of))
+        curves.append((scenario, sized, at_d0.pa_w, columns_of))
     scales = []
     for d in distances:
         try:
@@ -226,7 +225,8 @@ def _distance_sweep(
             scales.append(math.inf)
 
     def curve_cells(curve, scales):
-        _, bandwidth_hz, cameras, head_w, pa_d0_w, columns_of = curve
+        _, sized, pa_d0_w, columns_of = curve
+        head_w = sized.head_w
         pa_w = [pa_d0_w * scale for scale in scales]
         total_w = [head_w + p for p in pa_w]
         if not all(map(math.inf.__gt__, total_w)):
@@ -234,7 +234,7 @@ def _distance_sweep(
                 f"offload power {head_w!r} W + {pa_d0_w!r} W * (distance_km / "
                 f"{d0!r}) ** {PATH_LOSS_EXPONENT:g} is not finite"
             )
-        return distances, bandwidth_hz, cameras, *columns_of(total_w, pa_w)
+        return distances, sized.bandwidth_hz, sized.cameras, *columns_of(total_w, pa_w)
 
     try:
         cells_by_curve = [curve_cells(curve, scales) for curve in curves]
@@ -263,7 +263,7 @@ _FIG5_FIELDS = ["total_w", *(name for name in _POWER_FIELDS if name != "total_w"
 
 def sweep_fig5(
     radio: RadioParams, deploy: DeploymentParams, start_km: float, stop_km: float, steps: int
-) -> Tuple[List[str], List[tuple], List[Dict[int, float]]]:
+) -> tuple[list[str], list[tuple], list[dict[int, float]]]:
     """Offload power and its per-component shares versus distance; see ``_distance_sweep``."""
     def curve_columns(parts):  # the parts but the amplifier's do not vary along a curve
         fixed = []
@@ -284,7 +284,7 @@ def sweep_fig5(
 
 def sweep_fig6(
     radio: RadioParams, deploy: DeploymentParams, start_km: float, stop_km: float, steps: int
-) -> Tuple[List[str], List[tuple], List[Dict[int, float]]]:
+) -> tuple[list[str], list[tuple], list[dict[int, float]]]:
     """Breakeven workload complexity versus distance; see ``_distance_sweep``."""
     return _distance_sweep(
         radio, deploy, start_km, stop_km, steps, ["theta_star"],
@@ -292,10 +292,10 @@ def sweep_fig6(
     )
 
 
-def link_power_row(radio: RadioParams, deploy: DeploymentParams) -> Tuple[List[str], tuple]:
+def link_power_row(radio: RadioParams, deploy: DeploymentParams) -> tuple[list[str], tuple]:
     """Full diagnostic row for one scenario: channel, operating point, powers."""
     sized = size_link(radio, deploy)
-    p_max, down = breakdown_at(sized, radio, deploy)
+    p_max, down = breakdown_at(sized, deploy.distance_km)
     columns = [
         "distance_km", "carrier_hz", "bandwidth_hz", "cameras", "rate_bps",
         "path_gain_db", "noise_dbm", "p_max_w", "snr_max_db", "ibo_db", "sinr_db",
@@ -314,8 +314,8 @@ def link_power_row(radio: RadioParams, deploy: DeploymentParams) -> Tuple[List[s
 def breakeven_rows(
     radio: RadioParams,
     deploy: DeploymentParams,
-    theta_sweep: Optional[Tuple[float, float, int]],
-) -> Tuple[List[str], List[tuple]]:
+    theta_sweep: tuple[float, float, int] | None,
+) -> tuple[list[str], list[tuple]]:
     """Breakeven summary, or a workload sweep when a theta range is given."""
     down = offload_power(radio, deploy)
     if theta_sweep is None:
@@ -337,7 +337,7 @@ def breakeven_rows(
 
 def mc_verify(
     ibo_db_values: Sequence[float], n_samples: int, seed: int, snr_max_db: float
-) -> Tuple[List[str], List[tuple], List[str]]:
+) -> tuple[list[str], list[tuple], list[str]]:
     """Compare Monte-Carlo estimates against the closed forms per back-off.
 
     Runs at unit mean input power (sigma2 = 1 W, p_max = IBO), every
@@ -433,7 +433,7 @@ def mc_verify(
 # CSV rendering
 
 
-def _row_lines(rows: List[Sequence], curves: Sequence[Mapping[int, object]]) -> List[str]:
+def _row_lines(rows: list[Sequence], curves: Sequence[Mapping[int, object]]) -> list[str]:
     """Each row by its curve's template: row k by that of curve k % len(curves).
 
     A template takes the cell formats of the first row, ``%s`` for a str
@@ -480,7 +480,7 @@ def render_csv(
     return text
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
+def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
         return
@@ -603,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_numbers(argv: Sequence[str]) -> List[str]:
+def _attach_numbers(argv: Sequence[str]) -> list[str]:
     """Join ``--db-from -1e1`` (or an abbreviation such as ``--db-f -1e1``)
     into ``--db-from=-1e1`` for any long option, when the value is a number
     or a comma-separated list led by one.
@@ -613,7 +613,7 @@ def _attach_numbers(argv: Sequence[str]) -> List[str]:
     list, so ``-1e1`` or ``-3,0`` would exit 2 with "expected one argument".
     """
     options = [flag for _, _, flags, _ in _COMMANDS for flag, _ in flags]  # all take values
-    joined: List[str] = []
+    joined: list[str] = []
     for arg in argv:
         option = joined[-1] if joined else ""
         if len(option) > 2 and any(flag.startswith(option) for flag in options):
@@ -628,7 +628,7 @@ def _attach_numbers(argv: Sequence[str]) -> List[str]:
     return joined
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_attach_numbers(argv))

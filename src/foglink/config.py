@@ -6,7 +6,6 @@ per key (Hz, W, km, A, F, V, bits per second); nothing is dB-scaled here.
 """
 
 import math
-from typing import Optional, Tuple
 
 from .chain import DeploymentParams, RadioParams
 from .errors import ConfigError, DomainError
@@ -58,7 +57,7 @@ _INT_KEYS = {
 }
 
 
-def _build(values: dict) -> Tuple[RadioParams, DeploymentParams]:
+def _build(values: dict) -> tuple[RadioParams, DeploymentParams]:
     radio_kwargs = {k: values[k] for k in RADIO_DEFAULTS}
     deploy_kwargs = {k: values[k] for k in DEPLOY_DEFAULTS}
     try:
@@ -103,10 +102,10 @@ def _read_file(path: str) -> dict:
 
 
 def load_params(
-    path: Optional[str] = None,
-    overrides: Optional[dict] = None,
-    profile: Optional[str] = None,
-) -> Tuple[RadioParams, DeploymentParams]:
+    path: str | None = None,
+    overrides: dict | None = None,
+    profile: str | None = None,
+) -> tuple[RadioParams, DeploymentParams]:
     """Parameters from the defaults, then the file, the profile and the overrides.
 
     ``path`` names a flat JSON file, ``profile`` a key of

@@ -1,8 +1,6 @@
 """Exception types shared across the package, and the argument checks that
 raise them."""
 
-from typing import Optional
-
 
 class FoglinkError(Exception):
     """Base class for all errors raised by this package."""
@@ -35,7 +33,7 @@ def require_positive(**fields) -> None:
             raise DomainError(f"{name} must be positive, got {value!r}")
 
 
-def require_int(name: str, value, low: int = 1, high: Optional[int] = None) -> None:
+def require_int(name: str, value, low: int = 1, high: int | None = None) -> None:
     """Raise DomainError unless ``value`` is an integer in [low, high]."""
     if not (isinstance(value, int) and low <= value and (high is None or value <= high)):
         span = f">= {low}" if high is None else f"in [{low}, {high}]"

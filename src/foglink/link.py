@@ -4,16 +4,15 @@ The propagation model is the urban-macro path loss with a 15 dBi net
 antenna-gain term folded in, valid from 10 m outward; the noise floor is
 thermal noise plus a 5 dB receiver noise figure.  A scaled Shannon relation
 maps the stream rate to the SINR the link must deliver.  Sizing has two
-parts, and ``chain.size_link`` is the one place they are put together
-(``chain.breakdown_at`` adds the distance): ``snr_ceiling`` gives the SNR
-ceiling that the rate demand alone fixes, at which ``pa.optimal_ibos``
-solves the amplifier, and ``clip_power`` turns that ceiling into the
-clipping power through the distance- and band-dependent path gain and
-noise; at a fixed ceiling it grows as ``distance_km ** PATH_LOSS_EXPONENT``.
+parts: ``snr_ceiling`` gives the SNR ceiling that the rate demand alone
+fixes, at which ``chain.size_link`` solves the amplifier by
+``pa.optimal_ibos``, and ``clip_power``, which ``chain.breakdown_at(sized,
+distance_km)`` calls with the band and carrier of the sized link, turns
+that ceiling into the clipping power through path gain and noise; at a
+fixed ceiling it grows as ``distance_km ** PATH_LOSS_EXPONENT``.
 """
 
 import math
-from typing import Tuple
 
 from . import pa
 from .errors import DomainError, InfeasibleLinkError
@@ -97,7 +96,7 @@ def required_sinr(bandwidth_hz: float, cameras: int, rate_bps: float, beta: floa
 
 def snr_ceiling(
     bandwidth_hz: float, cameras: int, rate_bps: float, beta: float
-) -> Tuple[float, float]:
+) -> tuple[float, float]:
     """The ``required_sinr`` of a rate demand and the SNR ceiling that sizes
     its link, ``(required_sinr_linear, snr_max_linear)``.
 

@@ -35,7 +35,7 @@ import contextvars
 import math
 import os
 import threading
-from typing import Dict, Iterable, List, Tuple
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -60,7 +60,7 @@ def _chunk_layout(n_samples: int):
 
 
 def _chunk_sums(
-    seed: int, chunk_index: int, count: int, clip_powers: Tuple[float, ...]
+    seed: int, chunk_index: int, count: int, clip_powers: tuple[float, ...]
 ) -> np.ndarray:
     """Moment sums of one chunk, one row per clip power, from the chunk's
     own jump-ahead Philox substream."""
@@ -77,7 +77,7 @@ def _cpu_count() -> int:
 
 
 def _summed_chunks(
-    clip_powers: Tuple[float, ...], n_samples: int, seed: int, workers: int
+    clip_powers: tuple[float, ...], n_samples: int, seed: int, workers: int
 ) -> np.ndarray:
     """Moment sums of the whole run, one row per clip power.
 
@@ -91,9 +91,9 @@ def _summed_chunks(
     """
     pending = _chunk_layout(n_samples)
     lock = threading.Lock()
-    errors: List[BaseException] = []
+    errors: list[BaseException] = []
     sums = np.zeros((len(clip_powers), _kernels.N_SUMS))
-    early: Dict[int, np.ndarray] = {}  # finished partials awaiting an earlier chunk
+    early: dict[int, np.ndarray] = {}  # finished partials awaiting an earlier chunk
     next_index = 0
 
     def work():
@@ -134,7 +134,7 @@ def _mean_and_stderr(total: float, total_sq: float, n: int):
     return mean, math.sqrt(var / n)
 
 
-def run_mc(clip_powers: Iterable[float], n_samples: int, seed: int) -> List[Tuple[float, ...]]:
+def run_mc(clip_powers: Iterable[float], n_samples: int, seed: int) -> list[tuple[float, ...]]:
     """Monte-Carlo estimates at every clip power, all from one draw.
 
     Returns one ``(alpha_hat, stderr_alpha, distortion_hat,
@@ -165,7 +165,7 @@ def run_mc(clip_powers: Iterable[float], n_samples: int, seed: int) -> List[Tupl
     return [_estimate(p_max, n_samples, row) for p_max, row in zip(clip_powers, sums)]
 
 
-def _estimate(p_max: float, n: int, sums: np.ndarray) -> Tuple[float, ...]:
+def _estimate(p_max: float, n: int, sums: np.ndarray) -> tuple[float, ...]:
     """Estimates at clip power ``p_max`` from its row of moment sums over
     ``n`` samples, in :func:`run_mc`'s order."""
     s_cre, s_a, s_b, s_ampy, s_cre2, s_a2, s_b2, s_ac, s_ab, s_bc = sums

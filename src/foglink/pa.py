@@ -11,7 +11,7 @@ name carries ``_db`` accept or return decibels.
 """
 
 import math
-from typing import Iterable, Iterator, Tuple
+from collections.abc import Iterable, Iterator
 
 from .errors import ConvergenceError, DomainError
 
@@ -47,7 +47,7 @@ SINR_APPROX_SLOPE = 0.84
 SINR_APPROX_OFFSET_DB = -2.23
 
 
-def _clipping(ibo_linear: float) -> Tuple[float, float]:
+def _clipping(ibo_linear: float) -> tuple[float, float]:
     """The Bussgang gain and the distortion power at a back-off, unchecked:
     the one place both closed forms are written."""
     root = math.sqrt(ibo_linear)
@@ -56,7 +56,7 @@ def _clipping(ibo_linear: float) -> Tuple[float, float]:
     return alpha, 1.0 - alpha * alpha - e
 
 
-def clipping(ibo_linear: float) -> Tuple[float, float]:
+def clipping(ibo_linear: float) -> tuple[float, float]:
     """Bussgang gain and clipping-distortion power at unit mean input power.
 
         alpha = 1 - exp(-IBO) + 0.5 * sqrt(pi * IBO) * erfc(sqrt(IBO))
@@ -94,7 +94,7 @@ def checked_sinr(
     return sinr
 
 
-def optimal_ibos(ceilings: Iterable[float]) -> Iterator[Tuple[float, float, float]]:
+def optimal_ibos(ceilings: Iterable[float]) -> Iterator[tuple[float, float, float]]:
     """Back-offs that maximize SINR, one per SNR ceiling, in order.
 
     Yields ``(ibo_linear, alpha, sinr_linear)`` for each ceiling, the bits of

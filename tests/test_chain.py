@@ -194,12 +194,22 @@ class TestOffloadPower:
         [(ibo, alpha, sinr)] = optimal_ibos([snr_max])
         parts, head_w = clip_independent_parts(radio, deploy)
         sized = size_link(radio, deploy)
-        assert sized._values() == (required, snr_max, ibo, alpha, sinr, parts, head_w)
+        assert sized._values() == (required, snr_max, ibo, alpha, sinr, parts, head_w,
+                                   9e6, 3.5e9, 10)
         p_max = clip_power(0.5, 3.5e9, 9e6, snr_max)
         pa_w = pa_consumed_power(p_max, ibo) / 10.0
         down = offload_power(radio, deploy)
-        assert breakdown_at(sized, radio, deploy) == (p_max, down)
+        assert breakdown_at(sized, 0.5) == (p_max, down)
         assert down._values() == (*parts.values(), pa_w, head_w + pa_w)
+
+    def test_reads_the_link_from_the_record(self):
+        # the band, carrier and camera count are the ones the link was sized
+        # with; only the distance is given
+        radio, deploy = scenario("9mhz", 10)
+        sized = size_link(radio, replace(deploy, carrier_hz=2.4e9))
+        p_max, down = breakdown_at(sized, 0.7)
+        assert p_max == clip_power(0.7, 2.4e9, 9e6, sized.snr_max)
+        assert down.pa_w == pa_consumed_power(p_max, sized.ibo) / 10.0
 
     def test_huge_fleet_is_infeasible(self):
         # a million cameras sharing 18 MHz would need SINR 2^833333; the
@@ -212,7 +222,7 @@ class TestOffloadPower:
         # with the amplifier point fixed, an enormous fleet leaves only the
         # always-on components: video coder, redundancy coding, oscillator
         _, head_w = clip_independent_parts(RADIO, replace(DEPLOY, cameras=10 ** 6))
-        p_max, _ = breakdown_at(SIZED, RADIO, DEPLOY)
+        p_max, _ = breakdown_at(SIZED, DEPLOY.distance_km)
         total_w = head_w + pa_consumed_power(p_max, SIZED.ibo) / 10 ** 6
         constant = 0.242 + 6e-4 + 0.0675
         assert abs(total_w - constant) <= 1e-5 * constant
@@ -301,7 +311,7 @@ class TestParamValidation:
             replace(DEPLOY, p_video_w=-0.1)
         with pytest.raises(DomainError, match="c_p_f must be non-negative"):
             replace(RADIO, c_p_f=-1e-12)
-        assert min(breakdown_at(SIZED, RADIO, DEPLOY)[1]._values()) > 0.0
+        assert min(breakdown_at(SIZED, DEPLOY.distance_km)[1]._values()) > 0.0
 
     def test_breakdown_rejects_wrong_total(self):
         # the total is the left-to-right sum of the parts, so it cannot be wrong
@@ -320,11 +330,10 @@ class TestParamValidation:
     def test_breakdown_rejects_a_non_finite_total(self, bad):
         # a clipping power that is not finite never reaches the amplifier
         with pytest.raises(InfeasibleLinkError, match=f"clipping power {bad!r} W is not rep"):
-            breakdown_at(replace(SIZED, snr_max=bad), RADIO, DEPLOY)
+            breakdown_at(replace(SIZED, snr_max=bad), DEPLOY.distance_km)
         # a finite clipping power whose amplifier draw overflows
-        far = replace(DEPLOY, distance_km=1.4410110442132077e+82)
         with pytest.raises(DomainError) as refused:
-            breakdown_at(SIZED, RADIO, far)
+            breakdown_at(SIZED, 1.4410110442132077e+82)
         assert str(refused.value) == (
             "amplifier draw pa_w = inf W at clipping power 1.6995007848298944e+308 W "
             "makes the offload power inf W, which is not finite"
@@ -333,4 +342,4 @@ class TestParamValidation:
         heavy = replace(DEPLOY, p_video_w=1.7e308, distance_km=1e82)
         with pytest.raises(DomainError, match="pa_w = 4.98891676925112.e[+]307 W .* makes "
                                               "the offload power inf W"):
-            breakdown_at(size_link(RADIO, heavy), RADIO, heavy)
+            breakdown_at(size_link(RADIO, heavy), heavy.distance_km)

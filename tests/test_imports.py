@@ -10,7 +10,8 @@ anyway.  Each check runs in a fresh interpreter, because this test
 process has numpy loaded already.  Likewise ``json`` loads only when a
 command reads a config file or prints the defaults, and no command loads
 ``dataclasses`` or ``inspect``: the records are plain ``foglink.record``
-classes, which cost no code generation at import.
+classes, which cost no code generation at import.  No module imports
+``typing``: the annotations use builtin generics and ``collections.abc``.
 """
 
 import os
@@ -40,11 +41,12 @@ EXPORTS = [
 ]
 
 
-def run_fresh(code: str) -> str:
-    """Run ``code`` in a new interpreter that imports foglink from src/."""
+def run_fresh(code: str, *flags: str) -> str:
+    """Run ``code`` in a new interpreter, started with ``flags``, that
+    imports foglink from src/."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, *flags, "-c", code], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
@@ -98,6 +100,20 @@ def test_no_command_loads_dataclasses_or_inspect(tmp_path):
     assert out.splitlines() == [
         *(f"{step} False False" for step in ("import", *SCALAR_COMMANDS)), "mc False",
     ]
+
+
+def test_no_scalar_command_loads_typing(tmp_path):
+    # -S: the site module itself imports typing in some installations
+    out = run_fresh(
+        "import sys\n"
+        "print('start', 'typing' in sys.modules)\n"
+        "import foglink.cli as cli\n"
+        f"for command in {SCALAR_COMMANDS!r}:\n"
+        f"    assert cli.main([command, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print('end', 'typing' in sys.modules)\n",
+        "-S",
+    )
+    assert out.splitlines() == ["start False", "end False"]
 
 
 def test_mc_verify_loads_numpy(tmp_path):

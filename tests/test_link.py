@@ -261,7 +261,7 @@ class TestOperatingPoint:
             scenario = replace(deploy, cameras=cameras, distance_km=float(d))
             assert size_link(radio, scenario) == sized
             p_max = clip_power(float(d), deploy.carrier_hz, radio.bandwidth_hz, snr_max)
-            assert breakdown_at(sized, radio, scenario) == (p_max, offload_power(radio, scenario))
+            assert breakdown_at(sized, float(d)) == (p_max, offload_power(radio, scenario))
 
     @pytest.mark.parametrize("cameras, rate_bps", [(1, 3.6e8), (10, 3.6e7)])
     def test_ceiling_above_the_solvable_range_names_the_rate(self, cameras, rate_bps):
