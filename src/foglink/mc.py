@@ -15,12 +15,15 @@ Samples are generated in fixed-size chunks, each from its own jump-ahead
 Philox substream (``Philox(key=seed).jumped(chunk_index)``).  A run
 computes its chunks on one worker thread per CPU it may use (at most one
 per chunk); each worker needs memory only for the four cache-sized leaf
-rows (1 MiB) of the chunk it is on, not for the chunk.  Each chunk's
-partial sums join the running sums in chunk order, and the chunk layout
-does not depend on the worker count, so the bits do not either.  A sample is
-``x = sqrt(-log(1 - u1)) * exp(2j * pi * u2)`` (Box-Muller), but
-only u1, the first ``count`` uniforms of each substream, is drawn: the
-soft limiter keeps the phase, so no estimator depends on u2.  Every clip
+rows (1 MiB) of the chunk it is on, not for the chunk.  Workers number
+their chunks from one counter and add each chunk's partial sums to the
+running sums in chunk order, so the bits do not depend on the worker
+count.  Each worker ignores floating-point warnings, whatever the
+caller's errstate, so ``run_mc``'s ``NumericError`` alone reports a
+non-finite sum.  A sample is
+``x = sqrt(-log(1 - u1)) * exp(2j * pi * u2)`` (Box-Muller), but only
+u1, the first ``count`` uniforms of each substream, is drawn: the soft
+limiter keeps the phase, so no estimator depends on u2.  Every clip
 power is applied to the same draw of each chunk.  The kernel sorts each
 cache-sized leaf of the draw once and takes a clip's ten moment sums from
 two reductions, over the leaf's samples below and above that clip, which
@@ -31,7 +34,7 @@ whole-row ``ndarray.sum``.  This choice is fixed because reproducibility
 per seed is promised within a build.
 """
 
-import contextvars
+import itertools
 import math
 import os
 import threading
@@ -48,15 +51,6 @@ __all__ = ["CHUNK_SAMPLES", "run_mc"]
 CHUNK_SAMPLES = 1 << 20
 
 _FOUR_OVER_PI = 4.0 / math.pi
-
-
-def _chunk_layout(n_samples: int):
-    """Yield (chunk_index, chunk_size) pairs covering n_samples."""
-    full, rest = divmod(n_samples, CHUNK_SAMPLES)
-    for index in range(full):
-        yield index, CHUNK_SAMPLES
-    if rest:
-        yield full, rest
 
 
 def _chunk_sums(
@@ -81,15 +75,17 @@ def _summed_chunks(
 ) -> np.ndarray:
     """Moment sums of the whole run, one row per clip power.
 
-    ``workers`` threads, at most one per chunk, take chunks in turn, each
-    in a copy of the caller's context, so the caller's ``np.errstate``
-    holds in every one; the calling thread is one of them.  Each chunk's
-    partial is added to the sums once every earlier chunk's has been, so
-    the sums do not depend on ``workers``, and only the partials that
-    finish out of order are held.  The first exception a worker raises is
-    raised here, once every worker has stopped.
+    ``workers`` threads, the calling thread among them and at most one
+    per chunk, take chunk numbers from one counter; chunk k holds the next
+    ``CHUNK_SAMPLES`` samples or the rest, and a worker stops at the first
+    empty one.  Each worker runs under ``np.errstate(all="ignore")``, so a
+    sum that goes non-finite is left for :func:`run_mc` to report.  Each
+    chunk's partial is added once every earlier chunk's has been, so the
+    sums do not depend on ``workers``; only partials that finish out of
+    order are held.  The first exception a worker raises is raised here,
+    once every worker has stopped.
     """
-    pending = _chunk_layout(n_samples)
+    indices = itertools.count()
     lock = threading.Lock()
     errors: list[BaseException] = []
     sums = np.zeros((len(clip_powers), _kernels.N_SUMS))
@@ -99,22 +95,24 @@ def _summed_chunks(
     def work():
         nonlocal next_index
         try:
-            while not errors:
-                with lock:
-                    index, count = next(pending, (None, 0))
-                if index is None:
-                    return
-                partial = _chunk_sums(seed, index, count, clip_powers)
-                with lock:
-                    early[index] = partial
-                    while next_index in early:
-                        np.add(sums, early.pop(next_index), out=sums)
-                        next_index += 1
+            with np.errstate(all="ignore"):
+                while not errors:
+                    with lock:
+                        index = next(indices)
+                    count = min(CHUNK_SAMPLES, n_samples - index * CHUNK_SAMPLES)
+                    if count <= 0:
+                        return
+                    partial = _chunk_sums(seed, index, count, clip_powers)
+                    with lock:
+                        early[index] = partial
+                        while next_index in early:
+                            np.add(sums, early.pop(next_index), out=sums)
+                            next_index += 1
         except BaseException as exc:  # re-raised in the calling thread
             errors.append(exc)
 
     threads = [
-        threading.Thread(target=contextvars.copy_context().run, args=(work,))
+        threading.Thread(target=work)
         for _ in range(min(workers, -(-n_samples // CHUNK_SAMPLES)) - 1)
     ]
     for thread in threads:

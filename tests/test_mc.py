@@ -1,5 +1,6 @@
 """Monte-Carlo verifier: estimators, determinism, the radial moment kernel."""
 
+import contextlib
 import math
 import sys
 import threading
@@ -12,7 +13,7 @@ import pytest
 import foglink.cli as cli
 from foglink import DomainError, NumericError, linear_to_db, pa_consumed_power
 from foglink import _kernels, mc
-from foglink.mc import CHUNK_SAMPLES, _chunk_layout, _chunk_sums, _summed_chunks, run_mc
+from foglink.mc import CHUNK_SAMPLES, _chunk_sums, _summed_chunks, run_mc
 from foglink.pa import clipping, optimal_ibos
 from oracles import exact_sum, moment_sums_exact, moment_sums_reference, soft_limit
 
@@ -83,7 +84,7 @@ class TestDeterminism:
     def test_chunk_combination_order_is_fixed(self):
         # simulate out-of-order workers: evaluate chunk partials in reverse,
         # then combine by chunk index; the sums must match bit for bit
-        layout = list(_chunk_layout(2 * CHUNK_SAMPLES + 999))
+        layout = [(0, CHUNK_SAMPLES), (1, CHUNK_SAMPLES), (2, 999)]
         shape = (len(CLIP_POWERS), _kernels.N_SUMS)
         forward = np.zeros(shape)
         for index, count in layout:
@@ -124,11 +125,12 @@ class TestDeterminism:
         alone = [run_one(n=n, ibo=p_max) for p_max in clips]
         assert shared == alone
 
-    def test_non_finite_accumulation_names_the_clip_powers(self, monkeypatch):
+    @staticmethod
+    def assert_overflow_is_named(monkeypatch, caller_errstate):
         # at unit input power the kernel cannot overflow, so the chunk sums
         # overflow here for the clip powers above 1; each of the run's three
-        # worker threads must see the caller's errstate, or the overflow
-        # warning, an error here, would end the run instead
+        # worker threads must ignore the overflow, whatever the caller's
+        # errstate, or its warning, an error here, would end the run instead
         barrier = threading.Barrier(3, timeout=60)
         threads = set()
 
@@ -141,13 +143,20 @@ class TestDeterminism:
         monkeypatch.setattr(mc, "_chunk_sums", chunk_sums)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with np.errstate(over="ignore"), pytest.raises(NumericError) as refused:
+            with caller_errstate, pytest.raises(NumericError) as refused:
                 run_mc([2.5, 0.5, 7.5], 2 * CHUNK_SAMPLES + 1, 42)
         assert str(refused.value) == (
             "non-finite accumulation at clip power(s) [2.5, 7.5] W for "
             f"n_samples = {2 * CHUNK_SAMPLES + 1}, seed = 42"
         )
         assert len(threads) == 3
+
+    def test_non_finite_accumulation_names_the_clip_powers(self, monkeypatch):
+        self.assert_overflow_is_named(monkeypatch, np.errstate(over="ignore"))
+
+    def test_non_finite_accumulation_is_named_without_a_caller_errstate(self, monkeypatch):
+        # numpy's default errstate warns on overflow
+        self.assert_overflow_is_named(monkeypatch, contextlib.nullcontext())
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         def chunk_sums(seed, chunk_index, count, clip_powers):
@@ -161,6 +170,13 @@ class TestDeterminism:
         with pytest.raises(RuntimeError, match="chunk 2 failed"):
             run_mc([1.0], 3 * CHUNK_SAMPLES + 7, 42)
         assert threading.active_count() == threads  # every worker joined
+
+        def ones(seed, chunk_index, count, clip_powers):
+            return np.ones((len(clip_powers), _kernels.N_SUMS))
+
+        monkeypatch.setattr(mc, "_chunk_sums", ones)
+        assert len(run_mc([1.0], 3 * CHUNK_SAMPLES + 7, 42)) == 1
+        assert threading.active_count() == threads  # and after a run that succeeds
 
     def test_huge_sample_count_takes_chunks_as_it_goes(self, monkeypatch):
         # 10**400 samples are ~1e394 chunks: a run that listed its chunk
@@ -195,9 +211,17 @@ class TestDeterminism:
         assert sorted(calls) == list(range(chunks))
         assert np.all(sums == chunks * (chunks - 1) / 2)
 
-    def test_chunk_layout_covers_exactly(self):
+    def test_chunk_layout_covers_exactly(self, monkeypatch):
+        # the (index, count) pairs the workers hand to _chunk_sums
+        def chunk_sums(seed, chunk_index, count, clip_powers):
+            layout.append((chunk_index, count))
+            return np.zeros((len(clip_powers), _kernels.N_SUMS))
+
+        monkeypatch.setattr(mc, "_chunk_sums", chunk_sums)
         for n in (1, 10, CHUNK_SAMPLES, CHUNK_SAMPLES + 1, 3 * CHUNK_SAMPLES + 7):
-            layout = list(_chunk_layout(n))
+            layout = []
+            _summed_chunks((1.0,), n, 42, 3)
+            layout.sort()
             assert sum(count for _, count in layout) == n
             assert [index for index, _ in layout] == list(range(len(layout)))
 
