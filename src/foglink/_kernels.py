@@ -19,10 +19,10 @@ So each clip takes two reductions per leaf, of the rows b*b, b and r over
 the unclipped slice (lo_bb, lo_b, lo_r) and of the rows b, r and b*r over
 the clipped slice (hi_b, hi_r, hi_br); the leaf's work before them does
 not depend on the clip count.  The leaf sums are added across leaves in
-order, and with n_A the clipped count the ten sums are:
+order, and with n_A the clipped count the nine sums are:
   0 = lo_b + c*hi_r       1 = lo_b + c^2*n_A       2 = sum b
-  3 = lo_r + c*n_A        4 = 8 = lo_bb + c^2*hi_b  5 = lo_bb + c^4*n_A
-  6 = sum b*b             7 = lo_bb + c^3*hi_r     9 = lo_bb + c*hi_br
+  3 = lo_r + c*n_A        4 = lo_bb + c^2*hi_b     5 = lo_bb + c^4*n_A
+  6 = sum b*b             7 = lo_bb + c^3*hi_r     8 = lo_bb + c*hi_br
 
 Determinism.  Each clip's sums are a pure function of (generator state,
 count, clip power): its two reductions per leaf read only the leaf rows
@@ -35,17 +35,18 @@ long as the chunk, so concurrent calls in separate threads each need only
 their own leaf rows.
 
 Sum layout (x = input sample, y = clipped sample, c' = y * conj(x));
-2 and 6 do not depend on the clip power:
+2 and 6 do not depend on the clip power, and 4 is also sum |y|^2|x|^2,
+as Re(c')^2 = rho^2 r^2:
   0: sum Re(c')       1: sum |y|^2        2: sum |x|^2      3: sum |y|
   4: sum Re(c')^2     5: sum |y|^4        6: sum |x|^4      7: sum |y|^2 Re(c')
-  8: sum |y|^2|x|^2   9: sum |x|^2 Re(c')
+  8: sum |x|^2 Re(c')
 """
 
 from collections.abc import Sequence
 
 import numpy as np
 
-N_SUMS = 10
+N_SUMS = 9
 # Samples per leaf: its four rows (1 MiB) stay in a 2 MiB L2 cache.
 LEAF_SAMPLES = 1 << 15
 
@@ -94,5 +95,5 @@ def moment_sums(
     return np.stack(np.broadcast_arrays(
         lo_b + c * hi_r, lo_b + c2 * n_a, sum_b, lo_r + c * n_a,
         lo_bb + c2 * hi_b, lo_bb + c2 * (c2 * n_a), sum_bb, lo_bb + c2 * (c * hi_r),
-        lo_bb + c2 * hi_b, lo_bb + c * hi_br,
+        lo_bb + c * hi_br,
     ), axis=1)

@@ -375,16 +375,17 @@ def mc_verify(
         analytic.append((ibo_db, ibo, alpha, distortion, pa_w, sinr))
         clip_powers.append(ibo)
 
+    scenario = {"ibo_db": list(ibo_db_values), "snr_max_db": snr_max_db}
+    if not (isinstance(seed, int) and 0 <= seed < 2 ** 64):
+        message = f"seed must be a 64-bit unsigned integer, got {seed!r}"
+        raise _scenario_context(DomainError(message), **scenario)
+
     from .mc import run_mc  # numpy loads here, on the Monte-Carlo path only
 
     try:
-        if not (isinstance(seed, int) and 0 <= seed < 2 ** 64):
-            raise DomainError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
         estimates = run_mc(clip_powers, n_samples, seed)
     except FoglinkError as exc:
-        raise _scenario_context(
-            exc, ibo_db=list(ibo_db_values), snr_max_db=snr_max_db
-        ) from exc
+        raise _scenario_context(exc, **scenario) from exc
 
     rows = []
     failures = []
@@ -457,10 +458,9 @@ def _row_lines(rows: list[Sequence], curves: Sequence[Mapping[int, object]]) -> 
 
 
 def render_csv(
-    columns: Sequence[str], rows: Iterable, trailer: Sequence[str] = (),
-    curves: Sequence[Mapping[int, object]] = ({},),
+    columns: Sequence[str], rows: Iterable, curves: Sequence[Mapping[int, object]] = ({},)
 ) -> str:
-    """The header, one line per row (cells in column order), then the trailer.
+    """The header, then one line per row (cells in column order).
 
     The rows cycle through ``curves``, each the cells that stay fixed along
     a curve, keyed by column index; the default is one curve that fixes
@@ -471,9 +471,8 @@ def render_csv(
     """
     rows = list(rows)
     header = ",".join(columns)
-    text = "\n".join([header, *_row_lines(rows, curves), *trailer, ""])
-    body_end = len(text) - len(trailer) - sum(map(len, trailer))
-    if text.find("n", len(header) + 1, body_end) >= 0:
+    text = "\n".join([header, *_row_lines(rows, curves), ""])
+    if text.find("n", len(header) + 1) >= 0:
         for cell in itertools.chain.from_iterable(rows):
             if not (isinstance(cell, str) or math.isfinite(cell)):
                 raise NumericError(f"non-finite value {cell!r} in CSV output")
@@ -497,7 +496,9 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _run_fig3(args):
     columns, rows, max_gap = sweep_fig3(args.db_from, args.db_to, args.steps)
-    return columns, rows, ([f"# max_abs_approx_error_db,{max_gap:.9g}"],), ()
+    text = render_csv(columns, rows)
+    text += f"# max_abs_approx_error_db,{max_gap:.9g}\n"  # in place, not copied
+    return text, ()
 
 
 def _run_breakeven(args, radio, deploy):
@@ -506,12 +507,12 @@ def _run_breakeven(args, radio, deploy):
         if args.theta_from is None or args.theta_to is None:
             raise DomainError("--theta-from and --theta-to must be given together")
         theta_sweep = (args.theta_from, args.theta_to, args.steps)
-    return (*breakeven_rows(radio, deploy, theta_sweep), (), ())
+    return render_csv(*breakeven_rows(radio, deploy, theta_sweep)), ()
 
 
 def _run_link_power(args, radio, deploy):
     columns, row = link_power_row(radio, deploy)
-    return columns, [row], (), ()
+    return render_csv(columns, [row]), ()
 
 
 def _run_mc_verify(args):
@@ -521,11 +522,7 @@ def _run_mc_verify(args):
         raise DomainError(f"--ibo-db must be a comma-separated float list, "
                           f"got {args.ibo_db!r}") from None
     columns, rows, failures = mc_verify(ibo_list, args.samples, args.seed, args.snr_max_db)
-    return columns, rows, (), failures
-
-
-def _run_distance_sweep(columns, rows, curves):
-    return columns, rows, ((), curves), ()
+    return render_csv(columns, rows), failures
 
 
 def _sweep_flags(from_flag, to_flag, start, stop, steps):
@@ -548,26 +545,25 @@ _SCENARIO = (
 )
 _DISTANCES = _sweep_flags("--d-from-km", "--d-to-km", 0.01, 2.0, 50)
 
-# (name, help, flags, run) of each CSV subcommand, in --help order.  A flag
-# is (option string, add_argument keywords); a command with --config
-# evaluates a scenario.  run(args, *scenario) returns the CSV columns, the
-# rows in column order, render_csv's further arguments (fig3's trailer
-# lines, the distance sweeps' curves) and the verdicts that fail the run.
-# The runs call this module's functions through its globals, so a
-# wrapper put there after import (perfbench/tracer.py) is the one called.
+# (name, help, flags, run) of each subcommand, in --help order.  A flag is
+# (option string, add_argument keywords); a command with --config
+# evaluates a scenario.  run(args, *scenario) returns the text to emit and
+# the verdicts that fail the run.  The runs call this module's functions
+# through its globals, so a wrapper put there after import
+# (perfbench/tracer.py) is the one called.
 _COMMANDS = (
     ("fig3", "optimal back-off and SINR vs SNR ceiling",
      (_OUT, *_sweep_flags("--db-from", "--db-to", -10.0, 50.0, 601)), _run_fig3),
     ("fig4", "required SINR and back-off vs bandwidth",
      (_CONFIG, _OUT, *_sweep_flags("--b-from-hz", "--b-to-hz", 1e6, 20e6, 39)),
-     lambda args, radio, deploy: (*sweep_fig4(
-         radio, deploy, args.b_from_hz, args.b_to_hz, args.steps), (), ())),
+     lambda args, radio, deploy: (render_csv(*sweep_fig4(
+         radio, deploy, args.b_from_hz, args.b_to_hz, args.steps)), ())),
     ("fig5", "offload power and components vs distance", (_CONFIG, _OUT, *_DISTANCES),
-     lambda args, radio, deploy: _run_distance_sweep(*sweep_fig5(
-         radio, deploy, args.d_from_km, args.d_to_km, args.steps))),
+     lambda args, radio, deploy: (render_csv(*sweep_fig5(
+         radio, deploy, args.d_from_km, args.d_to_km, args.steps)), ())),
     ("fig6", "breakeven workload complexity vs distance", (_CONFIG, _OUT, *_DISTANCES),
-     lambda args, radio, deploy: _run_distance_sweep(*sweep_fig6(
-         radio, deploy, args.d_from_km, args.d_to_km, args.steps))),
+     lambda args, radio, deploy: (render_csv(*sweep_fig6(
+         radio, deploy, args.d_from_km, args.d_to_km, args.steps)), ())),
     ("breakeven", "breakeven complexity for one scenario", (
         *_SCENARIO,
         ("--theta-from", {"type": float, "help": "sweep workload complexity from here"}),
@@ -584,6 +580,8 @@ _COMMANDS = (
         ("--snr-max-db", {"type": float, "default": 20.0,
                           "help": "SNR ceiling used for the empirical SINR"}),
     ), _run_mc_verify),
+    ("print-defaults", "emit the baseline parameters as JSON",
+     (("--out", {"metavar": "PATH"}),), lambda args: (dump_defaults() + "\n", ())),
 )
 
 
@@ -598,8 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, options in flags:
             p.add_argument(flag, **options)
         p.set_defaults(run=run)
-    p = sub.add_parser("print-defaults", help="emit the baseline parameters as JSON")
-    p.add_argument("--out", metavar="PATH")
     return parser
 
 
@@ -633,9 +629,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_attach_numbers(argv))
     try:
-        if args.command == "print-defaults":
-            _emit(dump_defaults() + "\n", args.out)
-            return 0
         scenario = ()
         if hasattr(args, "config"):
             overrides = {
@@ -646,8 +639,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             scenario = load_params(
                 args.config, overrides, getattr(args, "bandwidth_profile", None)
             )
-        columns, rows, render_args, verdicts = args.run(args, *scenario)
-        _emit(render_csv(columns, rows, *render_args), args.out)
+        text, verdicts = args.run(args, *scenario)
+        _emit(text, args.out)
     except FoglinkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -25,7 +25,7 @@ non-finite sum.  A sample is
 u1, the first ``count`` uniforms of each substream, is drawn: the soft
 limiter keeps the phase, so no estimator depends on u2.  Every clip
 power is applied to the same draw of each chunk.  The kernel sorts each
-cache-sized leaf of the draw once and takes a clip's ten moment sums from
+cache-sized leaf of the draw once and takes a clip's nine moment sums from
 two reductions, over the leaf's samples below and above that clip, which
 read nothing of the other clips.  So a clip's bits are the same whether
 it runs alone or shares the run with other clips.  The sums lie within a
@@ -166,18 +166,19 @@ def run_mc(clip_powers: Iterable[float], n_samples: int, seed: int) -> list[tupl
 def _estimate(p_max: float, n: int, sums: np.ndarray) -> tuple[float, ...]:
     """Estimates at clip power ``p_max`` from its row of moment sums over
     ``n`` samples, in :func:`run_mc`'s order."""
-    s_cre, s_a, s_b, s_ampy, s_cre2, s_a2, s_b2, s_ac, s_ab, s_bc = sums
+    s_cre, s_a, s_b, s_ampy, s_cre2, s_a2, s_b2, s_ac, s_bc = sums
 
     # the Bussgang gain mean(Re(c)) / sigma2, at sigma2 = 1
     a_hat, stderr_alpha = _mean_and_stderr(s_cre, s_cre2, n)
     mean_a = s_a / n
     mean_b = s_b / n
     distortion = mean_a - 2.0 * a_hat * a_hat + a_hat * a_hat * mean_b
-    # second moment of the per-sample distortion, expanded with plug-in alpha
+    # second moment of the per-sample distortion, expanded with plug-in alpha;
+    # the sum of |y|^2|x|^2 is that of Re(c)^2, kept as its own term: same bits
     mean_d2 = (
         s_a2
         - 4.0 * a_hat * s_ac
-        + 2.0 * a_hat * a_hat * s_ab
+        + 2.0 * a_hat * a_hat * s_cre2
         + 4.0 * a_hat * a_hat * s_cre2
         - 4.0 * a_hat ** 3 * s_bc
         + a_hat ** 4 * s_b2

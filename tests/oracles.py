@@ -112,33 +112,33 @@ def exact_sum(values):
 
 
 def moment_sums_exact(u1, clip_powers):
-    """The (len(clip_powers), 10) moment sums of ``foglink._kernels`` over
+    """The (len(clip_powers), 9) moment sums of ``foglink._kernels`` over
     the uniforms ``u1``, each the exactly rounded sum of its per-sample
     terms."""
     b = -np.log1p(-u1)  # |x|^2
     r = np.sqrt(b)  # |x|
-    out = np.empty((len(clip_powers), 10))
+    out = np.empty((len(clip_powers), 9))
     out[:, 2] = exact_sum(b)
     out[:, 6] = exact_sum(b * b)
     for row, p_max in zip(out, clip_powers):
         rho = np.minimum(r, math.sqrt(p_max))  # |y|
         cre = r * rho  # Re(y * conj(x))
         a = rho * rho  # |y|^2
-        terms = (cre, a, rho, cre * cre, a * a, a * cre, a * b, b * cre)
-        for index, term in zip((0, 1, 3, 4, 5, 7, 8, 9), terms):
+        terms = (cre, a, rho, cre * cre, a * a, a * cre, b * cre)
+        for index, term in zip((0, 1, 3, 4, 5, 7, 8), terms):
             row[index] = exact_sum(term)
     return out
 
 
 def moment_sums_reference(u1, clip_powers):
-    """The (len(clip_powers), 10) moment sums of ``foglink._kernels``, each
+    """The (len(clip_powers), 9) moment sums of ``foglink._kernels``, each
     one ufunc pass and one ``ndarray.sum`` over the whole row.
 
     Leaves ``u1`` unchanged.
     """
     n = u1.shape[0]
     b, r, a, cre, tmp = np.empty((5, n))
-    out = np.empty((len(clip_powers), 10))
+    out = np.empty((len(clip_powers), 9))
     np.negative(u1, out=b)
     np.log1p(b, out=b)
     np.negative(b, out=b)  # |x|^2
@@ -154,7 +154,7 @@ def moment_sums_reference(u1, clip_powers):
         row[0] = cre.sum()
         row[1] = a.sum()
         for index, (left, right) in zip(
-            (4, 5, 7, 8, 9), ((cre, cre), (a, a), (a, cre), (a, b), (b, cre))
+            (4, 5, 7, 8), ((cre, cre), (a, a), (a, cre), (b, cre))
         ):
             np.multiply(left, right, out=tmp)
             row[index] = tmp.sum()

@@ -345,7 +345,11 @@ def test_dense_figures_print_their_rows_cell_by_cell(capsys, argv):
     code, out, err = run_cli(argv, capsys)
     assert (code, err) == (0, "")
     args = cli.build_parser().parse_args(argv)
-    columns, rows, _, _ = args.run(args, *load_params())
+    sweep = getattr(cli, f"sweep_{args.command}")
+    if args.command == "fig4":
+        columns, rows = sweep(*load_params(), args.b_from_hz, args.b_to_hz, args.steps)
+    else:
+        columns, rows, _ = sweep(*load_params(), args.d_from_km, args.d_to_km, args.steps)
     assert out == cell_by_cell(columns, rows)
 
 
@@ -1258,9 +1262,17 @@ class TestCsvRendering:
         with pytest.raises(NumericError, match="^non-finite value nan "):
             cli.render_csv(["x", "y"], rows)
 
-    def test_an_n_in_the_header_or_trailer_is_no_bad_cell(self):
-        text = cli.render_csv(["n", "snr"], [(1.5, 10), (-0.0, 2e-9)], ["note: nan"])
-        assert text == "n,snr\n1.5,10\n-0,2e-09\nnote: nan\n"
+    def test_an_n_in_the_header_or_trailer_is_no_bad_cell(self, capsys):
+        text = cli.render_csv(["n", "snr"], [(1.5, 10), (-0.0, 2e-9)])
+        assert text == "n,snr\n1.5,10\n-0,2e-09\n"
+        # fig3's trailer is no part of the table: one line after it
+        args = cli.build_parser().parse_args(["fig3"])
+        columns, rows, _ = cli.sweep_fig3(args.db_from, args.db_to, args.steps)
+        code, out, err = run_cli(["fig3"], capsys)
+        assert (code, err) == (0, "")
+        table = cli.render_csv(columns, rows)
+        assert out.startswith(table)
+        assert re.fullmatch(r"# max_abs_approx_error_db,[^\n]*\n", out[len(table):])
 
 
     def test_str_cells_render_as_text(self):

@@ -128,6 +128,18 @@ def test_mc_verify_loads_numpy(tmp_path):
     assert out == "True False\n"
 
 
+def test_a_bad_seed_is_refused_before_numpy_loads():
+    # the seed is checked with the other inputs, before the Monte-Carlo
+    # import, so a refusal costs no numpy and needs none installed
+    out = run_fresh(
+        "import sys\n"
+        "import foglink.cli as cli\n"
+        "code = cli.main(['mc-verify', '--seed', '-1', '--samples', '1000'])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    assert out == "1 False\n"
+
+
 def test_monte_carlo_names_come_from_foglink_mc():
     out = run_fresh(
         "import sys\n"

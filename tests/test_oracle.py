@@ -1,21 +1,26 @@
-"""Every printed cell of the default ``fig3`` against a 40-digit oracle.
+"""Every printed cell of the default ``fig3``, ``link-power`` and
+``breakeven`` against a 40-digit oracle.
 
 ``oracle/fig3.csv`` is written by ``oracle/make_fig3.py``, which re-derives
-the solve in mpmath at 40 digits; this test reads only the CSV, so the
-suite does not need mpmath.  The golden test compares the program with its
-own earlier bytes, so it cannot see a cell that was wrong from the start;
-this one compares it with an independent computation.  Each cell is printed
-to 9 significant digits and must lie within one unit in its 9th digit of
-the oracle's value.
+the solve in mpmath at 40 digits, and ``oracle/link-power.csv`` and
+``oracle/breakeven.csv`` by ``oracle/make_scalar.py``, which re-derives the
+whole chain from the baseline parameters; these tests read only the CSVs,
+so the suite does not need mpmath.  The golden test compares the program
+with its own earlier bytes, so it cannot see a cell that was wrong from the
+start; this one compares it with an independent computation.  Each cell
+is printed to 9 significant digits and must lie within one unit in its 9th
+digit of the oracle's value.
 """
 
 import csv
 import math
 from pathlib import Path
 
+import pytest
+
 import foglink.cli as cli
 
-ORACLE = Path(__file__).resolve().parent / "oracle" / "fig3.csv"
+ORACLE_DIR = Path(__file__).resolve().parent / "oracle"
 PRINTED_COLUMNS = ("snr_max_db", "ibo_db_optimal", "sinr_db_exact", "sinr_db_approx")
 
 
@@ -36,8 +41,8 @@ def default_fig3(tmp_path):
     return rows, trailer
 
 
-def oracle_rows():
-    with ORACLE.open(encoding="utf-8", newline="") as handle:
+def oracle_rows(name="fig3"):
+    with (ORACLE_DIR / f"{name}.csv").open(encoding="utf-8", newline="") as handle:
         return [{key: float(value) for key, value in row.items()} for row in csv.DictReader(handle)]
 
 
@@ -59,3 +64,15 @@ def test_trailer_gap_is_within_one_unit_in_the_9th_digit(tmp_path):
     assert name == "max_abs_approx_error_db"
     exact = max(abs(row["sinr_db_exact"] - row["sinr_db_approx"]) for row in oracle_rows())
     assert units_off(float(value), exact) <= 1.0
+
+
+@pytest.mark.parametrize("command", ["link-power", "breakeven"])
+def test_every_default_scalar_cell_is_within_one_unit_in_the_9th_digit(tmp_path, command):
+    out = tmp_path / f"{command}.csv"
+    assert cli.main([command, "--out", str(out)]) == 0
+    with out.open(encoding="utf-8", newline="") as handle:
+        [printed] = csv.DictReader(handle)
+    [exact] = oracle_rows(command)
+    assert list(printed) == list(exact)
+    off = {column: units_off(float(cell), exact[column]) for column, cell in printed.items()}
+    assert {column: units for column, units in off.items() if not units <= 1.0} == {}
